@@ -9,7 +9,6 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     commutator,
-    expand_in_basis,
     rank,
     scalar_multiple_of,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "casimir",
     "commutator",
     "dotted_to_madelung",
-    "expand_in_basis",
     "extract_root",
     "find_cartan",
     "haenzel_stats",

@@ -30,21 +30,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .exact import (
+    HALF,
     ExactMatrix,
     GaussianRational,
     I,
     ONE,
-    SpanSolver,
-    ZERO,
     commutator,
     scalar_multiple_of,
 )
-from .sopq import GeneratorSet, IndexPair, Metric, pair_name
+from .sopq import (
+    GeneratorSet,
+    IndexPair,
+    Metric,
+    hydrogen_aliases,
+    materialize,
+    pair_name,
+)
 
-HALF = GaussianRational(Fraction(1, 2))
 MINUS_HALF = -HALF
 
 
@@ -217,15 +222,6 @@ _SECOND_HALF_DEFS: list[tuple[str, list[tuple[GaussianRational, IndexPair]]]] = 
 FAMILIES = ("K", "J", "T", "S", "P", "Q")
 
 
-def _combine(
-    gs: GeneratorSet, terms: Iterable[tuple[GaussianRational, IndexPair]]
-) -> ExactMatrix:
-    acc = ExactMatrix.zeros(gs.metric.dim)
-    for coeff, (a, b) in terms:
-        acc = acc + gs.gen(a, b) * coeff
-    return acc
-
-
 def yao_basis(gs: GeneratorSet) -> list[NamedOperator]:
     """The 18 compact-subgroup-adapted combinations for signature (4,2).
 
@@ -235,7 +231,7 @@ def yao_basis(gs: GeneratorSet) -> list[NamedOperator]:
     if gs.metric != Metric(4, 2):
         raise ValueError("adapted basis requires signature (4,2)")
     return [
-        NamedOperator(name=name, matrix=_combine(gs, terms))
+        NamedOperator(name=name, matrix=materialize(gs, terms))
         for name, terms in _YAO_DEFS
     ]
 
@@ -251,11 +247,11 @@ def split_basis_so44(
     if gs.metric != Metric(4, 4):
         raise ValueError("split basis requires signature (4,4)")
     first = [
-        NamedOperator(name="1" + name, matrix=_combine(gs, terms))
+        NamedOperator(name="1" + name, matrix=materialize(gs, terms))
         for name, terms in _YAO_DEFS
     ]
     second = [
-        NamedOperator(name="2" + name, matrix=_combine(gs, terms))
+        NamedOperator(name="2" + name, matrix=materialize(gs, terms))
         for name, terms in _SECOND_HALF_DEFS
     ]
     return first, second
@@ -412,8 +408,6 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
         return gs.gen(a, b) * (g(a) * g(b))
 
     if degree == 2:
-        from .sopq import hydrogen_aliases
-
         alias = hydrogen_aliases(gs)
         acc = ExactMatrix.zeros(n)
         for name in ("L1", "L2", "L3", "A1", "A2", "A3"):
@@ -478,8 +472,6 @@ def subalgebra_basis(gs: GeneratorSet, which: str) -> list[NamedOperator]:
         raise ValueError("subalgebra baskets require signature (4,2)")
     yao = {op.name: op.matrix for op in yao_basis(gs)}
     if which == "sl2c":
-        from .sopq import hydrogen_aliases
-
         alias = hydrogen_aliases(gs)
         x = {
             i: (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF for i in (1, 2, 3)
@@ -808,21 +800,6 @@ def check_relation_table(
         got_text = "" if passed else (describe(got) if describe else "<differs>")
         checks.append(RelationCheck(relation=rel.text, passed=passed, got=got_text))
     return TableReport(table=table.name, checks=checks)
-
-
-def generator_describer(gs: GeneratorSet) -> Callable[[ExactMatrix], str]:
-    """Render a matrix as an exact combination of the rotation generators."""
-    solver = SpanSolver(gs.matrices())
-    names = gs.names
-
-    def describe(mat: ExactMatrix) -> str:
-        coeffs = solver.expand(mat)
-        if coeffs is None:
-            return "<outside algebra>"
-        parts = [f"({c})*{names[k]}" for k, c in enumerate(coeffs) if c]
-        return " + ".join(parts) if parts else "0"
-
-    return describe
 
 
 # Emulation chains: each chain asserts that all listed +/- combinations of

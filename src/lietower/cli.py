@@ -26,6 +26,10 @@ from .verify import run_verification
 
 RANK3_AXIS_ALIASES = {"L12": "L3", "L34": "A3", "L56": "D3"}
 
+# Largest p+q that verify accepts: 8,8 takes about a minute on one core
+# (Python 3.11), and the cost grows steeply beyond it.
+MAX_VERIFY_DIM = 16
+
 
 class CliError(Exception):
     pass
@@ -53,8 +57,11 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _to_json(obj: dict) -> str:
@@ -70,6 +77,11 @@ def _use_color() -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     metric = _parse_signature(args.signature)
+    if metric.dim > MAX_VERIFY_DIM:
+        raise CliError(
+            f"signature {args.signature} is too large to verify; "
+            f"need P+Q <= {MAX_VERIFY_DIM}"
+        )
     report = run_verification(metric)
     if args.format == "json":
         _emit(_to_json(report.to_json_dict()), args.output)

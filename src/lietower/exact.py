@@ -7,16 +7,16 @@ entry is equal as a pair of reduced fractions.
 
 Scalars are Gaussian rationals a + b*i with ``fractions.Fraction``
 components, which keeps numerators and denominators in lowest terms with
-positive denominators automatically.  Rank and basis expansion use
-fraction-free (Bareiss) elimination so intermediate entries stay small
-even for the 36-generator dependency systems.
+positive denominators automatically.  Rank and basis expansion share one
+Gauss-Jordan elimination over Q(i): ``rank`` counts its reduced rows and
+``SpanSolver`` keeps them, with the combination of inputs behind each, to
+answer repeated expansion queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -262,12 +262,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
 
-    def trace(self) -> GaussianRational:
-        t = ZERO
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
-
     def scaled_identity(self) -> Optional[GaussianRational]:
         """Return lambda with self == lambda * I, or None."""
         lam = self.rows[0][0]
@@ -325,71 +319,61 @@ def scalar_multiple_of(
     return lam
 
 
-# -- fraction-free elimination ---------------------------------------------
+# -- exact elimination --------------------------------------------------------
+
+# A reduced row: (pivot column, row, the row as a combination of the inputs).
+_Row = tuple[int, list[GaussianRational], list[GaussianRational]]
 
 
-def _integer_rows(vectors: Sequence[Sequence[GaussianRational]]) -> list[list[GaussianRational]]:
-    """Scale each row by a positive integer so entries are Gaussian integers.
+def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int]]:
+    """Reduced row-echelon form of the flattened matrices over Q(i).
 
-    Row scaling changes neither the rank nor the span, and it lets the
-    Bareiss recurrence below run entirely over Gaussian integers.
+    Returns the reduced rows sorted by pivot and the indices of the inputs
+    that depend on earlier ones.
     """
-    rows = []
-    for vec in vectors:
-        denoms = [1]
-        for v in vec:
-            denoms.append(v.re.denominator)
-            denoms.append(v.im.denominator)
-        scale = GaussianRational(lcm(*denoms))
-        rows.append([v * scale for v in vec])
-    return rows
-
-
-def rank_of_vectors(vectors: Sequence[Sequence[GaussianRational]]) -> int:
-    """Rank of a list of equal-length vectors by Bareiss elimination."""
-    if not vectors:
-        return 0
-    ncols = len(vectors[0])
-    if any(len(v) != ncols for v in vectors):
-        raise ValueError("vectors must have equal length")
-    rows = _integer_rows(vectors)
-    nrows = len(rows)
-    prev = ONE
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    size = len(matrices)
+    rows: list[_Row] = []
+    dependent: list[int] = []
+    for k, mat in enumerate(matrices):
+        if mat.dim != matrices[0].dim:
+            raise ValueError("matrices must share a dimension")
+        combo = [ZERO] * size
+        combo[k] = ONE
+        vec = list(mat.flatten())
+        for pivot, pvec, pcombo in rows:
+            c = vec[pivot]
+            if not c:
+                continue
+            for idx, v in enumerate(pvec):
+                if v:
+                    vec[idx] = vec[idx] - c * v
+            for idx, v in enumerate(pcombo):
+                if v:
+                    combo[idx] = combo[idx] - c * v
+        pivot = next((idx for idx, v in enumerate(vec) if v), None)
+        if pivot is None:
+            dependent.append(k)
             continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        pivot = rows[pr][pc]
-        for r in range(pr + 1, nrows):
-            head = rows[r][pc]
-            row = rows[r]
-            prow = rows[pr]
-            for c in range(pc, ncols):
-                # Bareiss step: exact division by the previous pivot
-                row[c] = (row[c] * pivot - head * prow[c]) / prev
-        prev = pivot
-        pr += 1
-        if pr == nrows:
-            break
-    return pr
+        inv = ONE / vec[pivot]
+        vec = [v * inv for v in vec]
+        combo = [c * inv for c in combo]
+        for _, pvec, pcombo in rows:
+            c = pvec[pivot]
+            if c:
+                for idx, v in enumerate(vec):
+                    if v:
+                        pvec[idx] = pvec[idx] - c * v
+                for idx, v in enumerate(combo):
+                    if v:
+                        pcombo[idx] = pcombo[idx] - c * v
+        rows.append((pivot, vec, combo))
+    rows.sort(key=lambda item: item[0])
+    return rows, dependent
 
 
 def rank(matrices: Sequence[ExactMatrix]) -> int:
     """Dimension of the span of the given matrices (all same size)."""
-    if not matrices:
-        return 0
-    dim = matrices[0].dim
-    for m in matrices:
-        if m.dim != dim:
-            raise ValueError("matrices must share a dimension")
-    return rank_of_vectors([m.flatten() for m in matrices])
+    return len(_gauss_jordan(matrices)[0])
 
 
 class SpanSolver:
@@ -404,50 +388,9 @@ class SpanSolver:
             raise ValueError("empty basis")
         self.dim = basis[0].dim
         self.size = len(basis)
-        self._rows: list[tuple[int, list[GaussianRational], list[GaussianRational]]] = []
-        for k, mat in enumerate(basis):
-            if mat.dim != self.dim:
-                raise ValueError("matrices must share a dimension")
-            combo = [ZERO] * self.size
-            combo[k] = ONE
-            vec = list(mat.flatten())
-            self._reduce(vec, combo)
-            pivot = self._first_nonzero(vec)
-            if pivot is None:
-                raise ValueError(f"basis element {k} is dependent on earlier ones")
-            inv = ONE / vec[pivot]
-            vec = [v * inv for v in vec]
-            combo = [c * inv for c in combo]
-            for piv, pvec, pcombo in self._rows:
-                c = pvec[pivot]
-                if c:
-                    for idx, v in enumerate(vec):
-                        if v:
-                            pvec[idx] = pvec[idx] - c * v
-                    for idx, v in enumerate(combo):
-                        if v:
-                            pcombo[idx] = pcombo[idx] - c * v
-            self._rows.append((pivot, vec, combo))
-        self._rows.sort(key=lambda item: item[0])
-
-    @staticmethod
-    def _first_nonzero(vec: Sequence[GaussianRational]) -> Optional[int]:
-        for idx, v in enumerate(vec):
-            if v:
-                return idx
-        return None
-
-    def _reduce(self, vec: list[GaussianRational], combo: list[GaussianRational]) -> None:
-        for pivot, pvec, pcombo in self._rows:
-            c = vec[pivot]
-            if not c:
-                continue
-            for idx, v in enumerate(pvec):
-                if v:
-                    vec[idx] = vec[idx] - c * v
-            for idx, v in enumerate(pcombo):
-                if v:
-                    combo[idx] = combo[idx] - c * v
+        self._rows, dependent = _gauss_jordan(basis)
+        if dependent:
+            raise ValueError(f"basis element {dependent[0]} is dependent on earlier ones")
 
     def expand(self, x: ExactMatrix) -> Optional[list[GaussianRational]]:
         """Coefficients of x in the basis, or None if x is outside the span."""
@@ -468,14 +411,3 @@ class SpanSolver:
         if any(vec):
             return None
         return coeffs
-
-
-def expand_in_basis(
-    x: ExactMatrix, basis: Sequence[ExactMatrix]
-) -> Optional[list[GaussianRational]]:
-    """Exact coefficients c with x = sum(c_k * basis_k), or None.
-
-    The basis is assumed linearly independent (check with ``rank`` first);
-    a dependent list raises ValueError.
-    """
-    return SpanSolver(basis).expand(x)

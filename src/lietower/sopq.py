@@ -17,7 +17,7 @@ every unordered generator pair against the symbolic right-hand side, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .exact import (
     ExactMatrix,
@@ -265,6 +265,26 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
     )
 
 
+def span_describer(
+    names: Sequence[str], basis: Sequence[ExactMatrix], outside: str
+) -> Callable[[ExactMatrix], str]:
+    """Render a matrix as an exact combination of the named basis.
+
+    The basis is factored once; a matrix outside its span renders as
+    ``outside``.
+    """
+    solver = SpanSolver(basis)
+
+    def describe(mat: ExactMatrix) -> str:
+        coeffs = solver.expand(mat)
+        if coeffs is None:
+            return outside
+        parts = [f"({c})*{names[k]}" for k, c in enumerate(coeffs) if c]
+        return " + ".join(parts) if parts else "0"
+
+    return describe
+
+
 def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
     """Membership check g L^T g == -L for every generator."""
     g = gs.metric.matrix()
@@ -385,6 +405,7 @@ def _epsilon_handedness(
 
 def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
     alias = hydrogen_aliases(gs)
+    describe = span_describer(list(alias), list(alias.values()), "<outside alias span>")
     checks = []
     for left, right, coeff, result in HYDROGEN_LB_TABLE:
         got = commutator(alias[left], alias[right])
@@ -394,8 +415,7 @@ def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
             else alias[result] * coeff
         )
         rel = f"[{left},{right}] = ({coeff})*{result}" if result else f"[{left},{right}] = 0"
-        got_desc = _describe_in_aliases(got, alias)
-        checks.append(AliasCheck(relation=rel, passed=got == expected, got=got_desc))
+        checks.append(AliasCheck(relation=rel, passed=got == expected, got=describe(got)))
     families = {
         "[L,L]": _epsilon_handedness(alias, "L", "L", "L"),
         "[L,A]": _epsilon_handedness(alias, "L", "A", "A"),
@@ -406,13 +426,3 @@ def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
         epsilon_convention=families["[L,L]"],
         family_conventions=families,
     )
-
-
-def _describe_in_aliases(mat: ExactMatrix, alias: dict[str, ExactMatrix]) -> str:
-    names = list(alias)
-    solver = SpanSolver([alias[n] for n in names])
-    coeffs = solver.expand(mat)
-    if coeffs is None:
-        return "<outside alias span>"
-    parts = [f"({c})*{names[k]}" for k, c in enumerate(coeffs) if c]
-    return " + ".join(parts) if parts else "0"

@@ -9,7 +9,6 @@ so both a regression and a silently "fixed" table flip the run to red.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -22,6 +21,7 @@ from .sopq import (
     build_generators,
     hydrogen_alias_check,
     pseudo_antisymmetry_holds,
+    span_describer,
     verify_commutation,
 )
 
@@ -79,7 +79,6 @@ class VerificationReport:
     signature: tuple[int, int]
     suites: list[SuiteResult]
     notes: tuple[str, ...] = ()
-    elapsed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -110,7 +109,7 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _commutator_suites(gs: GeneratorSet) -> list[SuiteResult]:
+def _commutator_suites(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
     rep = verify_commutation(gs)
     done = rep.pair_count - len(rep.failures)
     suites = [
@@ -126,7 +125,6 @@ def _commutator_suites(gs: GeneratorSet) -> list[SuiteResult]:
             summary=f"g*L^T*g = -L for {len(gs)} generators",
         ),
     ]
-    cartan = cw.find_cartan(gs)
     suites.append(
         SuiteResult(
             name="cartan",
@@ -138,7 +136,7 @@ def _commutator_suites(gs: GeneratorSet) -> list[SuiteResult]:
     return suites
 
 
-def _suites_rank3(gs: GeneratorSet) -> list[SuiteResult]:
+def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
     suites = []
     alias_rep = hydrogen_alias_check(gs)
     suites.append(
@@ -188,7 +186,6 @@ def _suites_rank3(gs: GeneratorSet) -> list[SuiteResult]:
             details=sub_details,
         )
     )
-    cartan = cw.find_cartan(gs)
     try:
         table = cw.root_system(cartan, cw.weyl_generators(gs, cartan))
         got = {name: tuple(root.components) for name, root in table.rows}
@@ -233,7 +230,7 @@ def _suites_rank3(gs: GeneratorSet) -> list[SuiteResult]:
     return suites
 
 
-def _suites_rank4(gs: GeneratorSet) -> list[SuiteResult]:
+def _suites_rank4(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
     suites = []
     first, second = cw.split_basis_so44(gs)
     split_rank = rank([op.matrix for op in first + second])
@@ -256,7 +253,7 @@ def _suites_rank4(gs: GeneratorSet) -> list[SuiteResult]:
             details=emu.to_json_dict(),
         )
     )
-    describe = cw.generator_describer(gs)
+    describe = span_describer(gs.names, gs.matrices(), "<outside algebra>")
     for label, tables in (
         ("component-tables", (cw.COMPONENT_TABLE_FIRST, cw.COMPONENT_TABLE_SECOND)),
         ("ladder-tables", (cw.LADDER_TABLE_FIRST, cw.LADDER_TABLE_SECOND)),
@@ -280,7 +277,6 @@ def _suites_rank4(gs: GeneratorSet) -> list[SuiteResult]:
                 name=label, passed=passed, summary="; ".join(parts), details=details
             )
         )
-    cartan = cw.find_cartan(gs)
     try:
         weyl = cw.weyl_generators(gs, cartan)
         table = cw.root_system(cartan, weyl)
@@ -318,18 +314,15 @@ def run_verification(
     """All suites for one signature; (4,2) and (4,4) get their full batteries."""
     if gs is None:
         gs = build_generators(metric)
-    start = time.monotonic()
-    suites = _commutator_suites(gs)
+    cartan = cw.find_cartan(gs)
+    suites = _commutator_suites(gs, cartan)
     notes: tuple[str, ...] = ()
     if metric == Metric(4, 2):
-        suites += _suites_rank3(gs)
+        suites += _suites_rank3(gs, cartan)
         notes = NOTES_RANK3
     elif metric == Metric(4, 4):
-        suites += _suites_rank4(gs)
+        suites += _suites_rank4(gs, cartan)
         notes = NOTES_RANK4
     return VerificationReport(
-        signature=(metric.p, metric.q),
-        suites=suites,
-        notes=notes,
-        elapsed_s=time.monotonic() - start,
+        signature=(metric.p, metric.q), suites=suites, notes=notes
     )

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion; runtimes are asserted where the criterion pins one.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -260,3 +261,40 @@ def test_criterion_13_determinism_and_exit_contract(capsys, monkeypatch):
         monkeypatch.setattr(lietower.verify, "build_generators", tampered_build)
         assert main(["verify", "--signature", "4,2"]) == 1
         capsys.readouterr()
+
+
+# SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4, so any change
+# to a single output byte is caught, not only a difference between reruns.
+GOLDEN_STDOUT_SHA256 = {
+    ("verify", "--signature", "4,2"):
+        "e01d56dcf146ed2bc92fa73df863bb2ca685462de82ae505b370fd5efbc9cac9",
+    ("verify", "--signature", "4,2", "--format", "json"):
+        "d80bc3dec90a65dbfc6bee1f5ac7646365b1b3ce2aadb285f8b2b8050292d929",
+    ("roots", "--signature", "4,2", "--format", "json"):
+        "5d7c94f06d59139a429285b73a164c85a47263d7c8bf99b74f79a1e55930687b",
+    ("roots", "--signature", "4,2", "--format", "svg"):
+        "b75eeea99b94e344250a47079f49b56bbab4c94bd1546bee08993a40aa5b591a",
+    ("roots", "--signature", "4,4", "--format", "json"):
+        "7bfd2b6d9bc49863379f23ed20a4bae861b8488041f199156955b6092c4f6718",
+    ("tower", "--spin=-1/2", "--format", "json"):
+        "5f788ed70eba096ec17cb98b7f0757647db15622ea660b968ab7250a174c93a5",
+    ("tower", "--spin=+1/2", "--format", "svg"):
+        "4125a0bb36f6443b950a4589b20f6882aa1ee49b4a45f8990436707c14f8e0dd",
+    ("elements", "--z", "118"):
+        "c2f7dfafd7f6640acb371ea139e3668308b82e8f2f02d1c8da59df16dd0371db",
+    ("mass", "1/2", "0"):
+        "1729d107efd6dcf6c93226365c9475fd6119cc0e46718ff022e5b10e7cae5388",
+    ("verify", "--signature", "4,4"):
+        "ada9be85a485edb22f91f8a9eefdf4489778e75a6ac37c88c19fc85024f7268b",
+    ("verify", "--signature", "4,4", "--format", "json"):
+        "56193eba0efe7bd986f294af7b4c8044efd61b440ddfd4d92ad7883d7487254c",
+}
+
+
+def test_criterion_14_golden_stdout(capsys):
+    with criterion(14, "CLI stdout matches the pinned SHA-256 digests"):
+        assert set(CLI_MATRIX) <= set(GOLDEN_STDOUT_SHA256)
+        for argv, digest in GOLDEN_STDOUT_SHA256.items():
+            assert main(list(argv)) == 0, argv
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

@@ -288,3 +288,32 @@ def test_bad_signature(capsys):
     code, _, err = run_cli(capsys, "verify", "--signature", "four")
     assert code == 2
     assert "bad signature" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mass", "1/2", "0"),
+        ("roots", "--signature", "4,2", "--format", "svg"),
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oversized_verify_signature_rejected(capsys, monkeypatch):
+    def no_build(metric):
+        raise AssertionError("generators built for a rejected signature")
+
+    monkeypatch.setattr(lietower.verify, "build_generators", no_build)
+    code, out, err = run_cli(capsys, "verify", "--signature", "20,20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: signature 20,20 is too large")

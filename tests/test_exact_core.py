@@ -13,7 +13,6 @@ from lietower.exact import (
     I,
     SpanSolver,
     commutator,
-    expand_in_basis,
     rank,
     scalar_multiple_of,
 )
@@ -188,6 +187,12 @@ def test_rank_scalar_dependence():
     assert rank([a, a * g(2)]) == 1
 
 
+def test_rank_complex_scalar_dependence(gs42):
+    # dependence over Q(i), not over the real and imaginary parts taken apart
+    a = gs42.gen(1, 2)
+    assert rank([a, a * I]) == 1
+
+
 def test_rank_empty():
     assert rank([]) == 0
 
@@ -236,18 +241,18 @@ def test_raising_operator_eigenvalue(gs42):
     assert got == g(1)
 
 
-# -- expand_in_basis -------------------------------------------------------
+# -- SpanSolver.expand ----------------------------------------------------
 
 
 def test_expand_zero_vector(gs42):
     basis = gs42.matrices()
-    coeffs = expand_in_basis(ExactMatrix.zeros(6), basis)
+    coeffs = SpanSolver(basis).expand(ExactMatrix.zeros(6))
     assert coeffs == [g(0)] * len(basis)
 
 
 def test_expand_basis_element(gs42):
     basis = gs42.matrices()
-    coeffs = expand_in_basis(basis[3], basis)
+    coeffs = SpanSolver(basis).expand(basis[3])
     expected = [g(0)] * len(basis)
     expected[3] = g(1)
     assert coeffs == expected
@@ -255,20 +260,20 @@ def test_expand_basis_element(gs42):
 
 def test_expand_commutator_in_generator_basis(gs42):
     basis = gs42.matrices()
-    coeffs = expand_in_basis(commutator(gs42.gen(1, 2), gs42.gen(2, 3)), basis)
+    coeffs = SpanSolver(basis).expand(commutator(gs42.gen(1, 2), gs42.gen(2, 3)))
     expected = [g(0)] * len(basis)
     expected[gs42.pairs.index((1, 3))] = I
     assert coeffs == expected
 
 
 def test_expand_outside_span_is_none(gs42):
-    assert expand_in_basis(ExactMatrix.identity(6), gs42.matrices()) is None
+    assert SpanSolver(gs42.matrices()).expand(ExactMatrix.identity(6)) is None
 
 
 def test_expand_dependent_basis_rejected():
     a = ExactMatrix.identity(2)
-    with pytest.raises(ValueError):
-        expand_in_basis(a, [a, a * g(2)])
+    with pytest.raises(ValueError, match="basis element 1 is dependent"):
+        SpanSolver([a, a * g(2)])
 
 
 def test_expand_recombination_round_trip(gs42):

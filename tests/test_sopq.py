@@ -13,6 +13,7 @@ from lietower.sopq import (
     hydrogen_aliases,
     materialize,
     pseudo_antisymmetry_holds,
+    span_describer,
     verify_commutation,
 )
 
@@ -166,6 +167,13 @@ def test_alias_report_json(gs42):
         "[L,A]": "-i eps_ijk",
         "[A,A]": "-i eps_ijk",
     }
+
+
+def test_span_describer(gs42):
+    describe = span_describer(gs42.names, gs42.matrices(), "<outside>")
+    assert describe(commutator(gs42.gen(1, 2), gs42.gen(2, 3))) == "(i)*L13"
+    assert describe(ExactMatrix.zeros(6)) == "0"
+    assert describe(ExactMatrix.identity(6)) == "<outside>"
 
 
 def test_aliases_require_signature(gs44):
