@@ -61,7 +61,6 @@ class NotARootVectorError(ValueError):
 class NamedOperator:
     name: str
     matrix: ExactMatrix
-    kind: str = "raw"  # cartan | weyl | raw
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,7 @@ def find_cartan(gs: GeneratorSet) -> CartanSet:
         else:  # pragma: no cover - search is exact
             raise RuntimeError("clique reconstruction failed")
     members = tuple(
-        NamedOperator(name=gs.names[k], matrix=mats[k], kind="cartan")
-        for k in chosen
+        NamedOperator(name=gs.names[k], matrix=mats[k]) for k in chosen
     )
     return CartanSet(members=members)
 
@@ -219,8 +217,6 @@ _SECOND_HALF_DEFS: list[tuple[str, list[tuple[GaussianRational, IndexPair]]]] = 
     ("Q0", [(MINUS_HALF, (3, 4)), (HALF, (7, 8))]),
 ]
 
-FAMILIES = ("K", "J", "T", "S", "P", "Q")
-
 
 def yao_basis(gs: GeneratorSet) -> list[NamedOperator]:
     """The 18 compact-subgroup-adapted combinations for signature (4,2).
@@ -277,12 +273,8 @@ def ladder_operators(basis: Sequence[NamedOperator]) -> list[NamedOperator]:
         if partner not in ops:
             raise KeyError(f"missing component {partner} for family {stem}")
         seen.add(stem)
-        out.append(
-            NamedOperator(stem + "+", ops[op.name] + ops[partner] * I, kind="weyl")
-        )
-        out.append(
-            NamedOperator(stem + "-", ops[op.name] + ops[partner] * (-I), kind="weyl")
-        )
+        out.append(NamedOperator(stem + "+", ops[op.name] + ops[partner] * I))
+        out.append(NamedOperator(stem + "-", ops[op.name] + ops[partner] * (-I)))
     return out
 
 
@@ -310,41 +302,32 @@ def extract_root(cartan: CartanSet, op: NamedOperator) -> RootVector:
 
 
 def weyl_generators(
-    gs: GeneratorSet, cartan: Optional[CartanSet] = None
+    cartan: CartanSet, ladders: Sequence[NamedOperator]
 ) -> list[NamedOperator]:
-    """Oriented ladder operators for the canonical Cartan set.
+    """Orient the X+, X- pairs that ``ladder_operators`` returns against ``cartan``.
 
-    Within each family the "+" name goes to whichever of E1 +/- i*E2 has a
-    root whose last nonzero component (in Cartan order) is positive.  This
-    single rule reproduces the published rank-3 root table exactly; for the
-    K family it selects K1 - i*K2, for every other rank-3 family the
-    literal E1 + i*E2 form.  Family order: K, J, T, S, P, Q; + before -;
-    first half before second.
+    Within each pair the "+" name goes to whichever of E1 +/- i*E2 has a
+    root whose last nonzero component (in Cartan order) is positive, so the
+    matrices are swapped when the root of the literal X+ ends negative.
+    This single rule reproduces the published rank-3 root table exactly;
+    for the K family it selects K1 - i*K2, for every other rank-3 family
+    the literal E1 + i*E2 form.  Pair order is kept.  Raises ValueError if
+    ``ladders`` is not a sequence of X+, X- pairs.
     """
-    if cartan is None:
-        cartan = find_cartan(gs)
-    if gs.metric == Metric(4, 2):
-        halves = [yao_basis(gs)]
-    elif gs.metric == Metric(4, 4):
-        halves = list(split_basis_so44(gs))
-    else:
-        raise ValueError("oriented ladders are defined for signatures (4,2) and (4,4)")
+    if len(ladders) % 2:
+        raise ValueError(f"unpaired ladder operator {ladders[-1].name}")
     out = []
-    for half in halves:
-        ladders = {op.name: op for op in ladder_operators(half)}
-        prefix = half[0].name[:-2]  # "" or the half digit
-        for fam in FAMILIES:
-            plus = ladders[f"{prefix}{fam}+"]
-            minus = ladders[f"{prefix}{fam}-"]
-            root = extract_root(cartan, plus)
-            last = root.last_nonzero()
-            if last is not None and last < 0:
-                plus, minus = (
-                    NamedOperator(plus.name, minus.matrix, kind="weyl"),
-                    NamedOperator(minus.name, plus.matrix, kind="weyl"),
-                )
-            out.append(plus)
-            out.append(minus)
+    for plus, minus in zip(ladders[::2], ladders[1::2]):
+        stem = plus.name[:-1]
+        if plus.name != stem + "+" or minus.name != stem + "-":
+            raise ValueError(f"expected an X+, X- pair, got {plus.name}, {minus.name}")
+        last = extract_root(cartan, plus).last_nonzero()
+        if last is not None and last < 0:
+            plus, minus = (
+                NamedOperator(plus.name, minus.matrix),
+                NamedOperator(minus.name, plus.matrix),
+            )
+        out += [plus, minus]
     return out
 
 
@@ -470,7 +453,6 @@ def subalgebra_basis(gs: GeneratorSet, which: str) -> list[NamedOperator]:
     """
     if gs.metric != Metric(4, 2):
         raise ValueError("subalgebra baskets require signature (4,2)")
-    yao = {op.name: op.matrix for op in yao_basis(gs)}
     if which == "sl2c":
         alias = hydrogen_aliases(gs)
         x = {
@@ -480,33 +462,34 @@ def subalgebra_basis(gs: GeneratorSet, which: str) -> list[NamedOperator]:
             i: (alias[f"L{i}"] + alias[f"B{i}"] * (-I)) * HALF for i in (1, 2, 3)
         }
         return [
-            NamedOperator("X3", x[3], kind="cartan"),
-            NamedOperator("Y3", y[3], kind="cartan"),
-            NamedOperator("X+", x[1] + x[2] * I, kind="weyl"),
-            NamedOperator("X-", x[1] + x[2] * (-I), kind="weyl"),
-            NamedOperator("Y+", y[1] + y[2] * I, kind="weyl"),
-            NamedOperator("Y-", y[1] + y[2] * (-I), kind="weyl"),
+            NamedOperator("X3", x[3]),
+            NamedOperator("Y3", y[3]),
+            NamedOperator("X+", x[1] + x[2] * I),
+            NamedOperator("X-", x[1] + x[2] * (-I)),
+            NamedOperator("Y+", y[1] + y[2] * I),
+            NamedOperator("Y-", y[1] + y[2] * (-I)),
         ]
+    yao = {op.name: op.matrix for op in yao_basis(gs)}
     if which == "so4":
         return [
-            NamedOperator("K3", yao["K3"], kind="cartan"),
-            NamedOperator("J3", yao["J3"], kind="cartan"),
-            NamedOperator("K+", yao["K1"] + yao["K2"] * (-I), kind="weyl"),
-            NamedOperator("K-", yao["K1"] + yao["K2"] * I, kind="weyl"),
-            NamedOperator("J+", yao["J1"] + yao["J2"] * (-I), kind="weyl"),
-            NamedOperator("J-", yao["J1"] + yao["J2"] * I, kind="weyl"),
+            NamedOperator("K3", yao["K3"]),
+            NamedOperator("J3", yao["J3"]),
+            NamedOperator("K+", yao["K1"] + yao["K2"] * (-I)),
+            NamedOperator("K-", yao["K1"] + yao["K2"] * I),
+            NamedOperator("J+", yao["J1"] + yao["J2"] * (-I)),
+            NamedOperator("J-", yao["J1"] + yao["J2"] * I),
         ]
     if which in ("so22_LD", "so22_AD"):
         a, b = ("T", "S") if which == "so22_LD" else ("P", "Q")
         out = [
-            NamedOperator(f"{a}0", yao[f"{a}0"], kind="cartan"),
-            NamedOperator(f"{b}0", yao[f"{b}0"], kind="cartan"),
+            NamedOperator(f"{a}0", yao[f"{a}0"]),
+            NamedOperator(f"{b}0", yao[f"{b}0"]),
         ]
         for fam in (a, b):
             plus = (yao[f"{fam}1"] + yao[f"{fam}2"] * I) * I
             minus = (yao[f"{fam}1"] + yao[f"{fam}2"] * (-I)) * I
-            out.append(NamedOperator(f"{fam}+", plus, kind="weyl"))
-            out.append(NamedOperator(f"{fam}-", minus, kind="weyl"))
+            out.append(NamedOperator(f"{fam}+", plus))
+            out.append(NamedOperator(f"{fam}-", minus))
         return out
     raise ValueError(f"unknown subalgebra selector {which!r}")
 

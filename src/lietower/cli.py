@@ -15,9 +15,16 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, TextIO
 
-from .cartan import find_cartan, root_system, weyl_generators
+from .cartan import (
+    find_cartan,
+    ladder_operators,
+    root_system,
+    split_basis_so44,
+    weyl_generators,
+    yao_basis,
+)
 from .labels import mass_sl2c, mass_so42, parse_spin
 from .periodic import MAX_Z, assign_elements, find_element, projection_slice
 from .sopq import Metric, build_generators
@@ -53,15 +60,30 @@ def _parse_half(text: str, what: str) -> Fraction:
     return value
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _open_output(output: Optional[str]) -> TextIO:
+    """Where a command writes: stdout, or the file ``output`` opened now.
+
+    ``verify`` opens before it runs, so an unwritable path costs no work;
+    the other commands open only once their arguments are known good.
+    """
     if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
+        return sys.stdout
+    try:
+        return open(output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
+
+
+def _emit(text: str, handle: TextIO) -> None:
+    """Write ``text`` to a handle from ``_open_output``, closing a file."""
+    if handle is sys.stdout:
+        handle.write(text)
+        return
+    try:
+        with handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {handle.name}: {exc.strerror or exc}") from exc
 
 
 def _to_json(obj: dict) -> str:
@@ -82,20 +104,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"signature {args.signature} is too large to verify; "
             f"need P+Q <= {MAX_VERIFY_DIM}"
         )
+    handle = _open_output(args.output)
     report = run_verification(metric)
     if args.format == "json":
-        _emit(_to_json(report.to_json_dict()), args.output)
+        _emit(_to_json(report.to_json_dict()), handle)
     else:
-        _emit(report.render_text(color=args.output is None and _use_color()), args.output)
+        _emit(report.render_text(color=args.output is None and _use_color()), handle)
     return 0 if report.ok else 1
 
 
 def _root_table(metric: Metric):
     gs = build_generators(metric)
     cartan = find_cartan(gs)
-    table = root_system(cartan, weyl_generators(gs, cartan))
     if metric == Metric(4, 2):
-        table.cartan = [RANK3_AXIS_ALIASES.get(n, n) for n in table.cartan]
+        basis, axes = yao_basis(gs), RANK3_AXIS_ALIASES
+    else:
+        first, second = split_basis_so44(gs)
+        basis, axes = first + second, {}
+    table = root_system(cartan, weyl_generators(cartan, ladder_operators(basis)))
+    table.cartan = [axes.get(n, n) for n in table.cartan]
     return table
 
 
@@ -105,14 +132,14 @@ def cmd_roots(args: argparse.Namespace) -> int:
         raise CliError("roots are published for signatures 4,2 and 4,4")
     table = _root_table(metric)
     if args.format == "json":
-        _emit(_to_json(table.to_json_dict()), args.output)
+        _emit(_to_json(table.to_json_dict()), _open_output(args.output))
     elif args.format == "svg":
-        _emit(svg_root_squares(table), args.output)
+        _emit(svg_root_squares(table), _open_output(args.output))
     else:
         lines = [f"cartan: {', '.join(table.cartan)}"]
         for name, root in table.rows:
             lines.append(f"{name:<4} {root}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(lines) + "\n", _open_output(args.output))
     return 0
 
 
@@ -123,9 +150,9 @@ def cmd_tower(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     tower = projection_slice(assign_elements(), spin, mirror=True)
     if args.format == "json":
-        _emit(_to_json(tower.to_json_dict()), args.output)
+        _emit(_to_json(tower.to_json_dict()), _open_output(args.output))
     elif args.format == "svg":
-        _emit(svg_tower(tower), args.output)
+        _emit(svg_tower(tower), _open_output(args.output))
     else:
         lines = [f"spin projection s = {tower.s_text}"]
         for floor in tower.floors:
@@ -134,7 +161,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
                     p.element.symbol if p.element else "-" for p in sub.points
                 ]
                 lines.append(f"n={floor.n:>2} l={sub.l}: " + " ".join(cells))
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("\n".join(lines) + "\n", _open_output(args.output))
     return 0
 
 
@@ -169,7 +196,7 @@ def cmd_elements(args: argparse.Namespace) -> int:
                 "node": [str(v) for v in node],
                 "value": f"{mass_so42(*node)} * m_H",
             }
-        _emit(_to_json(doc), args.output)
+        _emit(_to_json(doc), _open_output(args.output))
         return 0
     ket = element.ket
     line = (
@@ -179,7 +206,7 @@ def cmd_elements(args: argparse.Namespace) -> int:
     if node is not None:
         l, ldot, nu = node
         line += f"\nmass({l},{ldot},{nu}) = {mass_so42(l, ldot, nu)} * m_H"
-    _emit(line + "\n", args.output)
+    _emit(line + "\n", _open_output(args.output))
     return 0
 
 
@@ -197,7 +224,7 @@ def cmd_mass(args: argparse.Namespace) -> int:
             raise CliError("nu must be non-negative")
         value = mass_so42(l, ldot, nu)
         unit = "m_H"
-    _emit(f"{value} * {unit}\n", args.output)
+    _emit(f"{value} * {unit}\n", _open_output(args.output))
     return 0
 
 

@@ -85,9 +85,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     @property
     def is_real(self) -> bool:
         return not self.im

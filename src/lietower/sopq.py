@@ -106,16 +106,6 @@ class GeneratorSet:
     def matrices(self) -> list[ExactMatrix]:
         return [self._gens[pair] for pair in self.pairs]
 
-    def by_name(self, name: str) -> ExactMatrix:
-        """Resolve "L12"-style names and, for signature (4,2), the hydrogen
-        aliases L1..L3, A1..A3, B1..B3, G1..G3, D1..D3."""
-        alias = hydrogen_aliases(self) if self.metric == Metric(4, 2) else {}
-        if name in alias:
-            return alias[name]
-        if name.startswith("L") and len(name) == 3 and name[1:].isdigit():
-            return self.gen(int(name[1]), int(name[2]))
-        raise KeyError(f"unknown generator name {name!r}")
-
 
 def build_generators(metric: Metric) -> GeneratorSet:
     """Construct the n(n-1)/2 defining-representation generators."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import cartan as cw
 from .exact import rank
@@ -187,7 +186,8 @@ def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
         )
     )
     try:
-        table = cw.root_system(cartan, cw.weyl_generators(gs, cartan))
+        ladders = cw.ladder_operators(yao)
+        table = cw.root_system(cartan, cw.weyl_generators(cartan, ladders))
         got = {name: tuple(root.components) for name, root in table.rows}
         want = {
             name: tuple(Fraction(c) for c in comps)
@@ -241,9 +241,8 @@ def _suites_rank4(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
             summary=f"{split_rank} (36 generators, {36 - split_rank} dependencies)",
         )
     )
-    ops = cw.operator_map(
-        gs, first, second, cw.ladder_operators(first), cw.ladder_operators(second)
-    )
+    ladders = cw.ladder_operators(first + second)
+    ops = cw.operator_map(gs, first, second, ladders)
     emu = cw.emulation_check(ops, cw.EMULATION_CHAINS_SO44)
     suites.append(
         SuiteResult(
@@ -278,8 +277,7 @@ def _suites_rank4(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
             )
         )
     try:
-        weyl = cw.weyl_generators(gs, cartan)
-        table = cw.root_system(cartan, weyl)
+        table = cw.root_system(cartan, cw.weyl_generators(cartan, ladders))
         roots = table.as_dict()
         extraction_ok = len(roots) == 24 and all(
             all(abs(c) <= 1 for c in r.components) for r in roots.values()
@@ -308,12 +306,9 @@ def _suites_rank4(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
     return suites
 
 
-def run_verification(
-    metric: Metric, gs: Optional[GeneratorSet] = None
-) -> VerificationReport:
+def run_verification(metric: Metric) -> VerificationReport:
     """All suites for one signature; (4,2) and (4,4) get their full batteries."""
-    if gs is None:
-        gs = build_generators(metric)
+    gs = build_generators(metric)
     cartan = cw.find_cartan(gs)
     suites = _commutator_suites(gs, cartan)
     notes: tuple[str, ...] = ()

@@ -31,7 +31,6 @@ from lietower.cartan import (
     root_system,
     split_basis_so44,
     subalgebra_basis,
-    weyl_generators,
     yao_basis,
 )
 from lietower.cli import main
@@ -121,10 +120,10 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
         assert len(KNOWN_TABLE_DEVIATIONS["ladders-1"]) == 11
 
 
-def test_criterion_06_root_table_rank3(gs42):
+def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
     with criterion(6, "12 extracted roots equal the published rank-3 table"):
         cartan = find_cartan(gs42)
-        table = root_system(cartan, weyl_generators(gs42, cartan))
+        table = root_system(cartan, oriented_ladders(gs42, cartan))
         got = {name: tuple(root.components) for name, root in table.rows}
         want = {
             name: tuple(Fraction(c) for c in comps)
@@ -135,10 +134,10 @@ def test_criterion_06_root_table_rank3(gs42):
             assert extract_root(cartan, member).components == (0, 0, 0)
 
 
-def test_criterion_07_root_table_rank4(gs44):
+def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
     with criterion(7, "24 roots extract over the rank-4 set; axis question flagged"):
         cartan = find_cartan(gs44)
-        table = root_system(cartan, weyl_generators(gs44, cartan))
+        table = root_system(cartan, oriented_ladders(gs44, cartan))
         roots = table.as_dict()
         assert len(roots) == 24
         for name, comps in PUBLISHED_ROOTS_RANK3.items():
@@ -147,7 +146,7 @@ def test_criterion_07_root_table_rank4(gs44):
             )
             assert roots["1" + name].components[3] == 0
         # the unresolved second-half axis labelling is flagged in the report
-        report = run_verification(Metric(4, 4), gs44)
+        report = run_verification(Metric(4, 4))
         assert any("do not name its axes" in n or "do not name" in n for n in report.notes)
         assert report.notes == NOTES_RANK4
 
@@ -263,8 +262,9 @@ def test_criterion_13_determinism_and_exit_contract(capsys, monkeypatch):
         capsys.readouterr()
 
 
-# SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4, so any change
-# to a single output byte is caught, not only a difference between reruns.
+# SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4 and the other
+# roots outputs, so any change to a single output byte is caught, not only a
+# difference between reruns.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--signature", "4,2"):
         "e01d56dcf146ed2bc92fa73df863bb2ca685462de82ae505b370fd5efbc9cac9",
@@ -288,6 +288,12 @@ GOLDEN_STDOUT_SHA256 = {
         "ada9be85a485edb22f91f8a9eefdf4489778e75a6ac37c88c19fc85024f7268b",
     ("verify", "--signature", "4,4", "--format", "json"):
         "56193eba0efe7bd986f294af7b4c8044efd61b440ddfd4d92ad7883d7487254c",
+    ("roots", "--signature", "4,2"):
+        "fdd61d557b92feca9c74307d058a7a7919f7d3264c1b665030199cd0e1f0f839",
+    ("roots", "--signature", "4,4"):
+        "0a4091bbd10cf2e7264e68d2a244439ea61addd455ecce1216fd79f53133f07e",
+    ("roots", "--signature", "4,4", "--format", "svg"):
+        "f1225dcbd5ec3d10f743347d532a0ab9d83addf47daaf0a71a10cb35afcf19b5",
 }
 
 

@@ -170,10 +170,14 @@ def test_literal_ladders(gs42):
 
 
 def test_literal_ladders_second_half(gs44):
-    _, second = split_basis_so44(gs44)
+    first, second = split_basis_so44(gs44)
     ops = by_name(second)
     ladders = by_name(ladder_operators(second))
     assert ladders["2Q-"] == ops["2Q1"] + ops["2Q2"] * (-I)
+    # one call over both halves gives the per-half ladders, in order
+    assert ladder_operators(first + second) == (
+        ladder_operators(first) + ladder_operators(second)
+    )
 
 
 def test_literal_shell_ladders(gs42):
@@ -193,28 +197,37 @@ def test_ladders_missing_component(gs42):
         ladder_operators(yao)
 
 
-def test_oriented_ladder_k_is_conjugated(gs42):
+def test_oriented_ladder_k_is_conjugated(gs42, oriented_ladders):
     # the published root table requires K+ = K1 - i*K2 in this realisation
     yao = by_name(yao_basis(gs42))
-    oriented = by_name(weyl_generators(gs42))
+    oriented = by_name(oriented_ladders(gs42, find_cartan(gs42)))
     assert oriented["K+"] == yao["K1"] + yao["K2"] * (-I)
     assert oriented["J+"] == yao["J1"] + yao["J2"] * I
     assert oriented["T+"] == yao["T1"] + yao["T2"] * I
 
 
+def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
+    cartan = find_cartan(gs42)
+    ladders = ladder_operators(yao_basis(gs42))
+    with pytest.raises(ValueError, match="unpaired"):
+        weyl_generators(cartan, ladders[:-1])
+    with pytest.raises(ValueError, match="pair"):
+        weyl_generators(cartan, [ladders[1], ladders[0]] + ladders[2:])
+
+
 # -- root extraction ------------------------------------------------------------
 
 
-def test_root_of_raising_k(gs42):
+def test_root_of_raising_k(gs42, oriented_ladders):
     cartan = find_cartan(gs42)
-    oriented = {op.name: op for op in weyl_generators(gs42, cartan)}
+    oriented = {op.name: op for op in oriented_ladders(gs42, cartan)}
     root = extract_root(cartan, oriented["K+"])
     assert root.components == (1, 1, 0)
 
 
-def test_root_of_lowering_q(gs42):
+def test_root_of_lowering_q(gs42, oriented_ladders):
     cartan = find_cartan(gs42)
-    oriented = {op.name: op for op in weyl_generators(gs42, cartan)}
+    oriented = {op.name: op for op in oriented_ladders(gs42, cartan)}
     root = extract_root(cartan, oriented["Q-"])
     assert root.components == (0, 1, -1)
 
@@ -238,9 +251,9 @@ def test_zero_matrix_rejected(gs42):
         extract_root(cartan, NamedOperator("zero", ExactMatrix.zeros(6)))
 
 
-def test_root_table_42_matches_published(gs42):
+def test_root_table_42_matches_published(gs42, oriented_ladders):
     cartan = find_cartan(gs42)
-    table = root_system(cartan, weyl_generators(gs42, cartan))
+    table = root_system(cartan, oriented_ladders(gs42, cartan))
     got = {name: tuple(r.components) for name, r in table.rows}
     assert got == {
         name: tuple(Fraction(c) for c in comps)
@@ -248,62 +261,139 @@ def test_root_table_42_matches_published(gs42):
     }
 
 
-def test_root_negation_symmetry(gs42):
+def test_root_negation_symmetry(gs42, oriented_ladders):
     cartan = find_cartan(gs42)
-    table = root_system(cartan, weyl_generators(gs42, cartan)).as_dict()
+    table = root_system(cartan, oriented_ladders(gs42, cartan)).as_dict()
     for fam in "KJTSPQ":
         assert table[f"{fam}-"].components == tuple(
             -c for c in table[f"{fam}+"].components
         )
 
 
-def test_root_components_are_unit_range(gs44):
+def test_root_components_are_unit_range(gs44, oriented_ladders):
     cartan = find_cartan(gs44)
-    table = root_system(cartan, weyl_generators(gs44, cartan))
+    table = root_system(cartan, oriented_ladders(gs44, cartan))
     assert len(table.rows) == 24
     for _, root in table.rows:
         assert all(c in (-1, 0, 1) for c in root.components)
 
 
-def test_root_table_44_first_half_restriction(gs44):
+def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
     cartan = find_cartan(gs44)
-    table = root_system(cartan, weyl_generators(gs44, cartan)).as_dict()
+    table = root_system(cartan, oriented_ladders(gs44, cartan)).as_dict()
     for name, comps in PUBLISHED_ROOTS_RANK3.items():
         root = table["1" + name]
         assert root.components[:3] == tuple(Fraction(c) for c in comps)
         assert root.components[3] == 0
 
 
-def test_root_table_44_second_half_k(gs44):
+def test_root_table_44_second_half_k(gs44, oriented_ladders):
     cartan = find_cartan(gs44)
-    table = root_system(cartan, weyl_generators(gs44, cartan)).as_dict()
+    table = root_system(cartan, oriented_ladders(gs44, cartan)).as_dict()
     assert table["2K+"].components == (0, 0, 1, 1)
     assert table["2K-"].components == (0, 0, -1, -1)
 
 
-def test_ladder_bracket_lands_in_cartan_span(gs42):
+def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
     cartan = find_cartan(gs42)
     solver = SpanSolver(cartan.matrices())
-    oriented = by_name(weyl_generators(gs42, cartan))
+    oriented = by_name(oriented_ladders(gs42, cartan))
     for fam in "KJTSPQ":
         bracket = commutator(oriented[f"{fam}+"], oriented[f"{fam}-"])
         assert solver.expand(bracket) is not None
 
 
-def test_full_cartan_weyl_set_spans_algebra(gs44):
+def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
     cartan = find_cartan(gs44)
-    weyl = weyl_generators(gs44, cartan)
+    weyl = oriented_ladders(gs44, cartan)
     mats = cartan.matrices() + [op.matrix for op in weyl]
     assert len(mats) == 28
     assert rank(mats) == 28
     assert rank(mats + gs44.matrices()) == 28  # same space as the raw basis
 
 
-def test_root_table_json_schema(gs42):
+def test_root_table_json_schema(gs42, oriented_ladders):
     cartan = find_cartan(gs42)
-    doc = root_system(cartan, weyl_generators(gs42, cartan)).to_json_dict()
+    doc = root_system(cartan, oriented_ladders(gs42, cartan)).to_json_dict()
     assert set(doc) == {"cartan", "roots"}
     assert doc["roots"][0] == {"name": "K+", "components": ["1", "1", "0"]}
+
+
+# -- root-system axioms, from the root table and the Killing form alone ------------
+
+
+def _inverse(rows):
+    """Gauss-Jordan inverse of a small nonsingular matrix of Fractions."""
+    k = len(rows)
+    aug = [
+        list(row) + [Fraction(int(i == j)) for j in range(k)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if aug[r][c])
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[k:] for row in aug]
+
+
+@pytest.mark.parametrize(
+    "gs_fixture, weyl_order", [("gs42", 24), ("gs44", 192)], ids=["D3=A3", "D4"]
+)
+def test_root_system_axioms(request, oriented_ladders, gs_fixture, weyl_order):
+    # Humphreys, Intro. to Lie Algebras, section 9: integral Cartan numbers,
+    # closure under every reflection, and the Weyl group order of the type.
+    gs = request.getfixturevalue(gs_fixture)
+    cartan = find_cartan(gs)
+    n = gs.metric.dim
+    table = root_system(cartan, oriented_ladders(gs, cartan))
+    roots = [root.components for _, root in table.rows]
+    assert len(set(roots)) == len(roots)
+    assert not any(all(c == 0 for c in root) for root in roots)
+
+    # Killing form on the Cartan members: B(X, Y) = (n - 2) * tr(XY)
+    gram = []
+    for a in cartan.matrices():
+        row = []
+        for b in cartan.matrices():
+            m = a @ b
+            trace = sum((m[i, i] for i in range(n)), GaussianRational(0))
+            assert trace.is_real
+            row.append((n - 2) * trace.re)
+        gram.append(row)
+    # ... which is also tr(ad H ad H') = sum over roots of alpha(H) alpha(H')
+    rank_ = len(gram)
+    assert gram == [
+        [sum(r[i] * r[j] for r in roots) for j in range(rank_)] for i in range(rank_)
+    ]
+    dual = _inverse(gram)
+
+    def inner(x, y):
+        return sum(x[i] * dual[i][j] * y[j] for i in range(rank_) for j in range(rank_))
+
+    index = {r: k for k, r in enumerate(roots)}
+    reflections = []
+    for alpha in roots:
+        image = []
+        for beta in roots:
+            cartan_number = 2 * inner(beta, alpha) / inner(alpha, alpha)
+            assert cartan_number.denominator == 1, (alpha, beta)
+            reflected = tuple(b - cartan_number * a for a, b in zip(alpha, beta))
+            assert reflected in index, (alpha, beta)
+            image.append(index[reflected])
+        reflections.append(tuple(image))
+
+    # the roots span the dual of the Cartan set, so W acts faithfully on them
+    group = {tuple(range(len(roots)))}
+    frontier = list(group)
+    while frontier:
+        products = {tuple(s[k] for k in g) for g in frontier for s in reflections}
+        frontier = list(products - group)
+        group |= products
+    assert len(group) == weyl_order
 
 
 # -- Casimir invariants -----------------------------------------------------------

@@ -230,15 +230,15 @@ def test_output_file_utf8_lf(tmp_path, capsys):
     json.loads(raw.decode("utf-8"))
 
 
-def test_json_round_trip(capsys):
-    from lietower.cartan import find_cartan, root_system, weyl_generators
+def test_json_round_trip(capsys, oriented_ladders):
+    from lietower.cartan import find_cartan, root_system
     from lietower.periodic import assign_elements, projection_slice
     from fractions import Fraction
 
     _, out, _ = run_cli(capsys, "roots", "--signature", "4,4", "--format", "json")
     gs = build_generators(Metric(4, 4))
     cartan = find_cartan(gs)
-    table = root_system(cartan, weyl_generators(gs, cartan))
+    table = root_system(cartan, oriented_ladders(gs, cartan))
     assert json.loads(out) == table.to_json_dict()
 
     _, out, _ = run_cli(capsys, "tower", "--spin=+1/2", "--format", "json")
@@ -295,10 +295,16 @@ def test_bad_signature(capsys):
     [
         ("mass", "1/2", "0"),
         ("roots", "--signature", "4,2", "--format", "svg"),
+        ("verify", "--signature", "4,4"),
     ],
     ids=lambda a: " ".join(a),
 )
-def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+def test_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, argv):
+    def no_build(metric):
+        raise AssertionError("verification ran before its output was opened")
+
+    # verify must reject the path before it builds anything
+    monkeypatch.setattr(lietower.verify, "build_generators", no_build)
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
     assert code == 2

@@ -179,12 +179,3 @@ def test_span_describer(gs42):
 def test_aliases_require_signature(gs44):
     with pytest.raises(ValueError):
         hydrogen_aliases(gs44)
-
-
-def test_by_name_lookup(gs42, gs44):
-    assert gs42.by_name("L12") == gs42.gen(1, 2)
-    assert gs42.by_name("L21") == -gs42.gen(1, 2)
-    assert gs42.by_name("D3") == gs42.gen(5, 6)
-    assert gs44.by_name("L78") == gs44.gen(7, 8)
-    with pytest.raises(KeyError):
-        gs42.by_name("Z9")
