@@ -50,13 +50,22 @@ def _parse_signature(text: str) -> Metric:
         raise CliError(f"bad signature {text!r}; expected P,Q like 4,2") from exc
 
 
+# Longest text _parse_half reads.  Spins in the tower are single digits;
+# the cap keeps Fraction from building integers too long to print.
+MAX_HALF_TEXT = 40
+
+
 def _parse_half(text: str, what: str) -> Fraction:
+    bad = CliError(f"bad {what} {text!r}; expected a half-integer like 3/2")
+    # exponent notation such as 1e100000000 would build a 10**10**8 integer
+    if len(text) > MAX_HALF_TEXT or "e" in text.lower():
+        raise bad
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad {what} {text!r}; expected a half-integer like 3/2") from exc
+        raise bad from exc
     if (value * 2).denominator != 1:
-        raise CliError(f"bad {what} {text!r}; expected a half-integer like 3/2")
+        raise bad
     return value
 
 

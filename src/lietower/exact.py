@@ -7,7 +7,12 @@ entry is equal as a pair of reduced fractions.
 
 Scalars are Gaussian rationals a + b*i with ``fractions.Fraction``
 components, which keeps numerators and denominators in lowest terms with
-positive denominators automatically.  Rank and basis expansion share one
+positive denominators automatically.  Matrices stay dense tuples of
+entries, but the arithmetic skips zero entries: a sum or difference
+returns the other entry as it is, a negation or scalar product leaves a
+zero alone, and a product skips zero factors.  The rotation generators
+have two nonzero entries in 36 or 64, so most entries cost one truth
+test rather than ``Fraction`` arithmetic.  Rank and basis expansion share one
 Gauss-Jordan elimination over Q(i): ``rank`` counts its reduced rows and
 ``SpanSolver`` keeps them, with the combination of inputs behind each, to
 answer repeated expansion queries.
@@ -211,7 +216,7 @@ class ExactMatrix:
         self._check_dim(other)
         return ExactMatrix(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [(a + b if b else a) if a else b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
@@ -220,17 +225,17 @@ class ExactMatrix:
         self._check_dim(other)
         return ExactMatrix(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self.rows])
+        return ExactMatrix([[-a if a else a for a in row] for row in self.rows])
 
     def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
         s = as_scalar(scalar)
-        return ExactMatrix([[a * s for a in row] for row in self.rows])
+        return ExactMatrix([[a * s if a else ZERO for a in row] for row in self.rows])
 
     __rmul__ = __mul__
 

@@ -1,6 +1,7 @@
 """Cartan search, adapted bases, ladders, roots, Casimirs, printed tables."""
 
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -422,6 +423,62 @@ def test_casimir_quartic(gs42):
 def test_casimir_quartic_commutes_with_l12(gs42):
     c4 = casimir(gs42, 4)
     assert commutator(c4, gs42.gen(1, 2)).is_zero()
+
+
+def _textbook_casimirs(gs):
+    """C3 and C4 as printed: the epsilon contraction over all 720
+    permutations times 1/48, and the unfactored chain over a, b, c, d."""
+    g = gs.metric.g
+    idx = range(1, 7)
+
+    def upper(a, b):
+        return gs.gen(a, b) * (g(a) * g(b))
+
+    c3 = ExactMatrix.zeros(6)
+    for perm in permutations(idx):
+        inversions = sum(x > y for x, y in combinations(perm, 2))
+        a, b, c, d, e, f = perm
+        term = upper(a, b) @ upper(c, d) @ upper(e, f)
+        c3 = c3 - term if inversions % 2 else c3 + term
+    c4 = ExactMatrix.zeros(6)
+    for a, b, c, d in product(idx, repeat=4):
+        if a != b and b != c and c != d and d != a:
+            c4 = c4 + gs.gen(a, b) @ upper(b, c) @ gs.gen(c, d) @ upper(d, a)
+    return c3 * Fraction(1, 48), c4
+
+
+def _corrupted_so42():
+    """gs42 with L12 overwritten by L12 + L34: neither C3 nor C4 is scalar
+    any more, so a regrouping that assumes the brackets would show."""
+    gs = build_generators(Metric(4, 2))
+    gs._gens[(1, 2)] = gs.gen(1, 2) + gs.gen(3, 4)
+    return gs
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["genuine", "corrupted"])
+def test_casimir_matches_textbook_sums(gs42, corrupt):
+    gs = _corrupted_so42() if corrupt else gs42
+    c3, c4 = _textbook_casimirs(gs)
+    assert casimir(gs, 3) == c3
+    assert casimir(gs, 4) == c4
+    assert (c3.scaled_identity() is None) == corrupt
+    assert (c4.scaled_identity() is None) == corrupt
+
+
+@pytest.mark.parametrize("degree, matmuls", [(2, 15), (3, 180), (4, 186)])
+def test_casimir_matmul_count(gs42, monkeypatch, degree, matmuls):
+    # an op count instead of a wall-clock bound: the 90-triple C3 and the
+    # factored C4 chain, not the 720-permutation and four-index sums
+    calls = []
+    real = ExactMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    casimir(gs42, degree)
+    assert len(calls) == matmuls
 
 
 def test_casimir_unsupported_degree(gs42):

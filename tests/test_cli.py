@@ -186,6 +186,23 @@ def test_mass_bad_input(capsys):
     assert "half-integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("mass", "1e5000", "1/2", "1/2"), "l '1e5000'"),
+        (("mass", "0", "1E3", "0"), "l-dot '1E3'"),
+        (("elements", "--z", "1", "--node", "1e5000,0,0"), "l '1e5000'"),
+        (("mass", "1/2", "0", "1" * 41), "nu '" + "1" * 41 + "'"),
+    ],
+    ids=["mass-exponent", "mass-upper-exponent", "elements-node-exponent", "overlong"],
+)
+def test_huge_half_integer_rejected(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad {bad}; expected a half-integer like 3/2\n"
+
+
 # -- determinism ------------------------------------------------------------------
 
 
