@@ -114,45 +114,32 @@ def _commute_graph(mats: Sequence[ExactMatrix]) -> list[list[bool]]:
     return adj
 
 
-def _max_clique_size(vertices: Sequence[int], adj: Sequence[Sequence[bool]]) -> int:
-    best = 0
-
-    def extend(count: int, candidates: list[int]) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        for idx, v in enumerate(candidates):
-            if count + len(candidates) - idx <= best:
-                return
-            extend(count + 1, [u for u in candidates[idx + 1 :] if adj[v][u]])
-
-    extend(0, list(vertices))
-    return best
-
-
 def find_cartan(gs: GeneratorSet) -> CartanSet:
     """Maximum pairwise-commuting subset of the rotation generators.
 
     The search is exhaustive over the generator family itself (commutation
-    decided by exact matrix arithmetic, not by index bookkeeping) and ties
-    are broken toward the lexicographically-first index pairs.
+    decided by exact matrix arithmetic, not by index bookkeeping).  One
+    depth-first search extends cliques in ascending index order and keeps
+    a clique only when it is strictly larger than the best so far, so the
+    result is the lexicographically first maximum clique: ties are broken
+    toward the earliest index pairs.
     """
     mats = gs.matrices()
     adj = _commute_graph(mats)
-    size = _max_clique_size(range(len(mats)), adj)
-    chosen: list[int] = []
-    candidates = list(range(len(mats)))
-    while len(chosen) < size:
-        for v in candidates:
-            rest = [u for u in candidates if u > v and adj[v][u]]
-            if _max_clique_size(rest, adj) >= size - len(chosen) - 1:
-                chosen.append(v)
-                candidates = rest
-                break
-        else:  # pragma: no cover - search is exact
-            raise RuntimeError("clique reconstruction failed")
+    best: list[int] = []
+
+    def extend(chosen: list[int], candidates: list[int]) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for idx, v in enumerate(candidates):
+            if len(chosen) + len(candidates) - idx <= len(best):
+                return
+            extend(chosen + [v], [u for u in candidates[idx + 1 :] if adj[v][u]])
+
+    extend([], list(range(len(mats))))
     members = tuple(
-        NamedOperator(name=gs.names[k], matrix=mats[k]) for k in chosen
+        NamedOperator(name=gs.names[k], matrix=mats[k]) for k in best
     )
     return CartanSet(members=members)
 
@@ -373,18 +360,21 @@ def _perm_sign(perm: Sequence[int]) -> int:
 def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
     """Degree 2, 3, or 4 invariant of the signature-(4,2) algebra.
 
-    Degree 2 is the quadratic form L^2 + A^2 - B^2 - Gamma^2 + D3^2 - D1^2
-    - D2^2 over the hydrogen aliases.  Degree 3 contracts three raised
-    generators with the rank-6 epsilon tensor (eps_123456 = +1) and a 1/48
-    normalisation; degree 4 is the closed chain L_ab L^bc L_cd L^da.
-    Indices are raised with the diagonal metric.
+    Degree 2 is the quadratic form sum over a < b of L_ab L^ab, which in
+    the hydrogen aliases reads L^2 + A^2 - B^2 - Gamma^2 + D3^2 - D1^2 -
+    D2^2.  Degree 3 contracts three raised generators with the rank-6
+    epsilon tensor (eps_123456 = +1) and a 1/48 normalisation; degree 4 is
+    the closed chain L_ab L^bc L_cd L^da.  Indices are raised with the
+    diagonal metric, and all three degrees share one table of lowered and
+    raised generators.
 
-    Both sums are regrouped over their index structure, exactly and
-    without assuming the brackets.  In the epsilon sum, swapping the two
-    indices of one generator flips both the generator (``gs.gen`` returns
-    L_ba = -L_ab) and the sign of the permutation, so the 720 permutations
-    fold onto the 90 ordered triples of pairs a<b, c<d, e<f that cover
-    {1..6}, each counted 2^3 = 8 times: C3 is 8/48 = 1/6 of the folded sum.
+    The degree-3 and -4 sums are regrouped over their index structure,
+    exactly and without assuming the brackets.  In the epsilon sum,
+    swapping the two indices of one generator flips both the generator
+    (``gs.gen`` returns L_ba = -L_ab) and the sign of the permutation, so
+    the 720 permutations fold onto the 90 ordered triples of pairs a<b,
+    c<d, e<f that cover {1..6}, each counted 2^3 = 8 times: C3 is 8/48 =
+    1/6 of the folded sum.
     The chain factors by distributivity as C4 = sum over a, c of
     chain(a, c) @ chain(c, a), where chain(a, c) = sum over b != a, c of
     L_ab L^bc (a = c included).
@@ -394,22 +384,15 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
     n = gs.metric.dim
     g = gs.metric.g
     idx = range(1, n + 1)
-
-    if degree == 2:
-        alias = hydrogen_aliases(gs)
-        acc = ExactMatrix.zeros(n)
-        for name in ("L1", "L2", "L3", "A1", "A2", "A3"):
-            acc = acc + alias[name] @ alias[name]
-        for name in ("B1", "B2", "B3", "G1", "G2", "G3"):
-            acc = acc - alias[name] @ alias[name]
-        acc = acc + alias["D3"] @ alias["D3"]
-        acc = acc - alias["D1"] @ alias["D1"]
-        acc = acc - alias["D2"] @ alias["D2"]
-        return acc
-    if degree not in (3, 4):
+    if degree not in (2, 3, 4):
         raise ValueError(f"unsupported Casimir degree {degree}")
     lower = {(a, b): gs.gen(a, b) for a in idx for b in idx if a != b}
     upper = {(a, b): m * (g(a) * g(b)) for (a, b), m in lower.items()}
+    if degree == 2:
+        return sum(
+            (lower[ab] @ upper[ab] for ab in combinations(idx, 2)),
+            ExactMatrix.zeros(n),
+        )
     acc = ExactMatrix.zeros(n)
     if degree == 3:
         for ab in combinations(idx, 2):

@@ -25,7 +25,7 @@ from .cartan import (
     weyl_generators,
     yao_basis,
 )
-from .labels import mass_sl2c, mass_so42, parse_spin
+from .labels import mass_sl2c, mass_so42
 from .periodic import MAX_Z, assign_elements, find_element, projection_slice
 from .sopq import Metric, build_generators
 from .svgout import svg_root_squares, svg_tower
@@ -153,10 +153,9 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_tower(args: argparse.Namespace) -> int:
-    try:
-        spin = parse_spin(args.spin)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spin = _parse_half(args.spin, "spin")
+    if spin * 2 not in (-1, 1):
+        raise CliError("spin must be -1/2 or +1/2")
     tower = projection_slice(assign_elements(), spin, mirror=True)
     if args.format == "json":
         _emit(_to_json(tower.to_json_dict()), _open_output(args.output))

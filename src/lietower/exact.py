@@ -12,10 +12,14 @@ entries, but the arithmetic skips zero entries: a sum or difference
 returns the other entry as it is, a negation or scalar product leaves a
 zero alone, and a product skips zero factors.  The rotation generators
 have two nonzero entries in 36 or 64, so most entries cost one truth
-test rather than ``Fraction`` arithmetic.  Rank and basis expansion share one
-Gauss-Jordan elimination over Q(i): ``rank`` counts its reduced rows and
-``SpanSolver`` keeps them, with the combination of inputs behind each, to
-answer repeated expansion queries.
+test rather than ``Fraction`` arithmetic.  A scalar multiplies a matrix
+from either side, a ``GaussianRational`` included.  Rank and basis
+expansion share one Gauss-Jordan elimination over Q(i), which skips zero
+entries the same way when it eliminates and scales a row: ``rank`` counts
+its reduced rows and ``SpanSolver`` keeps them, with the combination of
+inputs behind each, to answer repeated expansion queries.  Identities are
+decided by matrix equality; expansion is for rendering a matrix in a
+basis and for testing that a basis is independent.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class GaussianRational:
         return as_scalar(other) - self
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
+        if isinstance(other, ExactMatrix):
+            return NotImplemented  # so Python tries ExactMatrix.__rmul__
         other = as_scalar(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -357,8 +363,8 @@ def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int
             dependent.append(k)
             continue
         inv = ONE / vec[pivot]
-        vec = [v * inv for v in vec]
-        combo = [c * inv for c in combo]
+        vec = [v * inv if v else v for v in vec]
+        combo = [c * inv if c else c for c in combo]
         for _, pvec, pcombo in rows:
             c = pvec[pivot]
             if c:

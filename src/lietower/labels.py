@@ -240,13 +240,6 @@ class MadelungKet:
         return {"n": self.n, "l": self.l, "m": self.m, "s": self.s_text}
 
 
-def parse_spin(text: str) -> Fraction:
-    value = Fraction(text)
-    if value * 2 not in (-1, 1):
-        raise ValueError("spin must be -1/2 or +1/2")
-    return value
-
-
 @dataclass(frozen=True)
 class DottedKet:
     """Eight-label state |nu, nu.; lam, lam.; mu, mu.; sigma, sigma.>.

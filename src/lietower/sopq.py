@@ -212,12 +212,15 @@ class CommutationReport:
 def verify_commutation(gs: GeneratorSet) -> CommutationReport:
     """Check every unordered generator pair against the symbolic bracket.
 
-    Both sides are expanded in the generator basis: the computed commutator
-    via an exact span solve, the expected side symbolically.  Any residual
-    at all is a failure entry, never an exception.
+    Each pair is decided by exact matrix equality between the computed
+    commutator and the materialized right-hand side.  The generators are
+    factored once up front, which raises ``ValueError`` on a dependent set:
+    only for independent generators does equality of the matrices mean
+    equality of the coefficients.  A mismatch is a failure entry, never an
+    exception, and its ``got`` side is expanded in the generator basis.
     """
     metric = gs.metric
-    solver = SpanSolver(gs.matrices())
+    describe = span_describer(gs.names, gs.matrices(), "<outside generator span>")
     failures: list[PairFailure] = []
     pair_count = 0
     for i, left in enumerate(gs.pairs):
@@ -225,26 +228,12 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
             pair_count += 1
             got = commutator(gs.gen(*left), gs.gen(*right))
             expected_terms = expected_bracket(metric, left, right)
-            got_coeffs = solver.expand(got)
-            expected_coeffs = [ZERO] * len(gs.pairs)
-            for coeff, pair in expected_terms:
-                expected_coeffs[gs.pairs.index(pair)] = coeff
-            if got_coeffs is None or got_coeffs != expected_coeffs:
-                if got_coeffs is None:
-                    got_str = "<outside generator span>"
-                else:
-                    got_str = format_terms(
-                        [
-                            (c, gs.pairs[k])
-                            for k, c in enumerate(got_coeffs)
-                            if c
-                        ]
-                    )
+            if got != materialize(gs, expected_terms):
                 failures.append(
                     PairFailure(
                         lhs_pair=left,
                         rhs_pair=right,
-                        got=got_str,
+                        got=describe(got),
                         expected=format_terms(expected_terms),
                     )
                 )

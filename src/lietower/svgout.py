@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .cartan import RootTable
-from .periodic import TowerSlice
+from .periodic import TowerSlice, homolog_lines
 
 COS30 = 0.8660254037844387
 SIN30 = 0.5
@@ -173,27 +173,11 @@ def svg_tower(tower: TowerSlice, title: Optional[str] = None) -> str:
     y0 = oy
     canvas.line(8.0, y0, width - 8.0, y0, stroke="#999999", width=0.8, dash="6 4")
     # homolog lines first (below the points): same (l, m), consecutive n > 0
-    matter = [f for f in floors if f.n > 0]
-    slots: dict[tuple[int, int], list[int]] = {}
-    for f in matter:
-        for sub in f.subshells:
-            for p in sub.points:
-                if p.element is not None:
-                    slots.setdefault((sub.l, p.m), []).append(f.n)
-    for (l, m) in sorted(slots):
-        ns = sorted(slots[(l, m)])
-        runs: list[list[int]] = [[ns[0]]]
-        for n in ns[1:]:
-            if n == runs[-1][-1] + 1:
-                runs[-1].append(n)
-            else:
-                runs.append([n])
-        for run in runs:
-            if len(run) < 2:
-                continue
-            x1, y1 = _project(m, l, run[0])
-            x2, y2 = _project(m, l, run[-1])
-            canvas.line(ox + x1, oy + y1, ox + x2, oy + y2, stroke="#cdd9ec", width=1.0)
+    for chain in homolog_lines(tower):
+        first, last = chain[0].ket, chain[-1].ket
+        x1, y1 = _project(first.m, first.l, first.n)
+        x2, y2 = _project(last.m, last.l, last.n)
+        canvas.line(ox + x1, oy + y1, ox + x2, oy + y2, stroke="#cdd9ec", width=1.0)
     for f in floors:
         # floor label at the left edge
         fx, fy = _project(-(abs(f.n) - 1) - 1.2, abs(f.n) - 1, f.n)

@@ -225,6 +225,17 @@ def test_criterion_12_mass_formulas():
                 assert mass_so42(ldot, l, 1) > mass_so42(ldot, l, Fraction(1, 2))
 
 
+def _tampered_build(metric):
+    """build_generators with L12 replaced by a symmetric matrix."""
+    gs = build_generators(metric)
+    gs._gens[(1, 2)] = ExactMatrix.from_entries(metric.dim, {(0, 1): I, (1, 0): I})
+    return gs
+
+
+def _inject_fault(monkeypatch):
+    monkeypatch.setattr(lietower.verify, "build_generators", _tampered_build)
+
+
 CLI_MATRIX = [
     ("verify", "--signature", "4,2"),
     ("verify", "--signature", "4,2", "--format", "json"),
@@ -248,23 +259,14 @@ def test_criterion_13_determinism_and_exit_contract(capsys, monkeypatch):
             assert code1 == 0 and code2 == 0
             assert out1.encode() == out2.encode(), argv
 
-        real_build = build_generators
-
-        def tampered_build(metric):
-            gs = real_build(metric)
-            gs._gens[(1, 2)] = ExactMatrix.from_entries(
-                metric.dim, {(0, 1): I, (1, 0): I}
-            )
-            return gs
-
-        monkeypatch.setattr(lietower.verify, "build_generators", tampered_build)
+        _inject_fault(monkeypatch)
         assert main(["verify", "--signature", "4,2"]) == 1
         capsys.readouterr()
 
 
-# SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4 and the other
-# roots outputs, so any change to a single output byte is caught, not only a
-# difference between reruns.
+# SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4 and 5,5, the
+# other roots outputs and the s = -1/2 tower SVG, so any change to a single
+# output byte is caught, not only a difference between reruns.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--signature", "4,2"):
         "e01d56dcf146ed2bc92fa73df863bb2ca685462de82ae505b370fd5efbc9cac9",
@@ -294,6 +296,23 @@ GOLDEN_STDOUT_SHA256 = {
         "0a4091bbd10cf2e7264e68d2a244439ea61addd455ecce1216fd79f53133f07e",
     ("roots", "--signature", "4,4", "--format", "svg"):
         "f1225dcbd5ec3d10f743347d532a0ab9d83addf47daaf0a71a10cb35afcf19b5",
+    ("verify", "--signature", "5,5"):
+        "f4687e2046e365e5c3e764bfc11a080fbc756fd5df38476593a3ac67e96633cb",
+    ("tower", "--spin=-1/2", "--format", "svg"):
+        "fd5775a6485809f320a1b594099b371f3d175f8b126eb6ff9387706b6a601df2",
+}
+
+# SHA-256 of stdout for verify with the criterion-13 fault injected (exit 1):
+# the failure report, every rendered commutator expansion included, is pinned.
+FAULT_STDOUT_SHA256 = {
+    ("verify", "--signature", "4,2"):
+        "c56453a40016f7f293078d15669ea55bb7c39ba4ec6d5ca7e049457f7dd739e0",
+    ("verify", "--signature", "4,2", "--format", "json"):
+        "26c358e789e5b8f878909e9d6eca7665dc3db95eb44bb763a5b653a4a7cb6210",
+    ("verify", "--signature", "4,4"):
+        "8518ceae74d8d3910e6c96e5090d943f5013c30d536fe0fbc2aa0dad76bba99b",
+    ("verify", "--signature", "4,4", "--format", "json"):
+        "5089cf0750ad760dd17682f6a256fce373c208601b9337a1829a72802f9b5414",
 }
 
 
@@ -302,5 +321,14 @@ def test_criterion_14_golden_stdout(capsys):
         assert set(CLI_MATRIX) <= set(GOLDEN_STDOUT_SHA256)
         for argv, digest in GOLDEN_STDOUT_SHA256.items():
             assert main(list(argv)) == 0, argv
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_criterion_14_fault_injected_stdout(capsys, monkeypatch):
+    with criterion(14, "fault-injected verify stdout matches the pinned SHA-256 digests"):
+        _inject_fault(monkeypatch)
+        for argv, digest in FAULT_STDOUT_SHA256.items():
+            assert main(list(argv)) == 1, argv
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

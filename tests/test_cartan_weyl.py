@@ -67,6 +67,46 @@ def test_cartan_rank1():
     assert cartan_is_maximal(gs, cartan)
 
 
+def _brute_force_cartan(gs):
+    """Names of the lexicographically first largest pairwise-commuting
+    subset, found by trying every subset in ``combinations`` order."""
+    mats = gs.matrices()
+    commute = {
+        (i, j): mats[i] @ mats[j] == mats[j] @ mats[i]
+        for i, j in combinations(range(len(mats)), 2)
+    }
+    best = ()
+    for size in range(1, len(mats) + 1):
+        found = next(
+            (
+                subset
+                for subset in combinations(range(len(mats)), size)
+                if all(commute[pair] for pair in combinations(subset, 2))
+            ),
+            None,
+        )
+        if found is None:
+            break
+        best = found
+    return [gs.names[k] for k in best]
+
+
+SMALL_SIGNATURES = [
+    (p, total - p) for total in range(2, 7) for p in range(total + 1)
+]
+
+
+@pytest.mark.parametrize("p, q", SMALL_SIGNATURES)
+def test_cartan_matches_brute_force(p, q):
+    gs = build_generators(Metric(p, q))
+    assert find_cartan(gs).names == _brute_force_cartan(gs)
+
+
+def test_cartan_matches_brute_force_corrupted():
+    gs = _corrupted_so42()
+    assert find_cartan(gs).names == _brute_force_cartan(gs)
+
+
 def test_cartan_members_commute(gs44):
     cartan = find_cartan(gs44)
     mats = cartan.matrices()
@@ -426,10 +466,17 @@ def test_casimir_quartic_commutes_with_l12(gs42):
 
 
 def _textbook_casimirs(gs):
-    """C3 and C4 as printed: the epsilon contraction over all 720
-    permutations times 1/48, and the unfactored chain over a, b, c, d."""
+    """C2, C3 and C4 as printed: the quadratic form over the hydrogen
+    aliases, the epsilon contraction over all 720 permutations times 1/48,
+    and the unfactored chain over a, b, c, d."""
     g = gs.metric.g
     idx = range(1, 7)
+    alias = hydrogen_aliases(gs)
+    c2 = ExactMatrix.zeros(6)
+    for name in ("L1", "L2", "L3", "A1", "A2", "A3", "D3"):
+        c2 = c2 + alias[name] @ alias[name]
+    for name in ("B1", "B2", "B3", "G1", "G2", "G3", "D1", "D2"):
+        c2 = c2 - alias[name] @ alias[name]
 
     def upper(a, b):
         return gs.gen(a, b) * (g(a) * g(b))
@@ -444,7 +491,7 @@ def _textbook_casimirs(gs):
     for a, b, c, d in product(idx, repeat=4):
         if a != b and b != c and c != d and d != a:
             c4 = c4 + gs.gen(a, b) @ upper(b, c) @ gs.gen(c, d) @ upper(d, a)
-    return c3 * Fraction(1, 48), c4
+    return c2, c3 * Fraction(1, 48), c4
 
 
 def _corrupted_so42():
@@ -458,9 +505,11 @@ def _corrupted_so42():
 @pytest.mark.parametrize("corrupt", [False, True], ids=["genuine", "corrupted"])
 def test_casimir_matches_textbook_sums(gs42, corrupt):
     gs = _corrupted_so42() if corrupt else gs42
-    c3, c4 = _textbook_casimirs(gs)
+    c2, c3, c4 = _textbook_casimirs(gs)
+    assert casimir(gs, 2) == c2
     assert casimir(gs, 3) == c3
     assert casimir(gs, 4) == c4
+    assert (c2.scaled_identity() is None) == corrupt
     assert (c3.scaled_identity() is None) == corrupt
     assert (c4.scaled_identity() is None) == corrupt
 

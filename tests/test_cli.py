@@ -193,8 +193,14 @@ def test_mass_bad_input(capsys):
         (("mass", "0", "1E3", "0"), "l-dot '1E3'"),
         (("elements", "--z", "1", "--node", "1e5000,0,0"), "l '1e5000'"),
         (("mass", "1/2", "0", "1" * 41), "nu '" + "1" * 41 + "'"),
+        (("tower", "--spin=1/0"), "spin '1/0'"),
+        (("tower", "--spin=1e5000"), "spin '1e5000'"),
+        (("tower", "--spin=" + "1" * 41), "spin '" + "1" * 41 + "'"),
     ],
-    ids=["mass-exponent", "mass-upper-exponent", "elements-node-exponent", "overlong"],
+    ids=[
+        "mass-exponent", "mass-upper-exponent", "elements-node-exponent", "overlong",
+        "tower-zero-denominator", "tower-exponent", "tower-overlong",
+    ],
 )
 def test_huge_half_integer_rejected(capsys, argv, bad):
     code, out, err = run_cli(capsys, *argv)

@@ -19,7 +19,6 @@ from lietower.labels import (
     mass_so42,
     multiplet_dimension,
     multiplet_states,
-    parse_spin,
     sym_dim,
     weight_diagram_row,
     weight_ket,
@@ -188,13 +187,6 @@ def test_madelung_invariants():
         MadelungKet(n=2, l=2, m=0, two_s=1)
     with pytest.raises(InconsistentLabelsError):
         MadelungKet(n=3, l=1, m=2, two_s=1)
-
-
-def test_parse_spin():
-    assert parse_spin("-1/2") == Fraction(-1, 2)
-    assert parse_spin("+1/2") == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        parse_spin("1")
 
 
 def test_dotted_to_madelung_hydrogen_case():

@@ -112,6 +112,22 @@ def test_tampered_generator_is_caught(gs42):
     assert {"lhs_pair", "rhs_pair", "got", "expected"} == set(doc)
 
 
+def test_dependent_generators_rejected():
+    # matrix equality only decides the coefficients of independent
+    # generators, so the sweep must still refuse a dependent set
+    gs = build_generators(Metric(4, 2))
+    gs._gens[(1, 2)] = gs.gen(3, 4)
+    with pytest.raises(ValueError, match="dependent on earlier ones"):
+        verify_commutation(gs)
+    # all-zero generators match every bracket, so only the up-front
+    # factorization can refuse them
+    gs = build_generators(Metric(3, 0))
+    for pair in gs.pairs:
+        gs._gens[pair] = ExactMatrix.zeros(3)
+    with pytest.raises(ValueError, match="dependent on earlier ones"):
+        verify_commutation(gs)
+
+
 def test_pseudo_antisymmetry(gs42, gs44):
     assert pseudo_antisymmetry_holds(gs42)
     assert pseudo_antisymmetry_holds(gs44)
