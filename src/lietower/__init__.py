@@ -12,7 +12,7 @@ from .exact import (
     rank,
     scalar_multiple_of,
 )
-from .sopq import GeneratorSet, Metric, build_generators, verify_commutation
+from .sopq import GeneratorSet, Metric, bracket_table, build_generators, verify_commutation
 from .cartan import (
     CartanSet,
     NamedOperator,
@@ -68,6 +68,7 @@ __all__ = [
     "antimatter_mirror",
     "apply_ladder",
     "assign_elements",
+    "bracket_table",
     "build_generators",
     "casimir",
     "commutator",

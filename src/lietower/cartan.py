@@ -42,6 +42,7 @@ from .exact import (
     scalar_multiple_of,
 )
 from .sopq import (
+    BracketTable,
     GeneratorSet,
     IndexPair,
     Metric,
@@ -104,28 +105,19 @@ class RootVector:
 # ---------------------------------------------------------------------------
 
 
-def _commute_graph(mats: Sequence[ExactMatrix]) -> list[list[bool]]:
-    n = len(mats)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            flag = commutator(mats[i], mats[j]).is_zero()
-            adj[i][j] = adj[j][i] = flag
-    return adj
-
-
-def find_cartan(gs: GeneratorSet) -> CartanSet:
+def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> CartanSet:
     """Maximum pairwise-commuting subset of the rotation generators.
 
-    The search is exhaustive over the generator family itself (commutation
-    decided by exact matrix arithmetic, not by index bookkeeping).  One
-    depth-first search extends cliques in ascending index order and keeps
-    a clique only when it is strictly larger than the best so far, so the
-    result is the lexicographically first maximum clique: ties are broken
-    toward the earliest index pairs.
+    ``brackets`` is ``bracket_table(gs)``; two generators commute when their
+    pair has no entry, so commutation is decided by exact matrix arithmetic,
+    not by index bookkeeping.  The search is exhaustive over the generator
+    family itself.  One depth-first search extends cliques in ascending
+    index order and keeps a clique only when it is strictly larger than the
+    best so far, so the result is the lexicographically first maximum
+    clique: ties are broken toward the earliest index pairs.
     """
-    mats = gs.matrices()
-    adj = _commute_graph(mats)
+    pairs = gs.pairs
+    adj = [[(min(x, y), max(x, y)) not in brackets for y in pairs] for x in pairs]
     best: list[int] = []
 
     def extend(chosen: list[int], candidates: list[int]) -> None:
@@ -137,22 +129,24 @@ def find_cartan(gs: GeneratorSet) -> CartanSet:
                 return
             extend(chosen + [v], [u for u in candidates[idx + 1 :] if adj[v][u]])
 
-    extend([], list(range(len(mats))))
+    extend([], list(range(len(pairs))))
+    mats = gs.matrices()
     members = tuple(
         NamedOperator(name=gs.names[k], matrix=mats[k]) for k in best
     )
     return CartanSet(members=members)
 
 
-def cartan_is_maximal(gs: GeneratorSet, cartan: CartanSet) -> bool:
-    """No generator outside the set commutes with every member."""
-    chosen = {m.name for m in cartan.members}
-    for (a, b), mat in gs:
-        if pair_name(a, b) in chosen:
-            continue
-        if all(commutator(mat, h).is_zero() for h in cartan.matrices()):
-            return False
-    return True
+def cartan_is_maximal(gs: GeneratorSet, cartan: CartanSet, brackets: BracketTable) -> bool:
+    """No generator of ``gs`` outside ``cartan``, a set of its generators,
+    commutes with every member; ``brackets`` is ``bracket_table(gs)``."""
+    chosen = set(cartan.names)
+    members = [pair for pair, name in zip(gs.pairs, gs.names) if name in chosen]
+    return all(
+        any((min(pair, h), max(pair, h)) in brackets for h in members)
+        for pair in gs.pairs
+        if pair not in members
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +422,16 @@ def casimir_invariance(gs: GeneratorSet, cas: ExactMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def subalgebra_basis(gs: GeneratorSet, which: str) -> list[NamedOperator]:
-    """Cartan-Weyl basis of one rank-2 subalgebra of the (4,2) algebra.
+def subalgebra_basis(
+    gs: GeneratorSet, yao: Sequence[NamedOperator]
+) -> dict[str, list[NamedOperator]]:
+    """Cartan-Weyl bases of the four rank-2 subalgebras of the (4,2) algebra.
 
-    Selectors: "sl2c" (complex shell X/Y of the angular-momentum/boost
-    pair), "so4" (K/J), "so22_LD" (T/S), "so22_AD" (P/Q).  Each basket is
-    returned as [H1, H2, E1+, E1-, E2+, E2-] with ladder members normalised
+    ``yao`` is ``yao_basis(gs)``.  Returns the baskets by selector, in the
+    order "sl2c" (complex shell X/Y of the angular-momentum/boost pair,
+    built from the hydrogen aliases of ``gs``), "so4" (K/J), "so22_LD"
+    (T/S), "so22_AD" (P/Q), the last three built from ``yao``.  Each
+    basket is [H1, H2, E1+, E1-, E2+, E2-] with ladder members normalised
     so the published table of that subalgebra holds exactly:
 
     * sl2c: literal X1 +/- i*X2 (and Y);
@@ -442,47 +440,25 @@ def subalgebra_basis(gs: GeneratorSet, which: str) -> list[NamedOperator]:
     * so22_*: i*(T1 +/- i*T2) etc.; the extra factor i realises the
       published [E+, E-] = -2*E0 normalisation.
     """
-    if gs.metric != Metric(4, 2):
-        raise ValueError("subalgebra baskets require signature (4,2)")
-    if which == "sl2c":
-        alias = hydrogen_aliases(gs)
-        x = {
-            i: (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF for i in (1, 2, 3)
-        }
-        y = {
-            i: (alias[f"L{i}"] + alias[f"B{i}"] * (-I)) * HALF for i in (1, 2, 3)
-        }
-        return [
-            NamedOperator("X3", x[3]),
-            NamedOperator("Y3", y[3]),
-            NamedOperator("X+", x[1] + x[2] * I),
-            NamedOperator("X-", x[1] + x[2] * (-I)),
-            NamedOperator("Y+", y[1] + y[2] * I),
-            NamedOperator("Y-", y[1] + y[2] * (-I)),
-        ]
-    yao = {op.name: op.matrix for op in yao_basis(gs)}
-    if which == "so4":
-        return [
-            NamedOperator("K3", yao["K3"]),
-            NamedOperator("J3", yao["J3"]),
-            NamedOperator("K+", yao["K1"] + yao["K2"] * (-I)),
-            NamedOperator("K-", yao["K1"] + yao["K2"] * I),
-            NamedOperator("J+", yao["J1"] + yao["J2"] * (-I)),
-            NamedOperator("J-", yao["J1"] + yao["J2"] * I),
-        ]
-    if which in ("so22_LD", "so22_AD"):
-        a, b = ("T", "S") if which == "so22_LD" else ("P", "Q")
-        out = [
-            NamedOperator(f"{a}0", yao[f"{a}0"]),
-            NamedOperator(f"{b}0", yao[f"{b}0"]),
-        ]
-        for fam in (a, b):
-            plus = (yao[f"{fam}1"] + yao[f"{fam}2"] * I) * I
-            minus = (yao[f"{fam}1"] + yao[f"{fam}2"] * (-I)) * I
-            out.append(NamedOperator(f"{fam}+", plus))
-            out.append(NamedOperator(f"{fam}-", minus))
-        return out
-    raise ValueError(f"unknown subalgebra selector {which!r}")
+    alias = hydrogen_aliases(gs)
+    ops = {op.name: op.matrix for op in yao}
+    for i in (1, 2, 3):
+        ops[f"X{i}"] = (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF
+        ops[f"Y{i}"] = (alias[f"L{i}"] + alias[f"B{i}"] * (-I)) * HALF
+    baskets = {}
+    for which, fams, h, sign, factor in (
+        ("sl2c", "XY", "3", ONE, ONE),
+        ("so4", "KJ", "3", -ONE, ONE),
+        ("so22_LD", "TS", "0", ONE, I),
+        ("so22_AD", "PQ", "0", ONE, I),
+    ):
+        out = [NamedOperator(fam + h, ops[fam + h]) for fam in fams]
+        for fam in fams:
+            one, two = ops[f"{fam}1"], ops[f"{fam}2"]
+            out.append(NamedOperator(f"{fam}+", (one + two * (I * sign)) * factor))
+            out.append(NamedOperator(f"{fam}-", (one - two * (I * sign)) * factor))
+        baskets[which] = out
+    return baskets
 
 
 # ---------------------------------------------------------------------------

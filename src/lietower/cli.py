@@ -27,7 +27,7 @@ from .cartan import (
 )
 from .labels import mass_sl2c, mass_so42
 from .periodic import MAX_Z, assign_elements, find_element, projection_slice
-from .sopq import Metric, build_generators
+from .sopq import Metric, bracket_table, build_generators
 from .svgout import svg_root_squares, svg_tower
 from .verify import run_verification
 
@@ -124,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _root_table(metric: Metric):
     gs = build_generators(metric)
-    cartan = find_cartan(gs)
+    cartan = find_cartan(gs, bracket_table(gs))
     if metric == Metric(4, 2):
         basis, axes = yao_basis(gs), RANK3_AXIS_ALIASES
     else:

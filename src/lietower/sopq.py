@@ -12,11 +12,14 @@ the index convention of the printed commutation table this module validates:
 
 The realisation is *validated*, never assumed: ``verify_commutation`` checks
 every unordered generator pair against the symbolic right-hand side, exactly.
+Each command computes those brackets once, in ``bracket_table``; the
+commutation sweep and the Cartan search both read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
 from .exact import (
@@ -209,37 +212,52 @@ class CommutationReport:
         }
 
 
-def verify_commutation(gs: GeneratorSet) -> CommutationReport:
+BracketTable = dict[tuple[IndexPair, IndexPair], ExactMatrix]
+
+
+def bracket_table(gs: GeneratorSet) -> BracketTable:
+    """The nonzero commutators [L_left, L_right] of the current matrices of
+    ``gs``, keyed by (left, right) with left before right in ``gs.pairs``,
+    which is lexicographic order.  A commuting pair has no entry.
+    """
+    table: BracketTable = {}
+    for left, right in combinations(gs.pairs, 2):
+        got = commutator(gs.gen(*left), gs.gen(*right))
+        if not got.is_zero():
+            table[left, right] = got
+    return table
+
+
+def verify_commutation(gs: GeneratorSet, brackets: BracketTable) -> CommutationReport:
     """Check every unordered generator pair against the symbolic bracket.
 
-    Each pair is decided by exact matrix equality between the computed
-    commutator and the materialized right-hand side.  The generators are
-    factored once up front, which raises ``ValueError`` on a dependent set:
-    only for independent generators does equality of the matrices mean
-    equality of the coefficients.  A mismatch is a failure entry, never an
-    exception, and its ``got`` side is expanded in the generator basis.
+    ``brackets`` is ``bracket_table(gs)``.  Each pair is decided by exact
+    matrix equality between its entry there (zero when absent) and the
+    materialized right-hand side.  The generators are factored once up
+    front, which raises ``ValueError`` on a dependent set: only for
+    independent generators does equality of the matrices mean equality of
+    the coefficients.  A mismatch is a failure entry, never an exception,
+    and its ``got`` side is expanded in the generator basis.
     """
     metric = gs.metric
     describe = span_describer(gs.names, gs.matrices(), "<outside generator span>")
+    zero = ExactMatrix.zeros(metric.dim)
     failures: list[PairFailure] = []
-    pair_count = 0
-    for i, left in enumerate(gs.pairs):
-        for right in gs.pairs[i + 1 :]:
-            pair_count += 1
-            got = commutator(gs.gen(*left), gs.gen(*right))
-            expected_terms = expected_bracket(metric, left, right)
-            if got != materialize(gs, expected_terms):
-                failures.append(
-                    PairFailure(
-                        lhs_pair=left,
-                        rhs_pair=right,
-                        got=describe(got),
-                        expected=format_terms(expected_terms),
-                    )
+    for left, right in combinations(gs.pairs, 2):
+        got = brackets.get((left, right), zero)
+        expected_terms = expected_bracket(metric, left, right)
+        if got != materialize(gs, expected_terms):
+            failures.append(
+                PairFailure(
+                    lhs_pair=left,
+                    rhs_pair=right,
+                    got=describe(got),
+                    expected=format_terms(expected_terms),
                 )
+            )
     return CommutationReport(
         signature=(metric.p, metric.q),
-        pair_count=pair_count,
+        pair_count=len(gs) * (len(gs) - 1) // 2,
         failures=failures,
     )
 

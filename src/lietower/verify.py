@@ -15,8 +15,10 @@ from fractions import Fraction
 from . import cartan as cw
 from .exact import rank
 from .sopq import (
+    BracketTable,
     GeneratorSet,
     Metric,
+    bracket_table,
     build_generators,
     hydrogen_alias_check,
     pseudo_antisymmetry_holds,
@@ -108,10 +110,12 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _commutator_suites(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
-    rep = verify_commutation(gs)
+def _commutator_suites(
+    gs: GeneratorSet, brackets: BracketTable, cartan: cw.CartanSet
+) -> list[SuiteResult]:
+    rep = verify_commutation(gs, brackets)
     done = rep.pair_count - len(rep.failures)
-    suites = [
+    return [
         SuiteResult(
             name="commutators",
             passed=rep.ok,
@@ -123,16 +127,13 @@ def _commutator_suites(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResu
             passed=pseudo_antisymmetry_holds(gs),
             summary=f"g*L^T*g = -L for {len(gs)} generators",
         ),
-    ]
-    suites.append(
         SuiteResult(
             name="cartan",
-            passed=cw.cartan_is_maximal(gs, cartan),
+            passed=cw.cartan_is_maximal(gs, cartan, brackets),
             summary=f"rank {cartan.rank}: {', '.join(cartan.names)}",
             details={"members": cartan.names},
-        )
-    )
-    return suites
+        ),
+    ]
 
 
 def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
@@ -171,8 +172,8 @@ def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
     sub_ok = True
     sub_counts = []
     sub_details = {}
-    for which in ("sl2c", "so4", "so22_LD", "so22_AD"):
-        basket = {op.name: op.matrix for op in cw.subalgebra_basis(gs, which)}
+    for which, members in cw.subalgebra_basis(gs, yao).items():
+        basket = {op.name: op.matrix for op in members}
         rep = cw.check_relation_table(basket, cw.SUBALGEBRA_TABLES[which])
         sub_ok = sub_ok and rep.ok
         sub_counts.append(f"{which} {len(rep.checks) - len(rep.deviations)}/{len(rep.checks)}")
@@ -309,8 +310,9 @@ def _suites_rank4(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
 def run_verification(metric: Metric) -> VerificationReport:
     """All suites for one signature; (4,2) and (4,4) get their full batteries."""
     gs = build_generators(metric)
-    cartan = cw.find_cartan(gs)
-    suites = _commutator_suites(gs, cartan)
+    brackets = bracket_table(gs)
+    cartan = cw.find_cartan(gs, brackets)
+    suites = _commutator_suites(gs, brackets, cartan)
     notes: tuple[str, ...] = ()
     if metric == Metric(4, 2):
         suites += _suites_rank3(gs, cartan)

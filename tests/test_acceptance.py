@@ -44,6 +44,7 @@ from lietower.periodic import (
 )
 from lietower.sopq import (
     Metric,
+    bracket_table,
     build_generators,
     hydrogen_alias_check,
     hydrogen_aliases,
@@ -65,7 +66,7 @@ def criterion(number, label):
 def test_criterion_01_commutation_suite_rank3(gs42):
     with criterion(1, "so(4,2) commutation suite, 105 pairs, < 5 s"):
         start = time.monotonic()
-        report = verify_commutation(gs42)
+        report = verify_commutation(gs42, bracket_table(gs42))
         elapsed = time.monotonic() - start
         assert report.pair_count == 105
         assert report.failures == []
@@ -75,7 +76,7 @@ def test_criterion_01_commutation_suite_rank3(gs42):
 def test_criterion_02_commutation_suite_rank4(gs44):
     with criterion(2, "so(4,4) commutation suite, 378 pairs, < 30 s"):
         start = time.monotonic()
-        report = verify_commutation(gs44)
+        report = verify_commutation(gs44, bracket_table(gs44))
         elapsed = time.monotonic() - start
         assert report.pair_count == 378
         assert report.failures == []
@@ -122,7 +123,7 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
 
 def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
     with criterion(6, "12 extracted roots equal the published rank-3 table"):
-        cartan = find_cartan(gs42)
+        cartan = find_cartan(gs42, bracket_table(gs42))
         table = root_system(cartan, oriented_ladders(gs42, cartan))
         got = {name: tuple(root.components) for name, root in table.rows}
         want = {
@@ -136,7 +137,7 @@ def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
 
 def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
     with criterion(7, "24 roots extract over the rank-4 set; axis question flagged"):
-        cartan = find_cartan(gs44)
+        cartan = find_cartan(gs44, bracket_table(gs44))
         table = root_system(cartan, oriented_ladders(gs44, cartan))
         roots = table.as_dict()
         assert len(roots) == 24
@@ -166,14 +167,14 @@ def test_criterion_08_casimir_invariance(gs42):
 def test_criterion_09_subalgebra_tables(gs42):
     with criterion(9, "rank-2 subalgebra tables hold exactly, cross-families vanish"):
         for which in ("sl2c", "so4", "so22_LD", "so22_AD"):
-            basket = {op.name: op.matrix for op in subalgebra_basis(gs42, which)}
+            basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))[which]}
             report = check_relation_table(basket, SUBALGEBRA_TABLES[which])
             assert report.ok, (which, report.deviations)
-        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, "sl2c")}
+        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]}
         assert commutator(basket["X3"], basket["X+"]) == -basket["X+"]
-        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, "so4")}
+        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))["so4"]}
         assert commutator(basket["K+"], basket["K-"]) == basket["K3"] * 2
-        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, "so22_LD")}
+        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))["so22_LD"]}
         assert commutator(basket["T+"], basket["T-"]) == basket["T0"] * (-2)
 
 
@@ -303,7 +304,8 @@ GOLDEN_STDOUT_SHA256 = {
 }
 
 # SHA-256 of stdout for verify with the criterion-13 fault injected (exit 1):
-# the failure report, every rendered commutator expansion included, is pinned.
+# the failure report, every rendered commutator expansion included, is pinned;
+# 5,5 pins the generic path and its Cartan search over the corrupted graph.
 FAULT_STDOUT_SHA256 = {
     ("verify", "--signature", "4,2"):
         "c56453a40016f7f293078d15669ea55bb7c39ba4ec6d5ca7e049457f7dd739e0",
@@ -313,6 +315,10 @@ FAULT_STDOUT_SHA256 = {
         "8518ceae74d8d3910e6c96e5090d943f5013c30d536fe0fbc2aa0dad76bba99b",
     ("verify", "--signature", "4,4", "--format", "json"):
         "5089cf0750ad760dd17682f6a256fce373c208601b9337a1829a72802f9b5414",
+    ("verify", "--signature", "5,5"):
+        "867245c3b4e1bc4c491e8d10fe7f89ee0ebfeafd9aac650c1f2d2687fad150e4",
+    ("verify", "--signature", "5,5", "--format", "json"):
+        "18e1b40345e1951bfe090c5e20e4d1e7a1da0f9fadcff8d6040cb264c18a3573",
 }
 
 

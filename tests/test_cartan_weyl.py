@@ -8,6 +8,7 @@ import pytest
 from lietower.cartan import (
     COMPONENT_TABLE_FIRST,
     COMPONENT_TABLE_SECOND,
+    CartanSet,
     EMULATION_CHAINS_SO42,
     EMULATION_CHAINS_SO44,
     KNOWN_TABLE_DEVIATIONS,
@@ -32,7 +33,13 @@ from lietower.cartan import (
     yao_basis,
 )
 from lietower.exact import ExactMatrix, GaussianRational, I, SpanSolver, commutator, rank
-from lietower.sopq import Metric, build_generators, hydrogen_aliases, span_describer
+from lietower.sopq import (
+    Metric,
+    bracket_table,
+    build_generators,
+    hydrogen_aliases,
+    span_describer,
+)
 from lietower.verify import PUBLISHED_ROOTS_RANK3
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -46,25 +53,36 @@ def by_name(ops):
 
 
 def test_cartan_42(gs42):
-    cartan = find_cartan(gs42)
+    brackets = bracket_table(gs42)
+    cartan = find_cartan(gs42, brackets)
     assert cartan.names == ["L12", "L34", "L56"]
     assert cartan.rank == 3
-    assert cartan_is_maximal(gs42, cartan)
+    assert cartan_is_maximal(gs42, cartan, brackets)
 
 
 def test_cartan_44(gs44):
-    cartan = find_cartan(gs44)
+    brackets = bracket_table(gs44)
+    cartan = find_cartan(gs44, brackets)
     assert cartan.names == ["L12", "L34", "L56", "L78"]
     assert cartan.rank == 4
-    assert cartan_is_maximal(gs44, cartan)
+    assert cartan_is_maximal(gs44, cartan, brackets)
 
 
 def test_cartan_rank1():
     gs = build_generators(Metric(2, 1))
-    cartan = find_cartan(gs)
+    brackets = bracket_table(gs)
+    cartan = find_cartan(gs, brackets)
     assert cartan.rank == 1
     assert cartan.names == ["L12"]
-    assert cartan_is_maximal(gs, cartan)
+    assert cartan_is_maximal(gs, cartan, brackets)
+
+
+def test_cartan_is_maximal_rejects_a_smaller_set(gs44):
+    # the dropped member commutes with every member that is left
+    brackets = bracket_table(gs44)
+    cartan = find_cartan(gs44, brackets)
+    smaller = CartanSet(members=cartan.members[:-1])
+    assert not cartan_is_maximal(gs44, smaller, brackets)
 
 
 def _brute_force_cartan(gs):
@@ -99,16 +117,16 @@ SMALL_SIGNATURES = [
 @pytest.mark.parametrize("p, q", SMALL_SIGNATURES)
 def test_cartan_matches_brute_force(p, q):
     gs = build_generators(Metric(p, q))
-    assert find_cartan(gs).names == _brute_force_cartan(gs)
+    assert find_cartan(gs, bracket_table(gs)).names == _brute_force_cartan(gs)
 
 
 def test_cartan_matches_brute_force_corrupted():
     gs = _corrupted_so42()
-    assert find_cartan(gs).names == _brute_force_cartan(gs)
+    assert find_cartan(gs, bracket_table(gs)).names == _brute_force_cartan(gs)
 
 
 def test_cartan_members_commute(gs44):
-    cartan = find_cartan(gs44)
+    cartan = find_cartan(gs44, bracket_table(gs44))
     mats = cartan.matrices()
     for i, a in enumerate(mats):
         for b in mats[i + 1 :]:
@@ -227,7 +245,7 @@ def test_literal_shell_ladders(gs42):
     for i in (1, 2, 3):
         comps.append(NamedOperator(f"X{i}", (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF))
     ladders = by_name(ladder_operators(comps))
-    basket = by_name(subalgebra_basis(gs42, "sl2c"))
+    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["sl2c"])
     assert ladders["X+"] == basket["X+"]
     assert ladders["X+"] == comps[0].matrix + comps[1].matrix * I
 
@@ -241,14 +259,14 @@ def test_ladders_missing_component(gs42):
 def test_oriented_ladder_k_is_conjugated(gs42, oriented_ladders):
     # the published root table requires K+ = K1 - i*K2 in this realisation
     yao = by_name(yao_basis(gs42))
-    oriented = by_name(oriented_ladders(gs42, find_cartan(gs42)))
+    oriented = by_name(oriented_ladders(gs42, find_cartan(gs42, bracket_table(gs42))))
     assert oriented["K+"] == yao["K1"] + yao["K2"] * (-I)
     assert oriented["J+"] == yao["J1"] + yao["J2"] * I
     assert oriented["T+"] == yao["T1"] + yao["T2"] * I
 
 
 def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     ladders = ladder_operators(yao_basis(gs42))
     with pytest.raises(ValueError, match="unpaired"):
         weyl_generators(cartan, ladders[:-1])
@@ -260,40 +278,40 @@ def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
 
 
 def test_root_of_raising_k(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     oriented = {op.name: op for op in oriented_ladders(gs42, cartan)}
     root = extract_root(cartan, oriented["K+"])
     assert root.components == (1, 1, 0)
 
 
 def test_root_of_lowering_q(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     oriented = {op.name: op for op in oriented_ladders(gs42, cartan)}
     root = extract_root(cartan, oriented["Q-"])
     assert root.components == (0, 1, -1)
 
 
 def test_root_of_cartan_member_is_zero(gs42):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     for member in cartan.members:
         assert extract_root(cartan, member).components == (0, 0, 0)
 
 
 def test_non_root_vector_rejected(gs42):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     candidate = NamedOperator("L13", gs42.gen(1, 3))
     with pytest.raises(NotARootVectorError):
         extract_root(cartan, candidate)
 
 
 def test_zero_matrix_rejected(gs42):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     with pytest.raises(NotARootVectorError):
         extract_root(cartan, NamedOperator("zero", ExactMatrix.zeros(6)))
 
 
 def test_root_table_42_matches_published(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     table = root_system(cartan, oriented_ladders(gs42, cartan))
     got = {name: tuple(r.components) for name, r in table.rows}
     assert got == {
@@ -303,7 +321,7 @@ def test_root_table_42_matches_published(gs42, oriented_ladders):
 
 
 def test_root_negation_symmetry(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     table = root_system(cartan, oriented_ladders(gs42, cartan)).as_dict()
     for fam in "KJTSPQ":
         assert table[f"{fam}-"].components == tuple(
@@ -312,7 +330,7 @@ def test_root_negation_symmetry(gs42, oriented_ladders):
 
 
 def test_root_components_are_unit_range(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
+    cartan = find_cartan(gs44, bracket_table(gs44))
     table = root_system(cartan, oriented_ladders(gs44, cartan))
     assert len(table.rows) == 24
     for _, root in table.rows:
@@ -320,7 +338,7 @@ def test_root_components_are_unit_range(gs44, oriented_ladders):
 
 
 def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
+    cartan = find_cartan(gs44, bracket_table(gs44))
     table = root_system(cartan, oriented_ladders(gs44, cartan)).as_dict()
     for name, comps in PUBLISHED_ROOTS_RANK3.items():
         root = table["1" + name]
@@ -329,14 +347,14 @@ def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
 
 
 def test_root_table_44_second_half_k(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
+    cartan = find_cartan(gs44, bracket_table(gs44))
     table = root_system(cartan, oriented_ladders(gs44, cartan)).as_dict()
     assert table["2K+"].components == (0, 0, 1, 1)
     assert table["2K-"].components == (0, 0, -1, -1)
 
 
 def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     solver = SpanSolver(cartan.matrices())
     oriented = by_name(oriented_ladders(gs42, cartan))
     for fam in "KJTSPQ":
@@ -345,7 +363,7 @@ def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
 
 
 def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
+    cartan = find_cartan(gs44, bracket_table(gs44))
     weyl = oriented_ladders(gs44, cartan)
     mats = cartan.matrices() + [op.matrix for op in weyl]
     assert len(mats) == 28
@@ -354,7 +372,7 @@ def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
 
 
 def test_root_table_json_schema(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
+    cartan = find_cartan(gs42, bracket_table(gs42))
     doc = root_system(cartan, oriented_ladders(gs42, cartan)).to_json_dict()
     assert set(doc) == {"cartan", "roots"}
     assert doc["roots"][0] == {"name": "K+", "components": ["1", "1", "0"]}
@@ -388,7 +406,7 @@ def test_root_system_axioms(request, oriented_ladders, gs_fixture, weyl_order):
     # Humphreys, Intro. to Lie Algebras, section 9: integral Cartan numbers,
     # closure under every reflection, and the Weyl group order of the type.
     gs = request.getfixturevalue(gs_fixture)
-    cartan = find_cartan(gs)
+    cartan = find_cartan(gs, bracket_table(gs))
     n = gs.metric.dim
     table = root_system(cartan, oriented_ladders(gs, cartan))
     roots = [root.components for _, root in table.rows]
@@ -545,26 +563,26 @@ def test_casimir_requires_signature(gs44):
 
 @pytest.mark.parametrize("which", ["sl2c", "so4", "so22_LD", "so22_AD"])
 def test_subalgebra_tables_hold(gs42, which):
-    basket = by_name(subalgebra_basis(gs42, which))
+    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))[which])
     report = check_relation_table(basket, SUBALGEBRA_TABLES[which])
     assert report.ok, report.deviations
 
 
 def test_sl2c_specific_relations(gs42):
-    basket = by_name(subalgebra_basis(gs42, "sl2c"))
+    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["sl2c"])
     assert commutator(basket["X3"], basket["X+"]) == -basket["X+"]
     assert commutator(basket["X3"], basket["X-"]) == basket["X-"]
     assert commutator(basket["X+"], basket["X-"]) == basket["X3"] * (-2)
 
 
 def test_so4_specific_relations(gs42):
-    basket = by_name(subalgebra_basis(gs42, "so4"))
+    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["so4"])
     assert commutator(basket["K+"], basket["K-"]) == basket["K3"] * 2
     assert commutator(basket["K3"], basket["K+"]) == basket["K+"]
 
 
 def test_so22_specific_relations(gs42):
-    basket = by_name(subalgebra_basis(gs42, "so22_LD"))
+    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["so22_LD"])
     assert commutator(basket["T+"], basket["T-"]) == basket["T0"] * (-2)
     assert commutator(basket["T0"], basket["T+"]) == -basket["T+"]
 
@@ -576,7 +594,7 @@ def test_cross_family_commutation_vanishes(gs42):
         ("so22_LD", ("T", "S")),
         ("so22_AD", ("P", "Q")),
     ):
-        basket = by_name(subalgebra_basis(gs42, which))
+        basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))[which])
         suffixes = "+-3" if which in ("sl2c", "so4") else "+-0"
         for i in suffixes:
             for j in suffixes:
@@ -604,11 +622,6 @@ def test_yao_component_cross_families_commute(gs42):
         for i in suffixes:
             for j in suffixes:
                 assert commutator(yao[f"{a}{i}"], yao[f"{b}{j}"]).is_zero()
-
-
-def test_unknown_selector(gs42):
-    with pytest.raises(ValueError):
-        subalgebra_basis(gs42, "so31")
 
 
 # -- printed tables, checked as printed ------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 import lietower.verify
 from lietower.cli import main
 from lietower.exact import ExactMatrix, I
-from lietower.sopq import Metric, build_generators
+from lietower.sopq import Metric, bracket_table, build_generators
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +260,7 @@ def test_json_round_trip(capsys, oriented_ladders):
 
     _, out, _ = run_cli(capsys, "roots", "--signature", "4,4", "--format", "json")
     gs = build_generators(Metric(4, 4))
-    cartan = find_cartan(gs)
+    cartan = find_cartan(gs, bracket_table(gs))
     table = root_system(cartan, oriented_ladders(gs, cartan))
     assert json.loads(out) == table.to_json_dict()
 

@@ -1,12 +1,17 @@
 """Rotation-generator construction and the exhaustive bracket verification."""
 
 import json
+from itertools import combinations
 
 import pytest
 
+import lietower.cartan
+import lietower.sopq
+import lietower.verify
 from lietower.exact import ExactMatrix, I, commutator
 from lietower.sopq import (
     Metric,
+    bracket_table,
     build_generators,
     expected_bracket,
     hydrogen_alias_check,
@@ -16,6 +21,7 @@ from lietower.sopq import (
     span_describer,
     verify_commutation,
 )
+from lietower.verify import run_verification
 
 
 def test_metric_diagonal():
@@ -74,27 +80,62 @@ def test_expected_bracket_matches_matrices(gs42):
     assert materialize(gs42, terms) == commutator(gs42.gen(2, 5), gs42.gen(3, 5))
 
 
+def test_bracket_table_holds_only_nonzero_brackets(gs42):
+    # L_ab and L_cd fail to commute exactly when they share one index
+    brackets = bracket_table(gs42)
+    assert set(brackets) == {
+        (left, right)
+        for left, right in combinations(gs42.pairs, 2)
+        if len(set(left) & set(right)) == 1
+    }
+    for (left, right), got in brackets.items():
+        assert got == commutator(gs42.gen(*left), gs42.gen(*right))
+
+
+# Each generator pair is bracketed once per verdict, in bracket_table, so a
+# generic signature costs n(n-1)/2 calls; 4,2 and 4,4 add the calls of their
+# alias, table, root and Casimir suites.
+@pytest.mark.parametrize(
+    "p, q, calls",
+    [(4, 2, 306), (4, 4, 702), (5, 5, 990), (3, 0, 3)],
+    ids=["4,2", "4,4", "5,5", "3,0"],
+)
+def test_verdict_commutator_count(monkeypatch, p, q, calls):
+    count = 0
+
+    def counted(x, y):
+        nonlocal count
+        count += 1
+        return commutator(x, y)
+
+    for module in (lietower.sopq, lietower.cartan, lietower.verify):
+        monkeypatch.setattr(module, "commutator", counted, raising=False)
+    assert run_verification(Metric(p, q)).ok
+    assert count == calls
+
+
 def test_verify_commutation_42(gs42):
-    report = verify_commutation(gs42)
+    report = verify_commutation(gs42, bracket_table(gs42))
     assert report.pair_count == 105
     assert report.failures == []
     assert report.signature == (4, 2)
 
 
 def test_verify_commutation_44(gs44):
-    report = verify_commutation(gs44)
+    report = verify_commutation(gs44, bracket_table(gs44))
     assert report.pair_count == 378
     assert report.failures == []
 
 
 def test_verify_commutation_so3():
-    report = verify_commutation(build_generators(Metric(3, 0)))
+    gs = build_generators(Metric(3, 0))
+    report = verify_commutation(gs, bracket_table(gs))
     assert report.pair_count == 3
     assert report.failures == []
 
 
 def test_report_json_schema(gs42):
-    doc = verify_commutation(gs42).to_json_dict()
+    doc = verify_commutation(gs42, bracket_table(gs42)).to_json_dict()
     assert set(doc) == {"signature", "pair_count", "failures"}
     assert doc["signature"] == [4, 2]
     text = json.dumps(doc)
@@ -105,7 +146,7 @@ def test_tampered_generator_is_caught(gs42):
     tampered = build_generators(Metric(4, 2))
     broken = ExactMatrix.from_entries(6, {(0, 1): I, (1, 0): I})
     tampered._gens[(1, 2)] = broken
-    report = verify_commutation(tampered)
+    report = verify_commutation(tampered, bracket_table(tampered))
     assert report.failures
     failure = report.failures[0]
     doc = failure.to_json_dict()
@@ -118,14 +159,14 @@ def test_dependent_generators_rejected():
     gs = build_generators(Metric(4, 2))
     gs._gens[(1, 2)] = gs.gen(3, 4)
     with pytest.raises(ValueError, match="dependent on earlier ones"):
-        verify_commutation(gs)
+        verify_commutation(gs, bracket_table(gs))
     # all-zero generators match every bracket, so only the up-front
     # factorization can refuse them
     gs = build_generators(Metric(3, 0))
     for pair in gs.pairs:
         gs._gens[pair] = ExactMatrix.zeros(3)
     with pytest.raises(ValueError, match="dependent on earlier ones"):
-        verify_commutation(gs)
+        verify_commutation(gs, bracket_table(gs))
 
 
 def test_pseudo_antisymmetry(gs42, gs44):
