@@ -284,16 +284,20 @@ def extract_root(cartan: CartanSet, op: NamedOperator) -> RootVector:
 
 def weyl_generators(
     cartan: CartanSet, ladders: Sequence[NamedOperator]
-) -> list[NamedOperator]:
-    """Orient the X+, X- pairs that ``ladder_operators`` returns against ``cartan``.
+) -> list[tuple[NamedOperator, RootVector]]:
+    """Orient the X+, X- pairs that ``ladder_operators`` returns against
+    ``cartan`` and return each operator with its root.
 
-    Within each pair the "+" name goes to whichever of E1 +/- i*E2 has a
-    root whose last nonzero component (in Cartan order) is positive, so the
-    matrices are swapped when the root of the literal X+ ends negative.
-    This single rule reproduces the published rank-3 root table exactly;
-    for the K family it selects K1 - i*K2, for every other rank-3 family
-    the literal E1 + i*E2 form.  Pair order is kept.  Raises ValueError if
-    ``ladders`` is not a sequence of X+, X- pairs.
+    The roots of the literal X+ and X- are extracted once each.  Within
+    each pair the "+" name goes to whichever of E1 +/- i*E2 has a root
+    whose last nonzero component (in Cartan order) is positive, so the
+    matrices and their roots are swapped together when the root of the
+    literal X+ ends negative.  This single rule reproduces the published
+    rank-3 root table exactly; for the K family it selects K1 - i*K2, for
+    every other rank-3 family the literal E1 + i*E2 form.  Pair order is
+    kept.  Raises ValueError if ``ladders`` is not a sequence of X+, X-
+    pairs, and NotARootVectorError for the first operator, X+ before X-
+    in pair order, that is not a root vector.
     """
     if len(ladders) % 2:
         raise ValueError(f"unpaired ladder operator {ladders[-1].name}")
@@ -302,13 +306,15 @@ def weyl_generators(
         stem = plus.name[:-1]
         if plus.name != stem + "+" or minus.name != stem + "-":
             raise ValueError(f"expected an X+, X- pair, got {plus.name}, {minus.name}")
-        last = extract_root(cartan, plus).last_nonzero()
+        up, down = extract_root(cartan, plus), extract_root(cartan, minus)
+        last = up.last_nonzero()
         if last is not None and last < 0:
             plus, minus = (
                 NamedOperator(plus.name, minus.matrix),
                 NamedOperator(minus.name, plus.matrix),
             )
-        out += [plus, minus]
+            up, down = down, up
+        out += [(plus, up), (minus, down)]
     return out
 
 
@@ -330,10 +336,11 @@ class RootTable:
         return dict(self.rows)
 
 
-def root_system(cartan: CartanSet, weyl: Sequence[NamedOperator]) -> RootTable:
-    """Root vectors of the given ladder operators, in input order."""
-    rows = [(op.name, extract_root(cartan, op)) for op in weyl]
-    return RootTable(cartan=cartan.names, rows=rows)
+def root_system(
+    cartan: CartanSet, weyl: Sequence[tuple[NamedOperator, RootVector]]
+) -> RootTable:
+    """Tabulate the (operator, root) pairs of ``weyl_generators``, in input order."""
+    return RootTable(cartan=cartan.names, rows=[(op.name, root) for op, root in weyl])
 
 
 # ---------------------------------------------------------------------------
@@ -545,62 +552,52 @@ def _component_table(prefix: str, compact_sign: int, radial_sign: int) -> tuple[
 COMPONENT_TABLE_FIRST = RelationTable("components-1", _component_table("1", -1, -1))
 COMPONENT_TABLE_SECOND = RelationTable("components-2", _component_table("2", +1, +1))
 
-# Printed ladder tables for the two halves.
-
-
-def _ladder_table_first() -> tuple[Relation, ...]:
-    rows: list[Relation] = []
-    for fam in ("K", "J"):
-        rows += [
-            _rel(f"1{fam}3", f"1{fam}+", 1, f"1{fam}+"),
-            _rel(f"1{fam}3", f"1{fam}-", -1, f"1{fam}-"),
-            _rel(f"1{fam}+", f"1{fam}-", 2, f"1{fam}3"),
-        ]
-    rows += _zero_cross("K", "J", "+-3", "1")
-    rows += [
-        _rel("1T0", "1T+", -1, "1T+"),
-        _rel("1T0", "1T-", 1, "1T-"),
-        _rel("1T+", "1T-", -2, "1T0"),
-        _rel("1S0", "1S+", -1, "1S+"),
-        # printed exactly so, left side repeated from the row below
-        _rel("1S+", "1S-", 1, "1S-"),
-        _rel("1S+", "1S-", -2, "1S0"),
+def _ladder_rows(prefix: str, fam: str, h: str, shift: int, norm: int) -> list[Relation]:
+    """One printed sl2-triple: [H,E+] = shift*E+, [H,E-] = -shift*E-,
+    [E+,E-] = norm*H, with H the family member suffixed ``h``."""
+    e = prefix + fam
+    h = e + h
+    return [
+        _rel(h, e + "+", shift, e + "+"),
+        _rel(h, e + "-", -shift, e + "-"),
+        _rel(e + "+", e + "-", norm, h),
     ]
-    rows += _zero_cross("T", "S", "+-0", "1")
-    for fam in ("P", "Q"):
-        rows += [
-            _rel(f"1{fam}0", f"1{fam}+", -1, f"1{fam}+"),
-            _rel(f"1{fam}0", f"1{fam}-", 1, f"1{fam}-"),
-            _rel(f"1{fam}+", f"1{fam}-", -2, f"1{fam}0"),
+
+
+def _ladder_pair(prefix: str, a: str, b: str, h: str, shift: int, norm: int) -> list[Relation]:
+    """Two commuting sl2-triples of the same shape, then their zero cross brackets."""
+    return (
+        _ladder_rows(prefix, a, h, shift, norm)
+        + _ladder_rows(prefix, b, h, shift, norm)
+        + _zero_cross(a, b, "+-" + h, prefix)
+    )
+
+
+# Printed ladder tables for the two halves.
+LADDER_TABLE_FIRST = RelationTable(
+    "ladders-1",
+    tuple(
+        _ladder_pair("1", "K", "J", "3", 1, 2)
+        + _ladder_rows("1", "T", "0", -1, -2)
+        # the 1S triple breaks the sl2 shape as printed, so it is kept literal
+        + [
+            _rel("1S0", "1S+", -1, "1S+"),
+            # printed exactly so, left side repeated from the row below
+            _rel("1S+", "1S-", 1, "1S-"),
+            _rel("1S+", "1S-", -2, "1S0"),
         ]
-    rows += _zero_cross("P", "Q", "+-0", "1")
-    return tuple(rows)
-
-
-def _ladder_table_second() -> tuple[Relation, ...]:
-    rows: list[Relation] = []
-    for fam in ("K", "J"):
-        rows += [
-            _rel(f"2{fam}3", f"2{fam}+", 1, f"2{fam}+"),
-            _rel(f"2{fam}3", f"2{fam}-", -1, f"2{fam}-"),
-            _rel(f"2{fam}+", f"2{fam}-", 2, f"2{fam}3"),
-        ]
-    rows += _zero_cross("K", "J", "+-3", "2")
-    for fam in ("T", "S", "P", "Q"):
-        rows += [
-            _rel(f"2{fam}0", f"2{fam}+", 1, f"2{fam}+"),
-            _rel(f"2{fam}0", f"2{fam}-", -1, f"2{fam}-"),
-            _rel(f"2{fam}+", f"2{fam}-", -2, f"2{fam}0"),
-        ]
-        if fam == "S":
-            rows += _zero_cross("T", "S", "+-0", "2")
-        if fam == "Q":
-            rows += _zero_cross("P", "Q", "+-0", "2")
-    return tuple(rows)
-
-
-LADDER_TABLE_FIRST = RelationTable("ladders-1", _ladder_table_first())
-LADDER_TABLE_SECOND = RelationTable("ladders-2", _ladder_table_second())
+        + _zero_cross("T", "S", "+-0", "1")
+        + _ladder_pair("1", "P", "Q", "0", -1, -2)
+    ),
+)
+LADDER_TABLE_SECOND = RelationTable(
+    "ladders-2",
+    tuple(
+        _ladder_pair("2", "K", "J", "3", 1, 2)
+        + _ladder_pair("2", "T", "S", "0", 1, -2)
+        + _ladder_pair("2", "P", "Q", "0", 1, -2)
+    ),
+)
 
 # Relations whose printed form disagrees with the matrix realisation.  Each
 # is a one-symbol slip (a ·2 where the bracket closes on ·3/·0) or a sign
@@ -642,62 +639,13 @@ KNOWN_TABLE_DEVIATIONS: dict[str, tuple[str, ...]] = {
 # Subalgebra tables for signature (4,2), checked against the baskets from
 # subalgebra_basis (which pin the normalisations; see the docstring there).
 SUBALGEBRA_TABLES: dict[str, RelationTable] = {
-    "sl2c": RelationTable(
-        "sl2c",
-        tuple(
-            [
-                _rel("X3", "X+", -1, "X+"),
-                _rel("X3", "X-", 1, "X-"),
-                _rel("X+", "X-", -2, "X3"),
-                _rel("Y3", "Y+", -1, "Y+"),
-                _rel("Y3", "Y-", 1, "Y-"),
-                _rel("Y+", "Y-", -2, "Y3"),
-            ]
-            + _zero_cross("X", "Y", "+-3")
-        ),
-    ),
-    "so4": RelationTable(
-        "so4",
-        tuple(
-            [
-                _rel("K3", "K+", 1, "K+"),
-                _rel("K3", "K-", -1, "K-"),
-                _rel("K+", "K-", 2, "K3"),
-                _rel("J3", "J+", 1, "J+"),
-                _rel("J3", "J-", -1, "J-"),
-                _rel("J+", "J-", 2, "J3"),
-            ]
-            + _zero_cross("K", "J", "+-3")
-        ),
-    ),
-    "so22_LD": RelationTable(
-        "so22_LD",
-        tuple(
-            [
-                _rel("T0", "T+", -1, "T+"),
-                _rel("T0", "T-", 1, "T-"),
-                _rel("T+", "T-", -2, "T0"),
-                _rel("S0", "S+", -1, "S+"),
-                _rel("S0", "S-", 1, "S-"),
-                _rel("S+", "S-", -2, "S0"),
-            ]
-            + _zero_cross("T", "S", "+-0")
-        ),
-    ),
-    "so22_AD": RelationTable(
-        "so22_AD",
-        tuple(
-            [
-                _rel("P0", "P+", -1, "P+"),
-                _rel("P0", "P-", 1, "P-"),
-                _rel("P+", "P-", -2, "P0"),
-                _rel("Q0", "Q+", -1, "Q+"),
-                _rel("Q0", "Q-", 1, "Q-"),
-                _rel("Q+", "Q-", -2, "Q0"),
-            ]
-            + _zero_cross("P", "Q", "+-0")
-        ),
-    ),
+    name: RelationTable(name, tuple(_ladder_pair("", a, b, h, shift, norm)))
+    for name, a, b, h, shift, norm in (
+        ("sl2c", "X", "Y", "3", -1, -2),
+        ("so4", "K", "J", "3", 1, 2),
+        ("so22_LD", "T", "S", "0", -1, -2),
+        ("so22_AD", "P", "Q", "0", -1, -2),
+    )
 }
 
 

@@ -69,6 +69,23 @@ def _parse_half(text: str, what: str) -> Fraction:
     return value
 
 
+def _parse_node(
+    l_text: str, ldot_text: str, nu_text: Optional[str]
+) -> tuple[Fraction, Fraction, Optional[Fraction]]:
+    """Labels (l, l-dot, nu) of a mass node, each a non-negative
+    half-integer; nu is None when ``nu_text`` is."""
+    l = _parse_half(l_text, "l")
+    ldot = _parse_half(ldot_text, "l-dot")
+    if l < 0 or ldot < 0:
+        raise CliError("spins must be non-negative")
+    if nu_text is None:
+        return l, ldot, None
+    nu = _parse_half(nu_text, "nu")
+    if nu < 0:
+        raise CliError("nu must be non-negative")
+    return l, ldot, nu
+
+
 def _open_output(output: Optional[str]) -> TextIO:
     """Where a command writes: stdout, or the file ``output`` opened now.
 
@@ -193,10 +210,7 @@ def cmd_elements(args: argparse.Namespace) -> int:
         parts = args.node.split(",")
         if len(parts) != 3:
             raise CliError("--node expects l,ldot,nu")
-        node = tuple(
-            _parse_half(part, name)
-            for part, name in zip(parts, ("l", "l-dot", "nu"))
-        )
+        node = _parse_node(*parts)
     if args.format == "json":
         doc = element.to_json_dict()
         if node is not None:
@@ -219,17 +233,11 @@ def cmd_elements(args: argparse.Namespace) -> int:
 
 
 def cmd_mass(args: argparse.Namespace) -> int:
-    l = _parse_half(args.l, "l")
-    ldot = _parse_half(args.l_dot, "l-dot")
-    if l < 0 or ldot < 0:
-        raise CliError("spins must be non-negative")
-    if args.nu is None:
+    l, ldot, nu = _parse_node(args.l, args.l_dot, args.nu)
+    if nu is None:
         value = mass_sl2c(l, ldot)
         unit = "m_e"
     else:
-        nu = _parse_half(args.nu, "nu")
-        if nu < 0:
-            raise CliError("nu must be non-negative")
         value = mass_so42(l, ldot, nu)
         unit = "m_H"
     _emit(f"{value} * {unit}\n", _open_output(args.output))

@@ -17,8 +17,6 @@ homolog connections as vertical lines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cartan import RootTable
 from .periodic import TowerSlice, homolog_lines
 
@@ -146,7 +144,7 @@ def _project(m: float, l: float, n: float) -> tuple[float, float]:
     return x, y
 
 
-def svg_tower(tower: TowerSlice, title: Optional[str] = None) -> str:
+def svg_tower(tower: TowerSlice) -> str:
     """Isometric rendering of one spin projection of the weight tower.
 
     Floors stack by n (matter up, antimatter down, mirror plane dashed);
@@ -167,8 +165,7 @@ def svg_tower(tower: TowerSlice, title: Optional[str] = None) -> str:
     ox, oy = -min_x, -min_y
     width, height = max_x - min_x, max_y - min_y
     canvas = _Canvas()
-    heading = title if title is not None else f"spin projection s = {tower.s_text}"
-    canvas.text(ox, 16.0, heading, size=13.0)
+    canvas.text(ox, 16.0, f"spin projection s = {tower.s_text}", size=13.0)
     # mirror plane
     y0 = oy
     canvas.line(8.0, y0, width - 8.0, y0, stroke="#999999", width=0.8, dash="6 4")

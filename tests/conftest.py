@@ -27,8 +27,9 @@ def elements():
 
 @pytest.fixture(scope="session")
 def oriented_ladders():
-    """``oriented_ladders(gs, cartan)``: the Weyl generators of gs over cartan,
-    built from the adapted basis of signature (4,2) or (4,4)."""
+    """``oriented_ladders(gs, cartan)``: the (operator, root) pairs of the Weyl
+    generators of gs over cartan, built from the adapted basis of signature
+    (4,2) or (4,4)."""
 
     def build(gs, cartan):
         if gs.metric == Metric(4, 2):

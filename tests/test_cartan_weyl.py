@@ -1,10 +1,13 @@
 """Cartan search, adapted bases, ladders, roots, Casimirs, printed tables."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
+import lietower.cartan
 from lietower.cartan import (
     COMPONENT_TABLE_FIRST,
     COMPONENT_TABLE_SECOND,
@@ -32,6 +35,7 @@ from lietower.cartan import (
     weyl_generators,
     yao_basis,
 )
+from lietower.cli import main
 from lietower.exact import ExactMatrix, GaussianRational, I, SpanSolver, commutator, rank
 from lietower.sopq import (
     Metric,
@@ -259,7 +263,8 @@ def test_ladders_missing_component(gs42):
 def test_oriented_ladder_k_is_conjugated(gs42, oriented_ladders):
     # the published root table requires K+ = K1 - i*K2 in this realisation
     yao = by_name(yao_basis(gs42))
-    oriented = by_name(oriented_ladders(gs42, find_cartan(gs42, bracket_table(gs42))))
+    weyl = oriented_ladders(gs42, find_cartan(gs42, bracket_table(gs42)))
+    oriented = by_name(op for op, _ in weyl)
     assert oriented["K+"] == yao["K1"] + yao["K2"] * (-I)
     assert oriented["J+"] == yao["J1"] + yao["J2"] * I
     assert oriented["T+"] == yao["T1"] + yao["T2"] * I
@@ -274,19 +279,45 @@ def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
         weyl_generators(cartan, [ladders[1], ladders[0]] + ladders[2:])
 
 
+# Each command extracts the root of every ladder operator once, in
+# weyl_generators; verify 4,2 adds the zero roots of its three Cartan members.
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("verify", "--signature", "4,2"), 15),
+        (("verify", "--signature", "4,4"), 24),
+        (("roots", "--signature", "4,2"), 12),
+        (("roots", "--signature", "4,4"), 24),
+    ],
+    ids=["verify-4,2", "verify-4,4", "roots-4,2", "roots-4,4"],
+)
+def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
+    count = 0
+
+    def counted(cartan, op):
+        nonlocal count
+        count += 1
+        return extract_root(cartan, op)
+
+    monkeypatch.setattr(lietower.cartan, "extract_root", counted)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert count == calls
+
+
 # -- root extraction ------------------------------------------------------------
 
 
 def test_root_of_raising_k(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    oriented = {op.name: op for op in oriented_ladders(gs42, cartan)}
+    oriented = {op.name: op for op, _ in oriented_ladders(gs42, cartan)}
     root = extract_root(cartan, oriented["K+"])
     assert root.components == (1, 1, 0)
 
 
 def test_root_of_lowering_q(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    oriented = {op.name: op for op in oriented_ladders(gs42, cartan)}
+    oriented = {op.name: op for op, _ in oriented_ladders(gs42, cartan)}
     root = extract_root(cartan, oriented["Q-"])
     assert root.components == (0, 1, -1)
 
@@ -356,7 +387,7 @@ def test_root_table_44_second_half_k(gs44, oriented_ladders):
 def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
     solver = SpanSolver(cartan.matrices())
-    oriented = by_name(oriented_ladders(gs42, cartan))
+    oriented = by_name(op for op, _ in oriented_ladders(gs42, cartan))
     for fam in "KJTSPQ":
         bracket = commutator(oriented[f"{fam}+"], oriented[f"{fam}-"])
         assert solver.expand(bracket) is not None
@@ -365,7 +396,7 @@ def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
 def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
     cartan = find_cartan(gs44, bracket_table(gs44))
     weyl = oriented_ladders(gs44, cartan)
-    mats = cartan.matrices() + [op.matrix for op in weyl]
+    mats = cartan.matrices() + [op.matrix for op, _ in weyl]
     assert len(mats) == 28
     assert rank(mats) == 28
     assert rank(mats + gs44.matrices()) == 28  # same space as the raw basis
@@ -631,6 +662,27 @@ def _ops44(gs44):
     first, second = split_basis_so44(gs44)
     return operator_map(
         gs44, first, second, ladder_operators(first), ladder_operators(second)
+    )
+
+
+def test_printed_table_content_digest():
+    # SHA-256 of every printed relation, in table order, so a row that the
+    # table construction changes is caught even where it still holds
+    doc = json.dumps(
+        [
+            [t.name, [[r.left, r.right, str(r.coeff), r.result] for r in t.relations]]
+            for t in (
+                COMPONENT_TABLE_FIRST,
+                COMPONENT_TABLE_SECOND,
+                LADDER_TABLE_FIRST,
+                LADDER_TABLE_SECOND,
+                *SUBALGEBRA_TABLES.values(),
+            )
+        ]
+        + [list(SUBALGEBRA_TABLES)]
+    )
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == (
+        "389a6eca15d38f2758e5773f99a85da6be479bbf7caed2dfd75b56e66a17a1e2"
     )
 
 

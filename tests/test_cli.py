@@ -187,6 +187,27 @@ def test_mass_bad_input(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("elements", "--z", "1", "--node=-1/2,0,0"), "spins must be non-negative"),
+        (("elements", "--z", "1", "--node=0,-1,0"), "spins must be non-negative"),
+        (
+            ("elements", "--z", "1", "--node=0,0,-1", "--format", "json"),
+            "nu must be non-negative",
+        ),
+        (("mass", "--", "-1/2", "0"), "spins must be non-negative"),
+        (("mass", "0", "0", "-1"), "nu must be non-negative"),
+    ],
+    ids=["node-l", "node-ldot", "node-nu-json", "mass-l", "mass-nu"],
+)
+def test_negative_node_label_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, bad",
     [
         (("mass", "1e5000", "1/2", "1/2"), "l '1e5000'"),

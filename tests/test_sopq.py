@@ -97,7 +97,7 @@ def test_bracket_table_holds_only_nonzero_brackets(gs42):
 # alias, table, root and Casimir suites.
 @pytest.mark.parametrize(
     "p, q, calls",
-    [(4, 2, 306), (4, 4, 702), (5, 5, 990), (3, 0, 3)],
+    [(4, 2, 288), (4, 4, 654), (5, 5, 990), (3, 0, 3)],
     ids=["4,2", "4,4", "5,5", "3,0"],
 )
 def test_verdict_commutator_count(monkeypatch, p, q, calls):
