@@ -1,4 +1,4 @@
-"""Exact complex-rational scalars and dense square matrices.
+"""Exact complex-rational scalars and sparse square matrices.
 
 Everything downstream (rotation generators, ladder operators, Casimir
 invariants) is built from these two types, so every identity the toolkit
@@ -7,26 +7,27 @@ entry is equal as a pair of reduced fractions.
 
 Scalars are Gaussian rationals a + b*i with ``fractions.Fraction``
 components, which keeps numerators and denominators in lowest terms with
-positive denominators automatically.  Matrices stay dense tuples of
-entries, but the arithmetic skips zero entries: a sum or difference
-returns the other entry as it is, a negation or scalar product leaves a
-zero alone, and a product skips zero factors.  The rotation generators
-have two nonzero entries in 36 or 64, so most entries cost one truth
-test rather than ``Fraction`` arithmetic.  A scalar multiplies a matrix
-from either side, a ``GaussianRational`` included.  Rank and basis
-expansion share one Gauss-Jordan elimination over Q(i), which skips zero
-entries the same way when it eliminates and scales a row: ``rank`` counts
-its reduced rows and ``SpanSolver`` keeps them, with the combination of
-inputs behind each, to answer repeated expansion queries.  Identities are
-decided by matrix equality; expansion is for rendering a matrix in a
-basis and for testing that a basis is independent.
+positive denominators automatically.  A matrix stores only its nonzero
+entries, in an immutable {(row, col): value} map that never holds a zero:
+an entry that cancels to zero is removed, so equal matrices have equal maps
+and equal hashes however they were built.  A rotation generator has two
+nonzero entries and a commutator of two has at most four, so arithmetic
+touches only those: a product walks the nonzeros of the left factor against
+the rows of the right one.  Indexing, ``rows`` and ``str`` read the matrix
+as if it were dense.  A scalar multiplies a matrix from either side, a
+``GaussianRational`` included.  Rank and basis expansion share one
+Gauss-Jordan elimination over Q(i) on sparse {flat index: value} rows:
+``rank`` counts its reduced rows and ``SpanSolver`` keeps them, with the
+combination of inputs behind each, to answer repeated expansion queries.
+Identities are decided by matrix equality; expansion is for rendering a
+matrix in a basis and for testing that a basis is independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -162,125 +163,150 @@ def as_scalar(value: ScalarLike) -> GaussianRational:
     return GaussianRational(value)
 
 
+# A sparse map from an index to a nonzero entry; no map ever holds a zero.
+_Entries = dict[tuple[int, int], GaussianRational]
+
+
+def _nonzero(items: Iterable[tuple[tuple[int, int], ScalarLike]]) -> _Entries:
+    """The (key, value) pairs as a map of scalars, leaving out the zeros."""
+    return {key: v for key, x in items if (v := as_scalar(x))}
+
+
+def _accumulate(acc: dict, key, value: GaussianRational) -> None:
+    """acc[key] += value, removing the entry if it cancels to zero."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+        return
+    total = old + value
+    if total:
+        acc[key] = total
+    else:
+        del acc[key]
+
+
 class ExactMatrix:
     """Immutable square matrix over the Gaussian rationals.
 
     Equality is entrywise exact equality; there is no tolerance anywhere.
+    Only the nonzero entries are stored, in a {(row, col): value} map.
     """
 
-    __slots__ = ("dim", "rows", "_hash")
+    __slots__ = ("dim", "_entries", "_hash")
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
         dim = len(rows)
-        data = []
-        for row in rows:
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
-            data.append(tuple(as_scalar(x) for x in row))
+        if any(len(row) != dim for row in rows):
+            raise ValueError("matrix must be square")
+        cells = (((i, j), x) for i, row in enumerate(rows) for j, x in enumerate(row))
+        self._init(dim, _nonzero(cells))
+
+    def _init(self, dim: int, entries: _Entries) -> None:
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", tuple(data))
+        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _of(dim: int, entries: _Entries) -> "ExactMatrix":
+        """Wrap a map that already holds no zero, without copying it."""
+        mat = object.__new__(ExactMatrix)
+        mat._init(dim, entries)
+        return mat
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ExactMatrix is immutable")
 
     @staticmethod
     def zeros(dim: int) -> "ExactMatrix":
-        return ExactMatrix([[ZERO] * dim for _ in range(dim)])
+        return ExactMatrix._of(dim, {})
 
     @staticmethod
     def identity(dim: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-        )
+        return ExactMatrix._of(dim, {(i, i): ONE for i in range(dim)})
 
     @staticmethod
     def from_entries(dim: int, entries: dict[tuple[int, int], ScalarLike]) -> "ExactMatrix":
         """Build from a sparse {(row, col): value} map with 0-based indices."""
-        rows = [[ZERO] * dim for _ in range(dim)]
-        for (i, j), v in entries.items():
-            rows[i][j] = as_scalar(v)
-        return ExactMatrix(rows)
+        for i, j in entries:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise IndexError(f"entry ({i}, {j}) outside 0..{dim - 1}")
+        return ExactMatrix._of(dim, _nonzero(entries.items()))
+
+    @property
+    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """The dense entries, row by row, as a read-only tuple of tuples."""
+        get, n = self._entries.get, self.dim
+        return tuple(tuple(get((i, j), ZERO) for j in range(n)) for i in range(n))
 
     def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
         i, j = ij
-        return self.rows[i][j]
+        n = self.dim
+        if not (-n <= i < n and -n <= j < n):
+            raise IndexError(f"index ({i}, {j}) outside a {n}x{n} matrix")
+        return self._entries.get((i % n, j % n), ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self._entries == other._entries
 
     def __hash__(self) -> int:
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash(self.rows)
+            h = hash((self.dim, frozenset(self._entries.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
-        return ExactMatrix(
-            [
-                [(a + b if b else a) if a else b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        out = dict(self._entries)
+        for key, b in other._entries.items():
+            _accumulate(out, key, b)
+        return ExactMatrix._of(self.dim, out)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
-        return ExactMatrix(
-            [
-                [(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        out = dict(self._entries)
+        for key, b in other._entries.items():
+            _accumulate(out, key, -b)
+        return ExactMatrix._of(self.dim, out)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a if a else a for a in row] for row in self.rows])
+        return ExactMatrix._of(self.dim, {key: -a for key, a in self._entries.items()})
 
     def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
         s = as_scalar(scalar)
-        return ExactMatrix([[a * s if a else ZERO for a in row] for row in self.rows])
+        if not s:
+            return ExactMatrix.zeros(self.dim)
+        return ExactMatrix._of(self.dim, {key: a * s for key, a in self._entries.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
-        n = self.dim
-        out = [[ZERO] * n for _ in range(n)]
-        brows = other.rows
-        for i, arow in enumerate(self.rows):
-            orow = out[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                for j, b in enumerate(brows[k]):
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return ExactMatrix(out)
+        right_rows: dict[int, list[tuple[int, GaussianRational]]] = {}
+        for (k, j), b in other._entries.items():
+            right_rows.setdefault(k, []).append((j, b))
+        out: _Entries = {}
+        for (i, k), a in self._entries.items():
+            for j, b in right_rows.get(k, ()):
+                _accumulate(out, (i, j), a * b)
+        return ExactMatrix._of(self.dim, out)
 
     def _check_dim(self, other: "ExactMatrix") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
+        return not self._entries
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
+        return ExactMatrix._of(self.dim, {(j, i): v for (i, j), v in self._entries.items()})
 
     def scaled_identity(self) -> Optional[GaussianRational]:
         """Return lambda with self == lambda * I, or None."""
-        lam = self.rows[0][0]
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if (v != lam) if i == j else bool(v):
-                    return None
-        return lam
-
-    def flatten(self) -> tuple[GaussianRational, ...]:
-        return tuple(v for row in self.rows for v in row)
+        lam = self._entries.get((0, 0), ZERO)
+        return lam if self == ExactMatrix.identity(self.dim) * lam else None
 
     def __str__(self) -> str:
         cells = [[str(v) for v in row] for row in self.rows]
@@ -311,26 +337,29 @@ def scalar_multiple_of(
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if b.is_zero():
         raise ValueError("reference matrix is zero")
-    lam = None
-    for ra, rb in zip(a.rows, b.rows):
-        for va, vb in zip(ra, rb):
-            if vb:
-                lam = va / vb
-                break
-        if lam is not None:
-            break
-    assert lam is not None
-    for ra, rb in zip(a.rows, b.rows):
-        for va, vb in zip(ra, rb):
-            if va != vb * lam:
-                return None
-    return lam
+    key = next(iter(b._entries))
+    lam = a[key] / b[key]
+    return lam if a == b * lam else None
 
 
 # -- exact elimination --------------------------------------------------------
 
-# A reduced row: (pivot column, row, the row as a combination of the inputs).
-_Row = tuple[int, list[GaussianRational], list[GaussianRational]]
+# A reduced row: (pivot, the row as {flat index: entry}, the row as a
+# combination {input index: coefficient} of the inputs).
+_Sparse = dict[int, GaussianRational]
+_Row = tuple[int, _Sparse, _Sparse]
+
+
+def _flat(mat: ExactMatrix) -> _Sparse:
+    """The nonzero entries keyed by row-major flat index."""
+    n = mat.dim
+    return {i * n + j: v for (i, j), v in mat._entries.items()}
+
+
+def _add_scaled(target: _Sparse, c: GaussianRational, source: _Sparse) -> None:
+    """target += c * source, in place."""
+    for idx, v in source.items():
+        _accumulate(target, idx, c * v)
 
 
 def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int]]:
@@ -339,41 +368,30 @@ def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int
     Returns the reduced rows sorted by pivot and the indices of the inputs
     that depend on earlier ones.
     """
-    size = len(matrices)
     rows: list[_Row] = []
     dependent: list[int] = []
     for k, mat in enumerate(matrices):
         if mat.dim != matrices[0].dim:
             raise ValueError("matrices must share a dimension")
-        combo = [ZERO] * size
-        combo[k] = ONE
-        vec = list(mat.flatten())
+        vec = _flat(mat)
+        combo = {k: ONE}
         for pivot, pvec, pcombo in rows:
-            c = vec[pivot]
-            if not c:
-                continue
-            for idx, v in enumerate(pvec):
-                if v:
-                    vec[idx] = vec[idx] - c * v
-            for idx, v in enumerate(pcombo):
-                if v:
-                    combo[idx] = combo[idx] - c * v
-        pivot = next((idx for idx, v in enumerate(vec) if v), None)
-        if pivot is None:
+            c = vec.get(pivot)
+            if c is not None:
+                _add_scaled(vec, -c, pvec)
+                _add_scaled(combo, -c, pcombo)
+        if not vec:
             dependent.append(k)
             continue
+        pivot = min(vec)
         inv = ONE / vec[pivot]
-        vec = [v * inv if v else v for v in vec]
-        combo = [c * inv if c else c for c in combo]
+        vec = {idx: v * inv for idx, v in vec.items()}
+        combo = {idx: v * inv for idx, v in combo.items()}
         for _, pvec, pcombo in rows:
-            c = pvec[pivot]
-            if c:
-                for idx, v in enumerate(vec):
-                    if v:
-                        pvec[idx] = pvec[idx] - c * v
-                for idx, v in enumerate(combo):
-                    if v:
-                        pcombo[idx] = pcombo[idx] - c * v
+            c = pvec.get(pivot)
+            if c is not None:
+                _add_scaled(pvec, -c, vec)
+                _add_scaled(pcombo, -c, combo)
         rows.append((pivot, vec, combo))
     rows.sort(key=lambda item: item[0])
     return rows, dependent
@@ -404,18 +422,13 @@ class SpanSolver:
         """Coefficients of x in the basis, or None if x is outside the span."""
         if x.dim != self.dim:
             raise ValueError("dimension mismatch")
-        vec = list(x.flatten())
-        coeffs = [ZERO] * self.size
+        vec = _flat(x)
+        coeffs: _Sparse = {}
         for pivot, pvec, pcombo in self._rows:
-            c = vec[pivot]
-            if not c:
-                continue
-            for idx, v in enumerate(pvec):
-                if v:
-                    vec[idx] = vec[idx] - c * v
-            for idx, v in enumerate(pcombo):
-                if v:
-                    coeffs[idx] = coeffs[idx] + c * v
-        if any(vec):
+            c = vec.get(pivot)
+            if c is not None:
+                _add_scaled(vec, -c, pvec)
+                _add_scaled(coeffs, c, pcombo)
+        if vec:
             return None
-        return coeffs
+        return [coeffs.get(idx, ZERO) for idx in range(self.size)]

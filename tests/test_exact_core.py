@@ -91,6 +91,25 @@ def test_matrix_equality_is_exact():
     assert a != c
 
 
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_from_entries_rejects_out_of_range_key(key):
+    with pytest.raises(IndexError):
+        ExactMatrix.from_entries(2, {key: 5})
+
+
+def test_from_entries_drops_explicit_zeros():
+    a = ExactMatrix.from_entries(2, {(0, 0): 0, (1, 1): g(0), (0, 1): 3})
+    assert a == ExactMatrix([[g(0), g(3)], [g(0), g(0)]])
+    assert a.rows == ((g(0), g(3)), (g(0), g(0)))
+
+
+def test_matrix_indexing_as_dense_rows():
+    a = ExactMatrix([[g(1), g(2)], [g(0), I]])
+    assert (a[0, 1], a[1, 0], a[-1, -1]) == (g(2), g(0), I)
+    with pytest.raises(IndexError):
+        a[2, 0]
+
+
 def test_matrix_immutable():
     a = ExactMatrix.identity(2)
     with pytest.raises(AttributeError):

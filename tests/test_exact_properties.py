@@ -1,10 +1,13 @@
 """Property tests for the exact kernel on sparse matrices.
 
-``ExactMatrix`` skips zero entries in ``+``, ``-``, unary ``-`` and scalar
-``*``; these properties check every entry against plain ``GaussianRational``
-arithmetic on matrices that are mostly zero, as the generators are.  The
-Gauss-Jordan elimination behind ``rank`` and ``SpanSolver`` skips zeros too;
-its properties are checked on sparse combinations with known coefficients.
+``ExactMatrix`` stores only its nonzero entries; these properties check
+every operation against plain ``GaussianRational`` arithmetic on a dense
+reference read through ``m[i, j]``, on matrices that are mostly zero, as the
+generators are, and check that equal matrices compare and hash equal however
+they were built.  The Gauss-Jordan elimination behind ``rank`` and
+``SpanSolver`` runs on sparse rows too; its properties are checked on sparse
+combinations with known coefficients.  The scalars themselves are checked
+against the field axioms.
 """
 
 from fractions import Fraction
@@ -16,11 +19,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lietower.exact import (  # noqa: E402
     I,
+    ONE,
     ZERO,
     ExactMatrix,
     GaussianRational,
     SpanSolver,
+    commutator,
     rank,
+    scalar_multiple_of,
 )
 
 KERNEL = settings(derandomize=True, database=None, deadline=None)
@@ -137,3 +143,108 @@ def test_span_solver_recovers_coefficients(family):
     basis, coeffs = family
     assert SpanSolver(basis).expand(combine(coeffs, basis)) == coeffs
     assert rank(basis) == len(basis)
+
+
+# -- the sparse kernel against a dense reference ------------------------------
+
+
+def dense(m):
+    """The matrix as nested lists, read through ``m[i, j]`` only."""
+    return [[m[i, j] for j in range(m.dim)] for i in range(m.dim)]
+
+
+def dense_matmul(x, y):
+    n = len(x)
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(n)), ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def dense_scaled_identity(x):
+    lam = x[0][0]
+    ok = all(v == (lam if i == j else ZERO) for i, row in enumerate(x) for j, v in enumerate(row))
+    return lam if ok else None
+
+
+def dense_scalar_multiple(x, y):
+    flat = [(va, vb) for rx, ry in zip(x, y) for va, vb in zip(rx, ry)]
+    lam = next(va / vb for va, vb in flat if vb)
+    return lam if all(va == vb * lam for va, vb in flat) else None
+
+
+@KERNEL
+@given(sparse_pairs())
+def test_sparse_matmul_commutator_transpose_match_dense(pair):
+    a, b = pair
+    da, db = dense(a), dense(b)
+    ab, ba = dense_matmul(da, db), dense_matmul(db, da)
+    assert dense(a @ b) == ab
+    assert dense(commutator(a, b)) == [
+        [x - y for x, y in zip(rx, ry)] for rx, ry in zip(ab, ba)
+    ]
+    assert dense(a.transpose()) == [list(col) for col in zip(*da)]
+    assert a.is_zero() == all(v == ZERO for row in da for v in row)
+
+
+@KERNEL
+@given(sparse_pairs(), scalars)
+def test_scaled_identity_matches_dense(pair, s):
+    a, _ = pair
+    scaled = ExactMatrix.identity(a.dim) * s
+    for m in (a, scaled, scaled + a, ExactMatrix.zeros(a.dim)):
+        assert m.scaled_identity() == dense_scaled_identity(dense(m))
+
+
+@KERNEL
+@given(sparse_pairs(), scalars)
+def test_scalar_multiple_of_matches_dense(pair, s):
+    a, b = pair
+    if b.is_zero():
+        return
+    for m in (a, b * s, b * s + a, ExactMatrix.zeros(b.dim)):
+        assert scalar_multiple_of(m, b) == dense_scalar_multiple(dense(m), dense(b))
+
+
+@KERNEL
+@given(sparse_pairs())
+def test_equality_and_hash_agree_across_construction_routes(pair):
+    a, b = pair
+    n = a.dim
+    routes = [
+        a,
+        ExactMatrix(dense(a)),
+        ExactMatrix.from_entries(n, {(i, j): a[i, j] for i in range(n) for j in range(n)}),
+        (a + b) - b,
+        b + a - b,
+    ]
+    for m in routes:
+        assert m == a and hash(m) == hash(a)
+    zero = ExactMatrix.zeros(n)
+    for cancelled in (a + (-a), a - a, a * 0, commutator(a, a), b - b + a - a):
+        assert cancelled == zero and hash(cancelled) == hash(zero)
+        assert cancelled.is_zero()
+
+
+# -- GaussianRational field axioms --------------------------------------------
+
+
+@KERNEL
+@given(scalars, scalars, scalars)
+def test_scalar_field_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + y == y + x and x * y == y * x
+    assert x + (-x) == ZERO and x - x == ZERO
+    assert x + ZERO == x and x * ONE == x
+    if x:
+        assert x * (ONE / x) == ONE
+        assert (y / x) * x == y
+
+
+@KERNEL
+@given(scalars, scalars)
+def test_scalar_str_parse_round_trip_products_quotients(x, y):
+    for v in [x * y] + ([x / y] if y else []):
+        assert GaussianRational.parse(str(v)) == v
