@@ -5,9 +5,12 @@ invariants) is built from these two types, so every identity the toolkit
 checks is decided with zero tolerance: two matrices are equal iff every
 entry is equal as a pair of reduced fractions.
 
-Scalars are Gaussian rationals a + b*i with ``fractions.Fraction``
-components, which keeps numerators and denominators in lowest terms with
-positive denominators automatically.  A matrix stores only its nonzero
+Scalars are Gaussian rationals stored as one integer triple (a, b, d)
+meaning (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1: every arithmetic
+result is brought to that form by one builder, which skips the gcd when
+d == 1 (generator entries are 0, +-1 and +-i, so that is the common case).
+Equal numbers therefore have equal triples; ``re`` and ``im`` read the parts
+as ``fractions.Fraction`` in lowest terms.  A matrix stores only its nonzero
 entries, in an immutable {(row, col): value} map that never holds a zero:
 an entry that cancels to zero is removed, so equal matrices have equal maps
 and equal hashes however they were built.  A rotation generator has two
@@ -25,44 +28,70 @@ matrix in a basis and for testing that a basis is independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    Stored as integers (a, b, d) meaning (a + b*i)/d, with d > 0 and
+    gcd(a, b, d) = 1, so equal numbers have equal triples.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        d = lcm(q, s)
+        # p/q and r/s are in lowest terms, so gcd(a, b, d) = 1 already
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
         other = as_scalar(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         other = as_scalar(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return as_scalar(other) - self
@@ -71,52 +100,59 @@ class GaussianRational:
         if isinstance(other, ExactMatrix):
             return NotImplemented  # so Python tries ExactMatrix.__rmul__
         other = as_scalar(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
         other = as_scalar(other)
-        norm = other.re * other.re + other.im * other.im
+        c, e = other._a, other._b
+        norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei)f / (d(c^2+e^2))
+        a, b, f = self._a, self._b, other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return as_scalar(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return self._b == 0
 
     # -- canonical text form --------------------------------------------------
 
     def __str__(self) -> str:
         """Canonical form: "0", "3/4", "-i", "2i", "1/2-3/4i"."""
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
             imag = "i"
-        elif self.im == -1:
+        elif im == -1:
             imag = "-i"
         else:
-            imag = f"{self.im}i"
-        if not self.re:
+            imag = f"{im}i"
+        if not re:
             return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
+        sign = "+" if im > 0 else ""
+        return f"{re}{sign}{imag}"
 
     __repr__ = __str__
 
@@ -149,6 +185,31 @@ class GaussianRational:
         else:
             imag = Fraction(coeff)
         return GaussianRational(real, imag)
+
+
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already canonical."""
+    x = object.__new__(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in canonical form, for any nonzero d."""
+    if d != 1:
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 ZERO = GaussianRational(0)
@@ -215,6 +276,10 @@ class ExactMatrix:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        # rebuilt through from_entries, so the cached hash is recomputed
+        return ExactMatrix.from_entries, (self.dim, dict(self._entries))
 
     @staticmethod
     def zeros(dim: int) -> "ExactMatrix":

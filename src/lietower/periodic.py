@@ -260,7 +260,11 @@ def homolog_lines(tower: TowerSlice) -> list[list[Element]]:
 def find_element(
     elements: list[Element], *, z: Optional[int] = None, symbol: Optional[str] = None
 ) -> Element:
-    """Lookup by atomic number or symbol; unknown symbols get the nearest hint."""
+    """Lookup by atomic number or symbol; unknown symbols get the nearest hint.
+
+    Lookup is case-sensitive; a symbol that matches one element up to case
+    is hinted as that element.
+    """
     if (z is None) == (symbol is None):
         raise ValueError("give exactly one of z or symbol")
     if z is not None:
@@ -272,8 +276,8 @@ def find_element(
             return e
     import difflib
 
-    hints = difflib.get_close_matches(
-        symbol, [e.symbol for e in elements], n=1, cutoff=0.0
-    )
+    symbols = [e.symbol for e in elements]
+    folded = [s for s in symbols if s.lower() == symbol.lower()]
+    hints = folded or difflib.get_close_matches(symbol, symbols, n=1, cutoff=0.0)
     hint = f"; closest match: {hints[0]}" if hints else ""
     raise KeyError(f"unknown element symbol {symbol!r}{hint}")

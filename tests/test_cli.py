@@ -157,6 +157,15 @@ def test_elements_unknown_symbol_hint(capsys):
     assert "closest match" in err
 
 
+@pytest.mark.parametrize(
+    "symbol, hint", [("he", "He"), ("fe", "Fe"), ("NA", "Na"), ("h", "H")]
+)
+def test_elements_miscased_symbol_hint(capsys, symbol, hint):
+    code, out, err = run_cli(capsys, "elements", "--symbol", symbol)
+    assert code == 2 and out == ""
+    assert err.strip().endswith(f"closest match: {hint}")
+
+
 def test_elements_with_node_mass(capsys):
     code, out, _ = run_cli(capsys, "elements", "--z", "1", "--node", "0,0,0")
     assert code == 0

@@ -1,5 +1,7 @@
 """Exact scalar/matrix layer: arithmetic, rank, proportionality, expansion."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -114,6 +116,25 @@ def test_matrix_immutable():
     a = ExactMatrix.identity(2)
     with pytest.raises(AttributeError):
         a.dim = 3
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUND_TRIPS))
+def test_matrix_and_scalar_copy_pickle_round_trip(route):
+    off_diagonal = ExactMatrix.from_entries(3, {(0, 2): g(Fraction(1, 2), -3)})
+    m = ExactMatrix.identity(3) * I + off_diagonal
+    hash(m)  # fill the cached hash before copying
+    for x in (m, ExactMatrix.zeros(2), g(Fraction(1, 2), Fraction(1, 3)), g(0), I):
+        y = ROUND_TRIPS[route](x)
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x)
+    assert ROUND_TRIPS[route](m) @ m == m @ m
 
 
 def test_matmul_small_known():

@@ -7,7 +7,9 @@ generators are, and check that equal matrices compare and hash equal however
 they were built.  The Gauss-Jordan elimination behind ``rank`` and
 ``SpanSolver`` runs on sparse rows too; its properties are checked on sparse
 combinations with known coefficients.  The scalars themselves are checked
-against the field axioms.
+against the field axioms and, operation by operation, against a reference
+pair of ``Fraction``s computed here; values reached by different routes must
+agree in ``==``, ``hash`` and ``str``.
 """
 
 from fractions import Fraction
@@ -248,3 +250,116 @@ def test_scalar_field_axioms(x, y, z):
 def test_scalar_str_parse_round_trip_products_quotients(x, y):
     for v in [x * y] + ([x / y] if y else []):
         assert GaussianRational.parse(str(v)) == v
+
+
+# -- GaussianRational against a Fraction-pair reference -----------------------
+
+
+def ref_str(re, im):
+    """The canonical text of re + im*i, spelled out on plain Fractions."""
+    if not im:
+        return str(re)
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if not re:
+        return imag
+    return f"{re}{'+' if im > 0 else ''}{imag}"
+
+
+def assert_matches_pair(x, pair):
+    re, im = pair
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == (re, im)
+    assert bool(x) == bool(re or im)
+    assert x.is_real == (im == 0)
+    assert str(x) == ref_str(re, im)
+
+
+@KERNEL
+@given(rationals, rationals, rationals, rationals)
+def test_scalar_arithmetic_matches_fraction_pairs(a, b, c, d):
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    assert_matches_pair(x, (a, b))
+    assert (x == y) == ((a, b) == (c, d))
+    assert (x == x / 3) == (not x)
+    assert_matches_pair(x + y, (a + c, b + d))
+    assert_matches_pair(x - y, (a - c, b - d))
+    assert_matches_pair(x * y, (a * c - b * d, a * d + b * c))
+    assert_matches_pair(-x, (-a, -b))
+    norm = c * c + d * d
+    if norm:
+        assert_matches_pair(x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@KERNEL
+@given(rationals, rationals, st.integers(-3, 3))
+def test_scalar_mixed_int_fraction_operands(a, b, k):
+    x = GaussianRational(a, b)
+    for other in (k, Fraction(k, 7)):
+        assert_matches_pair(x + other, (a + other, b))
+        assert_matches_pair(other - x, (other - a, -b))
+        assert_matches_pair(other * x, (a * other, b * other))
+        if other:
+            assert_matches_pair(x / other, (a / other, b / other))
+
+
+def assert_same_value(values):
+    first = values[0]
+    for v in values:
+        assert v == first and hash(v) == hash(first) and str(v) == str(first)
+
+
+@KERNEL
+@given(scalars, scalars, st.integers(1, 6))
+def test_scalar_canonical_form_across_routes(x, y, k):
+    re, im = x.re, x.im
+    routes = [
+        x,
+        GaussianRational(Fraction(re.numerator * k, re.denominator * k), im),
+        GaussianRational(
+            Fraction(-re.numerator, -re.denominator),
+            Fraction(im.numerator * -k, im.denominator * -k),
+        ),
+        (x + y) - y,
+        y + x - y,
+        -(-x),
+        x * GaussianRational(k) / GaussianRational(-k) * GaussianRational(-1),
+    ]
+    if y:
+        routes += [x * y / y, x / y * y]
+    assert_same_value(routes)
+    assert_same_value([x - x, ZERO, GaussianRational(Fraction(0, 5), 0), x * 0])
+
+
+def test_scalar_builder_normalises_negative_denominator():
+    from lietower.exact import _reduced
+
+    third = GaussianRational(Fraction(1, 3), Fraction(-2, 3))
+    assert_same_value([_reduced(-3, 6, -9), _reduced(1, -2, 3), third])
+    assert_same_value([_reduced(0, 0, -4), ZERO])
+
+
+def test_scalar_str_prints_each_part_in_lowest_terms():
+    assert str(GaussianRational(Fraction(1, 2), Fraction(1, 3))) == "1/2+1/3i"
+    assert str(GaussianRational(Fraction(3, 6), Fraction(-2, 6))) == "1/2-1/3i"
+    assert str(GaussianRational(Fraction(5, 6), Fraction(1, 6)) * 3) == "5/2+1/2i"
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, "1", GaussianRational(1)])
+def test_scalar_constructor_rejects_non_rationals(bad):
+    with pytest.raises(TypeError):
+        GaussianRational(bad)
+    with pytest.raises(TypeError):
+        GaussianRational(0, bad)
+
+
+def test_scalar_is_immutable_and_never_equals_a_plain_number():
+    x = GaussianRational(Fraction(1, 2), 3)
+    for name in ("re", "im", "is_real", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert x == GaussianRational(Fraction(1, 2), 3)
+    assert GaussianRational(5) != 5 and not GaussianRational(5) == 5
+    assert GaussianRational(5).__eq__(5) is NotImplemented
