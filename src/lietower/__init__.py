@@ -14,8 +14,6 @@ from .exact import (
 )
 from .sopq import GeneratorSet, Metric, bracket_table, build_generators, verify_commutation
 from .cartan import (
-    CartanSet,
-    NamedOperator,
     RootVector,
     casimir,
     extract_root,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CARTAN_QUANTUM_NUMBERS",
-    "CartanSet",
     "DottedKet",
     "Element",
     "ExactMatrix",
@@ -61,7 +58,6 @@ __all__ = [
     "GeneratorSet",
     "MadelungKet",
     "Metric",
-    "NamedOperator",
     "RootVector",
     "TowerSlice",
     "WeightKet",

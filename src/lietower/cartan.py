@@ -48,7 +48,6 @@ from .sopq import (
     Metric,
     hydrogen_aliases,
     materialize,
-    pair_name,
 )
 
 MINUS_HALF = -HALF
@@ -56,28 +55,6 @@ MINUS_HALF = -HALF
 
 class NotARootVectorError(ValueError):
     """A candidate operator is not a simultaneous eigenvector of the Cartan set."""
-
-
-@dataclass(frozen=True)
-class NamedOperator:
-    name: str
-    matrix: ExactMatrix
-
-
-@dataclass(frozen=True)
-class CartanSet:
-    members: tuple[NamedOperator, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.members)
-
-    @property
-    def names(self) -> list[str]:
-        return [m.name for m in self.members]
-
-    def matrices(self) -> list[ExactMatrix]:
-        return [m.matrix for m in self.members]
 
 
 @dataclass(frozen=True)
@@ -105,8 +82,9 @@ class RootVector:
 # ---------------------------------------------------------------------------
 
 
-def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> CartanSet:
-    """Maximum pairwise-commuting subset of the rotation generators.
+def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> dict[str, ExactMatrix]:
+    """Maximum pairwise-commuting subset of the rotation generators, as a
+    name -> matrix map in generator order.
 
     ``brackets`` is ``bracket_table(gs)``; two generators commute when their
     pair has no entry, so commutation is decided by exact matrix arithmetic,
@@ -131,17 +109,15 @@ def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> CartanSet:
 
     extend([], list(range(len(pairs))))
     mats = gs.matrices()
-    members = tuple(
-        NamedOperator(name=gs.names[k], matrix=mats[k]) for k in best
-    )
-    return CartanSet(members=members)
+    return {gs.names[k]: mats[k] for k in best}
 
 
-def cartan_is_maximal(gs: GeneratorSet, cartan: CartanSet, brackets: BracketTable) -> bool:
+def cartan_is_maximal(
+    gs: GeneratorSet, cartan: Mapping[str, ExactMatrix], brackets: BracketTable
+) -> bool:
     """No generator of ``gs`` outside ``cartan``, a set of its generators,
     commutes with every member; ``brackets`` is ``bracket_table(gs)``."""
-    chosen = set(cartan.names)
-    members = [pair for pair, name in zip(gs.pairs, gs.names) if name in chosen]
+    members = [pair for pair, name in zip(gs.pairs, gs.names) if name in cartan]
     return all(
         any((min(pair, h), max(pair, h)) in brackets for h in members)
         for pair in gs.pairs
@@ -199,23 +175,21 @@ _SECOND_HALF_DEFS: list[tuple[str, list[tuple[GaussianRational, IndexPair]]]] = 
 ]
 
 
-def yao_basis(gs: GeneratorSet) -> list[NamedOperator]:
-    """The 18 compact-subgroup-adapted combinations for signature (4,2).
+def yao_basis(gs: GeneratorSet) -> dict[str, ExactMatrix]:
+    """The 18 compact-subgroup-adapted combinations for signature (4,2),
+    name -> matrix in family order K, J, T, S, P, Q.
 
     Redundant by construction: the 18 matrices span only the 15-dimensional
     algebra (three dependencies, the Cartan emulation chains).
     """
     if gs.metric != Metric(4, 2):
         raise ValueError("adapted basis requires signature (4,2)")
-    return [
-        NamedOperator(name=name, matrix=materialize(gs, terms))
-        for name, terms in _YAO_DEFS
-    ]
+    return {name: materialize(gs, terms) for name, terms in _YAO_DEFS}
 
 
 def split_basis_so44(
     gs: GeneratorSet,
-) -> tuple[list[NamedOperator], list[NamedOperator]]:
+) -> tuple[dict[str, ExactMatrix], dict[str, ExactMatrix]]:
     """Both 18-operator halves of the split basis for signature (4,4).
 
     Names carry a half prefix: 1K1..1Q0 act on indices 1..6 (identical in
@@ -223,70 +197,60 @@ def split_basis_so44(
     """
     if gs.metric != Metric(4, 4):
         raise ValueError("split basis requires signature (4,4)")
-    first = [
-        NamedOperator(name="1" + name, matrix=materialize(gs, terms))
-        for name, terms in _YAO_DEFS
-    ]
-    second = [
-        NamedOperator(name="2" + name, matrix=materialize(gs, terms))
-        for name, terms in _SECOND_HALF_DEFS
-    ]
+    first = {"1" + name: materialize(gs, terms) for name, terms in _YAO_DEFS}
+    second = {"2" + name: materialize(gs, terms) for name, terms in _SECOND_HALF_DEFS}
     return first, second
 
 
-def ladder_operators(basis: Sequence[NamedOperator]) -> list[NamedOperator]:
+def ladder_operators(basis: Mapping[str, ExactMatrix]) -> dict[str, ExactMatrix]:
     """Literal raising/lowering combinations E+/- = E1 +/- i*E2.
 
     Applies to every family with both ·1 and ·2 components present (K..Q,
     their halves, and the X/Y complex-shell components); family order
     follows the input order.
     """
-    ops = {op.name: op.matrix for op in basis}
-    out = []
-    seen = set()
-    for op in basis:
-        if not op.name.endswith("1"):
+    out = {}
+    for name, one in basis.items():
+        if not name.endswith("1"):
             continue
-        stem = op.name[:-1]
-        if stem in seen:
-            continue
+        stem = name[:-1]
         partner = stem + "2"
-        if partner not in ops:
+        if partner not in basis:
             raise KeyError(f"missing component {partner} for family {stem}")
-        seen.add(stem)
-        out.append(NamedOperator(stem + "+", ops[op.name] + ops[partner] * I))
-        out.append(NamedOperator(stem + "-", ops[op.name] + ops[partner] * (-I)))
+        out[stem + "+"] = one + basis[partner] * I
+        out[stem + "-"] = one + basis[partner] * (-I)
     return out
 
 
-def extract_root(cartan: CartanSet, op: NamedOperator) -> RootVector:
-    """Exact eigenvalue tuple of ``op`` under each Cartan member.
+def extract_root(
+    cartan: Mapping[str, ExactMatrix], name: str, matrix: ExactMatrix
+) -> RootVector:
+    """Exact eigenvalue tuple of ``matrix``, called ``name`` in error
+    messages, under each Cartan member.
 
     Raises NotARootVectorError if any bracket fails exact proportionality
     or if a proportionality constant is not a real rational.
     """
-    if op.matrix.is_zero():
-        raise NotARootVectorError(f"{op.name} is the zero matrix")
+    if matrix.is_zero():
+        raise NotARootVectorError(f"{name} is the zero matrix")
     comps = []
-    for h in cartan.members:
-        lam = scalar_multiple_of(commutator(h.matrix, op.matrix), op.matrix)
+    for h, h_matrix in cartan.items():
+        lam = scalar_multiple_of(commutator(h_matrix, matrix), matrix)
         if lam is None:
-            raise NotARootVectorError(
-                f"[{h.name},{op.name}] is not proportional to {op.name}"
-            )
+            raise NotARootVectorError(f"[{h},{name}] is not proportional to {name}")
         if not lam.is_real:
             raise NotARootVectorError(
-                f"root component of {op.name} along {h.name} is complex: {lam}"
+                f"root component of {name} along {h} is complex: {lam}"
             )
         comps.append(lam.re)
     return RootVector(tuple(comps))
 
 
 def weyl_generators(
-    cartan: CartanSet, ladders: Sequence[NamedOperator]
-) -> list[tuple[NamedOperator, RootVector]]:
+    cartan: Mapping[str, ExactMatrix], ladders: Mapping[str, ExactMatrix]
+) -> dict[str, tuple[ExactMatrix, RootVector]]:
     """Orient the X+, X- pairs that ``ladder_operators`` returns against
-    ``cartan`` and return each operator with its root.
+    ``cartan``: name -> (matrix, root), in pair order.
 
     The roots of the literal X+ and X- are extracted once each.  Within
     each pair the "+" name goes to whichever of E1 +/- i*E2 has a root
@@ -295,26 +259,25 @@ def weyl_generators(
     literal X+ ends negative.  This single rule reproduces the published
     rank-3 root table exactly; for the K family it selects K1 - i*K2, for
     every other rank-3 family the literal E1 + i*E2 form.  Pair order is
-    kept.  Raises ValueError if ``ladders`` is not a sequence of X+, X-
-    pairs, and NotARootVectorError for the first operator, X+ before X-
-    in pair order, that is not a root vector.
+    kept.  Raises ValueError if ``ladders`` does not list X+, X- pairs,
+    and NotARootVectorError for the first operator, X+ before X- in pair
+    order, that is not a root vector.
     """
-    if len(ladders) % 2:
-        raise ValueError(f"unpaired ladder operator {ladders[-1].name}")
-    out = []
-    for plus, minus in zip(ladders[::2], ladders[1::2]):
-        stem = plus.name[:-1]
-        if plus.name != stem + "+" or minus.name != stem + "-":
-            raise ValueError(f"expected an X+, X- pair, got {plus.name}, {minus.name}")
-        up, down = extract_root(cartan, plus), extract_root(cartan, minus)
+    items = list(ladders.items())
+    if len(items) % 2:
+        raise ValueError(f"unpaired ladder operator {items[-1][0]}")
+    out = {}
+    for (plus, e_up), (minus, e_down) in zip(items[::2], items[1::2]):
+        stem = plus[:-1]
+        if plus != stem + "+" or minus != stem + "-":
+            raise ValueError(f"expected an X+, X- pair, got {plus}, {minus}")
+        up = extract_root(cartan, plus, e_up)
+        down = extract_root(cartan, minus, e_down)
         last = up.last_nonzero()
         if last is not None and last < 0:
-            plus, minus = (
-                NamedOperator(plus.name, minus.matrix),
-                NamedOperator(minus.name, plus.matrix),
-            )
-            up, down = down, up
-        out += [(plus, up), (minus, down)]
+            e_up, e_down, up, down = e_down, e_up, down, up
+        out[plus] = (e_up, up)
+        out[minus] = (e_down, down)
     return out
 
 
@@ -337,10 +300,13 @@ class RootTable:
 
 
 def root_system(
-    cartan: CartanSet, weyl: Sequence[tuple[NamedOperator, RootVector]]
+    cartan: Mapping[str, ExactMatrix],
+    weyl: Mapping[str, tuple[ExactMatrix, RootVector]],
 ) -> RootTable:
-    """Tabulate the (operator, root) pairs of ``weyl_generators``, in input order."""
-    return RootTable(cartan=cartan.names, rows=[(op.name, root) for op, root in weyl])
+    """Tabulate the roots that ``weyl_generators`` returns, in input order."""
+    return RootTable(
+        cartan=list(cartan), rows=[(name, root) for name, (_, root) in weyl.items()]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +396,17 @@ def casimir_invariance(gs: GeneratorSet, cas: ExactMatrix) -> bool:
 
 
 def subalgebra_basis(
-    gs: GeneratorSet, yao: Sequence[NamedOperator]
-) -> dict[str, list[NamedOperator]]:
+    gs: GeneratorSet, yao: Mapping[str, ExactMatrix]
+) -> dict[str, dict[str, ExactMatrix]]:
     """Cartan-Weyl bases of the four rank-2 subalgebras of the (4,2) algebra.
 
     ``yao`` is ``yao_basis(gs)``.  Returns the baskets by selector, in the
     order "sl2c" (complex shell X/Y of the angular-momentum/boost pair,
     built from the hydrogen aliases of ``gs``), "so4" (K/J), "so22_LD"
     (T/S), "so22_AD" (P/Q), the last three built from ``yao``.  Each
-    basket is [H1, H2, E1+, E1-, E2+, E2-] with ladder members normalised
-    so the published table of that subalgebra holds exactly:
+    basket maps H1, H2, E1+, E1-, E2+, E2- to matrices, in that order,
+    with ladder members normalised so the published table of that
+    subalgebra holds exactly:
 
     * sl2c: literal X1 +/- i*X2 (and Y);
     * so4: the conjugated combinations K1 -/+ i*K2 (and J), which are the
@@ -448,7 +415,7 @@ def subalgebra_basis(
       published [E+, E-] = -2*E0 normalisation.
     """
     alias = hydrogen_aliases(gs)
-    ops = {op.name: op.matrix for op in yao}
+    ops = dict(yao)
     for i in (1, 2, 3):
         ops[f"X{i}"] = (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF
         ops[f"Y{i}"] = (alias[f"L{i}"] + alias[f"B{i}"] * (-I)) * HALF
@@ -459,11 +426,11 @@ def subalgebra_basis(
         ("so22_LD", "TS", "0", ONE, I),
         ("so22_AD", "PQ", "0", ONE, I),
     ):
-        out = [NamedOperator(fam + h, ops[fam + h]) for fam in fams]
+        out = {fam + h: ops[fam + h] for fam in fams}
         for fam in fams:
             one, two = ops[f"{fam}1"], ops[f"{fam}2"]
-            out.append(NamedOperator(f"{fam}+", (one + two * (I * sign)) * factor))
-            out.append(NamedOperator(f"{fam}-", (one - two * (I * sign)) * factor))
+            out[f"{fam}+"] = (one + two * (I * sign)) * factor
+            out[f"{fam}-"] = (one - two * (I * sign)) * factor
         baskets[which] = out
     return baskets
 
@@ -717,31 +684,14 @@ EMULATION_CHAINS_SO44: list[tuple[str, list[str]]] = [
 
 
 def _eval_signed_sum(expr: str, ops: Mapping[str, ExactMatrix]) -> ExactMatrix:
-    """Evaluate "A+B", "-A-B" style sums of named operators."""
-    text = expr.replace(" ", "")
-    terms: list[tuple[int, str]] = []
-    sign = 1
-    token = ""
-    for ch in text:
-        if ch in "+-" and token:
-            terms.append((sign, token))
-            token = ""
-            sign = 1 if ch == "+" else -1
-        elif ch in "+-" and not token:
-            sign = sign if ch == "+" else -sign
-        else:
-            token += ch
-    if token:
-        terms.append((sign, token))
-    if not terms:
-        raise ValueError(f"empty expression {expr!r}")
-    acc: Optional[ExactMatrix] = None
-    for s, name in terms:
-        if name not in ops:
-            raise KeyError(f"unknown operator name {name!r} in {expr!r}")
-        mat = ops[name] if s > 0 else -ops[name]
-        acc = mat if acc is None else acc + mat
-    return acc
+    """Evaluate "A+B", "-A-B" style sums of named operators; an unknown
+    name raises KeyError."""
+    terms = [
+        -ops[t[1:]] if t[0] == "-" else ops[t]
+        for t in expr.replace("-", "+-").split("+")
+        if t
+    ]
+    return sum(terms[1:], terms[0])
 
 
 @dataclass
@@ -793,13 +743,10 @@ def emulation_check(
 
 
 def operator_map(
-    gs: GeneratorSet, *groups: Sequence[NamedOperator]
+    gs: GeneratorSet, *groups: Mapping[str, ExactMatrix]
 ) -> dict[str, ExactMatrix]:
     """Name -> matrix map over generator names plus any operator groups."""
-    ops: dict[str, ExactMatrix] = {}
-    for (a, b), mat in gs:
-        ops[pair_name(a, b)] = mat
+    ops = dict(zip(gs.names, gs.matrices()))
     for group in groups:
-        for op in group:
-            ops[op.name] = op.matrix
+        ops.update(group)
     return ops

@@ -33,8 +33,8 @@ from .verify import run_verification
 
 RANK3_AXIS_ALIASES = {"L12": "L3", "L34": "A3", "L56": "D3"}
 
-# Largest p+q that verify accepts: 8,8 takes about a minute on one core
-# (Python 3.11), and the cost grows steeply beyond it.
+# Largest p+q that verify accepts: 8,8 took 15.7 s on one core of a shared
+# 2-vCPU Xeon (Python 3.11), and the cost grows steeply beyond it.
 MAX_VERIFY_DIM = 16
 
 
@@ -146,7 +146,7 @@ def _root_table(metric: Metric):
         basis, axes = yao_basis(gs), RANK3_AXIS_ALIASES
     else:
         first, second = split_basis_so44(gs)
-        basis, axes = first + second, {}
+        basis, axes = {**first, **second}, {}
     table = root_system(cartan, weyl_generators(cartan, ladder_operators(basis)))
     table.cartan = [axes.get(n, n) for n in table.cartan]
     return table

@@ -278,6 +278,7 @@ def find_element(
 
     symbols = [e.symbol for e in elements]
     folded = [s for s in symbols if s.lower() == symbol.lower()]
-    hints = folded or difflib.get_close_matches(symbol, symbols, n=1, cutoff=0.0)
+    # any score above 0: a symbol that shares no character with the input is no hint
+    hints = folded or difflib.get_close_matches(symbol, symbols, n=1, cutoff=1e-9)
     hint = f"; closest match: {hints[0]}" if hints else ""
     raise KeyError(f"unknown element symbol {symbol!r}{hint}")

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Mapping
 
 from . import cartan as cw
-from .exact import rank
+from .exact import ExactMatrix, rank
 from .sopq import (
     BracketTable,
     GeneratorSet,
@@ -111,7 +112,7 @@ class VerificationReport:
 
 
 def _commutator_suites(
-    gs: GeneratorSet, brackets: BracketTable, cartan: cw.CartanSet
+    gs: GeneratorSet, brackets: BracketTable, cartan: Mapping[str, ExactMatrix]
 ) -> list[SuiteResult]:
     rep = verify_commutation(gs, brackets)
     done = rep.pair_count - len(rep.failures)
@@ -130,13 +131,15 @@ def _commutator_suites(
         SuiteResult(
             name="cartan",
             passed=cw.cartan_is_maximal(gs, cartan, brackets),
-            summary=f"rank {cartan.rank}: {', '.join(cartan.names)}",
-            details={"members": cartan.names},
+            summary=f"rank {len(cartan)}: {', '.join(cartan)}",
+            details={"members": list(cartan)},
         ),
     ]
 
 
-def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
+def _suites_rank3(
+    gs: GeneratorSet, cartan: Mapping[str, ExactMatrix]
+) -> list[SuiteResult]:
     suites = []
     alias_rep = hydrogen_alias_check(gs)
     suites.append(
@@ -151,7 +154,7 @@ def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
         )
     )
     yao = cw.yao_basis(gs)
-    yao_rank = rank([op.matrix for op in yao])
+    yao_rank = rank(list(yao.values()))
     suites.append(
         SuiteResult(
             name="yao-rank",
@@ -172,8 +175,7 @@ def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
     sub_ok = True
     sub_counts = []
     sub_details = {}
-    for which, members in cw.subalgebra_basis(gs, yao).items():
-        basket = {op.name: op.matrix for op in members}
+    for which, basket in cw.subalgebra_basis(gs, yao).items():
         rep = cw.check_relation_table(basket, cw.SUBALGEBRA_TABLES[which])
         sub_ok = sub_ok and rep.ok
         sub_counts.append(f"{which} {len(rep.checks) - len(rep.deviations)}/{len(rep.checks)}")
@@ -195,8 +197,8 @@ def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
             for name, comps in PUBLISHED_ROOTS_RANK3.items()
         }
         zero_ok = all(
-            not any(cw.extract_root(cartan, member).components)
-            for member in cartan.members
+            not any(cw.extract_root(cartan, name, member).components)
+            for name, member in cartan.items()
         )
         suites.append(
             SuiteResult(
@@ -231,10 +233,13 @@ def _suites_rank3(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
     return suites
 
 
-def _suites_rank4(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
+def _suites_rank4(
+    gs: GeneratorSet, cartan: Mapping[str, ExactMatrix]
+) -> list[SuiteResult]:
     suites = []
     first, second = cw.split_basis_so44(gs)
-    split_rank = rank([op.matrix for op in first + second])
+    split = {**first, **second}
+    split_rank = rank(list(split.values()))
     suites.append(
         SuiteResult(
             name="split-rank",
@@ -242,8 +247,8 @@ def _suites_rank4(gs: GeneratorSet, cartan: cw.CartanSet) -> list[SuiteResult]:
             summary=f"{split_rank} (36 generators, {36 - split_rank} dependencies)",
         )
     )
-    ladders = cw.ladder_operators(first + second)
-    ops = cw.operator_map(gs, first, second, ladders)
+    ladders = cw.ladder_operators(split)
+    ops = cw.operator_map(gs, split, ladders)
     emu = cw.emulation_check(ops, cw.EMULATION_CHAINS_SO44)
     suites.append(
         SuiteResult(

@@ -27,16 +27,16 @@ def elements():
 
 @pytest.fixture(scope="session")
 def oriented_ladders():
-    """``oriented_ladders(gs, cartan)``: the (operator, root) pairs of the Weyl
-    generators of gs over cartan, built from the adapted basis of signature
-    (4,2) or (4,4)."""
+    """``oriented_ladders(gs, cartan)``: the Weyl generators of gs over cartan,
+    name -> (matrix, root), built from the adapted basis of signature (4,2)
+    or (4,4)."""
 
     def build(gs, cartan):
         if gs.metric == Metric(4, 2):
             basis = yao_basis(gs)
         else:
             first, second = split_basis_so44(gs)
-            basis = first + second
+            basis = {**first, **second}
         return weyl_generators(cartan, ladder_operators(basis))
 
     return build

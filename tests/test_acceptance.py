@@ -6,9 +6,13 @@ per criterion; runtimes are asserted where the criterion pins one.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,7 +102,7 @@ def test_criterion_03_hydrogen_alias_table(gs42):
 def test_criterion_04_yao_redundancy(gs42):
     with criterion(4, "18-generator basis has rank 15; emulation chains hold"):
         yao = yao_basis(gs42)
-        assert rank([op.matrix for op in yao]) == 15
+        assert rank(list(yao.values())) == 15
         report = emulation_check(operator_map(gs42, yao), EMULATION_CHAINS_SO42)
         assert report.ok and report.passed_count == 3
 
@@ -106,7 +110,7 @@ def test_criterion_04_yao_redundancy(gs42):
 def test_criterion_05_split_redundancy_and_printed_tables(gs44):
     with criterion(5, "36-generator split basis has rank 28; printed ladder tables checked as printed"):
         first, second = split_basis_so44(gs44)
-        assert rank([op.matrix for op in first + second]) == 28
+        assert rank(list({**first, **second}.values())) == 28
         ops = operator_map(
             gs44, first, second, ladder_operators(first), ladder_operators(second)
         )
@@ -131,8 +135,8 @@ def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
             for name, comps in PUBLISHED_ROOTS_RANK3.items()
         }
         assert got == want
-        for member in cartan.members:
-            assert extract_root(cartan, member).components == (0, 0, 0)
+        for name, member in cartan.items():
+            assert extract_root(cartan, name, member).components == (0, 0, 0)
 
 
 def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
@@ -167,14 +171,14 @@ def test_criterion_08_casimir_invariance(gs42):
 def test_criterion_09_subalgebra_tables(gs42):
     with criterion(9, "rank-2 subalgebra tables hold exactly, cross-families vanish"):
         for which in ("sl2c", "so4", "so22_LD", "so22_AD"):
-            basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))[which]}
+            basket = subalgebra_basis(gs42, yao_basis(gs42))[which]
             report = check_relation_table(basket, SUBALGEBRA_TABLES[which])
             assert report.ok, (which, report.deviations)
-        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]}
+        basket = subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]
         assert commutator(basket["X3"], basket["X+"]) == -basket["X+"]
-        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))["so4"]}
+        basket = subalgebra_basis(gs42, yao_basis(gs42))["so4"]
         assert commutator(basket["K+"], basket["K-"]) == basket["K3"] * 2
-        basket = {op.name: op.matrix for op in subalgebra_basis(gs42, yao_basis(gs42))["so22_LD"]}
+        basket = subalgebra_basis(gs42, yao_basis(gs42))["so22_LD"]
         assert commutator(basket["T+"], basket["T-"]) == basket["T0"] * (-2)
 
 
@@ -338,3 +342,19 @@ def test_criterion_14_fault_injected_stdout(capsys, monkeypatch):
             assert main(list(argv)) == 1, argv
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_criterion_14_module_entry_point(tmp_path):
+    with criterion(14, "python -m lietower matches the pinned SHA-256 digest"):
+        argv = ("elements", "--z", "118")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "lietower", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

@@ -11,13 +11,11 @@ import lietower.cartan
 from lietower.cartan import (
     COMPONENT_TABLE_FIRST,
     COMPONENT_TABLE_SECOND,
-    CartanSet,
     EMULATION_CHAINS_SO42,
     EMULATION_CHAINS_SO44,
     KNOWN_TABLE_DEVIATIONS,
     LADDER_TABLE_FIRST,
     LADDER_TABLE_SECOND,
-    NamedOperator,
     NotARootVectorError,
     SUBALGEBRA_TABLES,
     cartan_is_maximal,
@@ -49,26 +47,22 @@ from lietower.verify import PUBLISHED_ROOTS_RANK3
 HALF = GaussianRational(Fraction(1, 2))
 
 
-def by_name(ops):
-    return {op.name: op.matrix for op in ops}
-
-
 # -- Cartan search -----------------------------------------------------------
 
 
 def test_cartan_42(gs42):
     brackets = bracket_table(gs42)
     cartan = find_cartan(gs42, brackets)
-    assert cartan.names == ["L12", "L34", "L56"]
-    assert cartan.rank == 3
+    assert list(cartan) == ["L12", "L34", "L56"]
+    assert len(cartan) == 3
     assert cartan_is_maximal(gs42, cartan, brackets)
 
 
 def test_cartan_44(gs44):
     brackets = bracket_table(gs44)
     cartan = find_cartan(gs44, brackets)
-    assert cartan.names == ["L12", "L34", "L56", "L78"]
-    assert cartan.rank == 4
+    assert list(cartan) == ["L12", "L34", "L56", "L78"]
+    assert len(cartan) == 4
     assert cartan_is_maximal(gs44, cartan, brackets)
 
 
@@ -76,8 +70,8 @@ def test_cartan_rank1():
     gs = build_generators(Metric(2, 1))
     brackets = bracket_table(gs)
     cartan = find_cartan(gs, brackets)
-    assert cartan.rank == 1
-    assert cartan.names == ["L12"]
+    assert len(cartan) == 1
+    assert list(cartan) == ["L12"]
     assert cartan_is_maximal(gs, cartan, brackets)
 
 
@@ -85,7 +79,7 @@ def test_cartan_is_maximal_rejects_a_smaller_set(gs44):
     # the dropped member commutes with every member that is left
     brackets = bracket_table(gs44)
     cartan = find_cartan(gs44, brackets)
-    smaller = CartanSet(members=cartan.members[:-1])
+    smaller = dict(list(cartan.items())[:-1])
     assert not cartan_is_maximal(gs44, smaller, brackets)
 
 
@@ -121,17 +115,17 @@ SMALL_SIGNATURES = [
 @pytest.mark.parametrize("p, q", SMALL_SIGNATURES)
 def test_cartan_matches_brute_force(p, q):
     gs = build_generators(Metric(p, q))
-    assert find_cartan(gs, bracket_table(gs)).names == _brute_force_cartan(gs)
+    assert list(find_cartan(gs, bracket_table(gs))) == _brute_force_cartan(gs)
 
 
 def test_cartan_matches_brute_force_corrupted():
     gs = _corrupted_so42()
-    assert find_cartan(gs, bracket_table(gs)).names == _brute_force_cartan(gs)
+    assert list(find_cartan(gs, bracket_table(gs))) == _brute_force_cartan(gs)
 
 
 def test_cartan_members_commute(gs44):
     cartan = find_cartan(gs44, bracket_table(gs44))
-    mats = cartan.matrices()
+    mats = list(cartan.values())
     for i, a in enumerate(mats):
         for b in mats[i + 1 :]:
             assert commutator(a, b).is_zero()
@@ -141,13 +135,13 @@ def test_cartan_members_commute(gs44):
 
 
 def test_yao_k3_and_t0(gs42):
-    yao = by_name(yao_basis(gs42))
+    yao = yao_basis(gs42)
     assert yao["K3"] == (gs42.gen(1, 2) + gs42.gen(3, 4)) * HALF
     assert yao["T0"] == (-gs42.gen(1, 2) - gs42.gen(5, 6)) * HALF
 
 
 def test_yao_rank_and_dependencies(gs42):
-    mats = [op.matrix for op in yao_basis(gs42)]
+    mats = list(yao_basis(gs42).values())
     assert len(mats) == 18
     assert rank(mats) == 15  # exactly 3 linear dependencies
 
@@ -159,7 +153,7 @@ def test_yao_requires_signature(gs44):
 
 def test_split_basis_forms(gs44):
     first, second = split_basis_so44(gs44)
-    ops = by_name(first + second)
+    ops = {**first, **second}
     assert ops["2K3"] == (gs44.gen(5, 6) + gs44.gen(7, 8)) * HALF
     assert ops["2S0"] == (-gs44.gen(1, 2) + gs44.gen(7, 8)) * HALF
     assert ops["1K3"] == (gs44.gen(1, 2) + gs44.gen(3, 4)) * HALF
@@ -167,7 +161,7 @@ def test_split_basis_forms(gs44):
 
 def test_split_rank(gs44):
     first, second = split_basis_so44(gs44)
-    mats = [op.matrix for op in first + second]
+    mats = list({**first, **second}.values())
     assert len(mats) == 36
     assert rank(mats) == 28  # exactly 8 linear dependencies
 
@@ -176,11 +170,11 @@ def test_first_half_matches_rank3_basis(gs42, gs44):
     # the first half realises the same combinations on indices 1..6
     yao42 = yao_basis(gs42)
     first, _ = split_basis_so44(gs44)
-    for op42, op44 in zip(yao42, first):
-        assert op44.name == "1" + op42.name
+    for (name42, op42), (name44, op44) in zip(yao42.items(), first.items()):
+        assert name44 == "1" + name42
         for i in range(6):
             for j in range(6):
-                assert op44.matrix[i, j] == op42.matrix[i, j]
+                assert op44[i, j] == op42[i, j]
 
 
 # -- emulation chains ----------------------------------------------------------
@@ -194,7 +188,7 @@ def test_emulation_42_chains(gs42):
 
 
 def test_emulation_42_specific_identities(gs42):
-    yao = by_name(yao_basis(gs42))
+    yao = yao_basis(gs42)
     assert yao["J3"] + yao["K3"] == gs42.gen(1, 2)
     assert yao["P0"] + yao["Q0"] == -gs42.gen(5, 6)
     assert yao["S0"] + yao["T0"] == -gs42.gen(5, 6)
@@ -210,7 +204,7 @@ def test_emulation_44_chains(gs44):
 
 def test_emulation_44_fourth_chain(gs44):
     _, second = split_basis_so44(gs44)
-    ops = by_name(second)
+    ops = second
     assert ops["2K3"] - ops["2J3"] == gs44.gen(7, 8)
     assert ops["2T0"] + ops["2S0"] == gs44.gen(7, 8)
 
@@ -225,58 +219,78 @@ def test_emulation_unknown_name(gs42):
 
 
 def test_literal_ladders(gs42):
-    yao = yao_basis(gs42)
-    ops = by_name(yao)
-    ladders = by_name(ladder_operators(yao))
+    ops = yao_basis(gs42)
+    ladders = ladder_operators(ops)
     assert ladders["K+"] == ops["K1"] + ops["K2"] * I
     assert ladders["T-"] == ops["T1"] + ops["T2"] * (-I)
 
 
 def test_literal_ladders_second_half(gs44):
     first, second = split_basis_so44(gs44)
-    ops = by_name(second)
-    ladders = by_name(ladder_operators(second))
+    ops = second
+    ladders = ladder_operators(second)
     assert ladders["2Q-"] == ops["2Q1"] + ops["2Q2"] * (-I)
     # one call over both halves gives the per-half ladders, in order
-    assert ladder_operators(first + second) == (
-        ladder_operators(first) + ladder_operators(second)
+    assert list(ladder_operators({**first, **second}).items()) == (
+        list(ladder_operators(first).items()) + list(ladder_operators(second).items())
     )
 
 
 def test_literal_shell_ladders(gs42):
     alias = hydrogen_aliases(gs42)
-    comps = []
+    comps = {}
     for i in (1, 2, 3):
-        comps.append(NamedOperator(f"X{i}", (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF))
-    ladders = by_name(ladder_operators(comps))
-    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["sl2c"])
+        comps[f"X{i}"] = (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF
+    ladders = ladder_operators(comps)
+    basket = subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]
     assert ladders["X+"] == basket["X+"]
-    assert ladders["X+"] == comps[0].matrix + comps[1].matrix * I
+    assert ladders["X+"] == comps["X1"] + comps["X2"] * I
 
 
 def test_ladders_missing_component(gs42):
-    yao = [op for op in yao_basis(gs42) if op.name != "K2"]
+    yao = {name: op for name, op in yao_basis(gs42).items() if name != "K2"}
     with pytest.raises(KeyError):
         ladder_operators(yao)
 
 
 def test_oriented_ladder_k_is_conjugated(gs42, oriented_ladders):
     # the published root table requires K+ = K1 - i*K2 in this realisation
-    yao = by_name(yao_basis(gs42))
+    yao = yao_basis(gs42)
     weyl = oriented_ladders(gs42, find_cartan(gs42, bracket_table(gs42)))
-    oriented = by_name(op for op, _ in weyl)
+    oriented = {name: op for name, (op, _) in weyl.items()}
     assert oriented["K+"] == yao["K1"] + yao["K2"] * (-I)
     assert oriented["J+"] == yao["J1"] + yao["J2"] * I
     assert oriented["T+"] == yao["T1"] + yao["T2"] * I
 
 
+def test_family_maps_keep_their_order(gs42, gs44):
+    # dict equality ignores key order, so the order each family is built in
+    # is pinned here as name lists
+    fams = "K1 K2 K3 J1 J2 J3 T1 T2 T0 S1 S2 S0 P1 P2 P0 Q1 Q2 Q0".split()
+    cartan42 = find_cartan(gs42, bracket_table(gs42))
+    cartan44 = find_cartan(gs44, bracket_table(gs44))
+    yao = yao_basis(gs42)
+    first, second = split_basis_so44(gs44)
+    ladders = ladder_operators(yao)
+    assert list(cartan42) == ["L12", "L34", "L56"]
+    assert list(cartan44) == ["L12", "L34", "L56", "L78"]
+    assert list(yao) == fams
+    assert list(first) == ["1" + name for name in fams]
+    assert list(second) == ["2" + name for name in fams]
+    assert list(ladders) == [f + s for f in "KJTSPQ" for s in "+-"]
+    assert list(weyl_generators(cartan42, ladders)) == list(ladders)
+    split = ladder_operators({**first, **second})
+    assert list(split) == [h + f + s for h in "12" for f in "KJTSPQ" for s in "+-"]
+    assert list(weyl_generators(cartan44, split)) == list(split)
+
+
 def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    ladders = ladder_operators(yao_basis(gs42))
+    ladders = list(ladder_operators(yao_basis(gs42)).items())
     with pytest.raises(ValueError, match="unpaired"):
-        weyl_generators(cartan, ladders[:-1])
+        weyl_generators(cartan, dict(ladders[:-1]))
     with pytest.raises(ValueError, match="pair"):
-        weyl_generators(cartan, [ladders[1], ladders[0]] + ladders[2:])
+        weyl_generators(cartan, dict([ladders[1], ladders[0]] + ladders[2:]))
 
 
 # Each command extracts the root of every ladder operator once, in
@@ -294,10 +308,10 @@ def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
 def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
     count = 0
 
-    def counted(cartan, op):
+    def counted(cartan, name, matrix):
         nonlocal count
         count += 1
-        return extract_root(cartan, op)
+        return extract_root(cartan, name, matrix)
 
     monkeypatch.setattr(lietower.cartan, "extract_root", counted)
     assert main(list(argv)) == 0
@@ -310,35 +324,34 @@ def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
 
 def test_root_of_raising_k(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    oriented = {op.name: op for op, _ in oriented_ladders(gs42, cartan)}
-    root = extract_root(cartan, oriented["K+"])
+    oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
+    root = extract_root(cartan, "K+", oriented["K+"])
     assert root.components == (1, 1, 0)
 
 
 def test_root_of_lowering_q(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    oriented = {op.name: op for op, _ in oriented_ladders(gs42, cartan)}
-    root = extract_root(cartan, oriented["Q-"])
+    oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
+    root = extract_root(cartan, "Q-", oriented["Q-"])
     assert root.components == (0, 1, -1)
 
 
 def test_root_of_cartan_member_is_zero(gs42):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    for member in cartan.members:
-        assert extract_root(cartan, member).components == (0, 0, 0)
+    for name, member in cartan.items():
+        assert extract_root(cartan, name, member).components == (0, 0, 0)
 
 
 def test_non_root_vector_rejected(gs42):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    candidate = NamedOperator("L13", gs42.gen(1, 3))
     with pytest.raises(NotARootVectorError):
-        extract_root(cartan, candidate)
+        extract_root(cartan, "L13", gs42.gen(1, 3))
 
 
 def test_zero_matrix_rejected(gs42):
     cartan = find_cartan(gs42, bracket_table(gs42))
     with pytest.raises(NotARootVectorError):
-        extract_root(cartan, NamedOperator("zero", ExactMatrix.zeros(6)))
+        extract_root(cartan, "zero", ExactMatrix.zeros(6))
 
 
 def test_root_table_42_matches_published(gs42, oriented_ladders):
@@ -386,8 +399,8 @@ def test_root_table_44_second_half_k(gs44, oriented_ladders):
 
 def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    solver = SpanSolver(cartan.matrices())
-    oriented = by_name(op for op, _ in oriented_ladders(gs42, cartan))
+    solver = SpanSolver(list(cartan.values()))
+    oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
     for fam in "KJTSPQ":
         bracket = commutator(oriented[f"{fam}+"], oriented[f"{fam}-"])
         assert solver.expand(bracket) is not None
@@ -396,7 +409,7 @@ def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
 def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
     cartan = find_cartan(gs44, bracket_table(gs44))
     weyl = oriented_ladders(gs44, cartan)
-    mats = cartan.matrices() + [op.matrix for op, _ in weyl]
+    mats = list(cartan.values()) + [op for op, _ in weyl.values()]
     assert len(mats) == 28
     assert rank(mats) == 28
     assert rank(mats + gs44.matrices()) == 28  # same space as the raw basis
@@ -446,9 +459,9 @@ def test_root_system_axioms(request, oriented_ladders, gs_fixture, weyl_order):
 
     # Killing form on the Cartan members: B(X, Y) = (n - 2) * tr(XY)
     gram = []
-    for a in cartan.matrices():
+    for a in cartan.values():
         row = []
-        for b in cartan.matrices():
+        for b in cartan.values():
             m = a @ b
             trace = sum((m[i, i] for i in range(n)), GaussianRational(0))
             assert trace.is_real
@@ -594,26 +607,26 @@ def test_casimir_requires_signature(gs44):
 
 @pytest.mark.parametrize("which", ["sl2c", "so4", "so22_LD", "so22_AD"])
 def test_subalgebra_tables_hold(gs42, which):
-    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))[which])
+    basket = subalgebra_basis(gs42, yao_basis(gs42))[which]
     report = check_relation_table(basket, SUBALGEBRA_TABLES[which])
     assert report.ok, report.deviations
 
 
 def test_sl2c_specific_relations(gs42):
-    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["sl2c"])
+    basket = subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]
     assert commutator(basket["X3"], basket["X+"]) == -basket["X+"]
     assert commutator(basket["X3"], basket["X-"]) == basket["X-"]
     assert commutator(basket["X+"], basket["X-"]) == basket["X3"] * (-2)
 
 
 def test_so4_specific_relations(gs42):
-    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["so4"])
+    basket = subalgebra_basis(gs42, yao_basis(gs42))["so4"]
     assert commutator(basket["K+"], basket["K-"]) == basket["K3"] * 2
     assert commutator(basket["K3"], basket["K+"]) == basket["K+"]
 
 
 def test_so22_specific_relations(gs42):
-    basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))["so22_LD"])
+    basket = subalgebra_basis(gs42, yao_basis(gs42))["so22_LD"]
     assert commutator(basket["T+"], basket["T-"]) == basket["T0"] * (-2)
     assert commutator(basket["T0"], basket["T+"]) == -basket["T+"]
 
@@ -625,7 +638,7 @@ def test_cross_family_commutation_vanishes(gs42):
         ("so22_LD", ("T", "S")),
         ("so22_AD", ("P", "Q")),
     ):
-        basket = by_name(subalgebra_basis(gs42, yao_basis(gs42))[which])
+        basket = subalgebra_basis(gs42, yao_basis(gs42))[which]
         suffixes = "+-3" if which in ("sl2c", "so4") else "+-0"
         for i in suffixes:
             for j in suffixes:
@@ -644,7 +657,7 @@ def test_shell_halves_commute_componentwise(gs42):
 
 
 def test_yao_component_cross_families_commute(gs42):
-    yao = by_name(yao_basis(gs42))
+    yao = yao_basis(gs42)
     for a, b, suffixes in (
         ("K", "J", "123"),
         ("T", "S", "120"),

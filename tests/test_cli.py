@@ -158,6 +158,20 @@ def test_elements_unknown_symbol_hint(capsys):
 
 
 @pytest.mark.parametrize(
+    "symbol, hint",
+    [("Qq", None), ("", None), ("1", None), ("Zz", "Zr"), ("Xx", "Xe")],
+)
+def test_elements_hint_shares_a_character(capsys, symbol, hint):
+    # a symbol with nothing in common with the input is not offered as a hint
+    code, out, err = run_cli(capsys, "elements", "--symbol", symbol)
+    assert code == 2 and out == ""
+    if hint is None:
+        assert "closest match" not in err
+    else:
+        assert err.strip().endswith(f"closest match: {hint}")
+
+
+@pytest.mark.parametrize(
     "symbol, hint", [("he", "He"), ("fe", "Fe"), ("NA", "Na"), ("h", "H")]
 )
 def test_elements_miscased_symbol_hint(capsys, symbol, hint):
