@@ -4,7 +4,12 @@ The module has three layers:
 
 * construction: the 18-operator adapted basis of so(4,2), its doubled
   36-operator analogue for so(4,4), ladder combinations, and the canonical
-  Cartan set found by exhaustive search over the rotation generators;
+  Cartan set: the lexicographically first maximum commuting set of rotation
+  generators, found by a depth-first search that stops at floor(n/2)
+  members once a star certificate proves that bound (each set of generators
+  sharing an index is pairwise non-commuting, so a commuting set holds at
+  most one generator per index pair), and is exhaustive when the
+  certificate fails;
 * extraction: exact root vectors of ladder operators against a Cartan set;
 * validation: the published commutation tables (component tables, ladder
   tables, subalgebra tables, emulation chains) encoded verbatim and checked
@@ -82,30 +87,64 @@ class RootVector:
 # ---------------------------------------------------------------------------
 
 
+def star_certificate(gs: GeneratorSet, brackets: BracketTable) -> bool:
+    """Whether every star of ``gs`` is pairwise non-commuting, which bounds
+    the size of a commuting set of its generators by floor(n/2).
+
+    The star S_a is the set of generators that carry index a; its members
+    pairwise fail to commute when every pair of them has an entry in
+    ``brackets`` = ``bracket_table(gs)``.  Every generator lies in exactly
+    two stars and a commuting set meets each star at most once, so then
+    2 * size <= n.  This is the clique number bounded by the fractional
+    chromatic number (Lovasz 1978); it assumes no symmetry of the matrices.
+    """
+    return all(
+        (x, y) in brackets
+        for a in range(1, gs.metric.dim + 1)
+        for x, y in combinations([pair for pair in gs.pairs if a in pair], 2)
+    )
+
+
 def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> dict[str, ExactMatrix]:
     """Maximum pairwise-commuting subset of the rotation generators, as a
     name -> matrix map in generator order.
 
     ``brackets`` is ``bracket_table(gs)``; two generators commute when their
     pair has no entry, so commutation is decided by exact matrix arithmetic,
-    not by index bookkeeping.  The search is exhaustive over the generator
-    family itself.  One depth-first search extends cliques in ascending
-    index order and keeps a clique only when it is strictly larger than the
-    best so far, so the result is the lexicographically first maximum
-    clique: ties are broken toward the earliest index pairs.
+    not by index bookkeeping.  One depth-first search over the generator
+    family extends cliques in ascending index order and keeps a clique only
+    when it is strictly larger than the best so far.  Its preorder visits
+    cliques in lexicographic order, so the result is the lexicographically
+    first maximum clique: ties are broken toward the earliest index pairs.
+
+    The search stops as soon as the best clique reaches an upper bound on
+    the clique size.  When ``star_certificate`` holds, checked on every
+    call, the bound is floor(n/2), which the so(p,q) generators attain
+    (L12, L34, ...).  Otherwise, as for a corrupted generator set, the bound
+    is the number of generators and the search is exhaustive.
     """
     pairs = gs.pairs
-    adj = [[(min(x, y), max(x, y)) not in brackets for y in pairs] for x in pairs]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    adj = [[True] * len(pairs) for _ in pairs]
+    for x, y in brackets:
+        adj[index[x]][index[y]] = adj[index[y]][index[x]] = False
+    bound = gs.metric.dim // 2 if star_certificate(gs, brackets) else len(pairs)
     best: list[int] = []
 
-    def extend(chosen: list[int], candidates: list[int]) -> None:
+    def extend(chosen: list[int], candidates: list[int]) -> bool:
+        """Search the cliques that extend ``chosen``; True once ``best``
+        reaches the bound."""
         nonlocal best
         if len(chosen) > len(best):
             best = chosen
+            if len(best) == bound:
+                return True
         for idx, v in enumerate(candidates):
             if len(chosen) + len(candidates) - idx <= len(best):
-                return
-            extend(chosen + [v], [u for u in candidates[idx + 1 :] if adj[v][u]])
+                return False
+            if extend(chosen + [v], [u for u in candidates[idx + 1 :] if adj[v][u]]):
+                return True
+        return False
 
     extend([], list(range(len(pairs))))
     mats = gs.matrices()

@@ -16,7 +16,10 @@ an entry that cancels to zero is removed, so equal matrices have equal maps
 and equal hashes however they were built.  A rotation generator has two
 nonzero entries and a commutator of two has at most four, so arithmetic
 touches only those: a product walks the nonzeros of the left factor against
-the rows of the right one.  Indexing, ``rows`` and ``str`` read the matrix
+the rows of the right one.  ``commutator`` sums both products of a@b - b@a
+into one accumulator, negating the left entries of the second, and
+``linear_combination`` sums scaled matrices the same way, so neither builds
+an intermediate matrix.  Indexing, ``rows`` and ``str`` read the matrix
 as if it were dense.  A scalar multiplies a matrix from either side, a
 ``GaussianRational`` included.  Rank and basis expansion share one
 Gauss-Jordan elimination over Q(i) on sparse {flat index: value} rows:
@@ -349,13 +352,8 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
-        right_rows: dict[int, list[tuple[int, GaussianRational]]] = {}
-        for (k, j), b in other._entries.items():
-            right_rows.setdefault(k, []).append((j, b))
         out: _Entries = {}
-        for (i, k), a in self._entries.items():
-            for j, b in right_rows.get(k, ()):
-                _accumulate(out, (i, j), a * b)
+        _add_product(out, self._entries, other._entries)
         return ExactMatrix._of(self.dim, out)
 
     def _check_dim(self, other: "ExactMatrix") -> None:
@@ -383,11 +381,51 @@ class ExactMatrix:
     __repr__ = __str__
 
 
+def _add_product(
+    acc: _Entries, left: _Entries, right: _Entries, negate: bool = False
+) -> None:
+    """acc += left @ right, or acc -= left @ right when ``negate``, in place.
+
+    Walks the nonzeros of ``left`` against the rows of ``right``; to subtract,
+    each entry of ``left`` is negated once, before its products are formed.
+    """
+    right_rows: dict[int, list[tuple[int, GaussianRational]]] = {}
+    for (k, j), b in right.items():
+        right_rows.setdefault(k, []).append((j, b))
+    for (i, k), a in left.items():
+        if negate:
+            a = -a
+        for j, b in right_rows.get(k, ()):
+            _accumulate(acc, (i, j), a * b)
+
+
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """The bracket a@b - b@a, exact; raises on dimension mismatch."""
+    """The bracket a@b - b@a, exact; raises on dimension mismatch.
+
+    Both products are summed into one sparse map, so no intermediate
+    matrix is built.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return a @ b - b @ a
+    out: _Entries = {}
+    _add_product(out, a._entries, b._entries)
+    _add_product(out, b._entries, a._entries, negate=True)
+    return ExactMatrix._of(a.dim, out)
+
+
+def linear_combination(
+    dim: int, terms: Iterable[tuple[ScalarLike, ExactMatrix]]
+) -> ExactMatrix:
+    """The sum of c * m over the (c, m) terms, all of size ``dim``, summed
+    into one sparse map."""
+    out: _Entries = {}
+    for c, mat in terms:
+        if mat.dim != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {mat.dim}")
+        s = as_scalar(c)
+        if s:
+            _add_scaled(out, s, mat._entries)
+    return ExactMatrix._of(dim, out)
 
 
 def scalar_multiple_of(

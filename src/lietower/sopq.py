@@ -13,7 +13,8 @@ the index convention of the printed commutation table this module validates:
 The realisation is *validated*, never assumed: ``verify_commutation`` checks
 every unordered generator pair against the symbolic right-hand side, exactly.
 Each command computes those brackets once, in ``bracket_table``; the
-commutation sweep and the Cartan search both read that table.
+commutation sweep, the Cartan search and the hydrogen-alias check all read
+that table.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .exact import (
     SpanSolver,
     ZERO,
     commutator,
+    linear_combination,
 )
 
 IndexPair = tuple[int, int]
@@ -162,10 +164,9 @@ def materialize(
     gs: GeneratorSet, terms: Sequence[tuple[GaussianRational, IndexPair]]
 ) -> ExactMatrix:
     """Turn a symbolic (coefficient, pair) sum into a matrix."""
-    acc = ExactMatrix.zeros(gs.metric.dim)
-    for coeff, (a, b) in terms:
-        acc = acc + gs.gen(a, b) * coeff
-    return acc
+    return linear_combination(
+        gs.metric.dim, ((coeff, gs.gen(a, b)) for coeff, (a, b) in terms)
+    )
 
 
 def format_terms(terms: Sequence[tuple[GaussianRational, IndexPair]]) -> str:
@@ -228,19 +229,40 @@ def bracket_table(gs: GeneratorSet) -> BracketTable:
     return table
 
 
-def verify_commutation(gs: GeneratorSet, brackets: BracketTable) -> CommutationReport:
+def table_bracket(
+    gs: GeneratorSet, brackets: BracketTable, left: IndexPair, right: IndexPair
+) -> ExactMatrix:
+    """[L_left, L_right] read from ``brackets`` = ``bracket_table(gs)``, for
+    index pairs in either order: L_ba = -L_ab, and a pair brackets to zero
+    with itself."""
+    sign = 1
+    if left[0] > left[1]:
+        left, sign = left[::-1], -sign
+    if right[0] > right[1]:
+        right, sign = right[::-1], -sign
+    if left > right:
+        left, right, sign = right, left, -sign
+    got = brackets.get((left, right))
+    if got is None:
+        return ExactMatrix.zeros(gs.metric.dim)
+    return got if sign > 0 else -got
+
+
+def verify_commutation(
+    gs: GeneratorSet, brackets: BracketTable, solver: SpanSolver
+) -> CommutationReport:
     """Check every unordered generator pair against the symbolic bracket.
 
     ``brackets`` is ``bracket_table(gs)``.  Each pair is decided by exact
     matrix equality between its entry there (zero when absent) and the
-    materialized right-hand side.  The generators are factored once up
-    front, which raises ``ValueError`` on a dependent set: only for
+    materialized right-hand side.  ``solver`` is ``SpanSolver(gs.matrices())``,
+    whose factoring raises ``ValueError`` on a dependent set: only for
     independent generators does equality of the matrices mean equality of
     the coefficients.  A mismatch is a failure entry, never an exception,
     and its ``got`` side is expanded in the generator basis.
     """
     metric = gs.metric
-    describe = span_describer(gs.names, gs.matrices(), "<outside generator span>")
+    describe = span_describer(gs.names, solver, "<outside generator span>")
     zero = ExactMatrix.zeros(metric.dim)
     failures: list[PairFailure] = []
     for left, right in combinations(gs.pairs, 2):
@@ -263,14 +285,11 @@ def verify_commutation(gs: GeneratorSet, brackets: BracketTable) -> CommutationR
 
 
 def span_describer(
-    names: Sequence[str], basis: Sequence[ExactMatrix], outside: str
+    names: Sequence[str], solver: SpanSolver, outside: str
 ) -> Callable[[ExactMatrix], str]:
-    """Render a matrix as an exact combination of the named basis.
-
-    The basis is factored once; a matrix outside its span renders as
-    ``outside``.
+    """Render a matrix as an exact combination of the named basis that
+    ``solver`` factored; a matrix outside its span renders as ``outside``.
     """
-    solver = SpanSolver(basis)
 
     def describe(mat: ExactMatrix) -> str:
         coeffs = solver.expand(mat)
@@ -385,12 +404,16 @@ class HydrogenAliasReport:
 
 
 def _epsilon_handedness(
-    alias: dict[str, ExactMatrix], left: str, right: str, result: str
+    bracket: Callable[[str, str], ExactMatrix],
+    alias: dict[str, ExactMatrix],
+    left: str,
+    right: str,
+    result: str,
 ) -> str:
     """Which of [x_i, y_j] = +/- i eps_ijk z_k the matrices satisfy."""
     found = set()
     for (i, j, k), eps in _EPS.items():
-        got = commutator(alias[f"{left}{i}"], alias[f"{right}{j}"])
+        got = bracket(f"{left}{i}", f"{right}{j}")
         if got == alias[f"{result}{k}"] * (I * eps):
             found.add("+i eps_ijk")
         elif got == alias[f"{result}{k}"] * (-I * eps):
@@ -400,12 +423,24 @@ def _epsilon_handedness(
     return found.pop() if len(found) == 1 else "mixed"
 
 
-def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
+def hydrogen_alias_check(gs: GeneratorSet, brackets: BracketTable) -> HydrogenAliasReport:
+    """Check the printed alias tables; ``brackets`` is ``bracket_table(gs)``.
+
+    Every alias is a signed generator, so each bracket is read from the
+    table with the sign of its index order (L2 = L31 = -L13).
+    """
     alias = hydrogen_aliases(gs)
-    describe = span_describer(list(alias), list(alias.values()), "<outside alias span>")
+    describe = span_describer(
+        list(alias), SpanSolver(list(alias.values())), "<outside alias span>"
+    )
+
+    def bracket(left: str, right: str) -> ExactMatrix:
+        pair = _HYDROGEN_ALIAS_PAIRS
+        return table_bracket(gs, brackets, pair[left], pair[right])
+
     checks = []
     for left, right, coeff, result in HYDROGEN_LB_TABLE:
-        got = commutator(alias[left], alias[right])
+        got = bracket(left, right)
         expected = (
             ExactMatrix.zeros(gs.metric.dim)
             if result is None
@@ -414,9 +449,9 @@ def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
         rel = f"[{left},{right}] = ({coeff})*{result}" if result else f"[{left},{right}] = 0"
         checks.append(AliasCheck(relation=rel, passed=got == expected, got=describe(got)))
     families = {
-        "[L,L]": _epsilon_handedness(alias, "L", "L", "L"),
-        "[L,A]": _epsilon_handedness(alias, "L", "A", "A"),
-        "[A,A]": _epsilon_handedness(alias, "A", "A", "L"),
+        "[L,L]": _epsilon_handedness(bracket, alias, "L", "L", "L"),
+        "[L,A]": _epsilon_handedness(bracket, alias, "L", "A", "A"),
+        "[A,A]": _epsilon_handedness(bracket, alias, "A", "A", "L"),
     }
     return HydrogenAliasReport(
         checks=checks,

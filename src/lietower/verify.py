@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 from . import cartan as cw
-from .exact import ExactMatrix, rank
+from .exact import ExactMatrix, SpanSolver, rank
 from .sopq import (
     BracketTable,
     GeneratorSet,
@@ -112,9 +113,12 @@ class VerificationReport:
 
 
 def _commutator_suites(
-    gs: GeneratorSet, brackets: BracketTable, cartan: Mapping[str, ExactMatrix]
+    gs: GeneratorSet,
+    brackets: BracketTable,
+    solver: SpanSolver,
+    cartan: Mapping[str, ExactMatrix],
 ) -> list[SuiteResult]:
-    rep = verify_commutation(gs, brackets)
+    rep = verify_commutation(gs, brackets, solver)
     done = rep.pair_count - len(rep.failures)
     return [
         SuiteResult(
@@ -138,10 +142,10 @@ def _commutator_suites(
 
 
 def _suites_rank3(
-    gs: GeneratorSet, cartan: Mapping[str, ExactMatrix]
+    gs: GeneratorSet, brackets: BracketTable, cartan: Mapping[str, ExactMatrix]
 ) -> list[SuiteResult]:
     suites = []
-    alias_rep = hydrogen_alias_check(gs)
+    alias_rep = hydrogen_alias_check(gs, brackets)
     suites.append(
         SuiteResult(
             name="hydrogen-aliases",
@@ -196,10 +200,9 @@ def _suites_rank3(
             name: tuple(Fraction(c) for c in comps)
             for name, comps in PUBLISHED_ROOTS_RANK3.items()
         }
-        zero_ok = all(
-            not any(cw.extract_root(cartan, name, member).components)
-            for name, member in cartan.items()
-        )
+        # each member has the zero root iff no two members bracket
+        members = [pair for pair, name in zip(gs.pairs, gs.names) if name in cartan]
+        zero_ok = not any(pair in brackets for pair in combinations(members, 2))
         suites.append(
             SuiteResult(
                 name="root-table",
@@ -234,7 +237,7 @@ def _suites_rank3(
 
 
 def _suites_rank4(
-    gs: GeneratorSet, cartan: Mapping[str, ExactMatrix]
+    gs: GeneratorSet, solver: SpanSolver, cartan: Mapping[str, ExactMatrix]
 ) -> list[SuiteResult]:
     suites = []
     first, second = cw.split_basis_so44(gs)
@@ -258,7 +261,7 @@ def _suites_rank4(
             details=emu.to_json_dict(),
         )
     )
-    describe = span_describer(gs.names, gs.matrices(), "<outside algebra>")
+    describe = span_describer(gs.names, solver, "<outside algebra>")
     for label, tables in (
         ("component-tables", (cw.COMPONENT_TABLE_FIRST, cw.COMPONENT_TABLE_SECOND)),
         ("ladder-tables", (cw.LADDER_TABLE_FIRST, cw.LADDER_TABLE_SECOND)),
@@ -317,13 +320,15 @@ def run_verification(metric: Metric) -> VerificationReport:
     gs = build_generators(metric)
     brackets = bracket_table(gs)
     cartan = cw.find_cartan(gs, brackets)
-    suites = _commutator_suites(gs, brackets, cartan)
+    # one factorisation of the generator basis serves every expansion
+    solver = SpanSolver(gs.matrices())
+    suites = _commutator_suites(gs, brackets, solver, cartan)
     notes: tuple[str, ...] = ()
     if metric == Metric(4, 2):
-        suites += _suites_rank3(gs, cartan)
+        suites += _suites_rank3(gs, brackets, cartan)
         notes = NOTES_RANK3
     elif metric == Metric(4, 4):
-        suites += _suites_rank4(gs, cartan)
+        suites += _suites_rank4(gs, solver, cartan)
         notes = NOTES_RANK4
     return VerificationReport(
         signature=(metric.p, metric.q), suites=suites, notes=notes

@@ -38,7 +38,7 @@ from lietower.cartan import (
     yao_basis,
 )
 from lietower.cli import main
-from lietower.exact import ExactMatrix, I, commutator, rank
+from lietower.exact import ExactMatrix, I, SpanSolver, commutator, rank
 from lietower.labels import mass_sl2c, mass_so42
 from lietower.periodic import (
     assign_elements,
@@ -70,7 +70,7 @@ def criterion(number, label):
 def test_criterion_01_commutation_suite_rank3(gs42):
     with criterion(1, "so(4,2) commutation suite, 105 pairs, < 5 s"):
         start = time.monotonic()
-        report = verify_commutation(gs42, bracket_table(gs42))
+        report = verify_commutation(gs42, bracket_table(gs42), SpanSolver(gs42.matrices()))
         elapsed = time.monotonic() - start
         assert report.pair_count == 105
         assert report.failures == []
@@ -80,7 +80,7 @@ def test_criterion_01_commutation_suite_rank3(gs42):
 def test_criterion_02_commutation_suite_rank4(gs44):
     with criterion(2, "so(4,4) commutation suite, 378 pairs, < 30 s"):
         start = time.monotonic()
-        report = verify_commutation(gs44, bracket_table(gs44))
+        report = verify_commutation(gs44, bracket_table(gs44), SpanSolver(gs44.matrices()))
         elapsed = time.monotonic() - start
         assert report.pair_count == 378
         assert report.failures == []
@@ -89,7 +89,7 @@ def test_criterion_02_commutation_suite_rank4(gs44):
 
 def test_criterion_03_hydrogen_alias_table(gs42):
     with criterion(3, "hydrogen alias table holds; eps-convention mismatch reported"):
-        report = hydrogen_alias_check(gs42)
+        report = hydrogen_alias_check(gs42, bracket_table(gs42))
         assert report.ok
         assert len(report.checks) == 15
         # the mismatch with the +i*eps convention is reported, not hidden
@@ -358,3 +358,14 @@ def test_criterion_14_module_entry_point(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def test_criterion_15_verify_88_under_5s(capsys):
+    with criterion(15, "verify --signature 8,8 passes in < 5 s with rank 8"):
+        start = time.monotonic()
+        code = main(["verify", "--signature", "8,8"])
+        elapsed = time.monotonic() - start
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "  cartan: rank 8: L12, L34, L56, L78, L910, L1112, L1314, L1516 [ok]\n" in out
+        assert elapsed < 5.0, f"verify took {elapsed:.2f}s"

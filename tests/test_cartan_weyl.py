@@ -29,6 +29,7 @@ from lietower.cartan import (
     operator_map,
     root_system,
     split_basis_so44,
+    star_certificate,
     subalgebra_basis,
     weyl_generators,
     yao_basis,
@@ -121,6 +122,64 @@ def test_cartan_matches_brute_force(p, q):
 def test_cartan_matches_brute_force_corrupted():
     gs = _corrupted_so42()
     assert list(find_cartan(gs, bracket_table(gs))) == _brute_force_cartan(gs)
+
+
+def _exhaustive_cartan(gs, brackets):
+    """Names of the lexicographically first maximum clique, by the
+    depth-first search without an upper bound: every branch that could
+    still beat the best clique is searched."""
+    pairs = gs.pairs
+    adj = [[(min(x, y), max(x, y)) not in brackets for y in pairs] for x in pairs]
+    best = []
+
+    def extend(chosen, candidates):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for idx, v in enumerate(candidates):
+            if len(chosen) + len(candidates) - idx <= len(best):
+                return
+            extend(chosen + [v], [u for u in candidates[idx + 1 :] if adj[v][u]])
+
+    extend([], list(range(len(pairs))))
+    return [gs.names[k] for k in best]
+
+
+@pytest.mark.parametrize(
+    "p, q", [(p, total - p) for total in range(2, 10) for p in range(total + 1)]
+)
+def test_cartan_matches_exhaustive_search(p, q):
+    gs = build_generators(Metric(p, q))
+    brackets = bracket_table(gs)
+    assert star_certificate(gs, brackets)
+    names = list(find_cartan(gs, brackets))
+    assert names == _exhaustive_cartan(gs, brackets)
+    assert len(names) == (p + q) // 2
+
+
+def _star_broken_so42():
+    """gs42 with L13 overwritten by 2*L12: L12 and L13 share index 1 but
+    commute, so the star of index 1 is no longer pairwise non-commuting and
+    the largest commuting set, L12, L13, L34, L56, exceeds floor(6/2)."""
+    gs = build_generators(Metric(4, 2))
+    gs._gens[(1, 3)] = gs.gen(1, 2) * 2
+    return gs
+
+
+def test_cartan_star_violation_takes_exhaustive_fallback(monkeypatch):
+    # the certificate is decided per call: a genuine set of the same
+    # signature searched first must not let the broken one stop early
+    genuine = build_generators(Metric(4, 2))
+    assert list(find_cartan(genuine, bracket_table(genuine))) == ["L12", "L34", "L56"]
+    gs = _star_broken_so42()
+    brackets = bracket_table(gs)
+    assert not star_certificate(gs, brackets)
+    names = list(find_cartan(gs, brackets))
+    assert names == _brute_force_cartan(gs) == _exhaustive_cartan(gs, brackets)
+    assert names == ["L12", "L13", "L34", "L56"]
+    # trusting the bound floor(6/2) here would stop one member short
+    monkeypatch.setattr(lietower.cartan, "star_certificate", lambda gs, brackets: True)
+    assert list(find_cartan(gs, brackets)) == ["L12", "L13", "L34"]
 
 
 def test_cartan_members_commute(gs44):
@@ -294,11 +353,12 @@ def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
 
 
 # Each command extracts the root of every ladder operator once, in
-# weyl_generators; verify 4,2 adds the zero roots of its three Cartan members.
+# weyl_generators; the Cartan zero-root check of verify 4,2 reads the
+# bracket table instead.
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        (("verify", "--signature", "4,2"), 15),
+        (("verify", "--signature", "4,2"), 12),
         (("verify", "--signature", "4,4"), 24),
         (("roots", "--signature", "4,2"), 12),
         (("roots", "--signature", "4,4"), 24),
@@ -705,7 +765,7 @@ def test_printed_table_content_digest():
     ids=lambda t: t.name,
 )
 def test_printed_tables_match_known_deviations(gs44, table):
-    describe = span_describer(gs44.names, gs44.matrices(), "<outside algebra>")
+    describe = span_describer(gs44.names, SpanSolver(gs44.matrices()), "<outside algebra>")
     report = check_relation_table(_ops44(gs44), table, describe=describe)
     assert tuple(report.deviations) == KNOWN_TABLE_DEVIATIONS[table.name]
 

@@ -27,6 +27,7 @@ from lietower.exact import (  # noqa: E402
     GaussianRational,
     SpanSolver,
     commutator,
+    linear_combination,
     rank,
     scalar_multiple_of,
 )
@@ -187,6 +188,27 @@ def test_sparse_matmul_commutator_transpose_match_dense(pair):
     ]
     assert dense(a.transpose()) == [list(col) for col in zip(*da)]
     assert a.is_zero() == all(v == ZERO for row in da for v in row)
+
+
+@KERNEL
+@given(sparse_pairs())
+def test_fused_commutator_matches_two_products(pair):
+    # one accumulator for a@b - b@a: the same stored map as the two
+    # products subtracted, no stored zero, and antisymmetry
+    a, b = pair
+    got = commutator(a, b)
+    assert got._entries == (a @ b - b @ a)._entries
+    assert all(got._entries.values())
+    assert (got + commutator(b, a)).is_zero()
+
+
+@KERNEL
+@given(sparse_families())
+def test_linear_combination_matches_chained_sum(family):
+    mats, coeffs = family
+    got = linear_combination(mats[0].dim, zip(coeffs, mats))
+    assert got._entries == combine(coeffs, mats)._entries
+    assert all(got._entries.values())
 
 
 @KERNEL
