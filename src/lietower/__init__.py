@@ -15,6 +15,7 @@ from .exact import (
 from .sopq import GeneratorSet, Metric, bracket_table, build_generators, verify_commutation
 from .cartan import (
     RootVector,
+    adapted_basis,
     casimir,
     extract_root,
     find_cartan,
@@ -61,6 +62,7 @@ __all__ = [
     "RootVector",
     "TowerSlice",
     "WeightKet",
+    "adapted_basis",
     "antimatter_mirror",
     "apply_ladder",
     "assign_elements",

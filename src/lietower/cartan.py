@@ -241,6 +241,18 @@ def split_basis_so44(
     return first, second
 
 
+def adapted_basis(gs: GeneratorSet) -> dict[str, ExactMatrix]:
+    """The basis that ladders, roots and printed tables are built from:
+    ``yao_basis`` for (4,2), both halves of ``split_basis_so44`` in order for
+    (4,4).  Raises ValueError for any other signature."""
+    if gs.metric == Metric(4, 2):
+        return yao_basis(gs)
+    if gs.metric == Metric(4, 4):
+        first, second = split_basis_so44(gs)
+        return first | second
+    raise ValueError(f"no adapted basis for signature {gs.metric}")
+
+
 def ladder_operators(basis: Mapping[str, ExactMatrix]) -> dict[str, ExactMatrix]:
     """Literal raising/lowering combinations E+/- = E1 +/- i*E2.
 

@@ -18,12 +18,11 @@ from fractions import Fraction
 from typing import Optional, TextIO
 
 from .cartan import (
+    adapted_basis,
     find_cartan,
     ladder_operators,
     root_system,
-    split_basis_so44,
     weyl_generators,
-    yao_basis,
 )
 from .labels import mass_sl2c, mass_so42
 from .periodic import MAX_Z, assign_elements, find_element, projection_slice
@@ -33,8 +32,10 @@ from .verify import run_verification
 
 RANK3_AXIS_ALIASES = {"L12": "L3", "L34": "A3", "L56": "D3"}
 
-# Largest p+q that verify accepts: 8,8 took 15.7 s on one core of a shared
-# 2-vCPU Xeon (Python 3.11), and the cost grows steeply beyond it.
+# Largest p+q that verify accepts.  It no longer guards a slow run: with the
+# certified Cartan search, run_verification takes 0.08-0.13 s for 8,8 and
+# 0.17-0.27 s for 10,10 on one core of a shared 2-vCPU Xeon (Python 3.11).
+# It stays at 16 because raising it changes which signatures exit 2.
 MAX_VERIFY_DIM = 16
 
 
@@ -142,12 +143,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _root_table(metric: Metric):
     gs = build_generators(metric)
     cartan = find_cartan(gs, bracket_table(gs))
-    if metric == Metric(4, 2):
-        basis, axes = yao_basis(gs), RANK3_AXIS_ALIASES
-    else:
-        first, second = split_basis_so44(gs)
-        basis, axes = {**first, **second}, {}
-    table = root_system(cartan, weyl_generators(cartan, ladder_operators(basis)))
+    ladders = ladder_operators(adapted_basis(gs))
+    table = root_system(cartan, weyl_generators(cartan, ladders))
+    axes = RANK3_AXIS_ALIASES if metric == Metric(4, 2) else {}
     table.cartan = [axes.get(n, n) for n in table.cartan]
     return table
 

@@ -122,8 +122,9 @@ def expected_bracket(
 ) -> list[tuple[GaussianRational, IndexPair]]:
     """Symbolic right-hand side of the bracket [L_left, L_right].
 
-    Returns (coefficient, pair) terms with pairs normalised to a < b,
-    L_aa dropped, and like terms combined; deterministic pair order.
+    Returns at most one (coefficient, pair) term, its pair normalised to
+    a < b: two index pairs of distinct members that share exactly one index
+    bracket to one generator, and any other two commute.
     """
     a, b = left
     c, d = right
@@ -132,32 +133,16 @@ def expected_bracket(
             raise IndexError(f"index {idx} outside 1..{metric.dim}")
     if a == b or c == d:
         raise ValueError("index pairs must have distinct members")
-    g = metric.g
-    # i*(g_ad L_bc + g_bc L_ad - g_ac L_bd - g_bd L_ac); metric is diagonal,
-    # so g_xy is zero unless x == y.
-    terms: dict[IndexPair, GaussianRational] = {}
-
-    def add(sign: int, x: int, y: int, u: int, v: int) -> None:
-        if x != y:
-            return
-        coeff = I * (sign * g(x))
-        if u == v:
-            return
-        if u > v:
-            u, v = v, u
-            coeff = -coeff
-        key = (u, v)
-        acc = terms.get(key, ZERO) + coeff
-        if acc:
-            terms[key] = acc
-        elif key in terms:
-            del terms[key]
-
-    add(+1, a, d, b, c)
-    add(+1, b, c, a, d)
-    add(-1, a, c, b, d)
-    add(-1, b, d, a, c)
-    return [(terms[key], key) for key in sorted(terms)]
+    # i*(g_ad L_bc + g_bc L_ad - g_ac L_bd - g_bd L_ac); the metric is
+    # diagonal, so a term lives only where its g carries a shared index.
+    # Pairs sharing both indices leave only L_uu terms, which vanish.
+    for sign, x, y, u, v in (
+        (+1, a, d, b, c), (+1, b, c, a, d), (-1, a, c, b, d), (-1, b, d, a, c)
+    ):
+        if x == y and u != v:
+            coeff = I * (sign * metric.g(x))
+            return [(coeff, (u, v))] if u < v else [(-coeff, (v, u))]
+    return []
 
 
 def materialize(

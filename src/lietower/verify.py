@@ -2,6 +2,8 @@
 
 Each suite is a named exact check with a one-line summary; a run passes
 only if every suite passes, and that decides the process exit status.
+A builder makes one suite from the shared objects of a verdict; every
+signature gets the common suites, a published one also its ``BATTERIES`` row.
 Checks against published tables that carry known misprints pass exactly
 when the freshly computed deviation list matches the recorded baseline,
 so both a regression and a silently "fixed" table flip the run to red.
@@ -9,10 +11,10 @@ so both a regression and a silently "fixed" table flip the run to red.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Mapping
+from typing import Callable
 
 from . import cartan as cw
 from .exact import ExactMatrix, SpanSolver, rank
@@ -68,14 +70,6 @@ class SuiteResult:
     summary: str
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "summary": self.summary,
-            "details": self.details,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -91,7 +85,7 @@ class VerificationReport:
         return {
             "signature": list(self.signature),
             "passed": self.ok,
-            "suites": [s.to_json_dict() for s in self.suites],
+            "suites": [asdict(s) for s in self.suites],
             "notes": list(self.notes),
         }
 
@@ -112,224 +106,224 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _commutator_suites(
-    gs: GeneratorSet,
-    brackets: BracketTable,
-    solver: SpanSolver,
-    cartan: Mapping[str, ExactMatrix],
-) -> list[SuiteResult]:
-    rep = verify_commutation(gs, brackets, solver)
+@dataclass
+class SuiteContext:
+    """The shared objects of one verdict.  The adapted basis, its ladders
+    and the operator map are built on first use, so only a battery that
+    reads them builds them."""
+
+    gs: GeneratorSet
+    brackets: BracketTable
+    cartan: dict[str, ExactMatrix]
+    solver: SpanSolver
+
+    @cached_property
+    def basis(self) -> dict[str, ExactMatrix]:
+        return cw.adapted_basis(self.gs)
+
+    @cached_property
+    def ladders(self) -> dict[str, ExactMatrix]:
+        return cw.ladder_operators(self.basis)
+
+    @cached_property
+    def ops(self) -> dict[str, ExactMatrix]:
+        return cw.operator_map(self.gs, self.basis, self.ladders)
+
+
+def _commutators(ctx: SuiteContext) -> SuiteResult:
+    rep = verify_commutation(ctx.gs, ctx.brackets, ctx.solver)
     done = rep.pair_count - len(rep.failures)
-    return [
-        SuiteResult(
-            name="commutators",
-            passed=rep.ok,
-            summary=f"{done}/{rep.pair_count}",
-            details=rep.to_json_dict(),
-        ),
-        SuiteResult(
-            name="membership",
-            passed=pseudo_antisymmetry_holds(gs),
-            summary=f"g*L^T*g = -L for {len(gs)} generators",
-        ),
-        SuiteResult(
-            name="cartan",
-            passed=cw.cartan_is_maximal(gs, cartan, brackets),
-            summary=f"rank {len(cartan)}: {', '.join(cartan)}",
-            details={"members": list(cartan)},
-        ),
-    ]
+    return SuiteResult(
+        "commutators", rep.ok, f"{done}/{rep.pair_count}", rep.to_json_dict()
+    )
 
 
-def _suites_rank3(
-    gs: GeneratorSet, brackets: BracketTable, cartan: Mapping[str, ExactMatrix]
-) -> list[SuiteResult]:
-    suites = []
-    alias_rep = hydrogen_alias_check(gs, brackets)
-    suites.append(
-        SuiteResult(
-            name="hydrogen-aliases",
-            passed=alias_rep.ok and alias_rep.epsilon_convention == "-i eps_ijk",
-            summary=(
-                f"{sum(c.passed for c in alias_rep.checks)}/{len(alias_rep.checks)}"
-                f", convention {alias_rep.epsilon_convention}"
-            ),
-            details=alias_rep.to_json_dict(),
-        )
+def _membership(ctx: SuiteContext) -> SuiteResult:
+    return SuiteResult(
+        "membership",
+        pseudo_antisymmetry_holds(ctx.gs),
+        f"g*L^T*g = -L for {len(ctx.gs)} generators",
     )
-    yao = cw.yao_basis(gs)
-    yao_rank = rank(list(yao.values()))
-    suites.append(
-        SuiteResult(
-            name="yao-rank",
-            passed=yao_rank == 15,
-            summary=f"{yao_rank} (18 generators, {18 - yao_rank} dependencies)",
-        )
+
+
+def _cartan(ctx: SuiteContext) -> SuiteResult:
+    return SuiteResult(
+        "cartan",
+        cw.cartan_is_maximal(ctx.gs, ctx.cartan, ctx.brackets),
+        f"rank {len(ctx.cartan)}: {', '.join(ctx.cartan)}",
+        {"members": list(ctx.cartan)},
     )
-    ops = cw.operator_map(gs, yao)
-    emu = cw.emulation_check(ops, cw.EMULATION_CHAINS_SO42)
-    suites.append(
-        SuiteResult(
-            name="emulation",
-            passed=emu.ok,
-            summary=f"{emu.passed_count}/{len(emu.checks)}",
-            details=emu.to_json_dict(),
-        )
+
+
+def _hydrogen_aliases(ctx: SuiteContext) -> SuiteResult:
+    rep = hydrogen_alias_check(ctx.gs, ctx.brackets)
+    return SuiteResult(
+        "hydrogen-aliases",
+        rep.ok and rep.epsilon_convention == "-i eps_ijk",
+        f"{sum(c.passed for c in rep.checks)}/{len(rep.checks)}"
+        f", convention {rep.epsilon_convention}",
+        rep.to_json_dict(),
     )
-    sub_ok = True
-    sub_counts = []
-    sub_details = {}
-    for which, basket in cw.subalgebra_basis(gs, yao).items():
-        rep = cw.check_relation_table(basket, cw.SUBALGEBRA_TABLES[which])
-        sub_ok = sub_ok and rep.ok
-        sub_counts.append(f"{which} {len(rep.checks) - len(rep.deviations)}/{len(rep.checks)}")
-        sub_details[which] = rep.to_json_dict()
-    suites.append(
-        SuiteResult(
-            name="subalgebra-tables",
-            passed=sub_ok,
-            summary="; ".join(sub_counts),
-            details=sub_details,
-        )
+
+
+def _basis_rank(ctx: SuiteContext, name: str) -> SuiteResult:
+    """The adapted basis spans the algebra: its rank is the generator count."""
+    got, size = rank(list(ctx.basis.values())), len(ctx.basis)
+    return SuiteResult(
+        name, got == len(ctx.gs), f"{got} ({size} generators, {size - got} dependencies)"
     )
+
+
+def _emulation(ctx: SuiteContext, chains: list[tuple[str, list[str]]]) -> SuiteResult:
+    emu = cw.emulation_check(ctx.ops, chains)
+    return SuiteResult(
+        "emulation", emu.ok, f"{emu.passed_count}/{len(emu.checks)}", emu.to_json_dict()
+    )
+
+
+def _subalgebra_tables(ctx: SuiteContext) -> SuiteResult:
+    reports = {
+        which: cw.check_relation_table(basket, cw.SUBALGEBRA_TABLES[which])
+        for which, basket in cw.subalgebra_basis(ctx.gs, ctx.basis).items()
+    }
+    return SuiteResult(
+        "subalgebra-tables",
+        all(rep.ok for rep in reports.values()),
+        "; ".join(
+            f"{which} {len(rep.checks) - len(rep.deviations)}/{len(rep.checks)}"
+            for which, rep in reports.items()
+        ),
+        {which: rep.to_json_dict() for which, rep in reports.items()},
+    )
+
+
+def _printed_tables(
+    ctx: SuiteContext, name: str, tables: tuple[cw.RelationTable, ...]
+) -> SuiteResult:
+    """Printed tables checked as printed; each passes when its deviations
+    are exactly its recorded misprints."""
+    describe = span_describer(ctx.gs.names, ctx.solver, "<outside algebra>")
+    parts = []
+    passed = True
+    details = {}
+    for table in tables:
+        rep = cw.check_relation_table(ctx.ops, table, describe=describe)
+        baseline = cw.KNOWN_TABLE_DEVIATIONS[table.name]
+        passed = passed and tuple(rep.deviations) == baseline
+        parts.append(
+            f"{table.name} {len(rep.checks) - len(rep.deviations)}"
+            f"/{len(rep.checks)} as printed"
+            + (f" ({len(baseline)} known misprints confirmed)" if baseline else "")
+        )
+        details[table.name] = rep.to_json_dict()
+    return SuiteResult(name, passed, "; ".join(parts), details)
+
+
+def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
+    got = {name: tuple(root.components) for name, root in table.rows}
+    matched = sum(got[k] == want for k, want in PUBLISHED_ROOTS_RANK3.items())
+    # each member has the zero root iff no two members bracket
+    members = [pair for pair, name in zip(ctx.gs.pairs, ctx.gs.names) if name in ctx.cartan]
+    zero_ok = not any(pair in ctx.brackets for pair in combinations(members, 2))
+    return (
+        got == PUBLISHED_ROOTS_RANK3 and zero_ok,
+        f"{matched}/12 published rows, cartan zero-roots {'ok' if zero_ok else 'FAIL'}",
+    )
+
+
+def _judge_rank4(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
+    roots = table.as_dict()
+    extraction_ok = len(roots) == 24 and all(
+        all(abs(c) <= 1 for c in r.components) for r in roots.values()
+    )
+    first_half_match = all(
+        tuple(roots["1" + name].components[:3]) == comps
+        and not roots["1" + name].components[3]
+        for name, comps in PUBLISHED_ROOTS_RANK3.items()
+    )
+    return (
+        extraction_ok and first_half_match,
+        f"{len(roots)}/24 extracted; first half matches the published "
+        "rank-3 table on its first three axes",
+    )
+
+
+def _roots(
+    ctx: SuiteContext,
+    name: str,
+    judge: Callable[[SuiteContext, cw.RootTable], tuple[bool, str]],
+) -> SuiteResult:
     try:
-        ladders = cw.ladder_operators(yao)
-        table = cw.root_system(cartan, cw.weyl_generators(cartan, ladders))
-        got = {name: tuple(root.components) for name, root in table.rows}
-        want = {
-            name: tuple(Fraction(c) for c in comps)
-            for name, comps in PUBLISHED_ROOTS_RANK3.items()
-        }
-        # each member has the zero root iff no two members bracket
-        members = [pair for pair, name in zip(gs.pairs, gs.names) if name in cartan]
-        zero_ok = not any(pair in brackets for pair in combinations(members, 2))
-        suites.append(
-            SuiteResult(
-                name="root-table",
-                passed=got == want and zero_ok,
-                summary=f"{sum(got[k] == want[k] for k in want)}/12 published rows, "
-                f"cartan zero-roots {'ok' if zero_ok else 'FAIL'}",
-                details=table.to_json_dict(),
-            )
-        )
+        table = cw.root_system(ctx.cartan, cw.weyl_generators(ctx.cartan, ctx.ladders))
     except cw.NotARootVectorError as exc:
-        suites.append(
-            SuiteResult(name="root-table", passed=False, summary=str(exc))
-        )
+        return SuiteResult(name, False, str(exc))
+    passed, summary = judge(ctx, table)
+    return SuiteResult(name, passed, summary, table.to_json_dict())
+
+
+def _casimirs(ctx: SuiteContext) -> SuiteResult:
     invariant_count = 0
-    cas_parts = []
+    parts = []
     for degree in (2, 3, 4):
-        mat = cw.casimir(gs, degree)
-        invariant = cw.casimir_invariance(gs, mat)
-        invariant_count += invariant
+        mat = cw.casimir(ctx.gs, degree)
+        invariant_count += cw.casimir_invariance(ctx.gs, mat)
         scalar = mat.scaled_identity()
-        cas_parts.append(
+        parts.append(
             f"C{degree}={scalar}*1" if scalar is not None else f"C{degree} not scalar"
         )
-    suites.append(
-        SuiteResult(
-            name="casimir",
-            passed=invariant_count == 3,
-            summary=f"{invariant_count}/3 invariant ({', '.join(cas_parts)})",
-        )
+    return SuiteResult(
+        "casimir",
+        invariant_count == 3,
+        f"{invariant_count}/3 invariant ({', '.join(parts)})",
     )
-    return suites
 
 
-def _suites_rank4(
-    gs: GeneratorSet, solver: SpanSolver, cartan: Mapping[str, ExactMatrix]
-) -> list[SuiteResult]:
-    suites = []
-    first, second = cw.split_basis_so44(gs)
-    split = {**first, **second}
-    split_rank = rank(list(split.values()))
-    suites.append(
-        SuiteResult(
-            name="split-rank",
-            passed=split_rank == 28,
-            summary=f"{split_rank} (36 generators, {36 - split_rank} dependencies)",
-        )
-    )
-    ladders = cw.ladder_operators(split)
-    ops = cw.operator_map(gs, split, ladders)
-    emu = cw.emulation_check(ops, cw.EMULATION_CHAINS_SO44)
-    suites.append(
-        SuiteResult(
-            name="emulation",
-            passed=emu.ok,
-            summary=f"{emu.passed_count}/{len(emu.checks)}",
-            details=emu.to_json_dict(),
-        )
-    )
-    describe = span_describer(gs.names, solver, "<outside algebra>")
-    for label, tables in (
-        ("component-tables", (cw.COMPONENT_TABLE_FIRST, cw.COMPONENT_TABLE_SECOND)),
-        ("ladder-tables", (cw.LADDER_TABLE_FIRST, cw.LADDER_TABLE_SECOND)),
-    ):
-        parts = []
-        passed = True
-        details = {}
-        for table in tables:
-            rep = cw.check_relation_table(ops, table, describe=describe)
-            baseline = cw.KNOWN_TABLE_DEVIATIONS[table.name]
-            match = tuple(rep.deviations) == baseline
-            passed = passed and match
-            parts.append(
-                f"{table.name} {len(rep.checks) - len(rep.deviations)}"
-                f"/{len(rep.checks)} as printed"
-                + (f" ({len(baseline)} known misprints confirmed)" if baseline else "")
-            )
-            details[table.name] = rep.to_json_dict()
-        suites.append(
-            SuiteResult(
-                name=label, passed=passed, summary="; ".join(parts), details=details
-            )
-        )
-    try:
-        table = cw.root_system(cartan, cw.weyl_generators(cartan, ladders))
-        roots = table.as_dict()
-        extraction_ok = len(roots) == 24 and all(
-            all(abs(c) <= 1 for c in r.components) for r in roots.values()
-        )
-        first_half_match = all(
-            tuple(roots["1" + name].components[:3])
-            == tuple(Fraction(c) for c in comps)
-            and not roots["1" + name].components[3]
-            for name, comps in PUBLISHED_ROOTS_RANK3.items()
-        )
-        suites.append(
-            SuiteResult(
-                name="root-extraction",
-                passed=extraction_ok and first_half_match,
-                summary=(
-                    f"{len(roots)}/24 extracted; first half matches the published "
-                    "rank-3 table on its first three axes"
-                ),
-                details=table.to_json_dict(),
-            )
-        )
-    except cw.NotARootVectorError as exc:
-        suites.append(
-            SuiteResult(name="root-extraction", passed=False, summary=str(exc))
-        )
-    return suites
+SuiteBuilder = Callable[[SuiteContext], SuiteResult]
+
+# Published signature -> (its battery, run after the common suites; notes).
+BATTERIES: dict[Metric, tuple[tuple[SuiteBuilder, ...], tuple[str, ...]]] = {
+    Metric(4, 2): (
+        (
+            _hydrogen_aliases,
+            partial(_basis_rank, name="yao-rank"),
+            partial(_emulation, chains=cw.EMULATION_CHAINS_SO42),
+            _subalgebra_tables,
+            partial(_roots, name="root-table", judge=_judge_rank3),
+            _casimirs,
+        ),
+        NOTES_RANK3,
+    ),
+    Metric(4, 4): (
+        (
+            partial(_basis_rank, name="split-rank"),
+            partial(_emulation, chains=cw.EMULATION_CHAINS_SO44),
+            partial(
+                _printed_tables,
+                name="component-tables",
+                tables=(cw.COMPONENT_TABLE_FIRST, cw.COMPONENT_TABLE_SECOND),
+            ),
+            partial(
+                _printed_tables,
+                name="ladder-tables",
+                tables=(cw.LADDER_TABLE_FIRST, cw.LADDER_TABLE_SECOND),
+            ),
+            partial(_roots, name="root-extraction", judge=_judge_rank4),
+        ),
+        NOTES_RANK4,
+    ),
+}
 
 
 def run_verification(metric: Metric) -> VerificationReport:
-    """All suites for one signature; (4,2) and (4,4) get their full batteries."""
+    """The suites every signature gets, then the battery of a published one."""
     gs = build_generators(metric)
     brackets = bracket_table(gs)
     cartan = cw.find_cartan(gs, brackets)
     # one factorisation of the generator basis serves every expansion
-    solver = SpanSolver(gs.matrices())
-    suites = _commutator_suites(gs, brackets, solver, cartan)
-    notes: tuple[str, ...] = ()
-    if metric == Metric(4, 2):
-        suites += _suites_rank3(gs, brackets, cartan)
-        notes = NOTES_RANK3
-    elif metric == Metric(4, 4):
-        suites += _suites_rank4(gs, solver, cartan)
-        notes = NOTES_RANK4
+    ctx = SuiteContext(gs, brackets, cartan, SpanSolver(gs.matrices()))
+    battery, notes = BATTERIES.get(metric, ((), ()))
     return VerificationReport(
-        signature=(metric.p, metric.q), suites=suites, notes=notes
+        signature=(metric.p, metric.q),
+        suites=[build(ctx) for build in (_commutators, _membership, _cartan, *battery)],
+        notes=notes,
     )

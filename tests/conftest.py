@@ -1,11 +1,6 @@
 import pytest
 
-from lietower.cartan import (
-    ladder_operators,
-    split_basis_so44,
-    weyl_generators,
-    yao_basis,
-)
+from lietower.cartan import adapted_basis, ladder_operators, weyl_generators
 from lietower.periodic import assign_elements
 from lietower.sopq import Metric, build_generators
 
@@ -32,11 +27,6 @@ def oriented_ladders():
     or (4,4)."""
 
     def build(gs, cartan):
-        if gs.metric == Metric(4, 2):
-            basis = yao_basis(gs)
-        else:
-            first, second = split_basis_so44(gs)
-            basis = {**first, **second}
-        return weyl_generators(cartan, ladder_operators(basis))
+        return weyl_generators(cartan, ladder_operators(adapted_basis(gs)))
 
     return build

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import lietower.cartan
 import lietower.verify
 from lietower.cartan import (
     EMULATION_CHAINS_SO42,
@@ -342,6 +343,20 @@ def test_criterion_14_fault_injected_stdout(capsys, monkeypatch):
             assert main(list(argv)) == 1, argv
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_generic_verify_builds_no_adapted_basis(capsys, monkeypatch):
+    def no_basis(gs):
+        raise AssertionError(f"adapted basis built for {gs.metric}")
+
+    monkeypatch.setattr(lietower.cartan, "adapted_basis", no_basis)
+    argv = ("verify", "--signature", "5,5")
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+    # the published batteries do read it, so the patch is live
+    with pytest.raises(AssertionError, match="adapted basis built for"):
+        main(["verify", "--signature", "4,4"])
 
 
 def test_criterion_14_module_entry_point(tmp_path):

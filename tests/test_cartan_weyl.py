@@ -18,6 +18,7 @@ from lietower.cartan import (
     LADDER_TABLE_SECOND,
     NotARootVectorError,
     SUBALGEBRA_TABLES,
+    adapted_basis,
     cartan_is_maximal,
     casimir,
     casimir_invariance,
@@ -225,6 +226,23 @@ def test_split_rank(gs44):
     assert rank(mats) == 28  # exactly 8 linear dependencies
 
 
+def test_adapted_basis_per_signature(gs42, gs44):
+    assert list(adapted_basis(gs42).items()) == list(yao_basis(gs42).items())
+    first, second = split_basis_so44(gs44)
+    assert list(adapted_basis(gs44).items()) == (
+        list(first.items()) + list(second.items())
+    )
+    assert list(adapted_basis(gs44)) == [
+        h + name for h in "12" for name in yao_basis(gs42)
+    ]
+
+
+@pytest.mark.parametrize("signature", [(5, 5), (3, 0), (2, 4)])
+def test_adapted_basis_rejects_unpublished_signatures(signature):
+    with pytest.raises(ValueError, match="no adapted basis"):
+        adapted_basis(build_generators(Metric(*signature)))
+
+
 def test_first_half_matches_rank3_basis(gs42, gs44):
     # the first half realises the same combinations on indices 1..6
     yao42 = yao_basis(gs42)
@@ -290,7 +308,7 @@ def test_literal_ladders_second_half(gs44):
     ladders = ladder_operators(second)
     assert ladders["2Q-"] == ops["2Q1"] + ops["2Q2"] * (-I)
     # one call over both halves gives the per-half ladders, in order
-    assert list(ladder_operators({**first, **second}).items()) == (
+    assert list(ladder_operators(adapted_basis(gs44)).items()) == (
         list(ladder_operators(first).items()) + list(ladder_operators(second).items())
     )
 
@@ -338,7 +356,7 @@ def test_family_maps_keep_their_order(gs42, gs44):
     assert list(second) == ["2" + name for name in fams]
     assert list(ladders) == [f + s for f in "KJTSPQ" for s in "+-"]
     assert list(weyl_generators(cartan42, ladders)) == list(ladders)
-    split = ladder_operators({**first, **second})
+    split = ladder_operators(adapted_basis(gs44))
     assert list(split) == [h + f + s for h in "12" for f in "KJTSPQ" for s in "+-"]
     assert list(weyl_generators(cartan44, split)) == list(split)
 

@@ -386,7 +386,9 @@ def test_oversized_verify_signature_rejected(capsys, monkeypatch):
         raise AssertionError("generators built for a rejected signature")
 
     monkeypatch.setattr(lietower.verify, "build_generators", no_build)
-    code, out, err = run_cli(capsys, "verify", "--signature", "20,20")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: signature 20,20 is too large")
+    # 9,8 is the smallest rejected size, P+Q = MAX_VERIFY_DIM + 1
+    for signature in ("9,8", "20,20"):
+        code, out, err = run_cli(capsys, "verify", "--signature", signature)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: signature {signature} is too large")

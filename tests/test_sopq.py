@@ -77,8 +77,28 @@ def test_expected_bracket_negative_metric_flips_sign():
 
 
 def test_expected_bracket_matches_matrices(gs42):
-    terms = expected_bracket(Metric(4, 2), (2, 5), (3, 5))
-    assert materialize(gs42, terms) == commutator(gs42.gen(2, 5), gs42.gen(3, 5))
+    metric = gs42.metric
+    for left, right, want in (
+        ((2, 5), (3, 5), [(I, (2, 3))]),
+        # reversed and unnormalised pairs
+        ((3, 1), (1, 2), [(-I, (2, 3))]),
+        ((1, 2), (3, 1), [(I, (2, 3))]),
+        ((5, 2), (3, 5), [(-I, (2, 3))]),
+        # identical index sets commute, in either order
+        ((1, 2), (2, 1), []),
+        ((1, 2), (1, 2), []),
+        ((6, 5), (5, 6), []),
+    ):
+        assert expected_bracket(metric, left, right) == want, (left, right)
+    # every ordered pair of index pairs, unnormalised ones included: at most
+    # one term, and it is the matrix commutator
+    indices = range(1, metric.dim + 1)
+    pairs = [(a, b) for a in indices for b in indices if a != b]
+    for left in pairs:
+        for right in pairs:
+            terms = expected_bracket(metric, left, right)
+            assert len(terms) <= 1
+            assert materialize(gs42, terms) == commutator(gs42.gen(*left), gs42.gen(*right))
 
 
 def test_bracket_table_holds_only_nonzero_brackets(gs42):
