@@ -335,19 +335,16 @@ def weyl_generators(
 @dataclass
 class RootTable:
     cartan: list[str]
-    rows: list[tuple[str, RootVector]]
+    roots: dict[str, RootVector]
 
     def to_json_dict(self) -> dict:
         return {
             "cartan": list(self.cartan),
             "roots": [
                 {"name": name, "components": root.to_json()}
-                for name, root in self.rows
+                for name, root in self.roots.items()
             ],
         }
-
-    def as_dict(self) -> dict[str, RootVector]:
-        return dict(self.rows)
 
 
 def root_system(
@@ -356,7 +353,7 @@ def root_system(
 ) -> RootTable:
     """Tabulate the roots that ``weyl_generators`` returns, in input order."""
     return RootTable(
-        cartan=list(cartan), rows=[(name, root) for name, (_, root) in weyl.items()]
+        cartan=list(cartan), roots={name: root for name, (_, root) in weyl.items()}
     )
 
 
@@ -668,35 +665,22 @@ SUBALGEBRA_TABLES: dict[str, RelationTable] = {
 
 
 @dataclass
-class RelationCheck:
+class Deviation:
+    """A printed relation that the matrices break, and the bracket they give."""
+
     relation: str
-    passed: bool
     got: str
 
 
 @dataclass
 class TableReport:
     table: str
-    checks: list[RelationCheck]
-
-    @property
-    def deviations(self) -> list[str]:
-        return [c.relation for c in self.checks if not c.passed]
+    relation_count: int
+    deviations: list[Deviation]
 
     @property
     def ok(self) -> bool:
         return not self.deviations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "relation_count": len(self.checks),
-            "deviations": [
-                {"relation": c.relation, "got": c.got}
-                for c in self.checks
-                if not c.passed
-            ],
-        }
 
 
 def check_relation_table(
@@ -704,18 +688,20 @@ def check_relation_table(
     table: RelationTable,
     describe: Optional[Callable[[ExactMatrix], str]] = None,
 ) -> TableReport:
-    """Evaluate every printed relation as an exact matrix identity."""
-    checks = []
+    """Evaluate every printed relation as an exact matrix identity and
+    record the ones that fail, in table order; ``describe`` renders the
+    bracket they give, "<differs>" without it."""
+    deviations = []
     for rel in table.relations:
         got = commutator(ops[rel.left], ops[rel.right])
         if rel.result is None or not rel.coeff:
             expected = ExactMatrix.zeros(got.dim)
         else:
             expected = ops[rel.result] * rel.coeff
-        passed = got == expected
-        got_text = "" if passed else (describe(got) if describe else "<differs>")
-        checks.append(RelationCheck(relation=rel.text, passed=passed, got=got_text))
-    return TableReport(table=table.name, checks=checks)
+        if got != expected:
+            got_text = describe(got) if describe else "<differs>"
+            deviations.append(Deviation(rel.text, got_text))
+    return TableReport(table.name, len(table.relations), deviations)
 
 
 # Emulation chains: each chain asserts that all listed +/- combinations of
@@ -746,37 +732,32 @@ def _eval_signed_sum(expr: str, ops: Mapping[str, ExactMatrix]) -> ExactMatrix:
 
 
 @dataclass
+class Link:
+    identity: str  # "J3+K3 = L12"
+    passed: bool
+
+
+@dataclass
 class ChainCheck:
-    chain: str
-    links: list[tuple[str, bool]]  # ("J3+K3 = L12", passed)
+    name: str
+    links: list[Link]
 
     @property
     def ok(self) -> bool:
-        return all(p for _, p in self.links)
+        return all(link.passed for link in self.links)
 
 
 @dataclass
 class EmulationReport:
-    checks: list[ChainCheck]
+    chains: list[ChainCheck]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(c.ok for c in self.chains)
 
     @property
     def passed_count(self) -> int:
-        return sum(1 for c in self.checks if c.ok)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "chains": [
-                {
-                    "name": c.chain,
-                    "links": [{"identity": t, "passed": p} for t, p in c.links],
-                }
-                for c in self.checks
-            ]
-        }
+        return sum(1 for c in self.chains if c.ok)
 
 
 def emulation_check(
@@ -786,11 +767,12 @@ def emulation_check(
     checks = []
     for name, exprs in chains:
         first = _eval_signed_sum(exprs[0], ops)
-        links = []
-        for expr in exprs[1:]:
-            links.append((f"{exprs[0]} = {expr}", _eval_signed_sum(expr, ops) == first))
-        checks.append(ChainCheck(chain=name, links=links))
-    return EmulationReport(checks=checks)
+        links = [
+            Link(f"{exprs[0]} = {expr}", _eval_signed_sum(expr, ops) == first)
+            for expr in exprs[1:]
+        ]
+        checks.append(ChainCheck(name, links))
+    return EmulationReport(checks)
 
 
 def operator_map(

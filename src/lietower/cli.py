@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, TextIO
 
@@ -25,7 +26,7 @@ from .cartan import (
     weyl_generators,
 )
 from .labels import mass_sl2c, mass_so42
-from .periodic import MAX_Z, assign_elements, find_element, projection_slice
+from .periodic import assign_elements, find_element, projection_slice
 from .sopq import Metric, bracket_table, build_generators
 from .svgout import svg_root_squares, svg_tower
 from .verify import run_verification
@@ -134,10 +135,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     handle = _open_output(args.output)
     report = run_verification(metric)
     if args.format == "json":
-        _emit(_to_json(report.to_json_dict()), handle)
+        _emit(_to_json(asdict(report)), handle)
     else:
         _emit(report.render_text(color=args.output is None and _use_color()), handle)
-    return 0 if report.ok else 1
+    return 0 if report.passed else 1
 
 
 def _root_table(metric: Metric):
@@ -161,7 +162,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
         _emit(svg_root_squares(table), _open_output(args.output))
     else:
         lines = [f"cartan: {', '.join(table.cartan)}"]
-        for name, root in table.rows:
+        for name, root in table.roots.items():
             lines.append(f"{name:<4} {root}")
         _emit("\n".join(lines) + "\n", _open_output(args.output))
     return 0
@@ -194,15 +195,13 @@ def cmd_elements(args: argparse.Namespace) -> int:
         raise CliError("give only one of --z and --symbol")
     try:
         if args.z is not None:
-            if not 1 <= args.z <= MAX_Z:
-                raise CliError(f"z={args.z} out of range 1..{MAX_Z}")
             element = find_element(elements, z=args.z)
         elif args.symbol is not None:
             element = find_element(elements, symbol=args.symbol)
         else:
             raise CliError("give --z or --symbol")
     except KeyError as exc:
-        raise CliError(str(exc).strip('"')) from exc
+        raise CliError(exc.args[0]) from exc
     node = None
     if args.node:
         parts = args.node.split(",")

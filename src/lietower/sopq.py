@@ -169,14 +169,6 @@ class PairFailure:
     got: str
     expected: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs_pair": list(self.lhs_pair),
-            "rhs_pair": list(self.rhs_pair),
-            "got": self.got,
-            "expected": self.expected,
-        }
-
 
 @dataclass
 class CommutationReport:
@@ -189,13 +181,6 @@ class CommutationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "signature": list(self.signature),
-            "pair_count": self.pair_count,
-            "failures": [f.to_json_dict() for f in self.failures],
-        }
 
 
 BracketTable = dict[tuple[IndexPair, IndexPair], ExactMatrix]
@@ -376,16 +361,6 @@ class HydrogenAliasReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "checks": [
-                {"relation": c.relation, "passed": c.passed, "got": c.got}
-                for c in self.checks
-            ],
-            "epsilon_convention": self.epsilon_convention,
-            "family_conventions": dict(self.family_conventions),
-        }
 
 
 def _epsilon_handedness(

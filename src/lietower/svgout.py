@@ -90,7 +90,7 @@ def svg_root_squares(table: RootTable) -> str:
     axes = table.cartan
     # group roots by their (two-axis) support
     panels: dict[tuple[int, int], list[tuple[str, list]]] = {}
-    for name, root in table.rows:
+    for name, root in table.roots.items():
         support = tuple(k for k, c in enumerate(root.components) if c)
         if len(support) != 2:
             continue

@@ -11,10 +11,10 @@ so both a regression and a silently "fixed" table flip the run to red.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations
-from typing import Callable
+from typing import Any, Callable
 
 from . import cartan as cw
 from .exact import ExactMatrix, SpanSolver, rank
@@ -65,29 +65,27 @@ NOTES_RANK4 = (
 
 @dataclass
 class SuiteResult:
+    """One suite.  ``details`` is its report, a dict of reports, or data
+    already in JSON form (the Cartan members, a formatted root table)."""
+
     name: str
     passed: bool
     summary: str
-    details: dict = field(default_factory=dict)
+    details: Any = field(default_factory=dict)
 
 
 @dataclass
 class VerificationReport:
+    """One verdict.  Its JSON form is ``dataclasses.asdict`` of it: every
+    record it holds is a dataclass whose fields, in order, are its keys."""
+
     signature: tuple[int, int]
+    passed: bool = field(init=False)  # every suite passed
     suites: list[SuiteResult]
     notes: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return all(s.passed for s in self.suites)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "signature": list(self.signature),
-            "passed": self.ok,
-            "suites": [asdict(s) for s in self.suites],
-            "notes": list(self.notes),
-        }
+    def __post_init__(self) -> None:
+        self.passed = all(s.passed for s in self.suites)
 
     def render_text(self, color: bool = False) -> str:
         def mark(passed: bool) -> str:
@@ -102,7 +100,7 @@ class VerificationReport:
             lines.append(f"  {s.name}: {s.summary} [{mark(s.passed)}]")
         for note in self.notes:
             lines.append(f"  note: {note}")
-        lines.append(f"result: {mark(self.ok)}")
+        lines.append(f"result: {mark(self.passed)}")
         return "\n".join(lines) + "\n"
 
 
@@ -133,9 +131,7 @@ class SuiteContext:
 def _commutators(ctx: SuiteContext) -> SuiteResult:
     rep = verify_commutation(ctx.gs, ctx.brackets, ctx.solver)
     done = rep.pair_count - len(rep.failures)
-    return SuiteResult(
-        "commutators", rep.ok, f"{done}/{rep.pair_count}", rep.to_json_dict()
-    )
+    return SuiteResult("commutators", rep.ok, f"{done}/{rep.pair_count}", rep)
 
 
 def _membership(ctx: SuiteContext) -> SuiteResult:
@@ -162,7 +158,7 @@ def _hydrogen_aliases(ctx: SuiteContext) -> SuiteResult:
         rep.ok and rep.epsilon_convention == "-i eps_ijk",
         f"{sum(c.passed for c in rep.checks)}/{len(rep.checks)}"
         f", convention {rep.epsilon_convention}",
-        rep.to_json_dict(),
+        rep,
     )
 
 
@@ -177,7 +173,7 @@ def _basis_rank(ctx: SuiteContext, name: str) -> SuiteResult:
 def _emulation(ctx: SuiteContext, chains: list[tuple[str, list[str]]]) -> SuiteResult:
     emu = cw.emulation_check(ctx.ops, chains)
     return SuiteResult(
-        "emulation", emu.ok, f"{emu.passed_count}/{len(emu.checks)}", emu.to_json_dict()
+        "emulation", emu.ok, f"{emu.passed_count}/{len(emu.chains)}", emu
     )
 
 
@@ -190,10 +186,10 @@ def _subalgebra_tables(ctx: SuiteContext) -> SuiteResult:
         "subalgebra-tables",
         all(rep.ok for rep in reports.values()),
         "; ".join(
-            f"{which} {len(rep.checks) - len(rep.deviations)}/{len(rep.checks)}"
+            f"{which} {rep.relation_count - len(rep.deviations)}/{rep.relation_count}"
             for which, rep in reports.items()
         ),
-        {which: rep.to_json_dict() for which, rep in reports.items()},
+        reports,
     )
 
 
@@ -209,18 +205,18 @@ def _printed_tables(
     for table in tables:
         rep = cw.check_relation_table(ctx.ops, table, describe=describe)
         baseline = cw.KNOWN_TABLE_DEVIATIONS[table.name]
-        passed = passed and tuple(rep.deviations) == baseline
+        passed = passed and tuple(d.relation for d in rep.deviations) == baseline
         parts.append(
-            f"{table.name} {len(rep.checks) - len(rep.deviations)}"
-            f"/{len(rep.checks)} as printed"
+            f"{table.name} {rep.relation_count - len(rep.deviations)}"
+            f"/{rep.relation_count} as printed"
             + (f" ({len(baseline)} known misprints confirmed)" if baseline else "")
         )
-        details[table.name] = rep.to_json_dict()
+        details[table.name] = rep
     return SuiteResult(name, passed, "; ".join(parts), details)
 
 
 def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
-    got = {name: tuple(root.components) for name, root in table.rows}
+    got = {name: tuple(root.components) for name, root in table.roots.items()}
     matched = sum(got[k] == want for k, want in PUBLISHED_ROOTS_RANK3.items())
     # each member has the zero root iff no two members bracket
     members = [pair for pair, name in zip(ctx.gs.pairs, ctx.gs.names) if name in ctx.cartan]
@@ -232,7 +228,7 @@ def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
 
 
 def _judge_rank4(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
-    roots = table.as_dict()
+    roots = table.roots
     extraction_ok = len(roots) == 24 and all(
         all(abs(c) <= 1 for c in r.components) for r in roots.values()
     )

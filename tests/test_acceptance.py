@@ -121,7 +121,8 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
             report = check_relation_table(ops, table)
             # deviations from the printed form are listed verbatim and must
             # match the recorded baseline exactly
-            assert tuple(report.deviations) == KNOWN_TABLE_DEVIATIONS[table.name]
+            got = tuple(d.relation for d in report.deviations)
+            assert got == KNOWN_TABLE_DEVIATIONS[table.name]
         assert KNOWN_TABLE_DEVIATIONS["ladders-2"] == ()
         assert len(KNOWN_TABLE_DEVIATIONS["ladders-1"]) == 11
 
@@ -130,7 +131,7 @@ def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
     with criterion(6, "12 extracted roots equal the published rank-3 table"):
         cartan = find_cartan(gs42, bracket_table(gs42))
         table = root_system(cartan, oriented_ladders(gs42, cartan))
-        got = {name: tuple(root.components) for name, root in table.rows}
+        got = {name: tuple(root.components) for name, root in table.roots.items()}
         want = {
             name: tuple(Fraction(c) for c in comps)
             for name, comps in PUBLISHED_ROOTS_RANK3.items()
@@ -144,7 +145,7 @@ def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
     with criterion(7, "24 roots extract over the rank-4 set; axis question flagged"):
         cartan = find_cartan(gs44, bracket_table(gs44))
         table = root_system(cartan, oriented_ladders(gs44, cartan))
-        roots = table.as_dict()
+        roots = table.roots
         assert len(roots) == 24
         for name, comps in PUBLISHED_ROOTS_RANK3.items():
             assert roots["1" + name].components[:3] == tuple(

@@ -16,6 +16,8 @@ from lietower.cartan import (
     KNOWN_TABLE_DEVIATIONS,
     LADDER_TABLE_FIRST,
     LADDER_TABLE_SECOND,
+    Deviation,
+    Link,
     NotARootVectorError,
     SUBALGEBRA_TABLES,
     adapted_basis,
@@ -286,6 +288,16 @@ def test_emulation_44_fourth_chain(gs44):
     assert ops["2T0"] + ops["2S0"] == gs44.gen(7, 8)
 
 
+def test_emulation_report_records_each_link(gs42):
+    ops = operator_map(gs42, yao_basis(gs42))
+    report = emulation_check(ops, [("mixed", ["J3+K3", "L12", "L34"])])
+    assert report.chains[0].links == [
+        Link("J3+K3 = L12", True),
+        Link("J3+K3 = L34", False),
+    ]
+    assert not report.ok and report.passed_count == 0
+
+
 def test_emulation_unknown_name(gs42):
     ops = operator_map(gs42, yao_basis(gs42))
     with pytest.raises(KeyError):
@@ -435,7 +447,7 @@ def test_zero_matrix_rejected(gs42):
 def test_root_table_42_matches_published(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
     table = root_system(cartan, oriented_ladders(gs42, cartan))
-    got = {name: tuple(r.components) for name, r in table.rows}
+    got = {name: tuple(r.components) for name, r in table.roots.items()}
     assert got == {
         name: tuple(Fraction(c) for c in comps)
         for name, comps in PUBLISHED_ROOTS_RANK3.items()
@@ -444,7 +456,7 @@ def test_root_table_42_matches_published(gs42, oriented_ladders):
 
 def test_root_negation_symmetry(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
-    table = root_system(cartan, oriented_ladders(gs42, cartan)).as_dict()
+    table = root_system(cartan, oriented_ladders(gs42, cartan)).roots
     for fam in "KJTSPQ":
         assert table[f"{fam}-"].components == tuple(
             -c for c in table[f"{fam}+"].components
@@ -454,14 +466,14 @@ def test_root_negation_symmetry(gs42, oriented_ladders):
 def test_root_components_are_unit_range(gs44, oriented_ladders):
     cartan = find_cartan(gs44, bracket_table(gs44))
     table = root_system(cartan, oriented_ladders(gs44, cartan))
-    assert len(table.rows) == 24
-    for _, root in table.rows:
+    assert len(table.roots) == 24
+    for root in table.roots.values():
         assert all(c in (-1, 0, 1) for c in root.components)
 
 
 def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
     cartan = find_cartan(gs44, bracket_table(gs44))
-    table = root_system(cartan, oriented_ladders(gs44, cartan)).as_dict()
+    table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
     for name, comps in PUBLISHED_ROOTS_RANK3.items():
         root = table["1" + name]
         assert root.components[:3] == tuple(Fraction(c) for c in comps)
@@ -470,7 +482,7 @@ def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
 
 def test_root_table_44_second_half_k(gs44, oriented_ladders):
     cartan = find_cartan(gs44, bracket_table(gs44))
-    table = root_system(cartan, oriented_ladders(gs44, cartan)).as_dict()
+    table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
     assert table["2K+"].components == (0, 0, 1, 1)
     assert table["2K-"].components == (0, 0, -1, -1)
 
@@ -531,7 +543,7 @@ def test_root_system_axioms(request, oriented_ladders, gs_fixture, weyl_order):
     cartan = find_cartan(gs, bracket_table(gs))
     n = gs.metric.dim
     table = root_system(cartan, oriented_ladders(gs, cartan))
-    roots = [root.components for _, root in table.rows]
+    roots = [root.components for root in table.roots.values()]
     assert len(set(roots)) == len(roots)
     assert not any(all(c == 0 for c in root) for root in roots)
 
@@ -690,6 +702,20 @@ def test_subalgebra_tables_hold(gs42, which):
     assert report.ok, report.deviations
 
 
+def test_relation_table_without_describe_marks_deviations(gs42):
+    # swapping the so4 ladders breaks exactly the three K-triple rows
+    basket = subalgebra_basis(gs42, yao_basis(gs42))["so4"]
+    basket["K+"], basket["K-"] = basket["K-"], basket["K+"]
+    table = SUBALGEBRA_TABLES["so4"]
+    report = check_relation_table(basket, table)
+    assert report.table == "so4"
+    assert report.relation_count == len(table.relations)
+    assert not report.ok
+    assert report.deviations == [
+        Deviation(rel.text, "<differs>") for rel in table.relations[:3]
+    ]
+
+
 def test_sl2c_specific_relations(gs42):
     basket = subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]
     assert commutator(basket["X3"], basket["X+"]) == -basket["X+"]
@@ -785,7 +811,8 @@ def test_printed_table_content_digest():
 def test_printed_tables_match_known_deviations(gs44, table):
     describe = span_describer(gs44.names, SpanSolver(gs44.matrices()), "<outside algebra>")
     report = check_relation_table(_ops44(gs44), table, describe=describe)
-    assert tuple(report.deviations) == KNOWN_TABLE_DEVIATIONS[table.name]
+    got = tuple(d.relation for d in report.deviations)
+    assert got == KNOWN_TABLE_DEVIATIONS[table.name]
 
 
 def test_component_table_deviations_are_single_symbol_slips(gs44):

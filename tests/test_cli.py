@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, fault injection."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -8,6 +9,7 @@ import lietower.verify
 from lietower.cli import main
 from lietower.exact import ExactMatrix, I
 from lietower.sopq import Metric, bracket_table, build_generators
+from lietower.verify import SuiteResult, VerificationReport, run_verification
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +36,22 @@ def test_verify_44_text(capsys):
     assert "commutators: 378/378" in out
     assert "split-rank: 28" in out
     assert "emulation: 4/4" in out
+
+
+def test_verify_json_is_the_report_fields(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--signature", "4,2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["signature", "passed", "suites", "notes"]
+    assert doc == json.loads(json.dumps(asdict(run_verification(Metric(4, 2)))))
+
+
+def test_report_passed_is_derived_from_its_suites():
+    ok, bad = SuiteResult("a", True, ""), SuiteResult("b", False, "")
+    assert VerificationReport((3, 0), [ok]).passed
+    assert not VerificationReport((3, 0), [ok, bad]).passed
+    with pytest.raises(TypeError):
+        VerificationReport((3, 0), [ok], passed=True)
 
 
 def test_verify_smoke_signature(capsys):
@@ -159,12 +177,17 @@ def test_elements_unknown_symbol_hint(capsys):
 
 @pytest.mark.parametrize(
     "symbol, hint",
-    [("Qq", None), ("", None), ("1", None), ("Zz", "Zr"), ("Xx", "Xe")],
+    [
+        ("Qq", None), ("", None), ("1", None), ("Zz", "Zr"), ("Xx", "Xe"),
+        # quotes in the input come back as typed, not escaped as in a repr
+        ('a"', "Ta"), ("O'", "O"),
+    ],
 )
 def test_elements_hint_shares_a_character(capsys, symbol, hint):
     # a symbol with nothing in common with the input is not offered as a hint
     code, out, err = run_cli(capsys, "elements", "--symbol", symbol)
     assert code == 2 and out == ""
+    assert err.startswith(f"error: unknown element symbol {symbol!r}")
     if hint is None:
         assert "closest match" not in err
     else:
