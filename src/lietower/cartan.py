@@ -62,24 +62,7 @@ class NotARootVectorError(ValueError):
     """A candidate operator is not a simultaneous eigenvector of the Cartan set."""
 
 
-@dataclass(frozen=True)
-class RootVector:
-    components: tuple[Fraction, ...]
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-c for c in self.components))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.components) + ")"
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.components]
-
-    def last_nonzero(self) -> Optional[Fraction]:
-        for c in reversed(self.components):
-            if c:
-                return c
-        return None
+RootVector = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ def extract_root(
                 f"root component of {name} along {h} is complex: {lam}"
             )
         comps.append(lam.re)
-    return RootVector(tuple(comps))
+    return tuple(comps)
 
 
 def weyl_generators(
@@ -324,8 +307,7 @@ def weyl_generators(
             raise ValueError(f"expected an X+, X- pair, got {plus}, {minus}")
         up = extract_root(cartan, plus, e_up)
         down = extract_root(cartan, minus, e_down)
-        last = up.last_nonzero()
-        if last is not None and last < 0:
+        if next((c for c in reversed(up) if c), 0) < 0:
             e_up, e_down, up, down = e_down, e_up, down, up
         out[plus] = (e_up, up)
         out[minus] = (e_down, down)
@@ -341,7 +323,7 @@ class RootTable:
         return {
             "cartan": list(self.cartan),
             "roots": [
-                {"name": name, "components": root.to_json()}
+                {"name": name, "components": [str(c) for c in root]}
                 for name, root in self.roots.items()
             ],
         }

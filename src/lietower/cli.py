@@ -44,6 +44,13 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one CliError line instead of usage."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _parse_signature(text: str) -> Metric:
     try:
         p_text, q_text = text.split(",")
@@ -103,9 +110,17 @@ def _open_output(output: Optional[str]) -> TextIO:
 
 
 def _emit(text: str, handle: TextIO) -> None:
-    """Write ``text`` to a handle from ``_open_output``, closing a file."""
+    """Write ``text`` to a handle from ``_open_output``, closing a file.
+
+    Stdout gets UTF-8 with LF whatever the locale, through its byte buffer
+    when it has one.
+    """
     if handle is sys.stdout:
-        handle.write(text)
+        if hasattr(handle, "buffer"):
+            handle.flush()
+            handle.buffer.write(text.encode("utf-8"))
+        else:
+            handle.write(text)
         return
     try:
         with handle:
@@ -163,7 +178,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     else:
         lines = [f"cartan: {', '.join(table.cartan)}"]
         for name, root in table.roots.items():
-            lines.append(f"{name:<4} {root}")
+            lines.append(f"{name:<4} ({','.join(map(str, root))})")
         _emit("\n".join(lines) + "\n", _open_output(args.output))
     return 0
 
@@ -242,7 +257,7 @@ def cmd_mass(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lietower",
         description=(
             "Exact checks and diagrams for the rotation algebras so(4,2) / "
@@ -292,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -256,7 +256,7 @@ class ExactMatrix:
     Only the nonzero entries are stored, in a {(row, col): value} map.
     """
 
-    __slots__ = ("dim", "_entries", "_hash")
+    __slots__ = ("dim", "_entries")
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
         dim = len(rows)
@@ -268,7 +268,6 @@ class ExactMatrix:
     def _init(self, dim: int, entries: _Entries) -> None:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _of(dim: int, entries: _Entries) -> "ExactMatrix":
@@ -281,7 +280,6 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
-        # rebuilt through from_entries, so the cached hash is recomputed
         return ExactMatrix.from_entries, (self.dim, dict(self._entries))
 
     @staticmethod
@@ -319,11 +317,7 @@ class ExactMatrix:
         return self.dim == other.dim and self._entries == other._entries
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.dim, frozenset(self._entries.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.dim, frozenset(self._entries.items())))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)

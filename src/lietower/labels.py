@@ -88,14 +88,6 @@ class WeightKet:
             f"{_half_str(self.two_m)},{_half_str(self.two_mdot)}⟩"
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "two_l": self.two_l,
-            "two_ldot": self.two_ldot,
-            "two_m": self.two_m,
-            "two_mdot": self.two_mdot,
-        }
-
 
 def weight_ket(
     l: HalfIntLike, l_dot: HalfIntLike, m: HalfIntLike, m_dot: HalfIntLike
@@ -162,31 +154,26 @@ def weight_diagram_row(total: HalfIntLike) -> list[tuple[Fraction, Fraction]]:
 # -- mass formulas -----------------------------------------------------------
 
 
-def mass_sl2c(l: HalfIntLike, l_dot: HalfIntLike, m_e: Fraction = Fraction(1)) -> Fraction:
-    """Node mass 2*m_e*(l+1/2)*(l.+1/2), exact in units of m_e."""
+def mass_sl2c(l: HalfIntLike, l_dot: HalfIntLike) -> Fraction:
+    """Node mass 2*(l+1/2)*(l.+1/2), exact in units of m_e."""
     lf = Fraction(l)
     ldf = Fraction(l_dot)
     if _doubled(lf, "l") < 0 or _doubled(ldf, "l-dot") < 0:
         raise ValueError("spins must be non-negative")
-    return 2 * Fraction(m_e) * (lf + Fraction(1, 2)) * (ldf + Fraction(1, 2))
+    return 2 * (lf + Fraction(1, 2)) * (ldf + Fraction(1, 2))
 
 
-def mass_so42(
-    l: HalfIntLike,
-    l_dot: HalfIntLike,
-    nu: HalfIntLike,
-    m_h: Fraction = Fraction(1),
-) -> Fraction:
-    """Tower-node mass 2*m_H*(l+1/2)*(l.+1/2)*(nu+1/2), exact in units of m_H.
+def mass_so42(l: HalfIntLike, l_dot: HalfIntLike, nu: HalfIntLike) -> Fraction:
+    """Tower-node mass 2*(l+1/2)*(l.+1/2)*(nu+1/2), exact in units of m_H.
 
-    With nu = 0 and m_H replaced by the electron mass this reduces to
-    ``mass_sl2c``.
+    At nu = 0 it is half of ``mass_sl2c``: 2 * mass_so42(l, l., 0) equals
+    mass_sl2c(l, l.), each in its own unit.
     """
     nf = Fraction(nu)
     _doubled(nf, "nu")
     if nf < 0:
         raise ValueError("nu must be non-negative")
-    return mass_sl2c(l, l_dot, Fraction(m_h)) * (nf + Fraction(1, 2))
+    return mass_sl2c(l, l_dot) * (nf + Fraction(1, 2))
 
 
 def sym_dim(k: int, r: int, p: int) -> int:

@@ -181,7 +181,7 @@ def projection_slice(
     ``mirror=True`` the antimatter floors n = -1..-8 follow, populated by
     the mirrored copies.
     """
-    two_s = int(Fraction(s) * 2)
+    two_s = Fraction(s) * 2
     if two_s not in (-1, 1):
         raise ValueError("spin must be -1/2 or +1/2")
     by_slot: dict[tuple[int, int, int], Element] = {}

@@ -89,9 +89,9 @@ def svg_root_squares(table: RootTable) -> str:
     ladder roots living in that plane, labelled by operator name."""
     axes = table.cartan
     # group roots by their (two-axis) support
-    panels: dict[tuple[int, int], list[tuple[str, list]]] = {}
+    panels: dict[tuple[int, int], list[tuple[str, tuple]]] = {}
     for name, root in table.roots.items():
-        support = tuple(k for k, c in enumerate(root.components) if c)
+        support = tuple(k for k, c in enumerate(root) if c)
         if len(support) != 2:
             continue
         panels.setdefault(support, []).append((name, root))
@@ -117,8 +117,8 @@ def svg_root_squares(table: RootTable) -> str:
         # square through the four roots
         pts = []
         for name, root in panels[key]:
-            cx = float(root.components[key[0]]) * scale
-            cy = float(root.components[key[1]]) * scale
+            cx = float(root[key[0]]) * scale
+            cy = float(root[key[1]]) * scale
             pts.append((name, ox + cx, oy - cy))
         ordered = sorted(pts, key=lambda p: (p[1], p[2]))
         hull = [ordered[0], ordered[1], ordered[3], ordered[2]] if len(ordered) == 4 else ordered

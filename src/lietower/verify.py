@@ -216,13 +216,12 @@ def _printed_tables(
 
 
 def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
-    got = {name: tuple(root.components) for name, root in table.roots.items()}
-    matched = sum(got[k] == want for k, want in PUBLISHED_ROOTS_RANK3.items())
+    matched = sum(table.roots[k] == want for k, want in PUBLISHED_ROOTS_RANK3.items())
     # each member has the zero root iff no two members bracket
     members = [pair for pair, name in zip(ctx.gs.pairs, ctx.gs.names) if name in ctx.cartan]
     zero_ok = not any(pair in ctx.brackets for pair in combinations(members, 2))
     return (
-        got == PUBLISHED_ROOTS_RANK3 and zero_ok,
+        table.roots == PUBLISHED_ROOTS_RANK3 and zero_ok,
         f"{matched}/12 published rows, cartan zero-roots {'ok' if zero_ok else 'FAIL'}",
     )
 
@@ -230,11 +229,10 @@ def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
 def _judge_rank4(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
     roots = table.roots
     extraction_ok = len(roots) == 24 and all(
-        all(abs(c) <= 1 for c in r.components) for r in roots.values()
+        all(abs(c) <= 1 for c in r) for r in roots.values()
     )
     first_half_match = all(
-        tuple(roots["1" + name].components[:3]) == comps
-        and not roots["1" + name].components[3]
+        roots["1" + name][:3] == comps and not roots["1" + name][3]
         for name, comps in PUBLISHED_ROOTS_RANK3.items()
     )
     return (

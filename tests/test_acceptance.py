@@ -5,6 +5,7 @@ per criterion; runtimes are asserted where the criterion pins one.
 """
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -131,14 +132,13 @@ def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
     with criterion(6, "12 extracted roots equal the published rank-3 table"):
         cartan = find_cartan(gs42, bracket_table(gs42))
         table = root_system(cartan, oriented_ladders(gs42, cartan))
-        got = {name: tuple(root.components) for name, root in table.roots.items()}
         want = {
             name: tuple(Fraction(c) for c in comps)
             for name, comps in PUBLISHED_ROOTS_RANK3.items()
         }
-        assert got == want
+        assert table.roots == want
         for name, member in cartan.items():
-            assert extract_root(cartan, name, member).components == (0, 0, 0)
+            assert extract_root(cartan, name, member) == (0, 0, 0)
 
 
 def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
@@ -148,10 +148,8 @@ def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
         roots = table.roots
         assert len(roots) == 24
         for name, comps in PUBLISHED_ROOTS_RANK3.items():
-            assert roots["1" + name].components[:3] == tuple(
-                Fraction(c) for c in comps
-            )
-            assert roots["1" + name].components[3] == 0
+            assert roots["1" + name][:3] == tuple(Fraction(c) for c in comps)
+            assert roots["1" + name][3] == 0
         # the unresolved second-half axis labelling is flagged in the report
         report = run_verification(Metric(4, 4))
         assert any("do not name its axes" in n or "do not name" in n for n in report.notes)
@@ -223,7 +221,7 @@ def test_criterion_12_mass_formulas():
         halves = [Fraction(k, 2) for k in range(0, 9)]
         for l in halves:
             for ldot in halves:
-                assert mass_so42(l, ldot, 0, m_h=2) == mass_sl2c(l, ldot)
+                assert 2 * mass_so42(l, ldot, 0) == mass_sl2c(l, ldot)
         assert mass_sl2c(Fraction(1, 2), 0) == 1
         # monotonicity substitutes for the out-of-scope spectrum comparison
         for l in halves[:-1]:
@@ -358,6 +356,24 @@ def test_generic_verify_builds_no_adapted_basis(capsys, monkeypatch):
     # the published batteries do read it, so the patch is live
     with pytest.raises(AssertionError, match="adapted basis built for"):
         main(["verify", "--signature", "4,4"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("elements", "--z", "118"), ("roots", "--signature", "4,2", "--format", "svg")],
+    ids=lambda a: " ".join(a),
+)
+def test_criterion_14_stdout_is_utf8_on_a_latin1_stream(monkeypatch, argv):
+    with criterion(14, "stdout bytes are the pinned UTF-8 whatever the locale"):
+        # the ket bracket and the L3 subscripts have no latin-1 encoding
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stream)
+            code = main(list(argv))
+            stream.flush()
+        assert code == 0
+        got = stream.buffer.getvalue()
+        assert hashlib.sha256(got).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
 def test_criterion_14_module_entry_point(tmp_path):

@@ -416,20 +416,21 @@ def test_root_of_raising_k(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
     oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
     root = extract_root(cartan, "K+", oriented["K+"])
-    assert root.components == (1, 1, 0)
+    assert type(root) is tuple and all(type(c) is Fraction for c in root)
+    assert root == (1, 1, 0)
 
 
 def test_root_of_lowering_q(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
     oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
     root = extract_root(cartan, "Q-", oriented["Q-"])
-    assert root.components == (0, 1, -1)
+    assert root == (0, 1, -1)
 
 
 def test_root_of_cartan_member_is_zero(gs42):
     cartan = find_cartan(gs42, bracket_table(gs42))
     for name, member in cartan.items():
-        assert extract_root(cartan, name, member).components == (0, 0, 0)
+        assert extract_root(cartan, name, member) == (0, 0, 0)
 
 
 def test_non_root_vector_rejected(gs42):
@@ -447,8 +448,7 @@ def test_zero_matrix_rejected(gs42):
 def test_root_table_42_matches_published(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
     table = root_system(cartan, oriented_ladders(gs42, cartan))
-    got = {name: tuple(r.components) for name, r in table.roots.items()}
-    assert got == {
+    assert table.roots == {
         name: tuple(Fraction(c) for c in comps)
         for name, comps in PUBLISHED_ROOTS_RANK3.items()
     }
@@ -458,9 +458,7 @@ def test_root_negation_symmetry(gs42, oriented_ladders):
     cartan = find_cartan(gs42, bracket_table(gs42))
     table = root_system(cartan, oriented_ladders(gs42, cartan)).roots
     for fam in "KJTSPQ":
-        assert table[f"{fam}-"].components == tuple(
-            -c for c in table[f"{fam}+"].components
-        )
+        assert table[f"{fam}-"] == tuple(-c for c in table[f"{fam}+"])
 
 
 def test_root_components_are_unit_range(gs44, oriented_ladders):
@@ -468,7 +466,7 @@ def test_root_components_are_unit_range(gs44, oriented_ladders):
     table = root_system(cartan, oriented_ladders(gs44, cartan))
     assert len(table.roots) == 24
     for root in table.roots.values():
-        assert all(c in (-1, 0, 1) for c in root.components)
+        assert all(c in (-1, 0, 1) for c in root)
 
 
 def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
@@ -476,15 +474,15 @@ def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
     table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
     for name, comps in PUBLISHED_ROOTS_RANK3.items():
         root = table["1" + name]
-        assert root.components[:3] == tuple(Fraction(c) for c in comps)
-        assert root.components[3] == 0
+        assert root[:3] == tuple(Fraction(c) for c in comps)
+        assert root[3] == 0
 
 
 def test_root_table_44_second_half_k(gs44, oriented_ladders):
     cartan = find_cartan(gs44, bracket_table(gs44))
     table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
-    assert table["2K+"].components == (0, 0, 1, 1)
-    assert table["2K-"].components == (0, 0, -1, -1)
+    assert table["2K+"] == (0, 0, 1, 1)
+    assert table["2K-"] == (0, 0, -1, -1)
 
 
 def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
@@ -543,7 +541,7 @@ def test_root_system_axioms(request, oriented_ladders, gs_fixture, weyl_order):
     cartan = find_cartan(gs, bracket_table(gs))
     n = gs.metric.dim
     table = root_system(cartan, oriented_ladders(gs, cartan))
-    roots = [root.components for root in table.roots.values()]
+    roots = list(table.roots.values())
     assert len(set(roots)) == len(roots)
     assert not any(all(c == 0 for c in root) for root in roots)
 

@@ -404,6 +404,35 @@ def test_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("elements", "--z", "abc"),
+        ("verify",),
+        ("roots", "--signature", "4,2", "--format", "pdf"),
+        (),
+        ("frobnicate",),
+        ("mass", "1/2", "0", "--bogus"),
+    ],
+    ids=lambda a: " ".join(a) or "<none>",
+)
+def test_argparse_rejection_is_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: lietower")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "usage" not in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("roots", "--help")])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(list(argv))
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lietower")
+
+
 def test_oversized_verify_signature_rejected(capsys, monkeypatch):
     def no_build(metric):
         raise AssertionError("generators built for a rejected signature")

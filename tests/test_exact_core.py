@@ -129,7 +129,6 @@ ROUND_TRIPS = {
 def test_matrix_and_scalar_copy_pickle_round_trip(route):
     off_diagonal = ExactMatrix.from_entries(3, {(0, 2): g(Fraction(1, 2), -3)})
     m = ExactMatrix.identity(3) * I + off_diagonal
-    hash(m)  # fill the cached hash before copying
     for x in (m, ExactMatrix.zeros(2), g(Fraction(1, 2), Fraction(1, 3)), g(0), I):
         y = ROUND_TRIPS[route](x)
         assert type(y) is type(x)

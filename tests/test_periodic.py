@@ -130,6 +130,13 @@ def test_period_doubling_pattern(elements):
 # -- spin slices -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("s", [Fraction(3, 4), 0.75, -0.9, 0, 1])
+def test_projection_slice_rejects_inexact_spins(elements, s):
+    # 3/4 and -0.9 double to 3/2 and -1.8, which must not count as +/-1
+    with pytest.raises(ValueError, match="spin must be"):
+        projection_slice(elements, s)
+
+
 def test_slices_partition_elements(elements):
     minus = projection_slice(elements, S_MINUS)
     plus = projection_slice(elements, S_PLUS)
