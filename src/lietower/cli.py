@@ -187,19 +187,17 @@ def cmd_tower(args: argparse.Namespace) -> int:
     spin = _parse_half(args.spin, "spin")
     if spin * 2 not in (-1, 1):
         raise CliError("spin must be -1/2 or +1/2")
-    tower = projection_slice(assign_elements(), spin, mirror=True)
+    tower = projection_slice(assign_elements(), spin)
     if args.format == "json":
         _emit(_to_json(tower.to_json_dict()), _open_output(args.output))
     elif args.format == "svg":
         _emit(svg_tower(tower), _open_output(args.output))
     else:
-        lines = [f"spin projection s = {tower.s_text}"]
-        for floor in tower.floors:
-            for sub in floor.subshells:
-                cells = [
-                    p.element.symbol if p.element else "-" for p in sub.points
-                ]
-                lines.append(f"n={floor.n:>2} l={sub.l}: " + " ".join(cells))
+        lines = [f"spin projection s = {tower.s_text}"] + [
+            f"n={n:>2} l={l}: " + " ".join(e.symbol if e else "-" for e in ring.values())
+            for n, rings in tower.floors.items()
+            for l, ring in rings.items()
+        ]
         _emit("\n".join(lines) + "\n", _open_output(args.output))
     return 0
 

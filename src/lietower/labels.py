@@ -117,12 +117,17 @@ def apply_ladder(ket: WeightKet, op: str) -> Optional[WeightKet]:
     return WeightKet(ket.two_l, ket.two_ldot, two_m, two_mdot)
 
 
-def multiplet_states(l: HalfIntLike, l_dot: HalfIntLike) -> list[WeightKet]:
-    """All (2l+1)(2l.+1) states, ordered m-major then m-dot ascending."""
+def _doubled_spins(l: HalfIntLike, l_dot: HalfIntLike) -> tuple[int, int]:
     two_l = _doubled(l, "l")
     two_ldot = _doubled(l_dot, "l-dot")
     if two_l < 0 or two_ldot < 0:
         raise ValueError("spins must be non-negative")
+    return two_l, two_ldot
+
+
+def multiplet_states(l: HalfIntLike, l_dot: HalfIntLike) -> list[WeightKet]:
+    """All (2l+1)(2l.+1) states, ordered m-major then m-dot ascending."""
+    two_l, two_ldot = _doubled_spins(l, l_dot)
     return [
         WeightKet(two_l, two_ldot, two_m, two_mdot)
         for two_m in range(-two_l, two_l + 1, 2)
@@ -131,8 +136,7 @@ def multiplet_states(l: HalfIntLike, l_dot: HalfIntLike) -> list[WeightKet]:
 
 
 def multiplet_dimension(l: HalfIntLike, l_dot: HalfIntLike) -> int:
-    two_l = _doubled(l, "l")
-    two_ldot = _doubled(l_dot, "l-dot")
+    two_l, two_ldot = _doubled_spins(l, l_dot)
     return (two_l + 1) * (two_ldot + 1)
 
 
@@ -178,7 +182,7 @@ def mass_so42(l: HalfIntLike, l_dot: HalfIntLike, nu: HalfIntLike) -> Fraction:
 
 def sym_dim(k: int, r: int, p: int) -> int:
     """Dimension (k+1)(r+1)(p+1) of the symmetric-space realisation."""
-    if min(k, r, p) < 0:
+    if not all(isinstance(v, int) for v in (k, r, p)) or min(k, r, p) < 0:
         raise ValueError("labels must be non-negative integers")
     return (k + 1) * (r + 1) * (p + 1)
 

@@ -29,7 +29,11 @@ class Element:
     z: int
     symbol: str
     ket: MadelungKet
-    anti: bool = False
+
+    @property
+    def anti(self) -> bool:
+        """Mirrored antimatter copy, read from the sign of n."""
+        return self.ket.n < 0
 
     def __str__(self) -> str:
         return f"{self.symbol} = {self.ket}"
@@ -44,78 +48,43 @@ class Element:
 
 
 @dataclass(frozen=True)
-class Point:
-    m: int
-    element: Optional[Element]
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"m": self.m}
-        if self.element is not None:
-            out["z"] = self.element.z
-            out["symbol"] = self.element.symbol
-        return out
-
-
-@dataclass(frozen=True)
-class Subshell:
-    l: int
-    points: tuple[Point, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"l": self.l, "points": [p.to_json_dict() for p in self.points]}
-
-
-@dataclass(frozen=True)
-class Floor:
-    n: int
-    subshells: tuple[Subshell, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "subshells": [s.to_json_dict() for s in self.subshells]}
-
-
-@dataclass(frozen=True)
 class TowerSlice:
     """One spin projection of the weight tower.
 
-    Floor n carries subshells l = 0..|n|-1, each with its 2l+1 m-points;
-    unfilled points stay present as empty slots.  Negative-n floors hold
-    the mirrored antimatter copies.
+    ``floors`` maps n -> l -> m -> element, None marking an empty slot:
+    matter floors n = 1..8 first, then their mirrored antimatter copies
+    n = -1..-8.  Floor n carries rings l = 0..|n|-1 of 2l+1 m-points each,
+    filled or not.
     """
 
     s: Fraction
-    floors: tuple[Floor, ...]
+    floors: dict[int, dict[int, dict[int, Optional[Element]]]]
 
     @property
     def s_text(self) -> str:
         return ("+" if self.s > 0 else "") + str(self.s)
 
     def to_json_dict(self) -> dict:
+        # an empty point carries only its m, so asdict cannot write this
         return {
             "s": self.s_text,
-            "floors": [f.to_json_dict() for f in self.floors],
+            "floors": [
+                {
+                    "n": n,
+                    "subshells": [
+                        {
+                            "l": l,
+                            "points": [
+                                {"m": m} if e is None else {"m": m, "z": e.z, "symbol": e.symbol}
+                                for m, e in ring.items()
+                            ],
+                        }
+                        for l, ring in rings.items()
+                    ],
+                }
+                for n, rings in self.floors.items()
+            ],
         }
-
-    def elements(self) -> list[Element]:
-        return [
-            p.element
-            for f in self.floors
-            for sub in f.subshells
-            for p in sub.points
-            if p.element is not None
-        ]
-
-    def point(self, n: int, l: int, m: int) -> Optional[Element]:
-        for f in self.floors:
-            if f.n != n:
-                continue
-            for sub in f.subshells:
-                if sub.l != l:
-                    continue
-                for p in sub.points:
-                    if p.m == m:
-                        return p.element
-        return None
 
 
 def subshell_order() -> Iterable[tuple[int, int]]:
@@ -169,17 +138,14 @@ def antimatter_mirror(e: Element) -> Element:
     """Mirror copy with negated principal quantum number and anti- prefix."""
     if e.anti:
         raise InconsistentLabelsError(f"{e.symbol} is already a mirror copy")
-    return Element(z=e.z, symbol=f"anti-{e.symbol}", ket=e.ket.mirrored(), anti=True)
+    return Element(z=e.z, symbol=f"anti-{e.symbol}", ket=e.ket.mirrored())
 
 
-def projection_slice(
-    elements: list[Element], s: Fraction, *, mirror: bool = False
-) -> TowerSlice:
+def projection_slice(elements: list[Element], s: Fraction) -> TowerSlice:
     """All elements with spin projection s, placed on their tower floors.
 
-    Floors run n = 1..8 (every ring present, filled or not); with
-    ``mirror=True`` the antimatter floors n = -1..-8 follow, populated by
-    the mirrored copies.
+    Floors run n = 1..8 (every ring present, filled or not), then the
+    antimatter floors n = -1..-8 holding the mirrored copies.
     """
     two_s = Fraction(s) * 2
     if two_s not in (-1, 1):
@@ -193,22 +159,15 @@ def projection_slice(
         if e.ket.two_s == two_s:
             by_slot[(e.ket.n, e.ket.l, e.ket.m)] = e
 
-    def build_floor(n: int) -> Floor:
-        subshells = []
-        for l in range(0, abs(n)):
-            points = []
-            for m in range(-l, l + 1):
-                found = by_slot.get((abs(n), l, m))
-                if found is not None and n < 0:
-                    found = antimatter_mirror(found)
-                points.append(Point(m=m, element=found))
-            subshells.append(Subshell(l=l, points=tuple(points)))
-        return Floor(n=n, subshells=tuple(subshells))
+    def slot(n: int, l: int, m: int) -> Optional[Element]:
+        found = by_slot.get((abs(n), l, m))
+        return antimatter_mirror(found) if found is not None and n < 0 else found
 
-    floors = [build_floor(n) for n in range(1, max_n + 1)]
-    if mirror:
-        floors += [build_floor(-n) for n in range(1, max_n + 1)]
-    return TowerSlice(s=Fraction(two_s, 2), floors=tuple(floors))
+    floors = {
+        n: {l: {m: slot(n, l, m) for m in range(-l, l + 1)} for l in range(abs(n))}
+        for n in [*range(1, max_n + 1), *range(-1, -max_n - 1, -1)]
+    }
+    return TowerSlice(s=Fraction(two_s, 2), floors=floors)
 
 
 def period_lengths(elements: list[Element]) -> list[int]:
@@ -230,8 +189,8 @@ def period_lengths(elements: list[Element]) -> list[int]:
 
 def haenzel_stats(n: int) -> dict[str, int]:
     """Sheet statistics: 2n^2 eigenvalue points, n^2 transversals, n rings."""
-    if n < 1:
-        raise ValueError("sheet number must be >= 1")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("sheet number must be an integer >= 1")
     return {"points": 2 * n * n, "transversals": n * n, "rings": n}
 
 
@@ -239,22 +198,18 @@ def homolog_lines(tower: TowerSlice) -> list[list[Element]]:
     """Vertical chains of same-(l, m) elements on consecutive matter floors.
 
     These are the classical homolog connections (the alkali column is the
-    l = 0, m = 0 chain); each chain is reported top-down by n.
+    l = 0, m = 0 chain); each chain follows the slice's floor order, n
+    ascending.
     """
-    matter = [f for f in tower.floors if f.n > 0]
-    slots: dict[tuple[int, int], dict[int, Element]] = {}
-    for f in matter:
-        for sub in f.subshells:
-            for p in sub.points:
-                if p.element is not None:
-                    slots.setdefault((sub.l, p.m), {})[f.n] = p.element
-    lines = []
-    for (l, m) in sorted(slots):
-        by_n = slots[(l, m)]
-        chain = [by_n[n] for n in sorted(by_n)]
-        if len(chain) >= 2:
-            lines.append(chain)
-    return lines
+    chains: dict[tuple[int, int], list[Element]] = {}
+    for n, rings in tower.floors.items():
+        if n < 0:
+            continue
+        for l, ring in rings.items():
+            for m, e in ring.items():
+                if e is not None:
+                    chains.setdefault((l, m), []).append(e)
+    return [chains[lm] for lm in sorted(chains) if len(chains[lm]) >= 2]
 
 
 def find_element(

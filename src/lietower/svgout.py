@@ -151,14 +151,10 @@ def svg_tower(tower: TowerSlice) -> str:
     each floor carries its l-rings with the 2l+1 m-points, filled points
     labelled by element symbol and Z, unfilled ones hollow.
     """
-    floors = sorted(tower.floors, key=lambda f: -f.n)
-    xs, ys = [], []
-    for f in floors:
-        for sub in f.subshells:
-            for p in sub.points:
-                x, y = _project(p.m, sub.l, f.n)
-                xs.append(x)
-                ys.append(y)
+    floors = sorted(tower.floors.items(), reverse=True)
+    xs, ys = zip(*(
+        _project(m, l, n) for n, rings in floors for l, ring in rings.items() for m in ring
+    ))
     pad = 56.0
     min_x, max_x = min(xs) - pad, max(xs) + pad
     min_y, max_y = min(ys) - pad, max(ys) + pad
@@ -175,17 +171,17 @@ def svg_tower(tower: TowerSlice) -> str:
         x1, y1 = _project(first.m, first.l, first.n)
         x2, y2 = _project(last.m, last.l, last.n)
         canvas.line(ox + x1, oy + y1, ox + x2, oy + y2, stroke="#cdd9ec", width=1.0)
-    for f in floors:
+    for n, rings in floors:
         # floor label at the left edge
-        fx, fy = _project(-(abs(f.n) - 1) - 1.2, abs(f.n) - 1, f.n)
-        canvas.text(ox + fx - 10.0, oy + fy + 3.0, f"n={f.n}", size=10.0, anchor="end")
-        for sub in f.subshells:
-            for p in sub.points:
-                x, y = _project(p.m, sub.l, f.n)
+        fx, fy = _project(-(abs(n) - 1) - 1.2, abs(n) - 1, n)
+        canvas.text(ox + fx - 10.0, oy + fy + 3.0, f"n={n}", size=10.0, anchor="end")
+        for l, ring in rings.items():
+            for m, e in ring.items():
+                x, y = _project(m, l, n)
                 px, py = ox + x, oy + y
-                if p.element is None:
+                if e is None:
                     canvas.circle(px, py, 2.6, fill="#ffffff", stroke="#aaaaaa")
                 else:
-                    canvas.circle(px, py, 3.2, fill="#8c1d1d" if p.element.anti else "#1f4e9c")
-                    canvas.text(px, py - 6.0, p.element.symbol, size=8.5)
+                    canvas.circle(px, py, 3.2, fill="#8c1d1d" if e.anti else "#1f4e9c")
+                    canvas.text(px, py - 6.0, e.symbol, size=8.5)
     return canvas.document(width, height + 8.0)

@@ -30,3 +30,21 @@ def oriented_ladders():
         return weyl_generators(cartan, ladder_operators(adapted_basis(gs)))
 
     return build
+
+
+@pytest.fixture(scope="session")
+def matter_elements():
+    """``matter_elements(tower)``: the filled slots on the matter floors
+    n > 0 of a tower slice, in n, l, m order."""
+
+    def collect(tower):
+        return [
+            e
+            for n, rings in tower.floors.items()
+            if n > 0
+            for ring in rings.values()
+            for e in ring.values()
+            if e is not None
+        ]
+
+    return collect

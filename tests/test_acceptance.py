@@ -182,7 +182,7 @@ def test_criterion_09_subalgebra_tables(gs42):
         assert commutator(basket["T+"], basket["T-"]) == basket["T0"] * (-2)
 
 
-def test_criterion_10_periodic_assignment():
+def test_criterion_10_periodic_assignment(matter_elements):
     with criterion(10, "period lengths, element endpoints, 60/60 spin split, < 1 s"):
         start = time.monotonic()
         elements = assign_elements()
@@ -198,9 +198,9 @@ def test_criterion_10_periodic_assignment():
         assert str(by_z[118].ket) == "|7,1,1,+1/2⟩" and by_z[118].symbol == "Og"
         assert str(by_z[119].ket) == "|8,0,0,-1/2⟩" and by_z[119].symbol == "Uue"
         assert str(by_z[120].ket) == "|8,0,0,+1/2⟩" and by_z[120].symbol == "Ubn"
-        zs_minus = [e.z for e in minus.elements()]
+        zs_minus = [e.z for e in matter_elements(minus)]
         assert max(z for z in zs_minus if z <= 118) == 115
-        assert len(zs_minus) == 60 and len(plus.elements()) == 60
+        assert len(zs_minus) == 60 and len(matter_elements(plus)) == 60
         assert elapsed < 1.0, f"assembly took {elapsed:.2f}s"
 
 
@@ -270,7 +270,7 @@ def test_criterion_13_determinism_and_exit_contract(capsys, monkeypatch):
 
 
 # SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4 and 5,5, the
-# other roots outputs and the s = -1/2 tower SVG, so any change to a single
+# other roots outputs and every tower output, so any change to a single
 # output byte is caught, not only a difference between reruns.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--signature", "4,2"):
@@ -305,6 +305,12 @@ GOLDEN_STDOUT_SHA256 = {
         "f4687e2046e365e5c3e764bfc11a080fbc756fd5df38476593a3ac67e96633cb",
     ("tower", "--spin=-1/2", "--format", "svg"):
         "fd5775a6485809f320a1b594099b371f3d175f8b126eb6ff9387706b6a601df2",
+    ("tower", "--spin=-1/2"):
+        "7398cfa494c9953e6c0f49cae6f571e456ee1e785f193f45b60018f12110f218",
+    ("tower", "--spin=+1/2"):
+        "4c7dea6d903662dc5752281efceedab8a37ea44439b294a1232625654db5f8c1",
+    ("tower", "--spin=+1/2", "--format", "json"):
+        "1f8bec78715643c6cf5d8145ef72cad8df86ab7fdfc6a12f1e30b7ca9c0bccdd",
 }
 
 # SHA-256 of stdout for verify with the criterion-13 fault injected (exit 1):

@@ -332,7 +332,7 @@ def test_json_round_trip(capsys, oriented_ladders):
     assert json.loads(out) == table.to_json_dict()
 
     _, out, _ = run_cli(capsys, "tower", "--spin=+1/2", "--format", "json")
-    tower = projection_slice(assign_elements(), Fraction(1, 2), mirror=True)
+    tower = projection_slice(assign_elements(), Fraction(1, 2))
     assert json.loads(out) == tower.to_json_dict()
 
 

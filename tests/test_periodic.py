@@ -7,6 +7,7 @@ import pytest
 from lietower.labels import InconsistentLabelsError
 from lietower.periodic import (
     MAX_Z,
+    Element,
     antimatter_mirror,
     assign_elements,
     find_element,
@@ -137,11 +138,11 @@ def test_projection_slice_rejects_inexact_spins(elements, s):
         projection_slice(elements, s)
 
 
-def test_slices_partition_elements(elements):
+def test_slices_partition_elements(elements, matter_elements):
     minus = projection_slice(elements, S_MINUS)
     plus = projection_slice(elements, S_PLUS)
-    zs_minus = {e.z for e in minus.elements()}
-    zs_plus = {e.z for e in plus.elements()}
+    zs_minus = {e.z for e in matter_elements(minus)}
+    zs_plus = {e.z for e in matter_elements(plus)}
     assert len(zs_minus) == 60 and len(zs_plus) == 60
     assert zs_minus | zs_plus == set(range(1, MAX_Z + 1))
     assert not zs_minus & zs_plus
@@ -149,18 +150,18 @@ def test_slices_partition_elements(elements):
 
 def test_each_subshell_splits_evenly(elements):
     minus = projection_slice(elements, S_MINUS)
-    for floor in minus.floors:
-        for sub in floor.subshells:
-            filled = [p for p in sub.points if p.element is not None]
+    for rings in minus.floors.values():
+        for l, ring in rings.items():
+            filled = [e for e in ring.values() if e is not None]
             if filled:
-                assert len(filled) == 2 * sub.l + 1
+                assert len(filled) == 2 * l + 1
 
 
-def test_slice_endpoints(elements):
+def test_slice_endpoints(elements, matter_elements):
     minus = projection_slice(elements, S_MINUS)
     plus = projection_slice(elements, S_PLUS)
-    zs_minus = [e.z for e in minus.elements()]
-    zs_plus = [e.z for e in plus.elements()]
+    zs_minus = [e.z for e in matter_elements(minus)]
+    zs_plus = [e.z for e in matter_elements(plus)]
     assert min(zs_minus) == 1  # hydrogen opens the odd-spin slice
     assert max(z for z in zs_minus if z <= 118) == 115
     assert max(zs_minus) == 119
@@ -171,29 +172,27 @@ def test_slice_endpoints(elements):
 
 def test_unfilled_rings_are_present_and_empty(elements):
     minus = projection_slice(elements, S_MINUS)
-    floor5 = next(f for f in minus.floors if f.n == 5)
-    ring4 = next(s for s in floor5.subshells if s.l == 4)
-    assert len(ring4.points) == 9
-    assert all(p.element is None for p in ring4.points)
-    floor8 = next(f for f in minus.floors if f.n == 8)
-    assert [s.l for s in floor8.subshells] == list(range(0, 8))
+    ring4 = minus.floors[5][4]
+    assert len(ring4) == 9
+    assert all(e is None for e in ring4.values())
+    assert list(minus.floors[8]) == list(range(0, 8))
 
 
 def test_floor_shape_invariant(elements):
-    tower = projection_slice(elements, S_PLUS, mirror=True)
-    for floor in tower.floors:
-        assert [s.l for s in floor.subshells] == list(range(0, abs(floor.n)))
-        for sub in floor.subshells:
-            assert [p.m for p in sub.points] == list(range(-sub.l, sub.l + 1))
+    tower = projection_slice(elements, S_PLUS)
+    for n, rings in tower.floors.items():
+        assert list(rings) == list(range(0, abs(n)))
+        for l, ring in rings.items():
+            assert list(ring) == list(range(-l, l + 1))
 
 
 def test_mirrored_tower_contains_antimatter(elements):
-    tower = projection_slice(elements, S_MINUS, mirror=True)
-    anti_h = tower.point(-1, 0, 0)
+    tower = projection_slice(elements, S_MINUS)
+    anti_h = tower.floors[-1][0][0]
     assert anti_h is not None and anti_h.anti
     assert anti_h.symbol == "anti-H"
     assert str(anti_h.ket) == "|-1,0,0,-1/2⟩"
-    assert [f.n for f in tower.floors] == list(range(1, 9)) + list(range(-1, -9, -1))
+    assert list(tower.floors) == list(range(1, 9)) + list(range(-1, -9, -1))
 
 
 # -- antimatter mirror --------------------------------------------------------------
@@ -205,6 +204,13 @@ def test_mirror_examples(elements):
     anti_he = antimatter_mirror(elements[1])
     assert str(anti_he.ket) == "|-1,0,0,+1/2⟩"
     assert anti_he.symbol == "anti-He"
+
+
+def test_anti_is_read_from_the_floor_sign(elements):
+    anti_h = Element(z=1, symbol="anti-H", ket=elements[0].ket.mirrored())
+    assert anti_h.anti
+    assert not elements[0].anti
+    assert anti_h == antimatter_mirror(elements[0])
 
 
 def test_double_mirror_rejected(elements):
@@ -233,6 +239,12 @@ def test_haenzel_consistency_up_to_ten():
 def test_haenzel_rejects_zero():
     with pytest.raises(ValueError):
         haenzel_stats(0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, Fraction(3, 2)])
+def test_haenzel_rejects_non_integer_sheets(n):
+    with pytest.raises(ValueError, match="integer"):
+        haenzel_stats(n)
 
 
 # -- homolog lines -------------------------------------------------------------------

@@ -115,6 +115,15 @@ def test_multiplet_counts_exhaustive():
             assert len(set(states)) == len(states)
 
 
+@pytest.mark.parametrize(
+    "l, ldot", [(-1, 0), (0, -1), (Fraction(-1, 2), Fraction(-1, 2))]
+)
+def test_multiplet_dimension_rejects_negative_spins(l, ldot):
+    for count in (multiplet_states, multiplet_dimension):
+        with pytest.raises(ValueError, match="spins must be non-negative"):
+            count(l, ldot)
+
+
 def test_multiplet_ordering_m_major():
     states = multiplet_states(1, Fraction(1, 2))
     flat = [(s.m, s.m_dot) for s in states]
@@ -168,6 +177,13 @@ def test_sym_dim():
     assert sym_dim(2, 1, 0) == 6
     with pytest.raises(ValueError):
         sym_dim(-1, 0, 0)
+
+
+@pytest.mark.parametrize("label", [Fraction(1, 2), 1.5, 1.0])
+def test_sym_dim_rejects_non_integer_labels(label):
+    for args in ((label, 0, 0), (0, label, 0), (0, 0, label)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            sym_dim(*args)
 
 
 # -- Madelung and dotted kets ------------------------------------------------------

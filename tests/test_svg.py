@@ -40,7 +40,7 @@ def test_root_squares_panels_rank4(gs44, oriented_ladders):
 
 
 def test_tower_svg_renders_all_floors(elements):
-    tower = projection_slice(elements, Fraction(-1, 2), mirror=True)
+    tower = projection_slice(elements, Fraction(-1, 2))
     svg = svg_tower(tower)
     for n in list(range(1, 9)) + list(range(-1, -9, -1)):
         assert f">n={n}<" in svg
@@ -48,5 +48,5 @@ def test_tower_svg_renders_all_floors(elements):
 
 
 def test_tower_svg_stable(elements):
-    tower = projection_slice(elements, Fraction(1, 2), mirror=True)
+    tower = projection_slice(elements, Fraction(1, 2))
     assert svg_tower(tower) == svg_tower(tower)
