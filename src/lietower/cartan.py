@@ -756,12 +756,3 @@ def emulation_check(
         checks.append(ChainCheck(name, links))
     return EmulationReport(checks)
 
-
-def operator_map(
-    gs: GeneratorSet, *groups: Mapping[str, ExactMatrix]
-) -> dict[str, ExactMatrix]:
-    """Name -> matrix map over generator names plus any operator groups."""
-    ops = dict(zip(gs.names, gs.matrices()))
-    for group in groups:
-        ops.update(group)
-    return ops

@@ -18,18 +18,11 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, TextIO
 
-from .cartan import (
-    adapted_basis,
-    find_cartan,
-    ladder_operators,
-    root_system,
-    weyl_generators,
-)
 from .labels import mass_sl2c, mass_so42
 from .periodic import assign_elements, find_element, projection_slice
-from .sopq import Metric, bracket_table, build_generators
+from .sopq import Metric, build_generators
 from .svgout import svg_root_squares, svg_tower
-from .verify import run_verification
+from .verify import SuiteContext, run_verification
 
 RANK3_AXIS_ALIASES = {"L12": "L3", "L34": "A3", "L56": "D3"}
 
@@ -157,10 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _root_table(metric: Metric):
-    gs = build_generators(metric)
-    cartan = find_cartan(gs, bracket_table(gs))
-    ladders = ladder_operators(adapted_basis(gs))
-    table = root_system(cartan, weyl_generators(cartan, ladders))
+    table = SuiteContext(build_generators(metric)).roots
     axes = RANK3_AXIS_ALIASES if metric == Metric(4, 2) else {}
     table.cartan = [axes.get(n, n) for n in table.cartan]
     return table

@@ -502,8 +502,8 @@ def rank(matrices: Sequence[ExactMatrix]) -> int:
 class SpanSolver:
     """Reduced-echelon factorisation of a fixed spanning set.
 
-    Factors the flattened basis once so that repeated expansion queries
-    (hundreds per verification suite) cost a single sparse sweep each.
+    Factors the flattened basis once, so each expansion is one sparse sweep;
+    a passing verdict expands 15 times on (4,2), 23 on (4,4), 0 on (5,5).
     """
 
     def __init__(self, basis: Sequence[ExactMatrix]):

@@ -204,6 +204,8 @@ class MadelungKet:
     two_s: int
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.n, self.l, self.m, self.two_s)):
+            raise InconsistentLabelsError("labels must be integers")
         if self.n == 0:
             raise InconsistentLabelsError("there is no n = 0 shell")
         if not 0 <= self.l <= abs(self.n) - 1:

@@ -182,6 +182,8 @@ def period_lengths(elements: list[Element]) -> list[int]:
         shell = (e.ket.n, e.ket.l)
         if e.ket.l == 0 and shell != previous:
             lengths.append(0)
+        elif not lengths:
+            raise ValueError(f"filling order starts on {e.symbol}, not on an l = 0 subshell")
         previous = shell
         lengths[-1] += 1
     return lengths
@@ -222,13 +224,13 @@ def find_element(
     """
     if (z is None) == (symbol is None):
         raise ValueError("give exactly one of z or symbol")
-    if z is not None:
-        if not 1 <= z <= MAX_Z:
-            raise KeyError(f"z={z} out of range 1..{MAX_Z}")
-        return elements[z - 1]
+    if z is not None and not 1 <= z <= MAX_Z:
+        raise KeyError(f"z={z} out of range 1..{MAX_Z}")
     for e in elements:
-        if e.symbol == symbol:
+        if e.z == z or e.symbol == symbol:
             return e
+    if z is not None:
+        raise KeyError(f"z={z} is not in the element list")
     import difflib
 
     symbols = [e.symbol for e in elements]

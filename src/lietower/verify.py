@@ -106,14 +106,25 @@ class VerificationReport:
 
 @dataclass
 class SuiteContext:
-    """The shared objects of one verdict.  The adapted basis, its ladders
-    and the operator map are built on first use, so only a battery that
-    reads them builds them."""
+    """The Cartan-Weyl chain of one generator set, each object built on
+    first use: bracket table -> Cartan set -> adapted basis -> ladders ->
+    roots.  ``verify`` reads it through its suites and ``roots`` reads
+    ``roots`` alone, so only what a command reads is built."""
 
     gs: GeneratorSet
-    brackets: BracketTable
-    cartan: dict[str, ExactMatrix]
-    solver: SpanSolver
+
+    @cached_property
+    def brackets(self) -> BracketTable:
+        return bracket_table(self.gs)
+
+    @cached_property
+    def cartan(self) -> dict[str, ExactMatrix]:
+        return cw.find_cartan(self.gs, self.brackets)
+
+    @cached_property
+    def solver(self) -> SpanSolver:
+        # one factorisation of the generator basis serves every expansion
+        return SpanSolver(self.gs.matrices())
 
     @cached_property
     def basis(self) -> dict[str, ExactMatrix]:
@@ -125,7 +136,11 @@ class SuiteContext:
 
     @cached_property
     def ops(self) -> dict[str, ExactMatrix]:
-        return cw.operator_map(self.gs, self.basis, self.ladders)
+        return dict(zip(self.gs.names, self.gs.matrices())) | self.basis | self.ladders
+
+    @cached_property
+    def roots(self) -> cw.RootTable:
+        return cw.root_system(self.cartan, cw.weyl_generators(self.cartan, self.ladders))
 
 
 def _commutators(ctx: SuiteContext) -> SuiteResult:
@@ -248,7 +263,7 @@ def _roots(
     judge: Callable[[SuiteContext, cw.RootTable], tuple[bool, str]],
 ) -> SuiteResult:
     try:
-        table = cw.root_system(ctx.cartan, cw.weyl_generators(ctx.cartan, ctx.ladders))
+        table = ctx.roots
     except cw.NotARootVectorError as exc:
         return SuiteResult(name, False, str(exc))
     passed, summary = judge(ctx, table)
@@ -310,11 +325,7 @@ BATTERIES: dict[Metric, tuple[tuple[SuiteBuilder, ...], tuple[str, ...]]] = {
 
 def run_verification(metric: Metric) -> VerificationReport:
     """The suites every signature gets, then the battery of a published one."""
-    gs = build_generators(metric)
-    brackets = bracket_table(gs)
-    cartan = cw.find_cartan(gs, brackets)
-    # one factorisation of the generator basis serves every expansion
-    ctx = SuiteContext(gs, brackets, cartan, SpanSolver(gs.matrices()))
+    ctx = SuiteContext(build_generators(metric))
     battery, notes = BATTERIES.get(metric, ((), ()))
     return VerificationReport(
         signature=(metric.p, metric.q),

@@ -32,8 +32,6 @@ from lietower.cartan import (
     emulation_check,
     extract_root,
     find_cartan,
-    ladder_operators,
-    operator_map,
     root_system,
     split_basis_so44,
     subalgebra_basis,
@@ -56,7 +54,12 @@ from lietower.sopq import (
     hydrogen_aliases,
     verify_commutation,
 )
-from lietower.verify import NOTES_RANK4, PUBLISHED_ROOTS_RANK3, run_verification
+from lietower.verify import (
+    NOTES_RANK4,
+    PUBLISHED_ROOTS_RANK3,
+    SuiteContext,
+    run_verification,
+)
 
 
 @contextmanager
@@ -105,7 +108,7 @@ def test_criterion_04_yao_redundancy(gs42):
     with criterion(4, "18-generator basis has rank 15; emulation chains hold"):
         yao = yao_basis(gs42)
         assert rank(list(yao.values())) == 15
-        report = emulation_check(operator_map(gs42, yao), EMULATION_CHAINS_SO42)
+        report = emulation_check(SuiteContext(gs42).ops, EMULATION_CHAINS_SO42)
         assert report.ok and report.passed_count == 3
 
 
@@ -113,9 +116,7 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
     with criterion(5, "36-generator split basis has rank 28; printed ladder tables checked as printed"):
         first, second = split_basis_so44(gs44)
         assert rank(list({**first, **second}.values())) == 28
-        ops = operator_map(
-            gs44, first, second, ladder_operators(first), ladder_operators(second)
-        )
+        ops = SuiteContext(gs44).ops
         emu = emulation_check(ops, EMULATION_CHAINS_SO44)
         assert emu.ok and emu.passed_count == 4
         for table in (LADDER_TABLE_FIRST, LADDER_TABLE_SECOND):
@@ -270,8 +271,9 @@ def test_criterion_13_determinism_and_exit_contract(capsys, monkeypatch):
 
 
 # SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4 and 5,5, the
-# other roots outputs and every tower output, so any change to a single
-# output byte is caught, not only a difference between reruns.
+# other roots outputs, every tower output, the element queries with a mass
+# node and the three-label mass, so any change to a single output byte is
+# caught, not only a difference between reruns.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--signature", "4,2"):
         "e01d56dcf146ed2bc92fa73df863bb2ca685462de82ae505b370fd5efbc9cac9",
@@ -311,6 +313,12 @@ GOLDEN_STDOUT_SHA256 = {
         "4c7dea6d903662dc5752281efceedab8a37ea44439b294a1232625654db5f8c1",
     ("tower", "--spin=+1/2", "--format", "json"):
         "1f8bec78715643c6cf5d8145ef72cad8df86ab7fdfc6a12f1e30b7ca9c0bccdd",
+    ("elements", "--symbol", "Fe", "--format", "json", "--node", "1/2,0,1"):
+        "20ba639c0baec768248293840581e1afda0c52ee90564d2fafe2dd93547fd2ae",
+    ("elements", "--z", "26", "--node", "1/2,0,1"):
+        "773550172c945acd672ff98f7c7ba02ecb7898997d80c4b7f422080e3e26be5f",
+    ("mass", "3/2", "1/2", "1"):
+        "0ce5de22fa984f1a2338a527c87fd522564eab23ad1e08aabc3abf829480e37b",
 }
 
 # SHA-256 of stdout for verify with the criterion-13 fault injected (exit 1):

@@ -8,6 +8,10 @@ from itertools import combinations, permutations, product
 import pytest
 
 import lietower.cartan
+import lietower.cli
+import lietower.exact
+import lietower.sopq
+import lietower.verify
 from lietower.cartan import (
     COMPONENT_TABLE_FIRST,
     COMPONENT_TABLE_SECOND,
@@ -29,7 +33,6 @@ from lietower.cartan import (
     extract_root,
     find_cartan,
     ladder_operators,
-    operator_map,
     root_system,
     split_basis_so44,
     star_certificate,
@@ -46,7 +49,7 @@ from lietower.sopq import (
     hydrogen_aliases,
     span_describer,
 )
-from lietower.verify import PUBLISHED_ROOTS_RANK3
+from lietower.verify import PUBLISHED_ROOTS_RANK3, SuiteContext
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -260,7 +263,7 @@ def test_first_half_matches_rank3_basis(gs42, gs44):
 
 
 def test_emulation_42_chains(gs42):
-    ops = operator_map(gs42, yao_basis(gs42))
+    ops = SuiteContext(gs42).ops
     report = emulation_check(ops, EMULATION_CHAINS_SO42)
     assert report.ok
     assert report.passed_count == 3
@@ -274,8 +277,7 @@ def test_emulation_42_specific_identities(gs42):
 
 
 def test_emulation_44_chains(gs44):
-    first, second = split_basis_so44(gs44)
-    ops = operator_map(gs44, first, second)
+    ops = SuiteContext(gs44).ops
     report = emulation_check(ops, EMULATION_CHAINS_SO44)
     assert report.ok
     assert report.passed_count == 4
@@ -289,7 +291,7 @@ def test_emulation_44_fourth_chain(gs44):
 
 
 def test_emulation_report_records_each_link(gs42):
-    ops = operator_map(gs42, yao_basis(gs42))
+    ops = SuiteContext(gs42).ops
     report = emulation_check(ops, [("mixed", ["J3+K3", "L12", "L34"])])
     assert report.chains[0].links == [
         Link("J3+K3 = L12", True),
@@ -299,7 +301,7 @@ def test_emulation_report_records_each_link(gs42):
 
 
 def test_emulation_unknown_name(gs42):
-    ops = operator_map(gs42, yao_basis(gs42))
+    ops = SuiteContext(gs42).ops
     with pytest.raises(KeyError):
         emulation_check(ops, [("bad", ["K3+XYZ", "L12"])])
 
@@ -407,6 +409,51 @@ def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
     assert main(list(argv)) == 0
     capsys.readouterr()
     assert count == calls
+
+
+# verify and roots read one Cartan-Weyl chain per command, so the bracket
+# table and the Cartan search run once each; every module binding is
+# counted, so a second chain assembled anywhere would show.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--signature", "4,2"),
+        ("verify", "--signature", "4,4"),
+        ("verify", "--signature", "5,5"),
+        ("roots", "--signature", "4,2"),
+        ("roots", "--signature", "4,4"),
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_command_builds_one_chain(capsys, monkeypatch, argv):
+    counts = {"bracket_table": 0, "find_cartan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in (("bracket_table", bracket_table), ("find_cartan", find_cartan)):
+        for module in (lietower.sopq, lietower.cartan, lietower.verify, lietower.cli):
+            monkeypatch.setattr(module, name, counted(name, fn), raising=False)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert counts == {"bracket_table": 1, "find_cartan": 1}
+
+
+@pytest.mark.parametrize("signature", ["4,2", "4,4"])
+def test_roots_builds_no_span_solver(capsys, monkeypatch, signature):
+    def no_solver(self, matrices):
+        raise AssertionError("roots built a SpanSolver")
+
+    monkeypatch.setattr(lietower.exact.SpanSolver, "__init__", no_solver)
+    assert main(["roots", "--signature", signature]) == 0
+    capsys.readouterr()
+    # verify builds one for its bracket sweep, so the patch is live
+    with pytest.raises(AssertionError, match="built a SpanSolver"):
+        main(["verify", "--signature", signature])
 
 
 # -- root extraction ------------------------------------------------------------
@@ -774,10 +821,7 @@ def test_yao_component_cross_families_commute(gs42):
 
 
 def _ops44(gs44):
-    first, second = split_basis_so44(gs44)
-    return operator_map(
-        gs44, first, second, ladder_operators(first), ladder_operators(second)
-    )
+    return SuiteContext(gs44).ops
 
 
 def test_printed_table_content_digest():

@@ -122,6 +122,13 @@ def test_period_lengths(elements):
     assert lengths == [2, 8, 8, 18, 18, 32, 32, 2]
 
 
+def test_period_lengths_rejects_a_sequence_not_starting_on_s(elements):
+    # Be (z=4) closes 2s; B (z=5) opens 2p
+    assert period_lengths(elements[2:]) == [8, 8, 18, 18, 32, 32, 2]
+    with pytest.raises(ValueError, match="starts on B, not on an l = 0 subshell"):
+        period_lengths(elements[4:])
+
+
 def test_period_doubling_pattern(elements):
     # 2k^2 each appearing twice, with the k=1 pair truncated to one row
     lengths = period_lengths(elements)[:7]
@@ -284,6 +291,17 @@ def test_find_by_z_and_symbol(elements):
     assert find_element(elements, symbol="Mc").z == 115
     with pytest.raises(KeyError):
         find_element(elements, z=121)
+
+
+def test_find_by_z_matches_the_element_not_its_position(elements):
+    assert find_element(elements[::-1], z=1).symbol == "H"
+    # the s = +1/2 slots hold He, Be, ...; Li sits on s = -1/2
+    plus = [e for e in elements if e.ket.two_s == 1]
+    assert find_element(plus, z=4).symbol == "Be"
+    with pytest.raises(KeyError, match="z=3 is not in the element list"):
+        find_element(plus, z=3)
+    with pytest.raises(KeyError, match=r"z=0 out of range 1\.\.120"):
+        find_element(plus, z=0)
 
 
 def test_unknown_symbol_gets_hint(elements):

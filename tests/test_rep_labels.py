@@ -206,6 +206,21 @@ def test_madelung_invariants():
         MadelungKet(n=3, l=1, m=2, two_s=1)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        dict(n=1.5, l=0, m=0, two_s=1),
+        dict(n=2, l=0.5, m=0.5, two_s=1),
+        dict(n=2, l=1, m=Fraction(1), two_s=1),
+        dict(n=2, l=1, m=0, two_s=1.0),
+    ],
+    ids=["n", "l-and-m", "m-fraction", "two_s"],
+)
+def test_madelung_rejects_non_integer_labels(labels):
+    with pytest.raises(InconsistentLabelsError, match="labels must be integers"):
+        MadelungKet(**labels)
+
+
 def test_dotted_to_madelung_hydrogen_case():
     d = dotted_ket(1, 0, 0, 0, 0, 0, Fraction(-1, 2), Fraction(1, 2))
     ket = dotted_to_madelung(d)
