@@ -6,11 +6,19 @@ JSON keys are emitted in fixed construction order, SVG is assembled with
 fixed element order and fixed-precision coordinates, and nothing records
 time or environment.  ANSI colour appears only on a TTY and never when
 NO_COLOR is set.
+
+The argparse parser and the 120-element table are each built on first use
+and then shared read-only for the life of the process, so a run of cheap
+``elements``/``tower``/``mass`` commands pays for neither more than once;
+the table is a tuple of frozen ``Element``s.  The parser binds the
+``cmd_*`` functions when it is first built: a test that patches
+``cli.cmd_*`` must call ``build_parser.cache_clear()`` first.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, TextIO
 
 from .labels import mass_sl2c, mass_so42
-from .periodic import assign_elements, find_element, projection_slice
+from .periodic import Element, assign_elements, find_element, projection_slice
 from .sopq import Metric, build_generators
 from .svgout import svg_root_squares, svg_tower
 from .verify import SuiteContext, run_verification
@@ -130,6 +138,11 @@ def _use_color() -> bool:
     return "NO_COLOR" not in os.environ and sys.stdout.isatty()
 
 
+@functools.cache
+def _element_table() -> tuple[Element, ...]:
+    return tuple(assign_elements())
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -177,7 +190,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     spin = _parse_half(args.spin, "spin")
     if spin * 2 not in (-1, 1):
         raise CliError("spin must be -1/2 or +1/2")
-    tower = projection_slice(assign_elements(), spin)
+    tower = projection_slice(_element_table(), spin)
     if args.format == "json":
         _emit(_to_json(tower.to_json_dict()), _open_output(args.output))
     elif args.format == "svg":
@@ -193,7 +206,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
 
 
 def cmd_elements(args: argparse.Namespace) -> int:
-    elements = assign_elements()
+    elements = _element_table()
     if args.z is not None and args.symbol is not None:
         raise CliError("give only one of --z and --symbol")
     try:
@@ -244,6 +257,7 @@ def cmd_mass(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lietower",

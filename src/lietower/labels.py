@@ -251,6 +251,8 @@ class DottedKet:
     two_sigma_dot: int
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in self._doubled_labels()):
+            raise InconsistentLabelsError("labels must be integers")
         if self.two_nu < 0 or self.two_nu_dot < 0:
             raise InconsistentLabelsError("nu labels must be non-negative")
         for tag, outer, inner in (
@@ -268,12 +270,14 @@ class DottedKet:
         if self.two_sigma not in (-1, 1) or self.two_sigma_dot not in (-1, 1):
             raise InconsistentLabelsError("sigma labels must be -1/2 or +1/2")
 
-    def __str__(self) -> str:
-        halves = (
+    def _doubled_labels(self) -> tuple[int, ...]:
+        return (
             self.two_nu, self.two_nu_dot, self.two_lam, self.two_lam_dot,
             self.two_mu, self.two_mu_dot, self.two_sigma, self.two_sigma_dot,
         )
-        nu, nud, lam, lamd, mu, mud, sig, sigd = (_half_str(t) for t in halves)
+
+    def __str__(self) -> str:
+        nu, nud, lam, lamd, mu, mud, sig, sigd = map(_half_str, self._doubled_labels())
         return f"|{nu},{nud};{lam},{lamd};{mu},{mud};{sig},{sigd}⟩"
 
 

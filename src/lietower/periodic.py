@@ -17,7 +17,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .labels import InconsistentLabelsError, MadelungKet
 
@@ -141,7 +141,7 @@ def antimatter_mirror(e: Element) -> Element:
     return Element(z=e.z, symbol=f"anti-{e.symbol}", ket=e.ket.mirrored())
 
 
-def projection_slice(elements: list[Element], s: Fraction) -> TowerSlice:
+def projection_slice(elements: Sequence[Element], s: Fraction) -> TowerSlice:
     """All elements with spin projection s, placed on their tower floors.
 
     Floors run n = 1..8 (every ring present, filled or not), then the
@@ -215,7 +215,7 @@ def homolog_lines(tower: TowerSlice) -> list[list[Element]]:
 
 
 def find_element(
-    elements: list[Element], *, z: Optional[int] = None, symbol: Optional[str] = None
+    elements: Sequence[Element], *, z: Optional[int] = None, symbol: Optional[str] = None
 ) -> Element:
     """Lookup by atomic number or symbol; unknown symbols get the nearest hint.
 

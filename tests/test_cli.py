@@ -1,15 +1,26 @@
 """Command-line surface: formats, determinism, exit codes, fault injection."""
 
+import hashlib
 import json
-from dataclasses import asdict
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError, asdict
+from pathlib import Path
 
 import pytest
 
 import lietower.verify
+from lietower import cli
 from lietower.cli import main
 from lietower.exact import ExactMatrix, I
+from lietower.periodic import assign_elements, load_symbols
 from lietower.sopq import Metric, bracket_table, build_generators
 from lietower.verify import SuiteResult, VerificationReport, run_verification
+from test_acceptance import GOLDEN_STDOUT_SHA256
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -322,7 +333,7 @@ def test_output_file_utf8_lf(tmp_path, capsys):
 
 def test_json_round_trip(capsys, oriented_ladders):
     from lietower.cartan import find_cartan, root_system
-    from lietower.periodic import assign_elements, projection_slice
+    from lietower.periodic import projection_slice
     from fractions import Fraction
 
     _, out, _ = run_cli(capsys, "roots", "--signature", "4,4", "--format", "json")
@@ -357,8 +368,6 @@ def test_fault_injection_flips_exit_code(capsys, monkeypatch):
 
 
 def test_color_gating(capsys, monkeypatch):
-    import sys
-
     monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
     monkeypatch.delenv("NO_COLOR", raising=False)
     _, out, _ = run_cli(capsys, "verify", "--signature", "3,0")
@@ -444,3 +453,74 @@ def test_oversized_verify_signature_rejected(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: signature {signature} is too large")
+
+
+# -- state shared across calls in one process ----------------------------------
+
+
+@pytest.fixture
+def cold_caches():
+    """Clear the parser and element-table caches before and after a test."""
+    cli.build_parser.cache_clear()
+    cli._element_table.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+    cli._element_table.cache_clear()
+
+
+def test_shared_state_survives_a_command_sequence(capsys, cold_caches):
+    code, out, err = run_cli(capsys, "elements", "--z", "abc")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lietower") and err.count("\n") == 1
+
+    code, out, _ = run_cli(capsys, "elements", "--z", "26")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "lietower", "elements", "--z", "26"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        check=True,
+    )
+    assert code == 0 and out.encode("utf-8") == fresh.stdout
+
+    code, out, err = run_cli(capsys, "elements", "--symbol", "he")
+    assert (code, out) == (2, "")
+    assert "closest match: He" in err and err.count("\n") == 1
+
+    for argv in (("tower", "--spin=-1/2", "--format", "json"), ("mass", "1/2", "0")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def test_parser_and_element_table_built_once(capsys, monkeypatch, cold_caches):
+    builds = Counter()
+    real_parser, real_assign = cli._Parser, cli.assign_elements
+
+    def counted_parser(*args, **kwargs):
+        builds["parser"] += 1  # build_parser's body makes exactly one _Parser
+        return real_parser(*args, **kwargs)
+
+    def counted_assign(*args, **kwargs):
+        builds["elements"] += 1
+        return real_assign(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", counted_parser)
+    monkeypatch.setattr(cli, "assign_elements", counted_assign)
+    for argv in (
+        ("elements", "--z", "57", "--node", "1/2,1,3/2"),
+        ("tower", "--spin=+1/2"),
+        ("elements", "--symbol", "Og", "--format", "json"),
+        ("tower", "--spin=-1/2", "--format", "svg"),
+        ("elements", "--z", "1"),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert builds == {"parser": 1, "elements": 1}
+
+    table = cli._element_table()
+    assert isinstance(table, tuple) and len(table) == 120
+    with pytest.raises(FrozenInstanceError):
+        table[0].symbol = "X"
+
+    symbols = load_symbols()
+    first, second = assign_elements(symbols), assign_elements(symbols)
+    assert type(first) is list and first is not second and first == second

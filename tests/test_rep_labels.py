@@ -221,6 +221,20 @@ def test_madelung_rejects_non_integer_labels(labels):
         MadelungKet(**labels)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (2.5, 0, 0.5, 0, 0.5, 0, 1, -1),
+        (2, 0, 0, 0, 0, 0, Fraction(1), -1),
+        (2, 0, 0, 0, 0, 0, 1, -1.0),
+    ],
+    ids=["nu-lam-mu", "sigma-fraction", "sigma-dot"],
+)
+def test_dotted_rejects_non_integer_labels(labels):
+    with pytest.raises(InconsistentLabelsError, match="labels must be integers"):
+        DottedKet(*labels)
+
+
 def test_dotted_to_madelung_hydrogen_case():
     d = dotted_ket(1, 0, 0, 0, 0, 0, Fraction(-1, 2), Fraction(1, 2))
     ket = dotted_to_madelung(d)
