@@ -8,11 +8,13 @@ time or environment.  ANSI colour appears only on a TTY and never when
 NO_COLOR is set.
 
 The argparse parser and the 120-element table are each built on first use
-and then shared read-only for the life of the process, so a run of cheap
-``elements``/``tower``/``mass`` commands pays for neither more than once;
-the table is a tuple of frozen ``Element``s.  The parser binds the
-``cmd_*`` functions when it is first built: a test that patches
-``cli.cmd_*`` must call ``build_parser.cache_clear()`` first.
+and then shared read-only for the life of the process; the table is a
+tuple of frozen ``Element``s.  A shell invocation runs one command in a
+fresh process and builds both exactly once either way; only a caller that
+runs ``main`` many times in one process, such as the test suite, skips
+the rebuilds.  The parser binds the ``cmd_*`` functions when it is first
+built: a test that patches ``cli.cmd_*`` must call
+``build_parser.cache_clear()`` first.
 """
 
 from __future__ import annotations

@@ -2,12 +2,9 @@
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict
-from pathlib import Path
 
 import pytest
 
@@ -18,9 +15,7 @@ from lietower.exact import ExactMatrix, I
 from lietower.periodic import assign_elements, load_symbols
 from lietower.sopq import Metric, bracket_table, build_generators
 from lietower.verify import SuiteResult, VerificationReport, run_verification
-from test_acceptance import GOLDEN_STDOUT_SHA256
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from golden import GOLDEN_STDOUT_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -473,23 +468,19 @@ def test_shared_state_survives_a_command_sequence(capsys, cold_caches):
     assert (code, out) == (2, "")
     assert err.startswith("error: lietower") and err.count("\n") == 1
 
-    code, out, _ = run_cli(capsys, "elements", "--z", "26")
-    fresh = subprocess.run(
-        [sys.executable, "-m", "lietower", "elements", "--z", "26"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        check=True,
-    )
-    assert code == 0 and out.encode("utf-8") == fresh.stdout
+    def golden(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+    golden("elements", "--z", "26", "--node", "1/2,0,1")
 
     code, out, err = run_cli(capsys, "elements", "--symbol", "he")
     assert (code, out) == (2, "")
     assert "closest match: He" in err and err.count("\n") == 1
 
-    for argv in (("tower", "--spin=-1/2", "--format", "json"), ("mass", "1/2", "0")):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+    golden("tower", "--spin=-1/2", "--format", "json")
+    golden("mass", "1/2", "0")
 
 
 def test_parser_and_element_table_built_once(capsys, monkeypatch, cold_caches):
