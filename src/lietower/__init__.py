@@ -27,15 +27,12 @@ from .cartan import (
 )
 from .labels import (
     CARTAN_QUANTUM_NUMBERS,
-    DottedKet,
     MadelungKet,
     WeightKet,
     apply_ladder,
-    dotted_to_madelung,
     mass_sl2c,
     mass_so42,
     multiplet_states,
-    sym_dim,
 )
 from .periodic import (
     Element,
@@ -52,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CARTAN_QUANTUM_NUMBERS",
-    "DottedKet",
     "Element",
     "ExactMatrix",
     "GaussianRational",
@@ -70,7 +66,6 @@ __all__ = [
     "build_generators",
     "casimir",
     "commutator",
-    "dotted_to_madelung",
     "extract_root",
     "find_cartan",
     "haenzel_stats",
@@ -85,7 +80,6 @@ __all__ = [
     "root_system",
     "scalar_multiple_of",
     "subalgebra_basis",
-    "sym_dim",
     "verify_commutation",
     "weyl_generators",
     "yao_basis",

@@ -191,7 +191,7 @@ def period_lengths(elements: list[Element]) -> list[int]:
 
 def haenzel_stats(n: int) -> dict[str, int]:
     """Sheet statistics: 2n^2 eigenvalue points, n^2 transversals, n rings."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass; reject it
         raise ValueError("sheet number must be an integer >= 1")
     return {"points": 2 * n * n, "transversals": n * n, "rings": n}
 

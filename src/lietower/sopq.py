@@ -44,6 +44,9 @@ class Metric:
     q: int
 
     def __post_init__(self):
+        # an exact type test: bool is an int subclass, and (True,1) would print
+        if type(self.p) is not int or type(self.q) is not int:
+            raise ValueError(f"p and q must be integers, got {self.p!r}, {self.q!r}")
         if self.p < 0 or self.q < 0 or self.p + self.q < 2:
             raise ValueError("need p, q >= 0 with p + q >= 2")
 

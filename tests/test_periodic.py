@@ -248,7 +248,7 @@ def test_haenzel_rejects_zero():
         haenzel_stats(0)
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, Fraction(3, 2)])
+@pytest.mark.parametrize("n", [1.5, 2.0, Fraction(3, 2), True])
 def test_haenzel_rejects_non_integer_sheets(n):
     with pytest.raises(ValueError, match="integer"):
         haenzel_stats(n)

@@ -34,6 +34,15 @@ def test_metric_diagonal():
         Metric(1, 0)
 
 
+@pytest.mark.parametrize(
+    "p, q", [(True, 1), (4, False), (2.5, 1.5), (4, 2.0), ("4", 2)],
+    ids=["bool-p", "bool-q", "floats", "float-q", "str-p"],
+)
+def test_metric_rejects_non_integer_entries(p, q):
+    with pytest.raises(ValueError, match="p and q must be integers"):
+        Metric(p, q)
+
+
 def test_generator_counts():
     assert len(build_generators(Metric(4, 2))) == 15
     assert len(build_generators(Metric(4, 4))) == 28
