@@ -47,7 +47,6 @@ from .exact import (
     scalar_multiple_of,
 )
 from .sopq import (
-    BracketTable,
     GeneratorSet,
     IndexPair,
     Metric,
@@ -70,33 +69,33 @@ RootVector = tuple[Fraction, ...]
 # ---------------------------------------------------------------------------
 
 
-def star_certificate(gs: GeneratorSet, brackets: BracketTable) -> bool:
+def star_certificate(gs: GeneratorSet) -> bool:
     """Whether every star of ``gs`` is pairwise non-commuting, which bounds
     the size of a commuting set of its generators by floor(n/2).
 
     The star S_a is the set of generators that carry index a; its members
     pairwise fail to commute when every pair of them has an entry in
-    ``brackets`` = ``bracket_table(gs)``.  Every generator lies in exactly
-    two stars and a commuting set meets each star at most once, so then
-    2 * size <= n.  This is the clique number bounded by the fractional
-    chromatic number (Lovasz 1978); it assumes no symmetry of the matrices.
+    ``gs.brackets``.  Every generator lies in exactly two stars and a
+    commuting set meets each star at most once, so then 2 * size <= n.
+    This is the clique number bounded by the fractional chromatic number
+    (Lovasz 1978); it assumes no symmetry of the matrices.
     """
     return all(
-        (x, y) in brackets
+        (x, y) in gs.brackets
         for a in range(1, gs.metric.dim + 1)
         for x, y in combinations([pair for pair in gs.pairs if a in pair], 2)
     )
 
 
-def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> dict[str, ExactMatrix]:
+def find_cartan(gs: GeneratorSet) -> dict[str, ExactMatrix]:
     """Maximum pairwise-commuting subset of the rotation generators, as a
     name -> matrix map in generator order.
 
-    ``brackets`` is ``bracket_table(gs)``; two generators commute when their
-    pair has no entry, so commutation is decided by exact matrix arithmetic,
-    not by index bookkeeping.  One depth-first search over the generator
-    family extends cliques in ascending index order and keeps a clique only
-    when it is strictly larger than the best so far.  Its preorder visits
+    Two generators commute when their pair has no entry in ``gs.brackets``,
+    so commutation is decided by exact matrix arithmetic, not by index
+    bookkeeping.  One depth-first search over the generator family extends
+    cliques in ascending index order and keeps a clique only when it is
+    strictly larger than the best so far.  Its preorder visits
     cliques in lexicographic order, so the result is the lexicographically
     first maximum clique: ties are broken toward the earliest index pairs.
 
@@ -109,9 +108,9 @@ def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> dict[str, ExactMatr
     pairs = gs.pairs
     index = {pair: k for k, pair in enumerate(pairs)}
     adj = [[True] * len(pairs) for _ in pairs]
-    for x, y in brackets:
+    for x, y in gs.brackets:
         adj[index[x]][index[y]] = adj[index[y]][index[x]] = False
-    bound = gs.metric.dim // 2 if star_certificate(gs, brackets) else len(pairs)
+    bound = gs.metric.dim // 2 if star_certificate(gs) else len(pairs)
     best: list[int] = []
 
     def extend(chosen: list[int], candidates: list[int]) -> bool:
@@ -134,14 +133,12 @@ def find_cartan(gs: GeneratorSet, brackets: BracketTable) -> dict[str, ExactMatr
     return {gs.names[k]: mats[k] for k in best}
 
 
-def cartan_is_maximal(
-    gs: GeneratorSet, cartan: Mapping[str, ExactMatrix], brackets: BracketTable
-) -> bool:
+def cartan_is_maximal(gs: GeneratorSet, cartan: Mapping[str, ExactMatrix]) -> bool:
     """No generator of ``gs`` outside ``cartan``, a set of its generators,
-    commutes with every member; ``brackets`` is ``bracket_table(gs)``."""
+    commutes with every member, by ``gs.brackets``."""
     members = [pair for pair, name in zip(gs.pairs, gs.names) if name in cartan]
     return all(
-        any((min(pair, h), max(pair, h)) in brackets for h in members)
+        any((min(pair, h), max(pair, h)) in gs.brackets for h in members)
         for pair in gs.pairs
         if pair not in members
     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -529,3 +529,17 @@ class SpanSolver:
         if vec:
             return None
         return [coeffs.get(idx, ZERO) for idx in range(self.size)]
+
+    def describer(self, names: Sequence[str], outside: str) -> Callable[[ExactMatrix], str]:
+        """Render a matrix as an exact combination of the factored basis,
+        whose members are called ``names``; a matrix outside its span
+        renders as ``outside``."""
+
+        def describe(x: ExactMatrix) -> str:
+            coeffs = self.expand(x)
+            if coeffs is None:
+                return outside
+            parts = [f"({c})*{names[k]}" for k, c in enumerate(coeffs) if c]
+            return " + ".join(parts) if parts else "0"
+
+        return describe

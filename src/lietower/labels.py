@@ -26,8 +26,8 @@ class InconsistentLabelsError(ValueError):
 
 
 def _doubled(value: HalfIntLike, what: str) -> int:
-    two = Fraction(value) * 2
-    if two.denominator != 1:
+    # an exact type test first: Fraction(True) == 1, so bool would pass
+    if type(value) is bool or (two := Fraction(value) * 2).denominator != 1:
         raise ValueError(f"{what} must be a half-integer, got {value}")
     return int(two)
 
@@ -134,11 +134,11 @@ def multiplet_states(l: HalfIntLike, l_dot: HalfIntLike) -> list[WeightKet]:
 
 def mass_sl2c(l: HalfIntLike, l_dot: HalfIntLike) -> Fraction:
     """Node mass 2*(l+1/2)*(l.+1/2), exact in units of m_e."""
-    lf = Fraction(l)
-    ldf = Fraction(l_dot)
-    if _doubled(lf, "l") < 0 or _doubled(ldf, "l-dot") < 0:
+    two_l = _doubled(l, "l")
+    two_ldot = _doubled(l_dot, "l-dot")
+    if two_l < 0 or two_ldot < 0:
         raise ValueError("spins must be non-negative")
-    return 2 * (lf + Fraction(1, 2)) * (ldf + Fraction(1, 2))
+    return Fraction((two_l + 1) * (two_ldot + 1), 2)
 
 
 def mass_so42(l: HalfIntLike, l_dot: HalfIntLike, nu: HalfIntLike) -> Fraction:
@@ -147,11 +147,10 @@ def mass_so42(l: HalfIntLike, l_dot: HalfIntLike, nu: HalfIntLike) -> Fraction:
     At nu = 0 it is half of ``mass_sl2c``: 2 * mass_so42(l, l., 0) equals
     mass_sl2c(l, l.), each in its own unit.
     """
-    nf = Fraction(nu)
-    _doubled(nf, "nu")
-    if nf < 0:
+    two_nu = _doubled(nu, "nu")
+    if two_nu < 0:
         raise ValueError("nu must be non-negative")
-    return mass_sl2c(l, l_dot) * (nf + Fraction(1, 2))
+    return mass_sl2c(l, l_dot) * Fraction(two_nu + 1, 2)
 
 
 # -- Madelung kets ------------------------------------------------------------

@@ -12,14 +12,15 @@ the index convention of the printed commutation table this module validates:
 
 The realisation is *validated*, never assumed: ``verify_commutation`` checks
 every unordered generator pair against the symbolic right-hand side, exactly.
-Each command computes those brackets once, in ``bracket_table``; the
-commutation sweep, the Cartan search and the hydrogen-alias check all read
-that table.
+Each generator set computes those brackets once, in its lazily built
+``brackets`` table; the commutation sweep, the Cartan search and the
+hydrogen-alias check all read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -77,7 +78,10 @@ class GeneratorSet:
     """Ordered family of rotation generators L_ab (a < b) for one signature.
 
     Lookup resolves the antisymmetry convention: ``gen(b, a)`` is
-    ``-gen(a, b)`` and ``gen(a, a)`` is the zero matrix.
+    ``-gen(a, b)`` and ``gen(a, a)`` is the zero matrix.  The bracket table
+    ``brackets`` and the span solver ``solver`` are built from the current
+    matrices on first read, never in the constructor, so a generator
+    overwritten before then is what they see.
     """
 
     def __init__(self, metric: Metric):
@@ -96,7 +100,7 @@ class GeneratorSet:
                 },
             )
         self.names = [pair_name(a, b) for a, b in self.pairs]
-        self._zero = ExactMatrix.zeros(n)
+        self.zero = ExactMatrix.zeros(n)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -106,13 +110,38 @@ class GeneratorSet:
 
     def gen(self, a: int, b: int) -> ExactMatrix:
         if a == b:
-            return self._zero
+            return self.zero
         if a < b:
             return self._gens[(a, b)]
         return -self._gens[(b, a)]
 
     def matrices(self) -> list[ExactMatrix]:
         return [self._gens[pair] for pair in self.pairs]
+
+    @cached_property
+    def brackets(self) -> BracketTable:
+        return bracket_table(self)
+
+    @cached_property
+    def solver(self) -> SpanSolver:
+        # factoring raises ValueError on a dependent set; one factorisation
+        # serves every expansion in the generator basis
+        return SpanSolver(self.matrices())
+
+    def bracket(self, left: IndexPair, right: IndexPair) -> ExactMatrix:
+        """[L_left, L_right] read from ``brackets``, for index pairs in either
+        order: L_ba = -L_ab, and a pair brackets to zero with itself."""
+        sign = 1
+        if left[0] > left[1]:
+            left, sign = left[::-1], -sign
+        if right[0] > right[1]:
+            right, sign = right[::-1], -sign
+        if left > right:
+            left, right, sign = right, left, -sign
+        got = self.brackets.get((left, right))
+        if got is None:
+            return self.zero
+        return got if sign > 0 else -got
 
 
 def build_generators(metric: Metric) -> GeneratorSet:
@@ -202,44 +231,22 @@ def bracket_table(gs: GeneratorSet) -> BracketTable:
     return table
 
 
-def table_bracket(
-    gs: GeneratorSet, brackets: BracketTable, left: IndexPair, right: IndexPair
-) -> ExactMatrix:
-    """[L_left, L_right] read from ``brackets`` = ``bracket_table(gs)``, for
-    index pairs in either order: L_ba = -L_ab, and a pair brackets to zero
-    with itself."""
-    sign = 1
-    if left[0] > left[1]:
-        left, sign = left[::-1], -sign
-    if right[0] > right[1]:
-        right, sign = right[::-1], -sign
-    if left > right:
-        left, right, sign = right, left, -sign
-    got = brackets.get((left, right))
-    if got is None:
-        return ExactMatrix.zeros(gs.metric.dim)
-    return got if sign > 0 else -got
-
-
-def verify_commutation(
-    gs: GeneratorSet, brackets: BracketTable, solver: SpanSolver
-) -> CommutationReport:
+def verify_commutation(gs: GeneratorSet) -> CommutationReport:
     """Check every unordered generator pair against the symbolic bracket.
 
-    ``brackets`` is ``bracket_table(gs)``.  Each pair is decided by exact
-    matrix equality between its entry there (zero when absent) and the
-    materialized right-hand side.  ``solver`` is ``SpanSolver(gs.matrices())``,
-    whose factoring raises ``ValueError`` on a dependent set: only for
-    independent generators does equality of the matrices mean equality of
-    the coefficients.  A mismatch is a failure entry, never an exception,
-    and its ``got`` side is expanded in the generator basis.
+    Each pair is decided by exact matrix equality between its entry in
+    ``gs.brackets`` (zero when absent) and the materialized right-hand side.
+    ``gs.solver`` is read first: its factoring raises ``ValueError`` on a
+    dependent set, and only for independent generators does equality of the
+    matrices mean equality of the coefficients.  A mismatch is a failure
+    entry, never an exception, and its ``got`` side is expanded in the
+    generator basis.
     """
     metric = gs.metric
-    describe = span_describer(gs.names, solver, "<outside generator span>")
-    zero = ExactMatrix.zeros(metric.dim)
+    describe = gs.solver.describer(gs.names, "<outside generator span>")
     failures: list[PairFailure] = []
     for left, right in combinations(gs.pairs, 2):
-        got = brackets.get((left, right), zero)
+        got = gs.brackets.get((left, right), gs.zero)
         expected_terms = expected_bracket(metric, left, right)
         if got != materialize(gs, expected_terms):
             failures.append(
@@ -255,23 +262,6 @@ def verify_commutation(
         pair_count=len(gs) * (len(gs) - 1) // 2,
         failures=failures,
     )
-
-
-def span_describer(
-    names: Sequence[str], solver: SpanSolver, outside: str
-) -> Callable[[ExactMatrix], str]:
-    """Render a matrix as an exact combination of the named basis that
-    ``solver`` factored; a matrix outside its span renders as ``outside``.
-    """
-
-    def describe(mat: ExactMatrix) -> str:
-        coeffs = solver.expand(mat)
-        if coeffs is None:
-            return outside
-        parts = [f"({c})*{names[k]}" for k, c in enumerate(coeffs) if c]
-        return " + ".join(parts) if parts else "0"
-
-    return describe
 
 
 def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
@@ -386,29 +376,22 @@ def _epsilon_handedness(
     return found.pop() if len(found) == 1 else "mixed"
 
 
-def hydrogen_alias_check(gs: GeneratorSet, brackets: BracketTable) -> HydrogenAliasReport:
-    """Check the printed alias tables; ``brackets`` is ``bracket_table(gs)``.
+def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
+    """Check the printed alias tables against ``gs.brackets``.
 
     Every alias is a signed generator, so each bracket is read from the
     table with the sign of its index order (L2 = L31 = -L13).
     """
     alias = hydrogen_aliases(gs)
-    describe = span_describer(
-        list(alias), SpanSolver(list(alias.values())), "<outside alias span>"
-    )
+    describe = SpanSolver(list(alias.values())).describer(list(alias), "<outside alias span>")
 
     def bracket(left: str, right: str) -> ExactMatrix:
-        pair = _HYDROGEN_ALIAS_PAIRS
-        return table_bracket(gs, brackets, pair[left], pair[right])
+        return gs.bracket(_HYDROGEN_ALIAS_PAIRS[left], _HYDROGEN_ALIAS_PAIRS[right])
 
     checks = []
     for left, right, coeff, result in HYDROGEN_LB_TABLE:
         got = bracket(left, right)
-        expected = (
-            ExactMatrix.zeros(gs.metric.dim)
-            if result is None
-            else alias[result] * coeff
-        )
+        expected = gs.zero if result is None else alias[result] * coeff
         rel = f"[{left},{right}] = ({coeff})*{result}" if result else f"[{left},{right}] = 0"
         checks.append(AliasCheck(relation=rel, passed=got == expected, got=describe(got)))
     families = {

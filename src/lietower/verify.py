@@ -17,16 +17,13 @@ from itertools import combinations
 from typing import Any, Callable
 
 from . import cartan as cw
-from .exact import ExactMatrix, SpanSolver, rank
+from .exact import ExactMatrix, rank
 from .sopq import (
-    BracketTable,
     GeneratorSet,
     Metric,
-    bracket_table,
     build_generators,
     hydrogen_alias_check,
     pseudo_antisymmetry_holds,
-    span_describer,
     verify_commutation,
 )
 
@@ -107,24 +104,16 @@ class VerificationReport:
 @dataclass
 class SuiteContext:
     """The Cartan-Weyl chain of one generator set, each object built on
-    first use: bracket table -> Cartan set -> adapted basis -> ladders ->
-    roots.  ``verify`` reads it through its suites and ``roots`` reads
-    ``roots`` alone, so only what a command reads is built."""
+    first use: Cartan set -> adapted basis -> ladders -> roots.  The bracket
+    table and the span solver live on the generator set itself.  ``verify``
+    reads the chain through its suites and ``roots`` reads ``roots`` alone,
+    so only what a command reads is built."""
 
     gs: GeneratorSet
 
     @cached_property
-    def brackets(self) -> BracketTable:
-        return bracket_table(self.gs)
-
-    @cached_property
     def cartan(self) -> dict[str, ExactMatrix]:
-        return cw.find_cartan(self.gs, self.brackets)
-
-    @cached_property
-    def solver(self) -> SpanSolver:
-        # one factorisation of the generator basis serves every expansion
-        return SpanSolver(self.gs.matrices())
+        return cw.find_cartan(self.gs)
 
     @cached_property
     def basis(self) -> dict[str, ExactMatrix]:
@@ -144,7 +133,7 @@ class SuiteContext:
 
 
 def _commutators(ctx: SuiteContext) -> SuiteResult:
-    rep = verify_commutation(ctx.gs, ctx.brackets, ctx.solver)
+    rep = verify_commutation(ctx.gs)
     done = rep.pair_count - len(rep.failures)
     return SuiteResult("commutators", rep.ok, f"{done}/{rep.pair_count}", rep)
 
@@ -160,14 +149,14 @@ def _membership(ctx: SuiteContext) -> SuiteResult:
 def _cartan(ctx: SuiteContext) -> SuiteResult:
     return SuiteResult(
         "cartan",
-        cw.cartan_is_maximal(ctx.gs, ctx.cartan, ctx.brackets),
+        cw.cartan_is_maximal(ctx.gs, ctx.cartan),
         f"rank {len(ctx.cartan)}: {', '.join(ctx.cartan)}",
         {"members": list(ctx.cartan)},
     )
 
 
 def _hydrogen_aliases(ctx: SuiteContext) -> SuiteResult:
-    rep = hydrogen_alias_check(ctx.gs, ctx.brackets)
+    rep = hydrogen_alias_check(ctx.gs)
     return SuiteResult(
         "hydrogen-aliases",
         rep.ok and rep.epsilon_convention == "-i eps_ijk",
@@ -213,7 +202,7 @@ def _printed_tables(
 ) -> SuiteResult:
     """Printed tables checked as printed; each passes when its deviations
     are exactly its recorded misprints."""
-    describe = span_describer(ctx.gs.names, ctx.solver, "<outside algebra>")
+    describe = ctx.gs.solver.describer(ctx.gs.names, "<outside algebra>")
     parts = []
     passed = True
     details = {}
@@ -234,7 +223,7 @@ def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
     matched = sum(table.roots[k] == want for k, want in PUBLISHED_ROOTS_RANK3.items())
     # each member has the zero root iff no two members bracket
     members = [pair for pair, name in zip(ctx.gs.pairs, ctx.gs.names) if name in ctx.cartan]
-    zero_ok = not any(pair in ctx.brackets for pair in combinations(members, 2))
+    zero_ok = not any(pair in ctx.gs.brackets for pair in combinations(members, 2))
     return (
         table.roots == PUBLISHED_ROOTS_RANK3 and zero_ok,
         f"{matched}/12 published rows, cartan zero-roots {'ok' if zero_ok else 'FAIL'}",

@@ -1,4 +1,8 @@
-"""Pinned SHA-256 digests of CLI stdout, shared by the test modules."""
+"""Pinned SHA-256 digests of CLI stdout, and the generator fault that the
+fault digests pin, shared by the test modules."""
+
+from lietower.exact import ExactMatrix, I
+from lietower.sopq import build_generators
 
 # SHA-256 of stdout for every CLI_MATRIX entry plus verify 4,4 and 5,5, the
 # other roots outputs, every tower output, the element queries with a mass
@@ -50,6 +54,14 @@ GOLDEN_STDOUT_SHA256 = {
     ("mass", "3/2", "1/2", "1"):
         "0ce5de22fa984f1a2338a527c87fd522564eab23ad1e08aabc3abf829480e37b",
 }
+
+def tampered_build(metric):
+    """``build_generators`` with L12 replaced by a symmetric matrix (one entry
+    of wrong sign), the fault injected for ``FAULT_STDOUT_SHA256``."""
+    gs = build_generators(metric)
+    gs._gens[(1, 2)] = ExactMatrix.from_entries(metric.dim, {(0, 1): I, (1, 0): I})
+    return gs
+
 
 # SHA-256 of stdout for verify with the criterion-13 fault injected (exit 1):
 # the failure report, every rendered commutator expansion included, is pinned;

@@ -38,7 +38,7 @@ from lietower.cartan import (
     yao_basis,
 )
 from lietower.cli import main
-from lietower.exact import ExactMatrix, I, SpanSolver, commutator, rank
+from lietower.exact import I, commutator, rank
 from lietower.labels import mass_sl2c, mass_so42
 from lietower.periodic import (
     assign_elements,
@@ -48,8 +48,6 @@ from lietower.periodic import (
 )
 from lietower.sopq import (
     Metric,
-    bracket_table,
-    build_generators,
     hydrogen_alias_check,
     hydrogen_aliases,
     verify_commutation,
@@ -61,7 +59,7 @@ from lietower.verify import (
     run_verification,
 )
 
-from golden import FAULT_STDOUT_SHA256, GOLDEN_STDOUT_SHA256
+from golden import FAULT_STDOUT_SHA256, GOLDEN_STDOUT_SHA256, tampered_build
 
 
 @contextmanager
@@ -77,7 +75,7 @@ def criterion(number, label):
 def test_criterion_01_commutation_suite_rank3(gs42):
     with criterion(1, "so(4,2) commutation suite, 105 pairs, < 5 s"):
         start = time.monotonic()
-        report = verify_commutation(gs42, bracket_table(gs42), SpanSolver(gs42.matrices()))
+        report = verify_commutation(gs42)
         elapsed = time.monotonic() - start
         assert report.pair_count == 105
         assert report.failures == []
@@ -87,7 +85,7 @@ def test_criterion_01_commutation_suite_rank3(gs42):
 def test_criterion_02_commutation_suite_rank4(gs44):
     with criterion(2, "so(4,4) commutation suite, 378 pairs, < 30 s"):
         start = time.monotonic()
-        report = verify_commutation(gs44, bracket_table(gs44), SpanSolver(gs44.matrices()))
+        report = verify_commutation(gs44)
         elapsed = time.monotonic() - start
         assert report.pair_count == 378
         assert report.failures == []
@@ -96,7 +94,7 @@ def test_criterion_02_commutation_suite_rank4(gs44):
 
 def test_criterion_03_hydrogen_alias_table(gs42):
     with criterion(3, "hydrogen alias table holds; eps-convention mismatch reported"):
-        report = hydrogen_alias_check(gs42, bracket_table(gs42))
+        report = hydrogen_alias_check(gs42)
         assert report.ok
         assert len(report.checks) == 15
         # the mismatch with the +i*eps convention is reported, not hidden
@@ -133,7 +131,7 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
 
 def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
     with criterion(6, "12 extracted roots equal the published rank-3 table"):
-        cartan = find_cartan(gs42, bracket_table(gs42))
+        cartan = find_cartan(gs42)
         table = root_system(cartan, oriented_ladders(gs42, cartan))
         want = {
             name: tuple(Fraction(c) for c in comps)
@@ -146,7 +144,7 @@ def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
 
 def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
     with criterion(7, "24 roots extract over the rank-4 set; axis question flagged"):
-        cartan = find_cartan(gs44, bracket_table(gs44))
+        cartan = find_cartan(gs44)
         table = root_system(cartan, oriented_ladders(gs44, cartan))
         roots = table.roots
         assert len(roots) == 24
@@ -233,15 +231,8 @@ def test_criterion_12_mass_formulas():
                 assert mass_so42(ldot, l, 1) > mass_so42(ldot, l, Fraction(1, 2))
 
 
-def _tampered_build(metric):
-    """build_generators with L12 replaced by a symmetric matrix."""
-    gs = build_generators(metric)
-    gs._gens[(1, 2)] = ExactMatrix.from_entries(metric.dim, {(0, 1): I, (1, 0): I})
-    return gs
-
-
 def _inject_fault(monkeypatch):
-    monkeypatch.setattr(lietower.verify, "build_generators", _tampered_build)
+    monkeypatch.setattr(lietower.verify, "build_generators", tampered_build)
 
 
 CLI_MATRIX = [

@@ -47,7 +47,6 @@ from lietower.sopq import (
     bracket_table,
     build_generators,
     hydrogen_aliases,
-    span_describer,
 )
 from lietower.verify import PUBLISHED_ROOTS_RANK3, SuiteContext
 
@@ -58,36 +57,32 @@ HALF = GaussianRational(Fraction(1, 2))
 
 
 def test_cartan_42(gs42):
-    brackets = bracket_table(gs42)
-    cartan = find_cartan(gs42, brackets)
+    cartan = find_cartan(gs42)
     assert list(cartan) == ["L12", "L34", "L56"]
     assert len(cartan) == 3
-    assert cartan_is_maximal(gs42, cartan, brackets)
+    assert cartan_is_maximal(gs42, cartan)
 
 
 def test_cartan_44(gs44):
-    brackets = bracket_table(gs44)
-    cartan = find_cartan(gs44, brackets)
+    cartan = find_cartan(gs44)
     assert list(cartan) == ["L12", "L34", "L56", "L78"]
     assert len(cartan) == 4
-    assert cartan_is_maximal(gs44, cartan, brackets)
+    assert cartan_is_maximal(gs44, cartan)
 
 
 def test_cartan_rank1():
     gs = build_generators(Metric(2, 1))
-    brackets = bracket_table(gs)
-    cartan = find_cartan(gs, brackets)
+    cartan = find_cartan(gs)
     assert len(cartan) == 1
     assert list(cartan) == ["L12"]
-    assert cartan_is_maximal(gs, cartan, brackets)
+    assert cartan_is_maximal(gs, cartan)
 
 
 def test_cartan_is_maximal_rejects_a_smaller_set(gs44):
     # the dropped member commutes with every member that is left
-    brackets = bracket_table(gs44)
-    cartan = find_cartan(gs44, brackets)
+    cartan = find_cartan(gs44)
     smaller = dict(list(cartan.items())[:-1])
-    assert not cartan_is_maximal(gs44, smaller, brackets)
+    assert not cartan_is_maximal(gs44, smaller)
 
 
 def _brute_force_cartan(gs):
@@ -122,20 +117,20 @@ SMALL_SIGNATURES = [
 @pytest.mark.parametrize("p, q", SMALL_SIGNATURES)
 def test_cartan_matches_brute_force(p, q):
     gs = build_generators(Metric(p, q))
-    assert list(find_cartan(gs, bracket_table(gs))) == _brute_force_cartan(gs)
+    assert list(find_cartan(gs)) == _brute_force_cartan(gs)
 
 
 def test_cartan_matches_brute_force_corrupted():
     gs = _corrupted_so42()
-    assert list(find_cartan(gs, bracket_table(gs))) == _brute_force_cartan(gs)
+    assert list(find_cartan(gs)) == _brute_force_cartan(gs)
 
 
-def _exhaustive_cartan(gs, brackets):
+def _exhaustive_cartan(gs):
     """Names of the lexicographically first maximum clique, by the
     depth-first search without an upper bound: every branch that could
     still beat the best clique is searched."""
     pairs = gs.pairs
-    adj = [[(min(x, y), max(x, y)) not in brackets for y in pairs] for x in pairs]
+    adj = [[(min(x, y), max(x, y)) not in gs.brackets for y in pairs] for x in pairs]
     best = []
 
     def extend(chosen, candidates):
@@ -156,10 +151,9 @@ def _exhaustive_cartan(gs, brackets):
 )
 def test_cartan_matches_exhaustive_search(p, q):
     gs = build_generators(Metric(p, q))
-    brackets = bracket_table(gs)
-    assert star_certificate(gs, brackets)
-    names = list(find_cartan(gs, brackets))
-    assert names == _exhaustive_cartan(gs, brackets)
+    assert star_certificate(gs)
+    names = list(find_cartan(gs))
+    assert names == _exhaustive_cartan(gs)
     assert len(names) == (p + q) // 2
 
 
@@ -176,20 +170,19 @@ def test_cartan_star_violation_takes_exhaustive_fallback(monkeypatch):
     # the certificate is decided per call: a genuine set of the same
     # signature searched first must not let the broken one stop early
     genuine = build_generators(Metric(4, 2))
-    assert list(find_cartan(genuine, bracket_table(genuine))) == ["L12", "L34", "L56"]
+    assert list(find_cartan(genuine)) == ["L12", "L34", "L56"]
     gs = _star_broken_so42()
-    brackets = bracket_table(gs)
-    assert not star_certificate(gs, brackets)
-    names = list(find_cartan(gs, brackets))
-    assert names == _brute_force_cartan(gs) == _exhaustive_cartan(gs, brackets)
+    assert not star_certificate(gs)
+    names = list(find_cartan(gs))
+    assert names == _brute_force_cartan(gs) == _exhaustive_cartan(gs)
     assert names == ["L12", "L13", "L34", "L56"]
     # trusting the bound floor(6/2) here would stop one member short
-    monkeypatch.setattr(lietower.cartan, "star_certificate", lambda gs, brackets: True)
-    assert list(find_cartan(gs, brackets)) == ["L12", "L13", "L34"]
+    monkeypatch.setattr(lietower.cartan, "star_certificate", lambda gs: True)
+    assert list(find_cartan(gs)) == ["L12", "L13", "L34"]
 
 
 def test_cartan_members_commute(gs44):
-    cartan = find_cartan(gs44, bracket_table(gs44))
+    cartan = find_cartan(gs44)
     mats = list(cartan.values())
     for i, a in enumerate(mats):
         for b in mats[i + 1 :]:
@@ -347,7 +340,7 @@ def test_ladders_missing_component(gs42):
 def test_oriented_ladder_k_is_conjugated(gs42, oriented_ladders):
     # the published root table requires K+ = K1 - i*K2 in this realisation
     yao = yao_basis(gs42)
-    weyl = oriented_ladders(gs42, find_cartan(gs42, bracket_table(gs42)))
+    weyl = oriented_ladders(gs42, find_cartan(gs42))
     oriented = {name: op for name, (op, _) in weyl.items()}
     assert oriented["K+"] == yao["K1"] + yao["K2"] * (-I)
     assert oriented["J+"] == yao["J1"] + yao["J2"] * I
@@ -358,8 +351,8 @@ def test_family_maps_keep_their_order(gs42, gs44):
     # dict equality ignores key order, so the order each family is built in
     # is pinned here as name lists
     fams = "K1 K2 K3 J1 J2 J3 T1 T2 T0 S1 S2 S0 P1 P2 P0 Q1 Q2 Q0".split()
-    cartan42 = find_cartan(gs42, bracket_table(gs42))
-    cartan44 = find_cartan(gs44, bracket_table(gs44))
+    cartan42 = find_cartan(gs42)
+    cartan44 = find_cartan(gs44)
     yao = yao_basis(gs42)
     first, second = split_basis_so44(gs44)
     ladders = ladder_operators(yao)
@@ -376,7 +369,7 @@ def test_family_maps_keep_their_order(gs42, gs44):
 
 
 def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     ladders = list(ladder_operators(yao_basis(gs42)).items())
     with pytest.raises(ValueError, match="unpaired"):
         weyl_generators(cartan, dict(ladders[:-1]))
@@ -460,7 +453,7 @@ def test_roots_builds_no_span_solver(capsys, monkeypatch, signature):
 
 
 def test_root_of_raising_k(gs42, oriented_ladders):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
     root = extract_root(cartan, "K+", oriented["K+"])
     assert type(root) is tuple and all(type(c) is Fraction for c in root)
@@ -468,32 +461,32 @@ def test_root_of_raising_k(gs42, oriented_ladders):
 
 
 def test_root_of_lowering_q(gs42, oriented_ladders):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
     root = extract_root(cartan, "Q-", oriented["Q-"])
     assert root == (0, 1, -1)
 
 
 def test_root_of_cartan_member_is_zero(gs42):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     for name, member in cartan.items():
         assert extract_root(cartan, name, member) == (0, 0, 0)
 
 
 def test_non_root_vector_rejected(gs42):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     with pytest.raises(NotARootVectorError):
         extract_root(cartan, "L13", gs42.gen(1, 3))
 
 
 def test_zero_matrix_rejected(gs42):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     with pytest.raises(NotARootVectorError):
         extract_root(cartan, "zero", ExactMatrix.zeros(6))
 
 
 def test_root_table_42_matches_published(gs42, oriented_ladders):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     table = root_system(cartan, oriented_ladders(gs42, cartan))
     assert table.roots == {
         name: tuple(Fraction(c) for c in comps)
@@ -502,14 +495,14 @@ def test_root_table_42_matches_published(gs42, oriented_ladders):
 
 
 def test_root_negation_symmetry(gs42, oriented_ladders):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     table = root_system(cartan, oriented_ladders(gs42, cartan)).roots
     for fam in "KJTSPQ":
         assert table[f"{fam}-"] == tuple(-c for c in table[f"{fam}+"])
 
 
 def test_root_components_are_unit_range(gs44, oriented_ladders):
-    cartan = find_cartan(gs44, bracket_table(gs44))
+    cartan = find_cartan(gs44)
     table = root_system(cartan, oriented_ladders(gs44, cartan))
     assert len(table.roots) == 24
     for root in table.roots.values():
@@ -517,7 +510,7 @@ def test_root_components_are_unit_range(gs44, oriented_ladders):
 
 
 def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
-    cartan = find_cartan(gs44, bracket_table(gs44))
+    cartan = find_cartan(gs44)
     table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
     for name, comps in PUBLISHED_ROOTS_RANK3.items():
         root = table["1" + name]
@@ -526,14 +519,14 @@ def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
 
 
 def test_root_table_44_second_half_k(gs44, oriented_ladders):
-    cartan = find_cartan(gs44, bracket_table(gs44))
+    cartan = find_cartan(gs44)
     table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
     assert table["2K+"] == (0, 0, 1, 1)
     assert table["2K-"] == (0, 0, -1, -1)
 
 
 def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     solver = SpanSolver(list(cartan.values()))
     oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
     for fam in "KJTSPQ":
@@ -542,7 +535,7 @@ def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
 
 
 def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
-    cartan = find_cartan(gs44, bracket_table(gs44))
+    cartan = find_cartan(gs44)
     weyl = oriented_ladders(gs44, cartan)
     mats = list(cartan.values()) + [op for op, _ in weyl.values()]
     assert len(mats) == 28
@@ -551,7 +544,7 @@ def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
 
 
 def test_root_table_json_schema(gs42, oriented_ladders):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     doc = root_system(cartan, oriented_ladders(gs42, cartan)).to_json_dict()
     assert set(doc) == {"cartan", "roots"}
     assert doc["roots"][0] == {"name": "K+", "components": ["1", "1", "0"]}
@@ -585,7 +578,7 @@ def test_root_system_axioms(request, oriented_ladders, gs_fixture, weyl_order):
     # Humphreys, Intro. to Lie Algebras, section 9: integral Cartan numbers,
     # closure under every reflection, and the Weyl group order of the type.
     gs = request.getfixturevalue(gs_fixture)
-    cartan = find_cartan(gs, bracket_table(gs))
+    cartan = find_cartan(gs)
     n = gs.metric.dim
     table = root_system(cartan, oriented_ladders(gs, cartan))
     roots = list(table.roots.values())
@@ -851,7 +844,7 @@ def test_printed_table_content_digest():
     ids=lambda t: t.name,
 )
 def test_printed_tables_match_known_deviations(gs44, table):
-    describe = span_describer(gs44.names, SpanSolver(gs44.matrices()), "<outside algebra>")
+    describe = gs44.solver.describer(gs44.names, "<outside algebra>")
     report = check_relation_table(_ops44(gs44), table, describe=describe)
     got = tuple(d.relation for d in report.deviations)
     assert got == KNOWN_TABLE_DEVIATIONS[table.name]

@@ -11,11 +11,10 @@ import pytest
 import lietower.verify
 from lietower import cli
 from lietower.cli import main
-from lietower.exact import ExactMatrix, I
 from lietower.periodic import assign_elements, load_symbols
-from lietower.sopq import Metric, bracket_table, build_generators
+from lietower.sopq import Metric, build_generators
 from lietower.verify import SuiteResult, VerificationReport, run_verification
-from golden import GOLDEN_STDOUT_SHA256
+from golden import GOLDEN_STDOUT_SHA256, tampered_build
 
 
 def run_cli(capsys, *argv):
@@ -333,7 +332,7 @@ def test_json_round_trip(capsys, oriented_ladders):
 
     _, out, _ = run_cli(capsys, "roots", "--signature", "4,4", "--format", "json")
     gs = build_generators(Metric(4, 4))
-    cartan = find_cartan(gs, bracket_table(gs))
+    cartan = find_cartan(gs)
     table = root_system(cartan, oriented_ladders(gs, cartan))
     assert json.loads(out) == table.to_json_dict()
 
@@ -346,16 +345,6 @@ def test_json_round_trip(capsys, oriented_ladders):
 
 
 def test_fault_injection_flips_exit_code(capsys, monkeypatch):
-    real_build = build_generators
-
-    def tampered_build(metric):
-        gs = real_build(metric)
-        broken = ExactMatrix.from_entries(
-            metric.dim, {(0, 1): I, (1, 0): I}  # wrong sign at one entry
-        )
-        gs._gens[(1, 2)] = broken
-        return gs
-
     monkeypatch.setattr(lietower.verify, "build_generators", tampered_build)
     code, out, _ = run_cli(capsys, "verify", "--signature", "4,2")
     assert code == 1

@@ -302,6 +302,9 @@ def test_find_by_z_matches_the_element_not_its_position(elements):
         find_element(plus, z=3)
     with pytest.raises(KeyError, match=r"z=0 out of range 1\.\.120"):
         find_element(plus, z=0)
+    # True == 1, so without an exact type test this found hydrogen
+    with pytest.raises(KeyError, match=r"z=True out of range 1\.\.120"):
+        find_element(elements, z=True)
 
 
 def test_unknown_symbol_gets_hint(elements):

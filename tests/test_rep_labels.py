@@ -163,6 +163,24 @@ def test_mass_rejects_bad_labels():
         mass_so42(0, 0, -1)
 
 
+# bool is an int subclass and Fraction(True) == 1, so only an exact type
+# test keeps True from passing as the label 1
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: mass_sl2c(True, 0), "l"),
+        (lambda: mass_sl2c(0, True), "l-dot"),
+        (lambda: mass_so42(0, 0, True), "nu"),
+        (lambda: mass_so42(False, 0, 0), "l"),
+        (lambda: multiplet_states(True, False), "l"),
+    ],
+    ids=["sl2c-l", "sl2c-ldot", "so42-nu", "so42-l", "multiplet"],
+)
+def test_half_integer_labels_reject_bool(call, what):
+    with pytest.raises(ValueError, match=f"^{what} must be a half-integer, got (True|False)$"):
+        call()
+
+
 # -- Madelung kets ---------------------------------------------------------------
 
 

@@ -9,21 +9,21 @@ import pytest
 import lietower.cartan
 import lietower.sopq
 import lietower.verify
+from lietower.cartan import cartan_is_maximal, find_cartan
 from lietower.exact import ExactMatrix, I, SpanSolver, commutator
 from lietower.sopq import (
     Metric,
-    bracket_table,
     build_generators,
     expected_bracket,
     hydrogen_alias_check,
     hydrogen_aliases,
     materialize,
     pseudo_antisymmetry_holds,
-    span_describer,
-    table_bracket,
     verify_commutation,
 )
 from lietower.verify import run_verification
+
+from golden import tampered_build
 
 
 def test_metric_diagonal():
@@ -113,27 +113,25 @@ def test_expected_bracket_matches_matrices(gs42):
 
 def test_bracket_table_holds_only_nonzero_brackets(gs42):
     # L_ab and L_cd fail to commute exactly when they share one index
-    brackets = bracket_table(gs42)
-    assert set(brackets) == {
+    assert set(gs42.brackets) == {
         (left, right)
         for left, right in combinations(gs42.pairs, 2)
         if len(set(left) & set(right)) == 1
     }
-    for (left, right), got in brackets.items():
+    for (left, right), got in gs42.brackets.items():
         assert got == commutator(gs42.gen(*left), gs42.gen(*right))
 
 
 def test_table_bracket_resolves_index_order(gs42):
     # L_ba = -L_ab on either side, and a pair with itself brackets to zero
-    brackets = bracket_table(gs42)
     ordered = [(a, b) for a in range(1, 7) for b in range(1, 7) if a != b]
     for left in ordered:
         for right in ordered:
-            got = table_bracket(gs42, brackets, left, right)
+            got = gs42.bracket(left, right)
             assert got == commutator(gs42.gen(*left), gs42.gen(*right)), (left, right)
 
 
-# Each generator pair is bracketed once per verdict, in bracket_table, so a
+# Each generator pair is bracketed once per verdict, in ``gs.brackets``, so a
 # generic signature costs n(n-1)/2 calls; the alias suite and the Cartan
 # zero-root check of 4,2 read that table too.  4,2 and 4,4 add the calls of
 # their table, root and Casimir suites.
@@ -156,40 +154,61 @@ def test_verdict_commutator_count(monkeypatch, p, q, calls):
     assert count == calls
 
 
+# The library calls share the set's own table and solver, not only a verdict.
+@pytest.mark.parametrize("p, q", [(4, 2), (5, 5)])
+def test_generator_set_builds_one_table_and_one_solver(monkeypatch, p, q):
+    counts = {"commutator": 0, "solver": 0}
+    real_init = SpanSolver.__init__
+
+    def counted_commutator(x, y):
+        counts["commutator"] += 1
+        return commutator(x, y)
+
+    def counted_init(self, basis):
+        counts["solver"] += 1
+        real_init(self, basis)
+
+    for module in (lietower.sopq, lietower.cartan):
+        monkeypatch.setattr(module, "commutator", counted_commutator)
+    monkeypatch.setattr(SpanSolver, "__init__", counted_init)
+    gs = build_generators(Metric(p, q))
+    cartan = find_cartan(gs)
+    assert cartan_is_maximal(gs, cartan)
+    assert verify_commutation(gs).ok
+    n = len(gs)
+    assert counts == {"commutator": n * (n - 1) // 2, "solver": 1}
+
+
 def test_verify_commutation_42(gs42):
-    report = verify_commutation(gs42, bracket_table(gs42), SpanSolver(gs42.matrices()))
+    report = verify_commutation(gs42)
     assert report.pair_count == 105
     assert report.failures == []
     assert report.signature == (4, 2)
 
 
 def test_verify_commutation_44(gs44):
-    report = verify_commutation(gs44, bracket_table(gs44), SpanSolver(gs44.matrices()))
+    report = verify_commutation(gs44)
     assert report.pair_count == 378
     assert report.failures == []
 
 
 def test_verify_commutation_so3():
     gs = build_generators(Metric(3, 0))
-    report = verify_commutation(gs, bracket_table(gs), SpanSolver(gs.matrices()))
+    report = verify_commutation(gs)
     assert report.pair_count == 3
     assert report.failures == []
 
 
 def test_report_json_schema(gs42):
-    report = verify_commutation(gs42, bracket_table(gs42), SpanSolver(gs42.matrices()))
+    report = verify_commutation(gs42)
     doc = json.loads(json.dumps(asdict(report)))
     assert list(doc) == ["signature", "pair_count", "failures"]
     assert doc["signature"] == [4, 2]
 
 
 def test_tampered_generator_is_caught(gs42):
-    tampered = build_generators(Metric(4, 2))
-    broken = ExactMatrix.from_entries(6, {(0, 1): I, (1, 0): I})
-    tampered._gens[(1, 2)] = broken
-    report = verify_commutation(
-        tampered, bracket_table(tampered), SpanSolver(tampered.matrices())
-    )
+    tampered = tampered_build(Metric(4, 2))
+    report = verify_commutation(tampered)
     assert report.failures
     failure = report.failures[0]
     doc = asdict(failure)
@@ -202,14 +221,14 @@ def test_dependent_generators_rejected():
     gs = build_generators(Metric(4, 2))
     gs._gens[(1, 2)] = gs.gen(3, 4)
     with pytest.raises(ValueError, match="dependent on earlier ones"):
-        verify_commutation(gs, bracket_table(gs), SpanSolver(gs.matrices()))
+        verify_commutation(gs)
     # all-zero generators match every bracket, so only the up-front
     # factorization can refuse them
     gs = build_generators(Metric(3, 0))
     for pair in gs.pairs:
         gs._gens[pair] = ExactMatrix.zeros(3)
     with pytest.raises(ValueError, match="dependent on earlier ones"):
-        verify_commutation(gs, bracket_table(gs), SpanSolver(gs.matrices()))
+        verify_commutation(gs)
 
 
 def test_pseudo_antisymmetry(gs42, gs44):
@@ -239,7 +258,7 @@ def test_alias_bindings(gs42):
 
 
 def test_alias_table_holds(gs42):
-    report = hydrogen_alias_check(gs42, bracket_table(gs42))
+    report = hydrogen_alias_check(gs42)
     assert report.ok
     assert len(report.checks) == 15
 
@@ -252,14 +271,14 @@ def test_alias_example_relation(gs42):
 def test_epsilon_convention_reported_not_hidden(gs42):
     # the realisation closes left-handed; the +i*eps convention printed in
     # some sources must come out as a reported mismatch, not be patched over
-    report = hydrogen_alias_check(gs42, bracket_table(gs42))
+    report = hydrogen_alias_check(gs42)
     assert report.epsilon_convention == "-i eps_ijk"
     alias = hydrogen_aliases(gs42)
     assert commutator(alias["L1"], alias["L2"]) != alias["L3"] * I
 
 
 def test_alias_report_json(gs42):
-    doc = asdict(hydrogen_alias_check(gs42, bracket_table(gs42)))
+    doc = asdict(hydrogen_alias_check(gs42))
     assert set(doc) == {"checks", "epsilon_convention", "family_conventions"}
     assert all(c["passed"] for c in doc["checks"])
     assert doc["family_conventions"] == {
@@ -270,7 +289,7 @@ def test_alias_report_json(gs42):
 
 
 def test_span_describer(gs42):
-    describe = span_describer(gs42.names, SpanSolver(gs42.matrices()), "<outside>")
+    describe = gs42.solver.describer(gs42.names, "<outside>")
     assert describe(commutator(gs42.gen(1, 2), gs42.gen(2, 3))) == "(i)*L13"
     assert describe(ExactMatrix.zeros(6)) == "0"
     assert describe(ExactMatrix.identity(6)) == "<outside>"

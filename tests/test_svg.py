@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from lietower.cartan import find_cartan, root_system
 from lietower.periodic import projection_slice
-from lietower.sopq import bracket_table
 from lietower.svgout import FLOOR_H, _project, svg_root_squares, svg_tower
 
 
@@ -23,7 +22,7 @@ def test_projection_mirror_plane():
 
 
 def test_root_squares_panels(gs42, oriented_ladders):
-    cartan = find_cartan(gs42, bracket_table(gs42))
+    cartan = find_cartan(gs42)
     table = root_system(cartan, oriented_ladders(gs42, cartan))
     svg = svg_root_squares(table)
     assert svg.count("plane (") == 3  # three coordinate planes
@@ -32,7 +31,7 @@ def test_root_squares_panels(gs42, oriented_ladders):
 
 
 def test_root_squares_panels_rank4(gs44, oriented_ladders):
-    cartan = find_cartan(gs44, bracket_table(gs44))
+    cartan = find_cartan(gs44)
     table = root_system(cartan, oriented_ladders(gs44, cartan))
     svg = svg_root_squares(table)
     assert svg.count("plane (") == 6
