@@ -16,17 +16,20 @@ an entry that cancels to zero is removed, so equal matrices have equal maps
 and equal hashes however they were built.  A rotation generator has two
 nonzero entries and a commutator of two has at most four, so arithmetic
 touches only those: a product walks the nonzeros of the left factor against
-the rows of the right one.  ``commutator`` sums both products of a@b - b@a
-into one accumulator, negating the left entries of the second, and
-``linear_combination`` sums scaled matrices the same way, so neither builds
-an intermediate matrix.  Indexing, ``rows`` and ``str`` read the matrix
-as if it were dense.  A scalar multiplies a matrix from either side, a
-``GaussianRational`` included.  Rank and basis expansion share one
-Gauss-Jordan elimination over Q(i) on sparse {flat index: value} rows:
-``rank`` counts its reduced rows and ``SpanSolver`` keeps them, with the
-combination of inputs behind each, to answer repeated expansion queries.
-Identities are decided by matrix equality; expansion is for rendering a
-matrix in a basis and for testing that a basis is independent.
+the rows of the right one, multiplying stored integer triples inline into a
+map of unreduced (re, im, den) sums (equal denominators add numerators,
+others cross-multiply), and turns each nonzero sum into one canonical scalar.
+``commutator`` runs that walk for a@b and for b@a, its left integers negated,
+into one map, so it builds no intermediate matrix and no scalar per term.
+``linear_combination`` sums scaled matrices into one map of scalars.
+Indexing, ``rows`` and ``str`` read the matrix as if it were dense.  A
+scalar multiplies a matrix from either side, a ``GaussianRational``
+included.  Rank and basis expansion share one Gauss-Jordan elimination over
+Q(i) on sparse {flat index: value} rows: ``rank`` counts its reduced rows
+and ``SpanSolver`` keeps them, with the combination of inputs behind each,
+to answer repeated expansion queries.  Identities are decided by matrix
+equality; expansion is for rendering a matrix in a basis and for testing
+that a basis is independent.
 """
 
 from __future__ import annotations
@@ -229,6 +232,8 @@ def as_scalar(value: ScalarLike) -> GaussianRational:
 
 # A sparse map from an index to a nonzero entry; no map ever holds a zero.
 _Entries = dict[tuple[int, int], GaussianRational]
+# A product's running sums (re, im, den), unreduced; a sum may be zero.
+_Triples = dict[tuple[int, int], tuple[int, int, int]]
 
 
 def _nonzero(items: Iterable[tuple[tuple[int, int], ScalarLike]]) -> _Entries:
@@ -346,9 +351,9 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
-        out: _Entries = {}
-        _add_product(out, self._entries, other._entries)
-        return ExactMatrix._of(self.dim, out)
+        acc: _Triples = {}
+        _sum_products(acc, self._entries, other._entries, 1)
+        return _from_triples(self.dim, acc)
 
     def _check_dim(self, other: "ExactMatrix") -> None:
         if self.dim != other.dim:
@@ -375,36 +380,43 @@ class ExactMatrix:
     __repr__ = __str__
 
 
-def _add_product(
-    acc: _Entries, left: _Entries, right: _Entries, negate: bool = False
-) -> None:
-    """acc += left @ right, or acc -= left @ right when ``negate``, in place.
+def _sum_products(acc: _Triples, left: _Entries, right: _Entries, sign: int) -> None:
+    """acc += sign * (left @ right), in place, as unreduced integer triples."""
+    right_rows: dict[int, list[tuple[int, int, int, int]]] = {}
+    for (k, j), y in right.items():
+        right_rows.setdefault(k, []).append((j, y._a, y._b, y._d))
+    for (i, k), x in left.items():
+        a, b, d = sign * x._a, sign * x._b, x._d
+        for j, c, e, f in right_rows.get(k, ()):
+            re, im, den = a * c - b * e, a * e + b * c, d * f
+            key = i, j
+            old = acc.get(key)
+            if old is not None:
+                p, q, r = old
+                if r == den:
+                    re, im = p + re, q + im
+                else:
+                    re, im, den = p * den + re * r, q * den + im * r, r * den
+            acc[key] = (re, im, den)
 
-    Walks the nonzeros of ``left`` against the rows of ``right``; to subtract,
-    each entry of ``left`` is negated once, before its products are formed.
-    """
-    right_rows: dict[int, list[tuple[int, GaussianRational]]] = {}
-    for (k, j), b in right.items():
-        right_rows.setdefault(k, []).append((j, b))
-    for (i, k), a in left.items():
-        if negate:
-            a = -a
-        for j, b in right_rows.get(k, ()):
-            _accumulate(acc, (i, j), a * b)
+
+def _from_triples(dim: int, acc: _Triples) -> ExactMatrix:
+    """The matrix of the nonzero sums in ``acc``, each reduced once."""
+    return ExactMatrix._of(dim, {k: _reduced(*t) for k, t in acc.items() if t[0] or t[1]})
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """The bracket a@b - b@a, exact; raises on dimension mismatch.
 
-    Both products are summed into one sparse map, so no intermediate
-    matrix is built.
+    Both products are summed into one map of integer triples, so no
+    intermediate matrix or scalar is built.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out: _Entries = {}
-    _add_product(out, a._entries, b._entries)
-    _add_product(out, b._entries, a._entries, negate=True)
-    return ExactMatrix._of(a.dim, out)
+    acc: _Triples = {}
+    _sum_products(acc, a._entries, b._entries, 1)
+    _sum_products(acc, b._entries, a._entries, -1)
+    return _from_triples(a.dim, acc)
 
 
 def linear_combination(

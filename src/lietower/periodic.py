@@ -224,8 +224,8 @@ def find_element(
     """
     if (z is None) == (symbol is None):
         raise ValueError("give exactly one of z or symbol")
-    # an exact type test first: True == 1 would find hydrogen
-    if z is not None and (type(z) is bool or not 1 <= z <= MAX_Z):
+    # an exact type test first: True, 1.0 and Fraction(1) all equal 1
+    if z is not None and (type(z) is not int or not 1 <= z <= MAX_Z):
         raise KeyError(f"z={z} out of range 1..{MAX_Z}")
     for e in elements:
         if e.z == z or e.symbol == symbol:

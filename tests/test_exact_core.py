@@ -142,6 +142,59 @@ def test_matmul_small_known():
     assert a @ b == ExactMatrix([[g(2), g(1)], [g(1), g(0)]])
 
 
+def assert_stored_canonical(m):
+    """Every stored entry is nonzero and is the one canonical triple of its value."""
+    for value in m._entries.values():
+        assert value
+        rebuilt = GaussianRational(value.re, value.im)
+        assert value == rebuilt and hash(value) == hash(rebuilt)
+
+
+def test_product_terms_cancel_then_leave_the_rest():
+    # (a @ b)[0, 0] sums x, -x, y: the first two cancel on one denominator
+    # and y joins the zero by cross-multiplying
+    x, y = g(Fraction(1, 3), Fraction(2, 5)), g(Fraction(1, 2))
+    a = ExactMatrix.from_entries(3, {(0, 0): x, (0, 1): x, (0, 2): y})
+    b = ExactMatrix.from_entries(3, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
+    product = a @ b
+    assert product == ExactMatrix.from_entries(3, {(0, 0): y})
+    assert_stored_canonical(product)
+    # the bracket sums a@b and -b@a into one map; b@a only reaches row 0
+    # through b[0, 0], so entry (0, 0) again ends at y - x
+    bracket = commutator(a, b)
+    assert bracket == a @ b - b @ a
+    assert bracket[0, 0] == y - x
+    assert_stored_canonical(bracket)
+
+
+def test_mixed_denominators_reduce_to_the_canonical_triple():
+    # 1/2 * 1/3 + 1/3 * 1/1 = 9/18 before reduction, stored as (1, 0, 2)
+    a = ExactMatrix.from_entries(2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    b = ExactMatrix.from_entries(2, {(0, 0): Fraction(1, 3), (1, 0): 1})
+    value = (a @ b)._entries[0, 0]
+    assert (value._a, value._b, value._d) == (1, 0, 2)
+    assert_stored_canonical(a @ b)
+    assert_stored_canonical(commutator(a, b))
+
+
+def test_products_that_all_cancel_store_nothing():
+    a = ExactMatrix.from_entries(2, {(0, 0): Fraction(1, 2), (1, 1): I})
+    b = ExactMatrix.from_entries(2, {(0, 0): 3, (1, 1): Fraction(1, 3)})
+    bracket = commutator(a, b)
+    assert bracket.is_zero() and bracket._entries == {}
+    row = ExactMatrix.from_entries(2, {(0, 0): 1, (0, 1): 1})
+    column = ExactMatrix.from_entries(2, {(0, 0): 1, (1, 0): -1})
+    assert (row @ column)._entries == {}
+
+
+def test_random_products_store_canonical_nonzero_entries():
+    rng = random.Random(20)
+    for _ in range(40):
+        a, b = random_matrix(rng), random_matrix(rng)
+        assert_stored_canonical(a @ b)
+        assert_stored_canonical(commutator(a, b))
+
+
 # -- commutator ----------------------------------------------------------
 
 

@@ -305,6 +305,14 @@ def test_find_by_z_matches_the_element_not_its_position(elements):
     # True == 1, so without an exact type test this found hydrogen
     with pytest.raises(KeyError, match=r"z=True out of range 1\.\.120"):
         find_element(elements, z=True)
+    # equal to an atomic number is not one: these found H and Fe, and a
+    # string failed the range test with a bare TypeError
+    with pytest.raises(KeyError, match=r"z=1\.0 out of range 1\.\.120"):
+        find_element(elements, z=1.0)
+    with pytest.raises(KeyError, match=r"z=26 out of range 1\.\.120"):
+        find_element(elements, z=Fraction(26))
+    with pytest.raises(KeyError, match=r"z=1 out of range 1\.\.120"):
+        find_element(elements, z="1")
 
 
 def test_unknown_symbol_gets_hint(elements):
