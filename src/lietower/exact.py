@@ -21,6 +21,11 @@ map of unreduced (re, im, den) sums (equal denominators add numerators,
 others cross-multiply), and turns each nonzero sum into one canonical scalar.
 ``commutator`` runs that walk for a@b and for b@a, its left integers negated,
 into one map, so it builds no intermediate matrix and no scalar per term.
+``pairwise_commutators`` brackets every pair of a family in one sparse join:
+it indexes the stored entries of all members by row, meets each entry
+(i, k) only with the entries in row k, and sums each product into the
+triple of its (pair, entry) slot, so a pair whose entries never meet costs
+nothing; a generic ``verify`` builds its whole bracket table this way.
 ``linear_combination`` sums scaled matrices into one map of scalars.
 Indexing, ``rows`` and ``str`` read the matrix as if it were dense.  A
 scalar multiplies a matrix from either side, a ``GaussianRational``
@@ -417,6 +422,56 @@ def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     _sum_products(acc, a._entries, b._entries, 1)
     _sum_products(acc, b._entries, a._entries, -1)
     return _from_triples(a.dim, acc)
+
+
+def pairwise_commutators(
+    matrices: Sequence[ExactMatrix],
+) -> dict[tuple[int, int], ExactMatrix]:
+    """The nonzero brackets [m_s, m_t] for s < t, keyed (s, t) in ascending
+    order; a commuting pair has no entry.  Raises unless all share one size.
+
+    One sparse join builds them all: every stored entry of every matrix is
+    indexed by its row, and each entry (i, k) of m_s meets only the entries
+    in row k.  A product of m_s and m_t is summed as an unreduced integer
+    triple into the (s, t, i, j) slot of its pair, with sign + when m_s is
+    the left factor and - when it is the right one, and each sum is reduced
+    once, so a pair whose entries never meet costs nothing.  Each bracket
+    equals ``commutator(m_s, m_t)``, stored map and key order included.
+    """
+    if not matrices:
+        return {}
+    dim = matrices[0].dim
+    if any(m.dim != dim for m in matrices):
+        raise ValueError("matrices must share a dimension")
+    by_row: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    for t, m in enumerate(matrices):
+        for (k, j), y in m._entries.items():
+            by_row.setdefault(k, []).append((t, j, y._a, y._b, y._d))
+    acc: dict[tuple[int, int, int, int], tuple[int, int, int]] = {}
+    for s, m in enumerate(matrices):
+        for (i, k), x in m._entries.items():
+            a, b, d = x._a, x._b, x._d
+            for t, j, c, e, f in by_row.get(k, ()):
+                if t == s:
+                    continue
+                re, im, den = a * c - b * e, a * e + b * c, d * f
+                if s < t:
+                    key = s, t, i, j
+                else:
+                    key, re, im = (t, s, i, j), -re, -im
+                old = acc.get(key)
+                if old is not None:
+                    p, q, r = old
+                    if r == den:
+                        re, im = p + re, q + im
+                    else:
+                        re, im, den = p * den + re * r, q * den + im * r, r * den
+                acc[key] = (re, im, den)
+    brackets: dict[tuple[int, int], _Entries] = {}
+    for (s, t, i, j), (re, im, den) in acc.items():
+        if re or im:
+            brackets.setdefault((s, t), {})[i, j] = _reduced(re, im, den)
+    return {pair: ExactMatrix._of(dim, brackets[pair]) for pair in sorted(brackets)}
 
 
 def linear_combination(

@@ -12,9 +12,10 @@ the index convention of the printed commutation table this module validates:
 
 The realisation is *validated*, never assumed: ``verify_commutation`` checks
 every unordered generator pair against the symbolic right-hand side, exactly.
-Each generator set computes those brackets once, in its lazily built
-``brackets`` table; the commutation sweep, the Cartan search and the
-hydrogen-alias check all read that table.
+Each generator set computes those brackets once, in one sparse join
+(``exact.pairwise_commutators``) that fills its lazily built ``brackets``
+table; the commutation sweep, the Cartan search and the hydrogen-alias
+check all read that table.
 """
 
 from __future__ import annotations
@@ -30,11 +31,15 @@ from .exact import (
     I,
     SpanSolver,
     ZERO,
-    commutator,
     linear_combination,
+    pairwise_commutators,
 )
 
 IndexPair = tuple[int, int]
+
+# The two coefficients a bracket of generators can carry, shared so that
+# ``expected_bracket`` builds no scalar per call.
+_MINUS_I = -I
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,10 @@ def expected_bracket(
     """
     a, b = left
     c, d = right
+    n = metric.dim
     for idx in (a, b, c, d):
-        if not 1 <= idx <= metric.dim:
-            raise IndexError(f"index {idx} outside 1..{metric.dim}")
+        if not 1 <= idx <= n:
+            raise IndexError(f"index {idx} outside 1..{n}")
     if a == b or c == d:
         raise ValueError("index pairs must have distinct members")
     # i*(g_ad L_bc + g_bc L_ad - g_ac L_bd - g_bd L_ac); the metric is
@@ -172,8 +178,10 @@ def expected_bracket(
         (+1, a, d, b, c), (+1, b, c, a, d), (-1, a, c, b, d), (-1, b, d, a, c)
     ):
         if x == y and u != v:
-            coeff = I * (sign * metric.g(x))
-            return [(coeff, (u, v))] if u < v else [(-coeff, (v, u))]
+            sign *= metric.g(x)
+            if u > v:
+                u, v, sign = v, u, -sign
+            return [(I if sign > 0 else _MINUS_I, (u, v))]
     return []
 
 
@@ -223,12 +231,11 @@ def bracket_table(gs: GeneratorSet) -> BracketTable:
     ``gs``, keyed by (left, right) with left before right in ``gs.pairs``,
     which is lexicographic order.  A commuting pair has no entry.
     """
-    table: BracketTable = {}
-    for left, right in combinations(gs.pairs, 2):
-        got = commutator(gs.gen(*left), gs.gen(*right))
-        if not got.is_zero():
-            table[left, right] = got
-    return table
+    pairs = gs.pairs
+    return {
+        (pairs[s], pairs[t]): got
+        for (s, t), got in pairwise_commutators(gs.matrices()).items()
+    }
 
 
 def verify_commutation(gs: GeneratorSet) -> CommutationReport:
@@ -244,11 +251,18 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
     """
     metric = gs.metric
     describe = gs.solver.describer(gs.names, "<outside generator span>")
+    brackets = gs.brackets
+    # each distinct right-hand side is materialized once per sweep
+    expected: dict[tuple, ExactMatrix] = {}
     failures: list[PairFailure] = []
     for left, right in combinations(gs.pairs, 2):
-        got = gs.brackets.get((left, right), gs.zero)
+        got = brackets.get((left, right), gs.zero)
         expected_terms = expected_bracket(metric, left, right)
-        if got != materialize(gs, expected_terms):
+        key = tuple(expected_terms)
+        want = expected.get(key)
+        if want is None:
+            want = expected[key] = materialize(gs, expected_terms)
+        if got != want:
             failures.append(
                 PairFailure(
                     lhs_pair=left,

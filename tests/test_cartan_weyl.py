@@ -48,7 +48,7 @@ from lietower.sopq import (
     build_generators,
     hydrogen_aliases,
 )
-from lietower.verify import PUBLISHED_ROOTS_RANK3, SuiteContext
+from lietower.verify import PUBLISHED_ROOTS_RANK3, SuiteContext, _judge_rank3
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -492,6 +492,26 @@ def test_root_table_42_matches_published(gs42, oriented_ladders):
         name: tuple(Fraction(c) for c in comps)
         for name, comps in PUBLISHED_ROOTS_RANK3.items()
     }
+
+
+# The zero-root check brackets the Cartan members' matrices pair by pair, so
+# it fails on two members that do not commute, also when their names say
+# they would (L34 holding the matrix of L13).
+@pytest.mark.parametrize(
+    "members",
+    [{"L12": (1, 2), "L13": (1, 3), "L56": (5, 6)}, {"L12": (1, 2), "L34": (1, 3)}],
+    ids=["non-commuting", "mislabelled"],
+)
+def test_judge_rank3_fails_on_a_non_commuting_cartan(gs42, members):
+    table = SuiteContext(gs42).roots
+    ctx = SuiteContext(gs42)
+    ctx.cartan = {name: gs42.gen(*pair) for name, pair in members.items()}
+    passed, summary = _judge_rank3(ctx, table)
+    assert not passed
+    assert summary.endswith("cartan zero-roots FAIL")
+    assert _judge_rank3(SuiteContext(gs42), table) == (
+        True, "12/12 published rows, cartan zero-roots ok"
+    )
 
 
 def test_root_negation_symmetry(gs42, oriented_ladders):

@@ -15,9 +15,13 @@ from lietower.exact import (
     I,
     SpanSolver,
     commutator,
+    pairwise_commutators,
     rank,
     scalar_multiple_of,
 )
+from lietower.sopq import Metric, build_generators
+
+from golden import tampered_build
 
 
 def g(re, im=0):
@@ -213,6 +217,30 @@ def test_commutator_with_identity_is_zero():
 def test_commutator_dimension_mismatch():
     with pytest.raises(ValueError):
         commutator(ExactMatrix.identity(2), ExactMatrix.identity(3))
+
+
+def test_pairwise_commutators_of_an_empty_family():
+    assert pairwise_commutators([]) == {}
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 3)])
+def test_pairwise_commutators_dimension_mismatch(dims):
+    with pytest.raises(ValueError):
+        pairwise_commutators([ExactMatrix.identity(n) for n in dims])
+
+
+@pytest.mark.parametrize("p, q", [(4, 2), (4, 4), (5, 5)])
+def test_tampered_bracket_table_matches_per_pair_commutators(p, q):
+    # the join reads the matrices, not the index labels: the L12 fault moves
+    # the table exactly as the per-pair brackets move
+    gs = tampered_build(Metric(p, q))
+    want = {}
+    for left, right in combinations(gs.pairs, 2):
+        got = commutator(gs.gen(*left), gs.gen(*right))
+        if not got.is_zero():
+            want[left, right] = got
+    assert list(gs.brackets.items()) == list(want.items())
+    assert gs.brackets != build_generators(Metric(p, q)).brackets
 
 
 def _plain_generator(n, gdiag, a, b):

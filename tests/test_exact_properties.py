@@ -13,6 +13,8 @@ agree in ``==``, ``hash`` and ``str``.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +30,7 @@ from lietower.exact import (  # noqa: E402
     SpanSolver,
     commutator,
     linear_combination,
+    pairwise_commutators,
     rank,
     scalar_multiple_of,
 )
@@ -36,14 +39,41 @@ KERNEL = settings(derandomize=True, database=None, deadline=None)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 scalars = st.builds(GaussianRational, rationals, rationals)
+nonzero_scalars = scalars.filter(bool)
+
+# Strategies that depend only on a size, built once per size and shared by
+# the composite strategies below.
+
+
+@cache
+def sparse_entries(dim):
+    """{(row, col): scalar} maps of a dim x dim matrix, at most dim entries."""
+    slot = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    return st.dictionaries(slot, scalars, max_size=dim)
+
+
+@cache
+def scalar_lists(count):
+    return st.lists(scalars, min_size=count, max_size=count)
+
+
+@cache
+def flat_slots(dim):
+    """Sets of 1..5 distinct flat indices of a dim x dim matrix."""
+    return st.sets(st.integers(0, dim * dim - 1), min_size=1, max_size=5)
+
+
+@cache
+def entries_after(pivot, dim):
+    """{flat index: scalar} maps on the indices after ``pivot``."""
+    return st.dictionaries(st.integers(pivot + 1, dim * dim - 1), scalars, max_size=dim)
 
 
 @st.composite
 def sparse_pairs(draw):
     """Two same-size matrices with at most ``dim`` nonzero slots each."""
     dim = draw(st.integers(1, 5))
-    slot = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
-    entries = st.dictionaries(slot, scalars, max_size=dim)
+    entries = sparse_entries(dim)
     return (
         ExactMatrix.from_entries(dim, draw(entries)),
         ExactMatrix.from_entries(dim, draw(entries)),
@@ -103,13 +133,9 @@ def combine(coeffs, mats):
 def sparse_families(draw):
     """1..5 sparse matrices of one size with a coefficient for each."""
     dim = draw(st.integers(1, 4))
-    slot = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
     count = draw(st.integers(1, 5))
-    mats = [
-        ExactMatrix.from_entries(dim, draw(st.dictionaries(slot, scalars, max_size=dim)))
-        for _ in range(count)
-    ]
-    return mats, draw(st.lists(scalars, min_size=count, max_size=count))
+    mats = [ExactMatrix.from_entries(dim, draw(sparse_entries(dim))) for _ in range(count)]
+    return mats, draw(scalar_lists(count))
 
 
 @KERNEL
@@ -127,17 +153,15 @@ def independent_bases(draw):
     and zero at every earlier member's slot, so the family is independent
     by construction, whatever the elimination says."""
     dim = draw(st.integers(1, 4))
-    nonzero = scalars.filter(bool)
-    pivots = sorted(draw(st.sets(st.integers(0, dim * dim - 1), min_size=1, max_size=5)))
+    pivots = sorted(draw(flat_slots(dim)))
     basis = []
     for pivot in pivots:
-        flat = {pivot: draw(nonzero)}
+        flat = {pivot: draw(nonzero_scalars)}
         if pivot + 1 < dim * dim:
-            later = st.integers(pivot + 1, dim * dim - 1)
-            flat.update(draw(st.dictionaries(later, scalars, max_size=dim)))
+            flat.update(draw(entries_after(pivot, dim)))
         basis.append(ExactMatrix.from_entries(dim, {divmod(k, dim): v for k, v in flat.items()}))
     basis = draw(st.permutations(basis))
-    return basis, draw(st.lists(scalars, min_size=len(basis), max_size=len(basis)))
+    return basis, draw(scalar_lists(len(basis)))
 
 
 @KERNEL
@@ -200,6 +224,24 @@ def test_fused_commutator_matches_two_products(pair):
     assert got._entries == (a @ b - b @ a)._entries
     assert all(got._entries.values())
     assert (got + commutator(b, a)).is_zero()
+
+
+@KERNEL
+@given(sparse_families())
+def test_pairwise_commutators_match_per_pair_commutators(family):
+    # one join for the whole family: every nonzero bracket of s < t, in
+    # ascending key order, with the same stored map as ``commutator``
+    mats, _ = family
+    want = []
+    for (s, a), (t, b) in combinations(enumerate(mats), 2):
+        got = commutator(a, b)
+        if not got.is_zero():
+            want.append(((s, t), got))
+    got = list(pairwise_commutators(mats).items())
+    assert got == want
+    assert [list(m._entries.items()) for _, m in got] == [
+        list(m._entries.items()) for _, m in want
+    ]
 
 
 @KERNEL

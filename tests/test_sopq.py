@@ -10,7 +10,7 @@ import lietower.cartan
 import lietower.sopq
 import lietower.verify
 from lietower.cartan import cartan_is_maximal, find_cartan
-from lietower.exact import ExactMatrix, I, SpanSolver, commutator
+from lietower.exact import ExactMatrix, I, SpanSolver, commutator, pairwise_commutators
 from lietower.sopq import (
     Metric,
     build_generators,
@@ -131,52 +131,62 @@ def test_table_bracket_resolves_index_order(gs42):
             assert got == commutator(gs42.gen(*left), gs42.gen(*right)), (left, right)
 
 
-# Each generator pair is bracketed once per verdict, in ``gs.brackets``, so a
-# generic signature costs n(n-1)/2 calls; the alias suite and the Cartan
-# zero-root check of 4,2 read that table too.  4,2 and 4,4 add the calls of
-# their table, root and Casimir suites.
+# Each generator pair is bracketed once per verdict, in ``gs.brackets``, by one
+# ``pairwise_commutators`` join, so a generic signature makes no per-pair
+# ``commutator`` call; the alias suite and ``cartan_is_maximal`` read that
+# table too.  4,2 and 4,4 add the per-pair calls of their table, root and
+# Casimir suites, and 4,2 the 3 of the Cartan zero-root check, which brackets
+# the three Cartan members pair by pair to cross-check the join.
 @pytest.mark.parametrize(
     "p, q, calls",
-    [(4, 2, 246), (4, 4, 654), (5, 5, 990), (3, 0, 3)],
+    [(4, 2, 144), (4, 4, 276), (5, 5, 0), (3, 0, 0)],
     ids=["4,2", "4,4", "5,5", "3,0"],
 )
 def test_verdict_commutator_count(monkeypatch, p, q, calls):
-    count = 0
+    counts = {"pairwise": 0, "commutator": 0}
 
     def counted(x, y):
-        nonlocal count
-        count += 1
+        counts["commutator"] += 1
         return commutator(x, y)
+
+    def counted_pairwise(matrices):
+        counts["pairwise"] += 1
+        return pairwise_commutators(matrices)
 
     for module in (lietower.sopq, lietower.cartan, lietower.verify):
         monkeypatch.setattr(module, "commutator", counted, raising=False)
+    monkeypatch.setattr(lietower.sopq, "pairwise_commutators", counted_pairwise)
     assert run_verification(Metric(p, q)).passed
-    assert count == calls
+    assert counts == {"pairwise": 1, "commutator": calls}
 
 
 # The library calls share the set's own table and solver, not only a verdict.
 @pytest.mark.parametrize("p, q", [(4, 2), (5, 5)])
 def test_generator_set_builds_one_table_and_one_solver(monkeypatch, p, q):
-    counts = {"commutator": 0, "solver": 0}
+    counts = {"pairwise": 0, "commutator": 0, "solver": 0}
     real_init = SpanSolver.__init__
 
     def counted_commutator(x, y):
         counts["commutator"] += 1
         return commutator(x, y)
 
+    def counted_pairwise(matrices):
+        counts["pairwise"] += 1
+        return pairwise_commutators(matrices)
+
     def counted_init(self, basis):
         counts["solver"] += 1
         real_init(self, basis)
 
     for module in (lietower.sopq, lietower.cartan):
-        monkeypatch.setattr(module, "commutator", counted_commutator)
+        monkeypatch.setattr(module, "commutator", counted_commutator, raising=False)
+    monkeypatch.setattr(lietower.sopq, "pairwise_commutators", counted_pairwise)
     monkeypatch.setattr(SpanSolver, "__init__", counted_init)
     gs = build_generators(Metric(p, q))
     cartan = find_cartan(gs)
     assert cartan_is_maximal(gs, cartan)
     assert verify_commutation(gs).ok
-    n = len(gs)
-    assert counts == {"commutator": n * (n - 1) // 2, "solver": 1}
+    assert counts == {"pairwise": 1, "commutator": 0, "solver": 1}
 
 
 def test_verify_commutation_42(gs42):
