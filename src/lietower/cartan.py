@@ -341,76 +341,60 @@ def root_system(
 # ---------------------------------------------------------------------------
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+def _epsilon_sum(upper: Mapping[IndexPair, ExactMatrix], rest: tuple[int, ...]) -> ExactMatrix:
+    """Sum of U_ab @ U_cd @ ... over the pairs a < b, c < d, ... that cover
+    the sorted ``rest``, signed by the permutation (a, b, c, d, ...) of it,
+    expanded along the first pair: moving positions i < j of ``rest`` to
+    the front takes i + j - 1 transpositions."""
+    if len(rest) == 2:
+        return upper[rest]
+    acc = None
+    for i, j in combinations(range(len(rest)), 2):
+        term = upper[rest[i], rest[j]] @ _epsilon_sum(
+            upper, rest[:i] + rest[i + 1 : j] + rest[j + 1 :]
+        )
+        if (i + j) % 2 == 0:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
-    """Degree 2, 3, or 4 invariant of the signature-(4,2) algebra.
+    """Degree 2, 3, or 4 invariant of the signature-(4,2) algebra, built in
+    15, 105 and 186 matrix products.
 
     Degree 2 is the quadratic form sum over a < b of L_ab L^ab, which in
     the hydrogen aliases reads L^2 + A^2 - B^2 - Gamma^2 + D3^2 - D1^2 -
     D2^2.  Degree 3 contracts three raised generators with the rank-6
     epsilon tensor (eps_123456 = +1) and a 1/48 normalisation; degree 4 is
     the closed chain L_ab L^bc L_cd L^da.  Indices are raised with the
-    diagonal metric, and all three degrees share one table of lowered and
-    raised generators.
+    diagonal metric.
 
-    The degree-3 and -4 sums are regrouped over their index structure,
-    exactly and without assuming the brackets.  In the epsilon sum,
-    swapping the two indices of one generator flips both the generator
-    (``gs.gen`` returns L_ba = -L_ab) and the sign of the permutation, so
-    the 720 permutations fold onto the 90 ordered triples of pairs a<b,
-    c<d, e<f that cover {1..6}, each counted 2^3 = 8 times: C3 is 8/48 =
-    1/6 of the folded sum.
-    The chain factors by distributivity as C4 = sum over a, c of
-    chain(a, c) @ chain(c, a), where chain(a, c) = sum over b != a, c of
-    L_ab L^bc (a = c included).
+    Both higher sums are regrouped by distributivity alone, without
+    assuming the brackets.  Swapping the two indices of one generator flips
+    both the generator (``gs.gen`` returns L_ba = -L_ab) and the sign of
+    the permutation, so C3 is 8/48 = 1/6 of ``_epsilon_sum`` over {1..6},
+    which expands each of its 15 four-index remainders once.  C4 is the
+    sum over a, c of chain(a, c) @ chain(c, a), where chain(a, c) = sum
+    over b != a, c of L_ab L^bc (a = c included).
     """
     if gs.metric != Metric(4, 2):
         raise ValueError("Casimir construction requires signature (4,2)")
-    n = gs.metric.dim
-    g = gs.metric.g
-    idx = range(1, n + 1)
     if degree not in (2, 3, 4):
         raise ValueError(f"unsupported Casimir degree {degree}")
-    lower = {(a, b): gs.gen(a, b) for a in idx for b in idx if a != b}
-    upper = {(a, b): m * (g(a) * g(b)) for (a, b), m in lower.items()}
+    g = gs.metric.g
+    idx = tuple(range(1, gs.metric.dim + 1))
+    upper = {(a, b): gs.gen(a, b) * (g(a) * g(b)) for a in idx for b in idx if a != b}
     if degree == 2:
-        return sum(
-            (lower[ab] @ upper[ab] for ab in combinations(idx, 2)),
-            ExactMatrix.zeros(n),
-        )
-    acc = ExactMatrix.zeros(n)
+        return sum((gs.gen(*ab) @ upper[ab] for ab in combinations(idx, 2)), gs.zero)
     if degree == 3:
-        for ab in combinations(idx, 2):
-            rest = [k for k in idx if k not in ab]
-            for cd in combinations(rest, 2):
-                ef = tuple(k for k in rest if k not in cd)
-                term = upper[ab] @ upper[cd] @ upper[ef]
-                if _perm_sign(ab + cd + ef) > 0:
-                    acc = acc + term
-                else:
-                    acc = acc - term
-        return acc * Fraction(1, 6)
+        return _epsilon_sum(upper, idx) * Fraction(1, 6)
     chain = {
-        (a, c): sum(
-            (lower[a, b] @ upper[b, c] for b in idx if b != a and b != c),
-            ExactMatrix.zeros(n),
-        )
+        (a, c): sum((gs.gen(a, b) @ upper[b, c] for b in idx if b not in (a, c)), gs.zero)
         for a in idx
         for c in idx
     }
-    for a in idx:
-        for c in idx:
-            acc = acc + chain[a, c] @ chain[c, a]
-    return acc
+    return sum((chain[a, c] @ chain[c, a] for a in idx for c in idx), gs.zero)
 
 
 def casimir_invariance(gs: GeneratorSet, cas: ExactMatrix) -> bool:

@@ -23,6 +23,8 @@ from lietower.cartan import (
     Deviation,
     Link,
     NotARootVectorError,
+    RelationTable,
+    RootTable,
     SUBALGEBRA_TABLES,
     adapted_basis,
     cartan_is_maximal,
@@ -48,7 +50,14 @@ from lietower.sopq import (
     build_generators,
     hydrogen_aliases,
 )
-from lietower.verify import PUBLISHED_ROOTS_RANK3, SuiteContext, _judge_rank3
+from lietower.verify import (
+    PUBLISHED_ROOTS_RANK3,
+    SuiteContext,
+    _basis_rank,
+    _judge_rank3,
+    _judge_rank4,
+    _printed_tables,
+)
 
 HALF = GaussianRational(Fraction(1, 2))
 
@@ -514,6 +523,29 @@ def test_judge_rank3_fails_on_a_non_commuting_cartan(gs42, members):
     )
 
 
+def test_complex_root_component_rejected():
+    # a boost Cartan member: [L56, L15 + L16] = -i (L15 + L16) on 5,5
+    gs = build_generators(Metric(5, 5))
+    with pytest.raises(NotARootVectorError, match="along L56 is complex: -i$"):
+        extract_root({"L56": gs.gen(5, 6)}, "L15+L16", gs.gen(1, 5) + gs.gen(1, 6))
+
+
+# One minimal corruption of the so(4,4) root table per condition of the
+# judge: a component 2 in a second-half row, where no published row is
+# compared, and a nonzero fourth component in a first-half row.
+@pytest.mark.parametrize(
+    "name, root",
+    [("2K+", (0, 0, 2, 1)), ("1K+", (1, 1, 0, 1))],
+    ids=["component-2", "first-half-fourth-axis"],
+)
+def test_judge_rank4_fails_on_a_corrupted_row(gs44, name, root):
+    ctx = SuiteContext(gs44)
+    table = ctx.roots
+    assert _judge_rank4(ctx, table)[0]
+    bad = RootTable(table.cartan, {**table.roots, name: tuple(map(Fraction, root))})
+    assert not _judge_rank4(ctx, bad)[0]
+
+
 def test_root_negation_symmetry(gs42, oriented_ladders):
     cartan = find_cartan(gs42)
     table = root_system(cartan, oriented_ladders(gs42, cartan)).roots
@@ -724,9 +756,9 @@ def test_casimir_matches_textbook_sums(gs42, corrupt):
     assert (c4.scaled_identity() is None) == corrupt
 
 
-@pytest.mark.parametrize("degree, matmuls", [(2, 15), (3, 180), (4, 186)])
+@pytest.mark.parametrize("degree, matmuls", [(2, 15), (3, 105), (4, 186)])
 def test_casimir_matmul_count(gs42, monkeypatch, degree, matmuls):
-    # an op count instead of a wall-clock bound: the 90-triple C3 and the
+    # an op count instead of a wall-clock bound: the recursive epsilon C3 and the
     # factored C4 chain, not the 720-permutation and four-index sums
     calls = []
     real = ExactMatrix.__matmul__
@@ -868,6 +900,27 @@ def test_printed_tables_match_known_deviations(gs44, table):
     report = check_relation_table(_ops44(gs44), table, describe=describe)
     got = tuple(d.relation for d in report.deviations)
     assert got == KNOWN_TABLE_DEVIATIONS[table.name]
+
+
+def test_printed_tables_judge_pins_the_printed_order(gs44):
+    # the same deviations in reverse order are not the recorded baseline
+    table = COMPONENT_TABLE_FIRST
+    reversed_table = RelationTable(table.name, table.relations[::-1])
+    ctx = SuiteContext(gs44)
+    assert _printed_tables(ctx, "component-tables", (table,)).passed
+    result = _printed_tables(ctx, "component-tables", (reversed_table,))
+    assert not result.passed
+    assert result.details[table.name].deviations
+
+
+def test_basis_rank_fails_on_a_dependent_member(gs44):
+    ctx = SuiteContext(gs44)
+    assert _basis_rank(ctx, "split-rank").passed
+    ctx.basis = {**ctx.basis, "1K2": ctx.basis["1K1"]}
+    assert rank(list(ctx.basis.values())) == 27
+    result = _basis_rank(ctx, "split-rank")
+    assert not result.passed
+    assert result.summary == "27 (36 generators, 9 dependencies)"
 
 
 def test_component_table_deviations_are_single_symbol_slips(gs44):
