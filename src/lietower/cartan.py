@@ -43,8 +43,9 @@ from .exact import (
     GaussianRational,
     I,
     ONE,
+    bracket_multiple,
     commutator,
-    scalar_multiple_of,
+    commutes,
 )
 from .sopq import (
     GeneratorSet,
@@ -266,7 +267,7 @@ def extract_root(
         raise NotARootVectorError(f"{name} is the zero matrix")
     comps = []
     for h, h_matrix in cartan.items():
-        lam = scalar_multiple_of(commutator(h_matrix, matrix), matrix)
+        lam = bracket_multiple(h_matrix, matrix, matrix)
         if lam is None:
             raise NotARootVectorError(f"[{h},{name}] is not proportional to {name}")
         if not lam.is_real:
@@ -384,13 +385,14 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
         raise ValueError(f"unsupported Casimir degree {degree}")
     g = gs.metric.g
     idx = tuple(range(1, gs.metric.dim + 1))
-    upper = {(a, b): gs.gen(a, b) * (g(a) * g(b)) for a in idx for b in idx if a != b}
+    lower = {(a, b): gs.gen(a, b) for a in idx for b in idx if a != b}
+    upper = {(a, b): mat * (g(a) * g(b)) for (a, b), mat in lower.items()}
     if degree == 2:
-        return sum((gs.gen(*ab) @ upper[ab] for ab in combinations(idx, 2)), gs.zero)
+        return sum((lower[ab] @ upper[ab] for ab in combinations(idx, 2)), gs.zero)
     if degree == 3:
         return _epsilon_sum(upper, idx) * Fraction(1, 6)
     chain = {
-        (a, c): sum((gs.gen(a, b) @ upper[b, c] for b in idx if b not in (a, c)), gs.zero)
+        (a, c): sum((lower[a, b] @ upper[b, c] for b in idx if b not in (a, c)), gs.zero)
         for a in idx
         for c in idx
     }
@@ -398,7 +400,7 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
 
 
 def casimir_invariance(gs: GeneratorSet, cas: ExactMatrix) -> bool:
-    return all(commutator(cas, mat).is_zero() for mat in gs.matrices())
+    return all(commutes(cas, mat) for mat in gs.matrices())
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +655,22 @@ def check_relation_table(
 ) -> TableReport:
     """Evaluate every printed relation as an exact matrix identity and
     record the ones that fail, in table order; ``describe`` renders the
-    bracket they give, "<differs>" without it."""
+    bracket they give, "<differs>" without it.
+
+    A relation is decided on the unreduced sums of its bracket: by
+    ``commutes`` when its right-hand side is zero, a zero result operator
+    included, and by ``bracket_multiple`` otherwise.  The bracket matrix is
+    built only to describe a failure."""
     deviations = []
     for rel in table.relations:
-        got = commutator(ops[rel.left], ops[rel.right])
-        if rel.result is None or not rel.coeff:
-            expected = ExactMatrix.zeros(got.dim)
+        left, right = ops[rel.left], ops[rel.right]
+        result = None if rel.result is None or not rel.coeff else ops[rel.result]
+        if result is None or result.is_zero():
+            held = commutes(left, right)
         else:
-            expected = ops[rel.result] * rel.coeff
-        if got != expected:
-            got_text = describe(got) if describe else "<differs>"
+            held = bracket_multiple(left, right, result) == rel.coeff
+        if not held:
+            got_text = describe(commutator(left, right)) if describe else "<differs>"
             deviations.append(Deviation(rel.text, got_text))
     return TableReport(table.name, len(table.relations), deviations)
 

@@ -21,6 +21,13 @@ map of unreduced (re, im, den) sums (equal denominators add numerators,
 others cross-multiply), and turns each nonzero sum into one canonical scalar.
 ``commutator`` runs that walk for a@b and for b@a, its left integers negated,
 into one map, so it builds no intermediate matrix and no scalar per term.
+``commutes`` and ``bracket_multiple`` judge a bracket on those unreduced
+sums without building it: [a, b] = 0 when every sum is 0 + 0i, and
+[a, b] = lambda*c when lambda, read at c's first stored key, matches every
+other nonzero sum against c's entry there by cross-multiplied integers, no
+nonzero sum lies outside c's support and, for a nonzero lambda, none of c's
+entries is missing; only lambda is reduced.  ``scalar_multiple_of`` runs
+the same rule on a matrix's stored entries.
 ``pairwise_commutators`` brackets every pair of a family in one sparse join:
 it indexes the stored entries of all members by row, meets each entry
 (i, k) only with the entries in row k, and sums each product into the
@@ -32,9 +39,9 @@ scalar multiplies a matrix from either side, a ``GaussianRational``
 included.  Rank and basis expansion share one Gauss-Jordan elimination over
 Q(i) on sparse {flat index: value} rows: ``rank`` counts its reduced rows
 and ``SpanSolver`` keeps them, with the combination of inputs behind each,
-to answer repeated expansion queries.  Identities are decided by matrix
-equality; expansion is for rendering a matrix in a basis and for testing
-that a basis is independent.
+to answer repeated expansion queries.  Identities are decided by exact
+equality, of matrices or of integer sums; expansion is for rendering a
+matrix in a basis and for testing that a basis is independent.
 """
 
 from __future__ import annotations
@@ -410,18 +417,28 @@ def _from_triples(dim: int, acc: _Triples) -> ExactMatrix:
     return ExactMatrix._of(dim, {k: _reduced(*t) for k, t in acc.items() if t[0] or t[1]})
 
 
+def _bracket_sums(a: ExactMatrix, b: ExactMatrix) -> _Triples:
+    """The unreduced sums of a@b - b@a; raises on dimension mismatch."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    acc: _Triples = {}
+    _sum_products(acc, a._entries, b._entries, 1)
+    _sum_products(acc, b._entries, a._entries, -1)
+    return acc
+
+
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """The bracket a@b - b@a, exact; raises on dimension mismatch.
 
     Both products are summed into one map of integer triples, so no
     intermediate matrix or scalar is built.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    acc: _Triples = {}
-    _sum_products(acc, a._entries, b._entries, 1)
-    _sum_products(acc, b._entries, a._entries, -1)
-    return _from_triples(a.dim, acc)
+    return _from_triples(a.dim, _bracket_sums(a, b))
+
+
+def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
+    """Whether a@b == b@a, decided on the unreduced sums of the bracket."""
+    return not any(re or im for re, im, _ in _bracket_sums(a, b).values())
 
 
 def pairwise_commutators(
@@ -489,21 +506,67 @@ def linear_combination(
     return ExactMatrix._of(dim, out)
 
 
+def _check_reference(a: ExactMatrix, ref: ExactMatrix) -> None:
+    """Raise unless ``ref`` is a nonzero matrix of the size of ``a``: the zero
+    matrix has every matrix as a multiple, so asking for a coefficient
+    against it signals a caller bug."""
+    if a.dim != ref.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {ref.dim}")
+    if ref.is_zero():
+        raise ValueError("reference matrix is zero")
+
+
+def _proportion(sums: _Triples, ref: _Entries) -> Optional[GaussianRational]:
+    """The lambda with sums == lambda * ref, or None.
+
+    ``sums`` holds unreduced (re, im, den) triples, zeros allowed, and
+    ``ref`` a nonempty map.  lambda = u/v is read at ref's first key; every
+    other nonzero sum x/t is held against ref's entry w/m there by the
+    integer identity x*v*m == u*w*t, so only lambda is reduced.
+    """
+    key = next(iter(ref))
+    r = ref[key]
+    p, q, s = sums.get(key, (0, 0, 1))
+    u_re, u_im, v_re, v_im = p * r._d, q * r._d, r._a * s, r._b * s
+    met = 0
+    for k, (x, y, t) in sums.items():
+        if not (x or y):
+            continue
+        w = ref.get(k)
+        if w is None:  # a nonzero sum outside ref's support
+            return None
+        met += 1
+        m, c, e = w._d, w._a, w._b
+        lhs = (x * v_re - y * v_im) * m, (x * v_im + y * v_re) * m
+        if lhs != ((u_re * c - u_im * e) * t, (u_re * e + u_im * c) * t):
+            return None
+    if 0 < met < len(ref):  # a nonzero lambda misses an entry of ref
+        return None
+    norm = v_re * v_re + v_im * v_im
+    return _reduced(u_re * v_re + u_im * v_im, u_im * v_re - u_re * v_im, norm)
+
+
 def scalar_multiple_of(
     a: ExactMatrix, b: ExactMatrix
 ) -> Optional[GaussianRational]:
     """Return lambda with a == lambda*b if one exists, else None.
 
-    b must be nonzero; the zero matrix has every matrix as a multiple, so
-    asking for a coefficient against it signals a caller bug.
+    b must be a nonzero matrix of the same size.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if b.is_zero():
-        raise ValueError("reference matrix is zero")
-    key = next(iter(b._entries))
-    lam = a[key] / b[key]
-    return lam if a == b * lam else None
+    _check_reference(a, b)
+    return _proportion({k: (x._a, x._b, x._d) for k, x in a._entries.items()}, b._entries)
+
+
+def bracket_multiple(
+    a: ExactMatrix, b: ExactMatrix, c: ExactMatrix
+) -> Optional[GaussianRational]:
+    """Return lambda with [a, b] == lambda*c if one exists, else None.
+
+    c must be a nonzero matrix of the same size.  The bracket is judged on
+    its unreduced sums, so no bracket matrix is built.
+    """
+    _check_reference(a, c)
+    return _proportion(_bracket_sums(a, b), c._entries)
 
 
 # -- exact elimination --------------------------------------------------------

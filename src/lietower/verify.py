@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Any, Callable
 
 from . import cartan as cw
-from .exact import ExactMatrix, commutator, rank
+from .exact import ExactMatrix, commutes, rank
 from .sopq import (
     GeneratorSet,
     Metric,
@@ -224,7 +224,7 @@ def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
     # each member has the zero root iff no two members bracket; decided by
     # the per-pair kernel, not by the table that find_cartan searched
     members = ctx.cartan.values()
-    zero_ok = all(commutator(x, y).is_zero() for x, y in combinations(members, 2))
+    zero_ok = all(commutes(x, y) for x, y in combinations(members, 2))
     return (
         table.roots == PUBLISHED_ROOTS_RANK3 and zero_ok,
         f"{matched}/12 published rows, cartan zero-roots {'ok' if zero_ok else 'FAIL'}",

@@ -57,7 +57,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/verify.py",
-        "zero_ok = all(commutator(x, y).is_zero() for x, y in combinations(members, 2))",
+        "zero_ok = all(commutes(x, y) for x, y in combinations(members, 2))",
         "zero_ok = True",
         "rank-3 judge never checks that the Cartan members commute",
     ),
@@ -93,9 +93,34 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/exact.py",
-        "return lam if a == b * lam else None",
-        "return lam",
-        "scalar_multiple_of skips its proportionality check",
+        "for k, (x, y, t) in sums.items():",
+        "for k, (x, y, t) in ():",
+        "proportionality returns lambda without checking a single sum",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "if 0 < met < len(ref):",
+        "if False:",
+        "proportionality skips the check that a nonzero lambda meets every "
+        "entry of the reference",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "if lhs != (",
+        "if False and lhs != (",
+        "proportionality skips the cross-multiplication",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "if w is None:  # a nonzero sum outside ref's support\n            return None",
+        "if w is None:  # a nonzero sum outside ref's support\n            continue",
+        "proportionality steps past a nonzero sum outside the reference's support",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "return not any(re or im for re, im, _ in _bracket_sums(a, b).values())",
+        "return True",
+        "commutes always true",
     ),
     Mutant(
         "src/lietower/cartan.py",
@@ -111,7 +136,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/cartan.py",
-        "return all(commutator(cas, mat).is_zero() for mat in gs.matrices())",
+        "return all(commutes(cas, mat) for mat in gs.matrices())",
         "return True",
         "casimir_invariance always true",
     ),

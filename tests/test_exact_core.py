@@ -8,13 +8,15 @@ from itertools import combinations
 
 import pytest
 
-from lietower.cartan import yao_basis
+from lietower.cartan import Relation, RelationTable, check_relation_table, yao_basis
 from lietower.exact import (
     ExactMatrix,
     GaussianRational,
     I,
     SpanSolver,
+    bracket_multiple,
     commutator,
+    commutes,
     pairwise_commutators,
     rank,
     scalar_multiple_of,
@@ -359,6 +361,90 @@ def test_raising_operator_eigenvalue(gs42):
     basket = subalgebra_basis(gs42, yao_basis(gs42))["so4"]
     got = scalar_multiple_of(commutator(basket["K3"], basket["K+"]), basket["K+"])
     assert got == g(1)
+
+
+# -- commutes and bracket_multiple ------------------------------------------
+
+
+def _embedded(m, dim):
+    """m as the top-left block of a dim x dim matrix."""
+    n = m.dim
+    return ExactMatrix.from_entries(dim, {(i, j): m[i, j] for i in range(n) for j in range(n)})
+
+
+def _bracket_case(seed):
+    """Two random 3x3 blocks in 4x4 matrices, the nonzero entries of their
+    bracket in row-major order, and a lambda; row and column 3 of the
+    bracket are zero."""
+    rng = random.Random(seed)
+    a, b = (_embedded(random_matrix(rng), 4) for _ in range(2))
+    bracket = commutator(a, b)
+    entries = {(i, j): bracket[i, j] for i in range(4) for j in range(4) if bracket[i, j]}
+    assert len(entries) > 2
+    return a, b, entries, g(2, -1)
+
+
+def test_commutes_matches_the_bracket():
+    rng = random.Random(12)
+    a, b = random_matrix(rng), random_matrix(rng)
+    assert commutes(a, a) and commutes(ExactMatrix.identity(3), a)
+    assert not commutes(a, b) and not commutator(a, b).is_zero()
+    with pytest.raises(ValueError):
+        commutes(ExactMatrix.identity(2), ExactMatrix.identity(3))
+
+
+def test_bracket_multiple_reads_lambda():
+    a, b, entries, lam = _bracket_case(13)
+    c = ExactMatrix.from_entries(4, {k: v / lam for k, v in entries.items()})
+    assert bracket_multiple(a, b, c) == lam
+    assert bracket_multiple(a, a, c) == g(0)
+
+
+def test_bracket_multiple_refuses_an_entry_outside_the_reference():
+    # [a, b] = lam*c + one entry where c has none
+    a, b, entries, lam = _bracket_case(14)
+    last = list(entries)[-1]
+    c = ExactMatrix.from_entries(4, {k: v / lam for k, v in entries.items() if k != last})
+    assert bracket_multiple(a, b, c) is None
+
+
+def test_bracket_multiple_refuses_a_missing_entry():
+    # c has one entry, after the one lambda is read at, where [a, b] has none
+    a, b, entries, lam = _bracket_case(15)
+    scaled = {k: v / lam for k, v in entries.items()}
+    c = ExactMatrix.from_entries(4, scaled | {(3, 3): g(1)})
+    assert bracket_multiple(a, b, c) is None
+
+
+def test_bracket_multiple_refuses_one_entry_off_the_ratio():
+    a, b, entries, lam = _bracket_case(16)
+    last = list(entries)[-1]
+    scaled = {k: v / lam for k, v in entries.items()}
+    scaled[last] = scaled[last] * 2
+    assert bracket_multiple(a, b, ExactMatrix.from_entries(4, scaled)) is None
+
+
+def test_bracket_multiple_rejects_a_zero_reference_and_a_size_mismatch():
+    a = ExactMatrix.identity(2)
+    with pytest.raises(ValueError):
+        bracket_multiple(a, a, ExactMatrix.zeros(2))
+    with pytest.raises(ValueError):
+        bracket_multiple(a, a, ExactMatrix.identity(3))
+    with pytest.raises(ValueError):
+        bracket_multiple(a, ExactMatrix.identity(3), a)
+
+
+def test_relation_on_a_zero_result_operator_asks_for_a_vanishing_bracket():
+    rng = random.Random(17)
+    ops = {"A": random_matrix(rng), "B": random_matrix(rng), "Z": ExactMatrix.zeros(3)}
+    table = RelationTable(
+        "zero-result",
+        (Relation("A", "A", g(1), "Z"), Relation("A", "B", g(1), "Z")),
+    )
+    report = check_relation_table(ops, table)
+    assert [(d.relation, d.got) for d in report.deviations] == [
+        ("[A,B] = Z", "<differs>")
+    ]
 
 
 # -- SpanSolver.expand ----------------------------------------------------

@@ -28,7 +28,9 @@ from lietower.exact import (  # noqa: E402
     ExactMatrix,
     GaussianRational,
     SpanSolver,
+    bracket_multiple,
     commutator,
+    commutes,
     linear_combination,
     pairwise_commutators,
     rank,
@@ -270,6 +272,27 @@ def test_scalar_multiple_of_matches_dense(pair, s):
         return
     for m in (a, b * s, b * s + a, ExactMatrix.zeros(b.dim)):
         assert scalar_multiple_of(m, b) == dense_scalar_multiple(dense(m), dense(b))
+
+
+@st.composite
+def sparse_triples(draw):
+    """Three same-size matrices with at most ``dim`` nonzero slots each."""
+    a, b = draw(sparse_pairs())
+    return a, b, ExactMatrix.from_entries(a.dim, draw(sparse_entries(a.dim)))
+
+
+@KERNEL
+@given(sparse_triples(), scalars)
+def test_bracket_decisions_match_the_bracket_matrix(triple, s):
+    # the unreduced sums decide as the reduced bracket matrix does
+    a, b, c = triple
+    bracket = commutator(a, b)
+    assert commutes(a, b) == bracket.is_zero()
+    for ref in (c, bracket, bracket * s, bracket * s + c):
+        if not ref.is_zero():
+            want = scalar_multiple_of(bracket, ref)
+            assert bracket_multiple(a, b, ref) == want
+            assert want == dense_scalar_multiple(dense(bracket), dense(ref))
 
 
 @KERNEL

@@ -10,7 +10,15 @@ import lietower.cartan
 import lietower.sopq
 import lietower.verify
 from lietower.cartan import cartan_is_maximal, find_cartan
-from lietower.exact import ExactMatrix, I, SpanSolver, commutator, pairwise_commutators
+from lietower.exact import (
+    ExactMatrix,
+    I,
+    SpanSolver,
+    bracket_multiple,
+    commutator,
+    commutes,
+    pairwise_commutators,
+)
 from lietower.sopq import (
     Metric,
     build_generators,
@@ -133,31 +141,47 @@ def test_table_bracket_resolves_index_order(gs42):
 
 # Each generator pair is bracketed once per verdict, in ``gs.brackets``, by one
 # ``pairwise_commutators`` join, so a generic signature makes no per-pair
-# ``commutator`` call; the alias suite and ``cartan_is_maximal`` read that
-# table too.  4,2 and 4,4 add the per-pair calls of their table, root and
-# Casimir suites, and 4,2 the 3 of the Cartan zero-root check, which brackets
-# the three Cartan members pair by pair to cross-check the join.
+# bracket; the alias suite and ``cartan_is_maximal`` read that table too.
+# 4,2 and 4,4 add the per-pair brackets of their table, root and Casimir
+# suites, and 4,2 the 3 of the Cartan zero-root check, which brackets the
+# three Cartan members pair by pair to cross-check the join.  A judged bracket
+# is decided by ``commutes`` (zero right-hand side, Casimir invariance, zero
+# roots) or ``bracket_multiple`` (printed tables, root extraction) on its
+# unreduced sums: 144 brackets on 4,2 and 276 on 4,4.  ``commutator`` builds a
+# bracket matrix only to render a printed-table deviation, once each: the
+# 6 + 6 + 11 known misprints of 4,4.
 @pytest.mark.parametrize(
     "p, q, calls",
-    [(4, 2, 144), (4, 4, 276), (5, 5, 0), (3, 0, 0)],
+    [
+        (4, 2, {"commutator": 0, "commutes": 84, "bracket_multiple": 60}),
+        (4, 4, {"commutator": 23, "commutes": 108, "bracket_multiple": 168}),
+        (5, 5, {"commutator": 0, "commutes": 0, "bracket_multiple": 0}),
+        (3, 0, {"commutator": 0, "commutes": 0, "bracket_multiple": 0}),
+    ],
     ids=["4,2", "4,4", "5,5", "3,0"],
 )
 def test_verdict_commutator_count(monkeypatch, p, q, calls):
-    counts = {"pairwise": 0, "commutator": 0}
+    counts = {"pairwise": 0, "commutator": 0, "commutes": 0, "bracket_multiple": 0}
 
-    def counted(x, y):
-        counts["commutator"] += 1
-        return commutator(x, y)
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
 
-    def counted_pairwise(matrices):
-        counts["pairwise"] += 1
-        return pairwise_commutators(matrices)
+        return counted
 
-    for module in (lietower.sopq, lietower.cartan, lietower.verify):
-        monkeypatch.setattr(module, "commutator", counted, raising=False)
-    monkeypatch.setattr(lietower.sopq, "pairwise_commutators", counted_pairwise)
+    for name, fn in (
+        ("commutator", commutator),
+        ("commutes", commutes),
+        ("bracket_multiple", bracket_multiple),
+    ):
+        for module in (lietower.sopq, lietower.cartan, lietower.verify):
+            monkeypatch.setattr(module, name, counting(name, fn), raising=False)
+    monkeypatch.setattr(
+        lietower.sopq, "pairwise_commutators", counting("pairwise", pairwise_commutators)
+    )
     assert run_verification(Metric(p, q)).passed
-    assert counts == {"pairwise": 1, "commutator": calls}
+    assert counts == {"pairwise": 1, **calls}
 
 
 # The library calls share the set's own table and solver, not only a verdict.
