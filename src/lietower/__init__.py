@@ -10,7 +10,6 @@ from .exact import (
     GaussianRational,
     commutator,
     rank,
-    scalar_multiple_of,
 )
 from .sopq import GeneratorSet, Metric, bracket_table, build_generators, verify_commutation
 from .cartan import (
@@ -78,7 +77,6 @@ __all__ = [
     "projection_slice",
     "rank",
     "root_system",
-    "scalar_multiple_of",
     "subalgebra_basis",
     "verify_commutation",
     "weyl_generators",

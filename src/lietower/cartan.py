@@ -51,6 +51,9 @@ from .sopq import (
     GeneratorSet,
     IndexPair,
     Metric,
+    Relation,
+    RelationTable,
+    _rel,
     hydrogen_aliases,
     materialize,
 )
@@ -453,40 +456,6 @@ def subalgebra_basis(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Relation:
-    """[left, right] = coeff * result, with result None meaning zero."""
-
-    left: str
-    right: str
-    coeff: GaussianRational
-    result: Optional[str]
-
-    @property
-    def text(self) -> str:
-        if self.result is None or not self.coeff:
-            return f"[{self.left},{self.right}] = 0"
-        if self.coeff == ONE:
-            rhs = self.result
-        elif self.coeff == -ONE:
-            rhs = f"-{self.result}"
-        else:
-            rhs = f"({self.coeff})*{self.result}"
-        return f"[{self.left},{self.right}] = {rhs}"
-
-
-@dataclass(frozen=True)
-class RelationTable:
-    name: str
-    relations: tuple[Relation, ...]
-
-
-def _rel(left: str, right: str, coeff, result: Optional[str]) -> Relation:
-    if isinstance(coeff, int):
-        coeff = GaussianRational(coeff)
-    return Relation(left=left, right=right, coeff=coeff, result=result)
-
-
 def _zero_cross(fam_a: str, fam_b: str, suffixes: str, prefix: str = "") -> list[Relation]:
     return [
         _rel(f"{prefix}{fam_a}{i}", f"{prefix}{fam_b}{j}", 0, None)
@@ -657,21 +626,13 @@ def check_relation_table(
     record the ones that fail, in table order; ``describe`` renders the
     bracket they give, "<differs>" without it.
 
-    A relation is decided on the unreduced sums of its bracket: by
-    ``commutes`` when its right-hand side is zero, a zero result operator
-    included, and by ``bracket_multiple`` otherwise.  The bracket matrix is
+    Each relation is decided by ``Relation.holds``; the bracket matrix is
     built only to describe a failure."""
     deviations = []
     for rel in table.relations:
-        left, right = ops[rel.left], ops[rel.right]
-        result = None if rel.result is None or not rel.coeff else ops[rel.result]
-        if result is None or result.is_zero():
-            held = commutes(left, right)
-        else:
-            held = bracket_multiple(left, right, result) == rel.coeff
-        if not held:
-            got_text = describe(commutator(left, right)) if describe else "<differs>"
-            deviations.append(Deviation(rel.text, got_text))
+        if not rel.holds(ops):
+            got = describe(commutator(ops[rel.left], ops[rel.right])) if describe else "<differs>"
+            deviations.append(Deviation(rel.text, got))
     return TableReport(table.name, len(table.relations), deviations)
 
 

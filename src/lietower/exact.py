@@ -26,8 +26,7 @@ sums without building it: [a, b] = 0 when every sum is 0 + 0i, and
 [a, b] = lambda*c when lambda, read at c's first stored key, matches every
 other nonzero sum against c's entry there by cross-multiplied integers, no
 nonzero sum lies outside c's support and, for a nonzero lambda, none of c's
-entries is missing; only lambda is reduced.  ``scalar_multiple_of`` runs
-the same rule on a matrix's stored entries.
+entries is missing; only lambda is reduced.
 ``pairwise_commutators`` brackets every pair of a family in one sparse join:
 it indexes the stored entries of all members by row, meets each entry
 (i, k) only with the entries in row k, and sums each product into the
@@ -506,16 +505,6 @@ def linear_combination(
     return ExactMatrix._of(dim, out)
 
 
-def _check_reference(a: ExactMatrix, ref: ExactMatrix) -> None:
-    """Raise unless ``ref`` is a nonzero matrix of the size of ``a``: the zero
-    matrix has every matrix as a multiple, so asking for a coefficient
-    against it signals a caller bug."""
-    if a.dim != ref.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {ref.dim}")
-    if ref.is_zero():
-        raise ValueError("reference matrix is zero")
-
-
 def _proportion(sums: _Triples, ref: _Entries) -> Optional[GaussianRational]:
     """The lambda with sums == lambda * ref, or None.
 
@@ -546,26 +535,20 @@ def _proportion(sums: _Triples, ref: _Entries) -> Optional[GaussianRational]:
     return _reduced(u_re * v_re + u_im * v_im, u_im * v_re - u_re * v_im, norm)
 
 
-def scalar_multiple_of(
-    a: ExactMatrix, b: ExactMatrix
-) -> Optional[GaussianRational]:
-    """Return lambda with a == lambda*b if one exists, else None.
-
-    b must be a nonzero matrix of the same size.
-    """
-    _check_reference(a, b)
-    return _proportion({k: (x._a, x._b, x._d) for k, x in a._entries.items()}, b._entries)
-
-
 def bracket_multiple(
     a: ExactMatrix, b: ExactMatrix, c: ExactMatrix
 ) -> Optional[GaussianRational]:
     """Return lambda with [a, b] == lambda*c if one exists, else None.
 
-    c must be a nonzero matrix of the same size.  The bracket is judged on
-    its unreduced sums, so no bracket matrix is built.
+    c must be a nonzero matrix of the same size: the zero matrix has every
+    matrix as a multiple, so asking for a coefficient against it signals a
+    caller bug.  The bracket is judged on its unreduced sums, so no bracket
+    matrix is built.
     """
-    _check_reference(a, c)
+    if a.dim != c.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {c.dim}")
+    if c.is_zero():
+        raise ValueError("reference matrix is zero")
     return _proportion(_bracket_sums(a, b), c._entries)
 
 

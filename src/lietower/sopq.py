@@ -14,8 +14,12 @@ The realisation is *validated*, never assumed: ``verify_commutation`` checks
 every unordered generator pair against the symbolic right-hand side, exactly.
 Each generator set computes those brackets once, in one sparse join
 (``exact.pairwise_commutators``) that fills its lazily built ``brackets``
-table; the commutation sweep, the Cartan search and the hydrogen-alias
-check all read that table.
+table; the commutation sweep and the Cartan search read that table.
+
+A printed bracket table is a ``RelationTable`` of ``Relation`` rows, each
+decided by ``Relation.holds`` on the unreduced sums of its bracket.  The
+hydrogen-alias table of signature (4,2) is one; its check brackets the
+aliases pair by pair, independently of the join.
 """
 
 from __future__ import annotations
@@ -23,14 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .exact import (
     ExactMatrix,
     GaussianRational,
     I,
+    ONE,
     SpanSolver,
-    ZERO,
+    bracket_multiple,
+    commutator,
+    commutes,
     linear_combination,
     pairwise_commutators,
 )
@@ -84,9 +91,10 @@ class GeneratorSet:
 
     Lookup resolves the antisymmetry convention: ``gen(b, a)`` is
     ``-gen(a, b)`` and ``gen(a, a)`` is the zero matrix.  The bracket table
-    ``brackets`` and the span solver ``solver`` are built from the current
-    matrices on first read, never in the constructor, so a generator
-    overwritten before then is what they see.
+    ``brackets``, keyed by pairs a < b in ``pairs`` order, and the span
+    solver ``solver`` are built from the current matrices on first read,
+    never in the constructor, so a generator overwritten before then is
+    what they see.
     """
 
     def __init__(self, metric: Metric):
@@ -132,21 +140,6 @@ class GeneratorSet:
         # factoring raises ValueError on a dependent set; one factorisation
         # serves every expansion in the generator basis
         return SpanSolver(self.matrices())
-
-    def bracket(self, left: IndexPair, right: IndexPair) -> ExactMatrix:
-        """[L_left, L_right] read from ``brackets``, for index pairs in either
-        order: L_ba = -L_ab, and a pair brackets to zero with itself."""
-        sign = 1
-        if left[0] > left[1]:
-            left, sign = left[::-1], -sign
-        if right[0] > right[1]:
-            right, sign = right[::-1], -sign
-        if left > right:
-            left, right, sign = right, left, -sign
-        got = self.brackets.get((left, right))
-        if got is None:
-            return self.zero
-        return got if sign > 0 else -got
 
 
 def build_generators(metric: Metric) -> GeneratorSet:
@@ -286,6 +279,54 @@ def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
     )
 
 
+# -- printed relation tables -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Relation:
+    """[left, right] = coeff * result, with result None meaning zero."""
+
+    left: str
+    right: str
+    coeff: GaussianRational
+    result: Optional[str]
+
+    @property
+    def text(self) -> str:
+        if self.result is None or not self.coeff:
+            return f"[{self.left},{self.right}] = 0"
+        if self.coeff == ONE:
+            rhs = self.result
+        elif self.coeff == -ONE:
+            rhs = f"-{self.result}"
+        else:
+            rhs = f"({self.coeff})*{self.result}"
+        return f"[{self.left},{self.right}] = {rhs}"
+
+    def holds(self, ops: Mapping[str, ExactMatrix]) -> bool:
+        """Whether the named matrices satisfy the relation, decided on the
+        unreduced sums of their bracket: by ``commutes`` when the right-hand
+        side is zero, a zero result operator included, and by
+        ``bracket_multiple`` otherwise."""
+        left, right = ops[self.left], ops[self.right]
+        result = None if self.result is None or not self.coeff else ops[self.result]
+        if result is None or result.is_zero():
+            return commutes(left, right)
+        return bracket_multiple(left, right, result) == self.coeff
+
+
+@dataclass(frozen=True)
+class RelationTable:
+    name: str
+    relations: tuple[Relation, ...]
+
+
+def _rel(left: str, right: str, coeff, result: Optional[str]) -> Relation:
+    if isinstance(coeff, int):
+        coeff = GaussianRational(coeff)
+    return Relation(left=left, right=right, coeff=coeff, result=result)
+
+
 # -- hydrogen aliases for signature (4,2) -----------------------------------
 #
 # L1..L3: angular momentum; A1..A3: Laplace-Runge-Lenz vector; B, G (Gamma):
@@ -317,25 +358,27 @@ def hydrogen_aliases(gs: GeneratorSet) -> dict[str, ExactMatrix]:
     return {name: gs.gen(a, b) for name, (a, b) in _HYDROGEN_ALIAS_PAIRS.items()}
 
 
-# The printed bracket table for the angular-momentum/boost pair (L, B),
-# encoded as (left, right, coefficient, result); result None means zero.
-HYDROGEN_LB_TABLE: list[tuple[str, str, GaussianRational, Optional[str]]] = [
-    ("L1", "L2", -I, "L3"),
-    ("L2", "L3", -I, "L1"),
-    ("L3", "L1", -I, "L2"),
-    ("B1", "B2", I, "L3"),
-    ("B2", "B3", I, "L1"),
-    ("B3", "B1", I, "L2"),
-    ("L1", "B1", ZERO, None),
-    ("L2", "B2", ZERO, None),
-    ("L3", "B3", ZERO, None),
-    ("L1", "B2", -I, "B3"),
-    ("L1", "B3", I, "B2"),
-    ("L2", "B3", -I, "B1"),
-    ("L2", "B1", I, "B3"),
-    ("L3", "B1", -I, "B2"),
-    ("L3", "B2", I, "B1"),
-]
+# The printed bracket table for the angular-momentum/boost pair (L, B).
+HYDROGEN_LB_TABLE = RelationTable(
+    "hydrogen-LB",
+    (
+        _rel("L1", "L2", -I, "L3"),
+        _rel("L2", "L3", -I, "L1"),
+        _rel("L3", "L1", -I, "L2"),
+        _rel("B1", "B2", I, "L3"),
+        _rel("B2", "B3", I, "L1"),
+        _rel("B3", "B1", I, "L2"),
+        _rel("L1", "B1", 0, None),
+        _rel("L2", "B2", 0, None),
+        _rel("L3", "B3", 0, None),
+        _rel("L1", "B2", -I, "B3"),
+        _rel("L1", "B3", I, "B2"),
+        _rel("L2", "B3", -I, "B1"),
+        _rel("L2", "B1", I, "B3"),
+        _rel("L3", "B1", -I, "B2"),
+        _rel("L3", "B2", I, "B1"),
+    ),
+)
 
 _EPS = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -370,20 +413,15 @@ class HydrogenAliasReport:
         return all(c.passed for c in self.checks)
 
 
-def _epsilon_handedness(
-    bracket: Callable[[str, str], ExactMatrix],
-    alias: dict[str, ExactMatrix],
-    left: str,
-    right: str,
-    result: str,
-) -> str:
-    """Which of [x_i, y_j] = +/- i eps_ijk z_k the matrices satisfy."""
+def _epsilon_handedness(alias: Mapping[str, ExactMatrix], x: str, y: str, z: str) -> str:
+    """Which of [x_i, y_j] = +/- i eps_ijk z_k the matrices satisfy, read
+    from the coefficient that ``bracket_multiple`` gives each bracket."""
     found = set()
     for (i, j, k), eps in _EPS.items():
-        got = bracket(f"{left}{i}", f"{right}{j}")
-        if got == alias[f"{result}{k}"] * (I * eps):
+        lam = bracket_multiple(alias[f"{x}{i}"], alias[f"{y}{j}"], alias[f"{z}{k}"])
+        if lam == I * eps:
             found.add("+i eps_ijk")
-        elif got == alias[f"{result}{k}"] * (-I * eps):
+        elif lam == _MINUS_I * eps:
             found.add("-i eps_ijk")
         else:
             found.add("neither")
@@ -391,27 +429,25 @@ def _epsilon_handedness(
 
 
 def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
-    """Check the printed alias tables against ``gs.brackets``.
+    """Check the printed alias table, and the handedness of three alias
+    families, on the alias matrices of ``gs``.
 
-    Every alias is a signed generator, so each bracket is read from the
-    table with the sign of its index order (L2 = L31 = -L13).
+    Every row is decided by ``Relation.holds``, and its ``got`` is the bracket
+    rendered in the alias basis.  The aliases are bracketed pair by pair,
+    independently of the ``gs.brackets`` join.
     """
     alias = hydrogen_aliases(gs)
     describe = SpanSolver(list(alias.values())).describer(list(alias), "<outside alias span>")
-
-    def bracket(left: str, right: str) -> ExactMatrix:
-        return gs.bracket(_HYDROGEN_ALIAS_PAIRS[left], _HYDROGEN_ALIAS_PAIRS[right])
-
-    checks = []
-    for left, right, coeff, result in HYDROGEN_LB_TABLE:
-        got = bracket(left, right)
-        expected = gs.zero if result is None else alias[result] * coeff
-        rel = f"[{left},{right}] = ({coeff})*{result}" if result else f"[{left},{right}] = 0"
-        checks.append(AliasCheck(relation=rel, passed=got == expected, got=describe(got)))
+    checks = [
+        AliasCheck(
+            rel.text, rel.holds(alias), describe(commutator(alias[rel.left], alias[rel.right]))
+        )
+        for rel in HYDROGEN_LB_TABLE.relations
+    ]
     families = {
-        "[L,L]": _epsilon_handedness(bracket, alias, "L", "L", "L"),
-        "[L,A]": _epsilon_handedness(bracket, alias, "L", "A", "A"),
-        "[A,A]": _epsilon_handedness(bracket, alias, "A", "A", "L"),
+        "[L,L]": _epsilon_handedness(alias, "L", "L", "L"),
+        "[L,A]": _epsilon_handedness(alias, "L", "A", "A"),
+        "[A,A]": _epsilon_handedness(alias, "A", "A", "L"),
     }
     return HydrogenAliasReport(
         checks=checks,

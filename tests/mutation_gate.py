@@ -164,6 +164,18 @@ MUTANTS = (
         "if next((c for c in reversed(up) if c), 0) > 0:",
         "Weyl generators oriented the other way",
     ),
+    Mutant(
+        "src/lietower/sopq.py",
+        'found.add("+i eps_ijk")',
+        'found.add("-i eps_ijk")',
+        "an alias family of +i eps_ijk handedness is reported as -i eps_ijk",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "return bracket_multiple(left, right, result) == self.coeff",
+        "return bracket_multiple(left, right, result) is not None",
+        "a printed relation holds for any multiple of its result",
+    ),
 )
 
 EQUIVALENT = (
@@ -178,7 +190,7 @@ EQUIVALENT = (
         "src/lietower/verify.py",
         'rep.ok and rep.epsilon_convention == "-i eps_ijk"',
         "rep.ok",
-        "gs.bracket is antisymmetric by construction, so the three -i rows of "
+        "a commutator is antisymmetric by construction, so the three -i rows of "
         "HYDROGEN_LB_TABLE that rep.ok requires force the -i eps_ijk handedness, "
         "and a zero alias is refused by the alias SpanSolver",
     ),

@@ -19,7 +19,6 @@ from lietower.exact import (
     commutes,
     pairwise_commutators,
     rank,
-    scalar_multiple_of,
 )
 from lietower.sopq import Metric, build_generators
 
@@ -333,25 +332,7 @@ def test_rank_permutation_invariant():
         assert rank(shuffled) == base
 
 
-# -- scalar_multiple_of ----------------------------------------------------
-
-
-def test_scalar_multiple_simple():
-    rng = random.Random(11)
-    b = random_matrix(rng)
-    assert scalar_multiple_of(b * g(2), b) == g(2)
-    assert scalar_multiple_of(ExactMatrix.zeros(3), b) == g(0)
-
-
-def test_scalar_multiple_absent():
-    a = ExactMatrix([[g(1), g(0)], [g(0), g(2)]])
-    b = ExactMatrix([[g(1), g(0)], [g(0), g(1)]])
-    assert scalar_multiple_of(a, b) is None
-
-
-def test_scalar_multiple_zero_reference_rejected():
-    with pytest.raises(ValueError):
-        scalar_multiple_of(ExactMatrix.identity(2), ExactMatrix.zeros(2))
+# -- commutes and bracket_multiple ------------------------------------------
 
 
 def test_raising_operator_eigenvalue(gs42):
@@ -359,11 +340,7 @@ def test_raising_operator_eigenvalue(gs42):
     from lietower.cartan import subalgebra_basis
 
     basket = subalgebra_basis(gs42, yao_basis(gs42))["so4"]
-    got = scalar_multiple_of(commutator(basket["K3"], basket["K+"]), basket["K+"])
-    assert got == g(1)
-
-
-# -- commutes and bracket_multiple ------------------------------------------
+    assert bracket_multiple(basket["K3"], basket["K+"], basket["K+"]) == g(1)
 
 
 def _embedded(m, dim):

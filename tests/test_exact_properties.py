@@ -34,7 +34,6 @@ from lietower.exact import (  # noqa: E402
     linear_combination,
     pairwise_commutators,
     rank,
-    scalar_multiple_of,
 )
 
 KERNEL = settings(derandomize=True, database=None, deadline=None)
@@ -264,16 +263,6 @@ def test_scaled_identity_matches_dense(pair, s):
         assert m.scaled_identity() == dense_scaled_identity(dense(m))
 
 
-@KERNEL
-@given(sparse_pairs(), scalars)
-def test_scalar_multiple_of_matches_dense(pair, s):
-    a, b = pair
-    if b.is_zero():
-        return
-    for m in (a, b * s, b * s + a, ExactMatrix.zeros(b.dim)):
-        assert scalar_multiple_of(m, b) == dense_scalar_multiple(dense(m), dense(b))
-
-
 @st.composite
 def sparse_triples(draw):
     """Three same-size matrices with at most ``dim`` nonzero slots each."""
@@ -290,9 +279,8 @@ def test_bracket_decisions_match_the_bracket_matrix(triple, s):
     assert commutes(a, b) == bracket.is_zero()
     for ref in (c, bracket, bracket * s, bracket * s + c):
         if not ref.is_zero():
-            want = scalar_multiple_of(bracket, ref)
+            want = dense_scalar_multiple(dense(bracket), dense(ref))
             assert bracket_multiple(a, b, ref) == want
-            assert want == dense_scalar_multiple(dense(bracket), dense(ref))
 
 
 @KERNEL

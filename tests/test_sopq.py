@@ -130,30 +130,23 @@ def test_bracket_table_holds_only_nonzero_brackets(gs42):
         assert got == commutator(gs42.gen(*left), gs42.gen(*right))
 
 
-def test_table_bracket_resolves_index_order(gs42):
-    # L_ba = -L_ab on either side, and a pair with itself brackets to zero
-    ordered = [(a, b) for a in range(1, 7) for b in range(1, 7) if a != b]
-    for left in ordered:
-        for right in ordered:
-            got = gs42.bracket(left, right)
-            assert got == commutator(gs42.gen(*left), gs42.gen(*right)), (left, right)
-
-
 # Each generator pair is bracketed once per verdict, in ``gs.brackets``, by one
 # ``pairwise_commutators`` join, so a generic signature makes no per-pair
-# bracket; the alias suite and ``cartan_is_maximal`` read that table too.
-# 4,2 and 4,4 add the per-pair brackets of their table, root and Casimir
-# suites, and 4,2 the 3 of the Cartan zero-root check, which brackets the
-# three Cartan members pair by pair to cross-check the join.  A judged bracket
-# is decided by ``commutes`` (zero right-hand side, Casimir invariance, zero
-# roots) or ``bracket_multiple`` (printed tables, root extraction) on its
-# unreduced sums: 144 brackets on 4,2 and 276 on 4,4.  ``commutator`` builds a
-# bracket matrix only to render a printed-table deviation, once each: the
-# 6 + 6 + 11 known misprints of 4,4.
+# bracket; ``cartan_is_maximal`` reads that table too.  4,2 and 4,4 add the
+# per-pair brackets of their table, root and Casimir suites.  4,2 also adds
+# the 3 of the Cartan zero-root check and the 15 + 18 of the alias suite (its
+# printed rows and its 3 x 6 handedness brackets), which bracket their
+# operands pair by pair to cross-check the join.  A judged bracket is decided
+# by ``commutes`` (zero right-hand side, Casimir invariance, zero roots) or
+# ``bracket_multiple`` (printed tables, handedness, root extraction) on its
+# unreduced sums: 177 brackets on 4,2 and 276 on 4,4.  ``commutator`` builds a
+# bracket matrix only to render a relation: the 15 alias rows of 4,2, each
+# rendered whether it holds or not, and on 4,4 the 6 + 6 + 11 known
+# misprints, once each.
 @pytest.mark.parametrize(
     "p, q, calls",
     [
-        (4, 2, {"commutator": 0, "commutes": 84, "bracket_multiple": 60}),
+        (4, 2, {"commutator": 15, "commutes": 87, "bracket_multiple": 90}),
         (4, 4, {"commutator": 23, "commutes": 108, "bracket_multiple": 168}),
         (5, 5, {"commutator": 0, "commutes": 0, "bracket_multiple": 0}),
         (3, 0, {"commutator": 0, "commutes": 0, "bracket_multiple": 0}),
@@ -320,6 +313,25 @@ def test_alias_report_json(gs42):
         "[L,A]": "-i eps_ijk",
         "[A,A]": "-i eps_ijk",
     }
+
+
+def test_negated_generators_close_right_handed():
+    # L_ab -> -L_ab for every generator, written after construction as the
+    # L12 fault is: each bracket keeps its matrix while its result flips
+    # sign, so every alias family closes with +i eps_ijk, only the three zero
+    # rows of the printed table hold, and the verify suite fails
+    gs = build_generators(Metric(4, 2))
+    for pair in gs.pairs:
+        gs._gens[pair] = -gs._gens[pair]
+    report = hydrogen_alias_check(gs)
+    assert report.family_conventions == dict.fromkeys(["[L,L]", "[L,A]", "[A,A]"], "+i eps_ijk")
+    assert report.epsilon_convention == "+i eps_ijk"
+    assert [c.relation for c in report.checks if c.passed] == [
+        "[L1,B1] = 0",
+        "[L2,B2] = 0",
+        "[L3,B3] = 0",
+    ]
+    assert not lietower.verify._hydrogen_aliases(lietower.verify.SuiteContext(gs)).passed
 
 
 def test_span_describer(gs42):
