@@ -11,7 +11,7 @@ from .exact import (
     commutator,
     rank,
 )
-from .sopq import GeneratorSet, Metric, bracket_table, build_generators, verify_commutation
+from .sopq import GeneratorSet, Metric, build_generators, verify_commutation
 from .cartan import (
     RootVector,
     adapted_basis,
@@ -61,7 +61,6 @@ __all__ = [
     "antimatter_mirror",
     "apply_ladder",
     "assign_elements",
-    "bracket_table",
     "build_generators",
     "casimir",
     "commutator",

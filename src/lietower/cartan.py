@@ -78,16 +78,17 @@ def star_certificate(gs: GeneratorSet) -> bool:
     the size of a commuting set of its generators by floor(n/2).
 
     The star S_a is the set of generators that carry index a; its members
-    pairwise fail to commute when every pair of them has an entry in
-    ``gs.brackets``.  Every generator lies in exactly two stars and a
-    commuting set meets each star at most once, so then 2 * size <= n.
+    pairwise fail to commute when every pair of their generator indices
+    has an entry in ``gs.brackets``.  Every generator lies in exactly two
+    stars and a commuting set meets each star at most once, so then
+    2 * size <= n.
     This is the clique number bounded by the fractional chromatic number
     (Lovasz 1978); it assumes no symmetry of the matrices.
     """
     return all(
         (x, y) in gs.brackets
         for a in range(1, gs.metric.dim + 1)
-        for x, y in combinations([pair for pair in gs.pairs if a in pair], 2)
+        for x, y in combinations([k for k, pair in enumerate(gs.pairs) if a in pair], 2)
     )
 
 
@@ -95,7 +96,7 @@ def find_cartan(gs: GeneratorSet) -> dict[str, ExactMatrix]:
     """Maximum pairwise-commuting subset of the rotation generators, as a
     name -> matrix map in generator order.
 
-    Two generators commute when their pair has no entry in ``gs.brackets``,
+    Generators s < t commute when ``gs.brackets`` has no entry (s, t),
     so commutation is decided by exact matrix arithmetic, not by index
     bookkeeping.  One depth-first search over the generator family extends
     cliques in ascending index order and keeps a clique only when it is
@@ -109,12 +110,8 @@ def find_cartan(gs: GeneratorSet) -> dict[str, ExactMatrix]:
     (L12, L34, ...).  Otherwise, as for a corrupted generator set, the bound
     is the number of generators and the search is exhaustive.
     """
-    pairs = gs.pairs
-    index = {pair: k for k, pair in enumerate(pairs)}
-    adj = [[True] * len(pairs) for _ in pairs]
-    for x, y in gs.brackets:
-        adj[index[x]][index[y]] = adj[index[y]][index[x]] = False
-    bound = gs.metric.dim // 2 if star_certificate(gs) else len(pairs)
+    brackets = gs.brackets
+    bound = gs.metric.dim // 2 if star_certificate(gs) else len(gs)
     best: list[int] = []
 
     def extend(chosen: list[int], candidates: list[int]) -> bool:
@@ -128,11 +125,13 @@ def find_cartan(gs: GeneratorSet) -> dict[str, ExactMatrix]:
         for idx, v in enumerate(candidates):
             if len(chosen) + len(candidates) - idx <= len(best):
                 return False
-            if extend(chosen + [v], [u for u in candidates[idx + 1 :] if adj[v][u]]):
+            # candidates ascend, so v < u is the key order of the join
+            rest = [u for u in candidates[idx + 1 :] if (v, u) not in brackets]
+            if extend(chosen + [v], rest):
                 return True
         return False
 
-    extend([], list(range(len(pairs))))
+    extend([], list(range(len(gs))))
     mats = gs.matrices()
     return {gs.names[k]: mats[k] for k in best}
 
@@ -140,11 +139,11 @@ def find_cartan(gs: GeneratorSet) -> dict[str, ExactMatrix]:
 def cartan_is_maximal(gs: GeneratorSet, cartan: Mapping[str, ExactMatrix]) -> bool:
     """No generator of ``gs`` outside ``cartan``, a set of its generators,
     commutes with every member, by ``gs.brackets``."""
-    members = [pair for pair, name in zip(gs.pairs, gs.names) if name in cartan]
+    members = [k for k, name in enumerate(gs.names) if name in cartan]
     return all(
-        any((min(pair, h), max(pair, h)) in gs.brackets for h in members)
-        for pair in gs.pairs
-        if pair not in members
+        any((min(k, h), max(k, h)) in gs.brackets for h in members)
+        for k in range(len(gs))
+        if k not in members
     )
 
 

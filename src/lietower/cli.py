@@ -222,7 +222,7 @@ def cmd_elements(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise CliError(exc.args[0]) from exc
     node = None
-    if args.node:
+    if args.node is not None:
         parts = args.node.split(",")
         if len(parts) != 3:
             raise CliError("--node expects l,ldot,nu")

@@ -36,11 +36,12 @@ nothing; a generic ``verify`` builds its whole bracket table this way.
 Indexing, ``rows`` and ``str`` read the matrix as if it were dense.  A
 scalar multiplies a matrix from either side, a ``GaussianRational``
 included.  Rank and basis expansion share one Gauss-Jordan elimination over
-Q(i) on sparse {flat index: value} rows: ``rank`` counts its reduced rows
-and ``SpanSolver`` keeps them, with the combination of inputs behind each,
-to answer repeated expansion queries.  Identities are decided by exact
-equality, of matrices or of integer sums; expansion is for rendering a
-matrix in a basis and for testing that a basis is independent.
+Q(i) whose rows are the matrices' own {(row, col): value} maps, pivoting in
+row-major order: ``rank`` counts its reduced rows and ``SpanSolver`` keeps
+them, with the combination of inputs behind each, to answer repeated
+expansion queries.  Identities are decided by exact equality, of matrices
+or of integer sums; expansion is for rendering a matrix in a basis and for
+testing that a basis is independent.
 """
 
 from __future__ import annotations
@@ -554,26 +555,20 @@ def bracket_multiple(
 
 # -- exact elimination --------------------------------------------------------
 
-# A reduced row: (pivot, the row as {flat index: entry}, the row as a
-# combination {input index: coefficient} of the inputs).
-_Sparse = dict[int, GaussianRational]
-_Row = tuple[int, _Sparse, _Sparse]
+# A reduced row: (pivot, the row as a matrix's own {(row, col): entry} map,
+# the row as a combination {input index: coefficient} of the inputs).
+_Row = tuple[tuple[int, int], _Entries, dict[int, GaussianRational]]
 
 
-def _flat(mat: ExactMatrix) -> _Sparse:
-    """The nonzero entries keyed by row-major flat index."""
-    n = mat.dim
-    return {i * n + j: v for (i, j), v in mat._entries.items()}
-
-
-def _add_scaled(target: _Sparse, c: GaussianRational, source: _Sparse) -> None:
+def _add_scaled(target: dict, c: GaussianRational, source: dict) -> None:
     """target += c * source, in place."""
     for idx, v in source.items():
         _accumulate(target, idx, c * v)
 
 
 def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int]]:
-    """Reduced row-echelon form of the flattened matrices over Q(i).
+    """Reduced row-echelon form of the matrices over Q(i), each read as one
+    row of its entries, with (row, col) keys in row-major order.
 
     Returns the reduced rows sorted by pivot and the indices of the inputs
     that depend on earlier ones.
@@ -583,7 +578,7 @@ def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int
     for k, mat in enumerate(matrices):
         if mat.dim != matrices[0].dim:
             raise ValueError("matrices must share a dimension")
-        vec = _flat(mat)
+        vec = dict(mat._entries)
         combo = {k: ONE}
         for pivot, pvec, pcombo in rows:
             c = vec.get(pivot)
@@ -615,8 +610,9 @@ def rank(matrices: Sequence[ExactMatrix]) -> int:
 class SpanSolver:
     """Reduced-echelon factorisation of a fixed spanning set.
 
-    Factors the flattened basis once, so each expansion is one sparse sweep;
-    a passing verdict expands 15 times on (4,2), 23 on (4,4), 0 on (5,5).
+    Factors the basis once, each matrix read as one row of its (row, col)
+    entries, so each expansion is one sparse sweep; a passing verdict
+    expands 15 times on (4,2), 23 on (4,4), 0 on (5,5).
     """
 
     def __init__(self, basis: Sequence[ExactMatrix]):
@@ -632,8 +628,8 @@ class SpanSolver:
         """Coefficients of x in the basis, or None if x is outside the span."""
         if x.dim != self.dim:
             raise ValueError("dimension mismatch")
-        vec = _flat(x)
-        coeffs: _Sparse = {}
+        vec = dict(x._entries)
+        coeffs: dict[int, GaussianRational] = {}
         for pivot, pvec, pcombo in self._rows:
             c = vec.get(pivot)
             if c is not None:

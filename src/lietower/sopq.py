@@ -14,7 +14,8 @@ The realisation is *validated*, never assumed: ``verify_commutation`` checks
 every unordered generator pair against the symbolic right-hand side, exactly.
 Each generator set computes those brackets once, in one sparse join
 (``exact.pairwise_commutators``) that fills its lazily built ``brackets``
-table; the commutation sweep and the Cartan search read that table.
+table, keyed by generator indices as the join makes them; the commutation
+sweep and the Cartan search read that table.
 
 A printed bracket table is a ``RelationTable`` of ``Relation`` rows, each
 decided by ``Relation.holds`` on the unreduced sums of its bracket.  The
@@ -132,8 +133,8 @@ class GeneratorSet:
         return [self._gens[pair] for pair in self.pairs]
 
     @cached_property
-    def brackets(self) -> BracketTable:
-        return bracket_table(self)
+    def brackets(self) -> dict[tuple[int, int], ExactMatrix]:
+        return pairwise_commutators(self.matrices())
 
     @cached_property
     def solver(self) -> SpanSolver:
@@ -216,26 +217,12 @@ class CommutationReport:
         return not self.failures
 
 
-BracketTable = dict[tuple[IndexPair, IndexPair], ExactMatrix]
-
-
-def bracket_table(gs: GeneratorSet) -> BracketTable:
-    """The nonzero commutators [L_left, L_right] of the current matrices of
-    ``gs``, keyed by (left, right) with left before right in ``gs.pairs``,
-    which is lexicographic order.  A commuting pair has no entry.
-    """
-    pairs = gs.pairs
-    return {
-        (pairs[s], pairs[t]): got
-        for (s, t), got in pairwise_commutators(gs.matrices()).items()
-    }
-
-
 def verify_commutation(gs: GeneratorSet) -> CommutationReport:
     """Check every unordered generator pair against the symbolic bracket.
 
     Each pair is decided by exact matrix equality between its entry in
-    ``gs.brackets`` (zero when absent) and the materialized right-hand side.
+    ``gs.brackets`` (zero when absent), keyed by the two generator indices,
+    and the materialized right-hand side.
     ``gs.solver`` is read first: its factoring raises ``ValueError`` on a
     dependent set, and only for independent generators does equality of the
     matrices mean equality of the coefficients.  A mismatch is a failure
@@ -248,8 +235,8 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
     # each distinct right-hand side is materialized once per sweep
     expected: dict[tuple, ExactMatrix] = {}
     failures: list[PairFailure] = []
-    for left, right in combinations(gs.pairs, 2):
-        got = brackets.get((left, right), gs.zero)
+    for (s, left), (t, right) in combinations(enumerate(gs.pairs), 2):
+        got = brackets.get((s, t), gs.zero)
         expected_terms = expected_bracket(metric, left, right)
         key = tuple(expected_terms)
         want = expected.get(key)

@@ -124,7 +124,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/cartan.py",
-        "any((min(pair, h), max(pair, h)) in gs.brackets for h in members)",
+        "any((min(k, h), max(k, h)) in gs.brackets for h in members)",
         "True",
         "cartan_is_maximal always true",
     ),
@@ -175,6 +175,24 @@ MUTANTS = (
         "return bracket_multiple(left, right, result) == self.coeff",
         "return bracket_multiple(left, right, result) is not None",
         "a printed relation holds for any multiple of its result",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "if got != want:",
+        "if got != want and not want.is_zero():",
+        "the commutation sweep ignores a pair that should commute but does not",
+    ),
+    Mutant(
+        "src/lietower/verify.py",
+        "table.roots == PUBLISHED_ROOTS_RANK3 and zero_ok,",
+        "zero_ok,",
+        "rank-3 judge passes a root table off the published one",
+    ),
+    Mutant(
+        "src/lietower/verify.py",
+        "extraction_ok = len(roots) == 24 and all(",
+        "extraction_ok = all(",
+        "rank-4 judge passes a table with a missing root",
     ),
 )
 

@@ -43,10 +43,17 @@ from lietower.cartan import (
     yao_basis,
 )
 from lietower.cli import main
-from lietower.exact import ExactMatrix, GaussianRational, I, SpanSolver, commutator, rank
+from lietower.exact import (
+    ExactMatrix,
+    GaussianRational,
+    I,
+    SpanSolver,
+    commutator,
+    pairwise_commutators,
+    rank,
+)
 from lietower.sopq import (
     Metric,
-    bracket_table,
     build_generators,
     hydrogen_aliases,
 )
@@ -138,8 +145,11 @@ def _exhaustive_cartan(gs):
     """Names of the lexicographically first maximum clique, by the
     depth-first search without an upper bound: every branch that could
     still beat the best clique is searched."""
-    pairs = gs.pairs
-    adj = [[(min(x, y), max(x, y)) not in gs.brackets for y in pairs] for x in pairs]
+    size = len(gs)
+    adj = [
+        [(min(s, t), max(s, t)) not in gs.brackets for t in range(size)]
+        for s in range(size)
+    ]
     best = []
 
     def extend(chosen, candidates):
@@ -151,7 +161,7 @@ def _exhaustive_cartan(gs):
                 return
             extend(chosen + [v], [u for u in candidates[idx + 1 :] if adj[v][u]])
 
-    extend([], list(range(len(pairs))))
+    extend([], list(range(size)))
     return [gs.names[k] for k in best]
 
 
@@ -166,11 +176,12 @@ def test_cartan_matches_exhaustive_search(p, q):
     assert len(names) == (p + q) // 2
 
 
-def _star_broken_so42():
-    """gs42 with L13 overwritten by 2*L12: L12 and L13 share index 1 but
-    commute, so the star of index 1 is no longer pairwise non-commuting and
-    the largest commuting set, L12, L13, L34, L56, exceeds floor(6/2)."""
-    gs = build_generators(Metric(4, 2))
+def _star_broken(metric):
+    """The generators of ``metric`` with L13 overwritten by 2*L12: L12 and
+    L13 share index 1 but commute, so the star of index 1 is no longer
+    pairwise non-commuting and the largest commuting set, for 4,2 L12, L13,
+    L34, L56, exceeds floor(n/2)."""
+    gs = build_generators(metric)
     gs._gens[(1, 3)] = gs.gen(1, 2) * 2
     return gs
 
@@ -180,7 +191,7 @@ def test_cartan_star_violation_takes_exhaustive_fallback(monkeypatch):
     # signature searched first must not let the broken one stop early
     genuine = build_generators(Metric(4, 2))
     assert list(find_cartan(genuine)) == ["L12", "L34", "L56"]
-    gs = _star_broken_so42()
+    gs = _star_broken(Metric(4, 2))
     assert not star_certificate(gs)
     names = list(find_cartan(gs))
     assert names == _brute_force_cartan(gs) == _exhaustive_cartan(gs)
@@ -188,6 +199,15 @@ def test_cartan_star_violation_takes_exhaustive_fallback(monkeypatch):
     # trusting the bound floor(6/2) here would stop one member short
     monkeypatch.setattr(lietower.cartan, "star_certificate", lambda gs: True)
     assert list(find_cartan(gs)) == ["L12", "L13", "L34"]
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p, q in SMALL_SIGNATURES if p + q >= 3])
+def test_cartan_star_violation_searched_exhaustively(p, q):
+    gs = _star_broken(Metric(p, q))
+    assert not star_certificate(gs)
+    names = list(find_cartan(gs))
+    assert names == _brute_force_cartan(gs) == _exhaustive_cartan(gs)
+    assert len(names) == (p + q) // 2 + 1
 
 
 def test_cartan_members_commute(gs44):
@@ -428,7 +448,7 @@ def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
     ids=lambda a: " ".join(a),
 )
 def test_command_builds_one_chain(capsys, monkeypatch, argv):
-    counts = {"bracket_table": 0, "find_cartan": 0}
+    counts = {"pairwise_commutators": 0, "find_cartan": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -437,12 +457,15 @@ def test_command_builds_one_chain(capsys, monkeypatch, argv):
 
         return wrapper
 
-    for name, fn in (("bracket_table", bracket_table), ("find_cartan", find_cartan)):
+    for name, fn in (
+        ("pairwise_commutators", pairwise_commutators),
+        ("find_cartan", find_cartan),
+    ):
         for module in (lietower.sopq, lietower.cartan, lietower.verify, lietower.cli):
             monkeypatch.setattr(module, name, counted(name, fn), raising=False)
     assert main(list(argv)) == 0
     capsys.readouterr()
-    assert counts == {"bracket_table": 1, "find_cartan": 1}
+    assert counts == {"pairwise_commutators": 1, "find_cartan": 1}
 
 
 @pytest.mark.parametrize("signature", ["4,2", "4,4"])
@@ -523,6 +546,16 @@ def test_judge_rank3_fails_on_a_non_commuting_cartan(gs42, members):
     )
 
 
+def test_judge_rank3_fails_on_a_wrong_published_row(gs42):
+    # commuting Cartan members do not make up for a root off the table
+    ctx = SuiteContext(gs42)
+    table = ctx.roots
+    bad = RootTable(table.cartan, {**table.roots, "K+": tuple(map(Fraction, (1, 1, 1)))})
+    passed, summary = _judge_rank3(ctx, bad)
+    assert not passed
+    assert summary.startswith("11/12 published rows")
+
+
 def test_complex_root_component_rejected():
     # a boost Cartan member: [L56, L15 + L16] = -i (L15 + L16) on 5,5
     gs = build_generators(Metric(5, 5))
@@ -532,18 +565,23 @@ def test_complex_root_component_rejected():
 
 # One minimal corruption of the so(4,4) root table per condition of the
 # judge: a component 2 in a second-half row, where no published row is
-# compared, and a nonzero fourth component in a first-half row.
+# compared, a nonzero fourth component in a first-half row, and a missing
+# second-half row (root None).
 @pytest.mark.parametrize(
     "name, root",
-    [("2K+", (0, 0, 2, 1)), ("1K+", (1, 1, 0, 1))],
-    ids=["component-2", "first-half-fourth-axis"],
+    [("2K+", (0, 0, 2, 1)), ("1K+", (1, 1, 0, 1)), ("2K+", None)],
+    ids=["component-2", "first-half-fourth-axis", "second-half-row-missing"],
 )
 def test_judge_rank4_fails_on_a_corrupted_row(gs44, name, root):
     ctx = SuiteContext(gs44)
     table = ctx.roots
     assert _judge_rank4(ctx, table)[0]
-    bad = RootTable(table.cartan, {**table.roots, name: tuple(map(Fraction, root))})
-    assert not _judge_rank4(ctx, bad)[0]
+    roots = dict(table.roots)
+    if root is None:
+        del roots[name]
+    else:
+        roots[name] = tuple(map(Fraction, root))
+    assert not _judge_rank4(ctx, RootTable(table.cartan, roots))[0]
 
 
 def test_root_negation_symmetry(gs42, oriented_ladders):

@@ -246,10 +246,11 @@ def test_mass_bad_input(capsys):
             ("elements", "--z", "1", "--node=0,0,-1", "--format", "json"),
             "nu must be non-negative",
         ),
+        (("elements", "--z", "1", "--node="), "--node expects l,ldot,nu"),
         (("mass", "--", "-1/2", "0"), "spins must be non-negative"),
         (("mass", "0", "0", "-1"), "nu must be non-negative"),
     ],
-    ids=["node-l", "node-ldot", "node-nu-json", "mass-l", "mass-nu"],
+    ids=["node-l", "node-ldot", "node-nu-json", "node-empty", "mass-l", "mass-nu"],
 )
 def test_negative_node_label_rejected(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -236,12 +236,17 @@ def test_tampered_bracket_table_matches_per_pair_commutators(p, q):
     # the table exactly as the per-pair brackets move
     gs = tampered_build(Metric(p, q))
     want = {}
-    for left, right in combinations(gs.pairs, 2):
+    for (s, left), (t, right) in combinations(enumerate(gs.pairs), 2):
         got = commutator(gs.gen(*left), gs.gen(*right))
         if not got.is_zero():
-            want[left, right] = got
+            want[s, t] = got
     assert list(gs.brackets.items()) == list(want.items())
-    assert gs.brackets != build_generators(Metric(p, q)).brackets
+    genuine = build_generators(Metric(p, q))
+    assert gs.brackets != genuine.brackets
+    # each table is the join's output as it is, keys and their order included
+    for each in (gs, genuine):
+        joined = pairwise_commutators(each.matrices())
+        assert list(each.brackets.items()) == list(joined.items())
 
 
 def _plain_generator(n, gdiag, a, b):

@@ -121,13 +121,14 @@ def test_expected_bracket_matches_matrices(gs42):
 
 def test_bracket_table_holds_only_nonzero_brackets(gs42):
     # L_ab and L_cd fail to commute exactly when they share one index
+    pairs = gs42.pairs
     assert set(gs42.brackets) == {
-        (left, right)
-        for left, right in combinations(gs42.pairs, 2)
-        if len(set(left) & set(right)) == 1
+        (s, t)
+        for s, t in combinations(range(len(pairs)), 2)
+        if len(set(pairs[s]) & set(pairs[t])) == 1
     }
-    for (left, right), got in gs42.brackets.items():
-        assert got == commutator(gs42.gen(*left), gs42.gen(*right))
+    for (s, t), got in gs42.brackets.items():
+        assert got == commutator(gs42.gen(*pairs[s]), gs42.gen(*pairs[t]))
 
 
 # Each generator pair is bracketed once per verdict, in ``gs.brackets``, by one
@@ -217,6 +218,17 @@ def test_verify_commutation_44(gs44):
     report = verify_commutation(gs44)
     assert report.pair_count == 378
     assert report.failures == []
+
+
+def test_verify_commutation_reports_a_pair_that_should_commute():
+    # L34 + L13 no longer commutes with L12, whose expected bracket with L34
+    # is zero: the sweep must report that pair, not only pairs with a term
+    gs = build_generators(Metric(4, 2))
+    gs._gens[(3, 4)] = gs.gen(3, 4) + gs.gen(1, 3)
+    failures = verify_commutation(gs).failures
+    hit = [f for f in failures if (f.lhs_pair, f.rhs_pair) == ((1, 2), (3, 4))]
+    assert len(hit) == 1
+    assert (hit[0].got, hit[0].expected) == ("(-i)*L23", "0")
 
 
 def test_verify_commutation_so3():
