@@ -3,81 +3,50 @@ Cartan-Weyl structure, and the weight-tower model of the periodic system.
 
 Everything is computed over the Gaussian rationals, so every identity
 checked by the verification suites is decided exactly, with no tolerance.
+
+The package root imports nothing up front (PEP 562): each exported name,
+and each submodule, is imported on first access, so a command pays only
+for the modules it runs.
 """
 
-from .exact import (
-    ExactMatrix,
-    GaussianRational,
-    commutator,
-    rank,
-)
-from .sopq import GeneratorSet, Metric, build_generators, verify_commutation
-from .cartan import (
-    RootVector,
-    adapted_basis,
-    casimir,
-    extract_root,
-    find_cartan,
-    ladder_operators,
-    root_system,
-    subalgebra_basis,
-    weyl_generators,
-    yao_basis,
-)
-from .labels import (
-    CARTAN_QUANTUM_NUMBERS,
-    MadelungKet,
-    WeightKet,
-    apply_ladder,
-    mass_sl2c,
-    mass_so42,
-    multiplet_states,
-)
-from .periodic import (
-    Element,
-    TowerSlice,
-    antimatter_mirror,
-    assign_elements,
-    haenzel_stats,
-    madelung_sequence,
-    period_lengths,
-    projection_slice,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CARTAN_QUANTUM_NUMBERS",
-    "Element",
-    "ExactMatrix",
-    "GaussianRational",
-    "GeneratorSet",
-    "MadelungKet",
-    "Metric",
-    "RootVector",
-    "TowerSlice",
-    "WeightKet",
-    "adapted_basis",
-    "antimatter_mirror",
-    "apply_ladder",
-    "assign_elements",
-    "build_generators",
-    "casimir",
-    "commutator",
-    "extract_root",
-    "find_cartan",
-    "haenzel_stats",
-    "ladder_operators",
-    "madelung_sequence",
-    "mass_sl2c",
-    "mass_so42",
-    "multiplet_states",
-    "period_lengths",
-    "projection_slice",
-    "rank",
-    "root_system",
-    "subalgebra_basis",
-    "verify_commutation",
-    "weyl_generators",
-    "yao_basis",
-]
+# exported name -> the submodule that defines it
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "exact": ("ExactMatrix", "GaussianRational", "commutator", "rank"),
+        "sopq": ("GeneratorSet", "Metric", "build_generators", "verify_commutation"),
+        "cartan": (
+            "RootVector", "adapted_basis", "casimir", "extract_root", "find_cartan",
+            "ladder_operators", "root_system", "subalgebra_basis", "weyl_generators",
+            "yao_basis",
+        ),
+        "labels": (
+            "CARTAN_QUANTUM_NUMBERS", "MadelungKet", "WeightKet", "apply_ladder",
+            "mass_sl2c", "mass_so42", "multiplet_states",
+        ),
+        "periodic": (
+            "Element", "TowerSlice", "antimatter_mirror", "assign_elements",
+            "haenzel_stats", "madelung_sequence", "period_lengths", "projection_slice",
+        ),
+    }.items()
+    for name in names
+}
+_SUBMODULES = ("cartan", "cli", "exact", "labels", "periodic", "sopq", "svgout", "verify")
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

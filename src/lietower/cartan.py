@@ -32,10 +32,10 @@ chosen (both recorded in the reports):
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, Optional, Sequence
 
 from .exact import (
     HALF,
@@ -619,7 +619,7 @@ class TableReport:
 def check_relation_table(
     ops: Mapping[str, ExactMatrix],
     table: RelationTable,
-    describe: Optional[Callable[[ExactMatrix], str]] = None,
+    describe: Callable[[ExactMatrix], str] | None = None,
 ) -> TableReport:
     """Evaluate every printed relation as an exact matrix identity and
     record the ones that fail, in table order; ``describe`` renders the

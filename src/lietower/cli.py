@@ -7,6 +7,13 @@ fixed element order and fixed-precision coordinates, and nothing records
 time or environment.  ANSI colour appears only on a TTY and never when
 NO_COLOR is set.
 
+Each ``cmd_*`` imports the package modules it runs when it is called, so
+importing this module loads none of them: ``mass`` loads only ``labels``,
+and ``tower`` and ``elements`` never load the algebra.  A name imported
+inside a command is read from its module at call time, so patching
+``lietower.verify.build_generators`` or ``lietower.periodic.assign_elements``
+reaches the next command.
+
 The argparse parser and the 120-element table are each built on first use
 and then shared read-only for the life of the process; the table is a
 tuple of frozen ``Element``s.  A shell invocation runs one command in a
@@ -21,18 +28,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
-from typing import Optional, TextIO
-
-from .labels import mass_sl2c, mass_so42
-from .periodic import Element, assign_elements, find_element, projection_slice
-from .sopq import Metric, build_generators
-from .svgout import svg_root_squares, svg_tower
-from .verify import SuiteContext, run_verification
+from io import TextIOBase
 
 RANK3_AXIS_ALIASES = {"L12": "L3", "L34": "A3", "L56": "D3"}
 
@@ -55,7 +54,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _parse_signature(text: str) -> Metric:
+def _parse_signature(text: str):
+    """The ``sopq.Metric`` of a ``P,Q`` argument."""
+    from .sopq import Metric
+
     try:
         p_text, q_text = text.split(",")
         return Metric(int(p_text), int(q_text))
@@ -83,8 +85,8 @@ def _parse_half(text: str, what: str) -> Fraction:
 
 
 def _parse_node(
-    l_text: str, ldot_text: str, nu_text: Optional[str]
-) -> tuple[Fraction, Fraction, Optional[Fraction]]:
+    l_text: str, ldot_text: str, nu_text: str | None
+) -> tuple[Fraction, Fraction, Fraction | None]:
     """Labels (l, l-dot, nu) of a mass node, each a non-negative
     half-integer; nu is None when ``nu_text`` is."""
     l = _parse_half(l_text, "l")
@@ -99,7 +101,7 @@ def _parse_node(
     return l, ldot, nu
 
 
-def _open_output(output: Optional[str]) -> TextIO:
+def _open_output(output: str | None) -> TextIOBase:
     """Where a command writes: stdout, or the file ``output`` opened now.
 
     ``verify`` opens before it runs, so an unwritable path costs no work;
@@ -113,7 +115,7 @@ def _open_output(output: Optional[str]) -> TextIO:
         raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, handle: TextIO) -> None:
+def _emit(text: str, handle: TextIOBase) -> None:
     """Write ``text`` to a handle from ``_open_output``, closing a file.
 
     Stdout gets UTF-8 with LF whatever the locale, through its byte buffer
@@ -134,6 +136,8 @@ def _emit(text: str, handle: TextIO) -> None:
 
 
 def _to_json(obj: dict) -> str:
+    import json
+
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -142,7 +146,10 @@ def _use_color() -> bool:
 
 
 @functools.cache
-def _element_table() -> tuple[Element, ...]:
+def _element_table() -> tuple:
+    """The 120 ``periodic.Element``s, built once per process."""
+    from .periodic import assign_elements
+
     return tuple(assign_elements())
 
 
@@ -150,6 +157,10 @@ def _element_table() -> tuple[Element, ...]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .verify import run_verification
+
     metric = _parse_signature(args.signature)
     if metric.dim > MAX_VERIFY_DIM:
         raise CliError(
@@ -165,21 +176,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _root_table(metric: Metric):
-    table = SuiteContext(build_generators(metric)).roots
-    axes = RANK3_AXIS_ALIASES if metric == Metric(4, 2) else {}
-    table.cartan = [axes.get(n, n) for n in table.cartan]
-    return table
-
-
 def cmd_roots(args: argparse.Namespace) -> int:
+    from .sopq import Metric, build_generators
+    from .verify import SuiteContext
+
     metric = _parse_signature(args.signature)
     if metric not in (Metric(4, 2), Metric(4, 4)):
         raise CliError("roots are published for signatures 4,2 and 4,4")
-    table = _root_table(metric)
+    table = SuiteContext(build_generators(metric)).roots
+    axes = RANK3_AXIS_ALIASES if metric == Metric(4, 2) else {}
+    table.cartan = [axes.get(n, n) for n in table.cartan]
     if args.format == "json":
         _emit(_to_json(table.to_json_dict()), _open_output(args.output))
     elif args.format == "svg":
+        from .svgout import svg_root_squares
+
         _emit(svg_root_squares(table), _open_output(args.output))
     else:
         lines = [f"cartan: {', '.join(table.cartan)}"]
@@ -190,6 +201,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_tower(args: argparse.Namespace) -> int:
+    from .periodic import projection_slice
+
     spin = _parse_half(args.spin, "spin")
     if spin * 2 not in (-1, 1):
         raise CliError("spin must be -1/2 or +1/2")
@@ -197,6 +210,8 @@ def cmd_tower(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_to_json(tower.to_json_dict()), _open_output(args.output))
     elif args.format == "svg":
+        from .svgout import svg_tower
+
         _emit(svg_tower(tower), _open_output(args.output))
     else:
         lines = [f"spin projection s = {tower.s_text}"] + [
@@ -209,6 +224,9 @@ def cmd_tower(args: argparse.Namespace) -> int:
 
 
 def cmd_elements(args: argparse.Namespace) -> int:
+    from .labels import mass_so42
+    from .periodic import find_element
+
     elements = _element_table()
     if args.z is not None and args.symbol is not None:
         raise CliError("give only one of --z and --symbol")
@@ -249,6 +267,8 @@ def cmd_elements(args: argparse.Namespace) -> int:
 
 
 def cmd_mass(args: argparse.Namespace) -> int:
+    from .labels import mass_sl2c, mass_so42
+
     l, ldot, nu = _parse_node(args.l, args.l_dot, args.nu)
     if nu is None:
         value = mass_sl2c(l, ldot)
@@ -311,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -46,12 +46,11 @@ testing that a basis is independent.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
 
-RationalLike = Union[int, Fraction]
-ScalarLike = Union["GaussianRational", int, Fraction]
+RationalLike = int | Fraction
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
@@ -204,6 +203,9 @@ class GaussianRational:
             imag = Fraction(coeff)
         return GaussianRational(real, imag)
 
+
+# defined after the class: a runtime union needs the class, not its name
+ScalarLike = GaussianRational | int | Fraction
 
 _set_a = GaussianRational._a.__set__
 _set_b = GaussianRational._b.__set__
@@ -377,7 +379,7 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(self.dim, {(j, i): v for (i, j), v in self._entries.items()})
 
-    def scaled_identity(self) -> Optional[GaussianRational]:
+    def scaled_identity(self) -> GaussianRational | None:
         """Return lambda with self == lambda * I, or None."""
         lam = self._entries.get((0, 0), ZERO)
         return lam if self == ExactMatrix.identity(self.dim) * lam else None
@@ -506,7 +508,7 @@ def linear_combination(
     return ExactMatrix._of(dim, out)
 
 
-def _proportion(sums: _Triples, ref: _Entries) -> Optional[GaussianRational]:
+def _proportion(sums: _Triples, ref: _Entries) -> GaussianRational | None:
     """The lambda with sums == lambda * ref, or None.
 
     ``sums`` holds unreduced (re, im, den) triples, zeros allowed, and
@@ -538,7 +540,7 @@ def _proportion(sums: _Triples, ref: _Entries) -> Optional[GaussianRational]:
 
 def bracket_multiple(
     a: ExactMatrix, b: ExactMatrix, c: ExactMatrix
-) -> Optional[GaussianRational]:
+) -> GaussianRational | None:
     """Return lambda with [a, b] == lambda*c if one exists, else None.
 
     c must be a nonzero matrix of the same size: the zero matrix has every
@@ -624,7 +626,7 @@ class SpanSolver:
         if dependent:
             raise ValueError(f"basis element {dependent[0]} is dependent on earlier ones")
 
-    def expand(self, x: ExactMatrix) -> Optional[list[GaussianRational]]:
+    def expand(self, x: ExactMatrix) -> list[GaussianRational] | None:
         """Coefficients of x in the basis, or None if x is outside the span."""
         if x.dim != self.dim:
             raise ValueError("dimension mismatch")

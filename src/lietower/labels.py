@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
-HalfIntLike = Union[int, Fraction]
+HalfIntLike = int | Fraction
 
 # Which Cartan generator's eigenvalue each quantum number reads off: the
 # radial axis carries n, the two compact axes carry l and m, and the
@@ -100,7 +99,7 @@ class WeightKet:
 LADDER_SHIFTS = {"X+": (2, 0), "X-": (-2, 0), "Y+": (0, 2), "Y-": (0, -2)}
 
 
-def apply_ladder(ket: WeightKet, op: str) -> Optional[WeightKet]:
+def apply_ladder(ket: WeightKet, op: str) -> WeightKet | None:
     """Shift m (X ladders) or m-dot (Y ladders) by one unit.
 
     Returns None when the shift leaves the multiplet box; the spins l,

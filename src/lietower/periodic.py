@@ -8,16 +8,19 @@ p-shell (e.g. Z=115) in the s = -1/2 projection and the even-Z endpoint
 (Z=118) in the s = +1/2 projection.
 
 The element symbol table ships as data/elements.csv (z,symbol; 120 rows);
-Z = 119, 120 carry their systematic symbols Uue, Ubn.
+Z = 119, 120 carry their systematic symbols Uue, Ubn.  It is read from the
+installed package directory, next to this module, by a plain ``open``:
+``importlib.resources`` would import ``pathlib`` and ``tempfile`` on every
+``elements`` and ``tower`` command.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Iterable, Optional, Sequence
 
 from .labels import InconsistentLabelsError, MadelungKet
 
@@ -58,7 +61,7 @@ class TowerSlice:
     """
 
     s: Fraction
-    floors: dict[int, dict[int, dict[int, Optional[Element]]]]
+    floors: dict[int, dict[int, dict[int, Element | None]]]
 
     @property
     def s_text(self) -> str:
@@ -113,15 +116,12 @@ def madelung_sequence(max_z: int) -> list[MadelungKet]:
 
 def load_symbols() -> dict[int, str]:
     """Z -> symbol table from the packaged CSV (header z,symbol; 120 rows)."""
-    text = resources.files("lietower").joinpath("data/elements.csv").read_text("utf-8")
-    reader = csv.DictReader(text.splitlines())
-    table = {}
-    for row in reader:
-        table[int(row["z"])] = row["symbol"]
-    return table
+    path = os.path.join(os.path.dirname(__file__), "data", "elements.csv")
+    with open(path, encoding="utf-8", newline="") as handle:
+        return {int(row["z"]): row["symbol"] for row in csv.DictReader(handle)}
 
 
-def assign_elements(symbols: Optional[dict[int, str]] = None) -> list[Element]:
+def assign_elements(symbols: dict[int, str] | None = None) -> list[Element]:
     """Zip the 120-ket Madelung sequence with the symbol table."""
     if symbols is None:
         symbols = load_symbols()
@@ -159,7 +159,7 @@ def projection_slice(elements: Sequence[Element], s: Fraction) -> TowerSlice:
         if e.ket.two_s == two_s:
             by_slot[(e.ket.n, e.ket.l, e.ket.m)] = e
 
-    def slot(n: int, l: int, m: int) -> Optional[Element]:
+    def slot(n: int, l: int, m: int) -> Element | None:
         found = by_slot.get((abs(n), l, m))
         return antimatter_mirror(found) if found is not None and n < 0 else found
 
@@ -177,7 +177,7 @@ def period_lengths(elements: list[Element]) -> list[int]:
     reproduces the doubled period pattern 2, 8, 8, 18, 18, 32, 32.
     """
     lengths: list[int] = []
-    previous: Optional[tuple[int, int]] = None
+    previous: tuple[int, int] | None = None
     for e in elements:
         shell = (e.ket.n, e.ket.l)
         if e.ket.l == 0 and shell != previous:
@@ -215,7 +215,7 @@ def homolog_lines(tower: TowerSlice) -> list[list[Element]]:
 
 
 def find_element(
-    elements: Sequence[Element], *, z: Optional[int] = None, symbol: Optional[str] = None
+    elements: Sequence[Element], *, z: int | None = None, symbol: str | None = None
 ) -> Element:
     """Lookup by atomic number or symbol; unknown symbols get the nearest hint.
 

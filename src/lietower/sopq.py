@@ -25,10 +25,10 @@ aliases pair by pair, independently of the join.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Mapping, Optional, Sequence
 
 from .exact import (
     ExactMatrix,
@@ -276,7 +276,7 @@ class Relation:
     left: str
     right: str
     coeff: GaussianRational
-    result: Optional[str]
+    result: str | None
 
     @property
     def text(self) -> str:
@@ -308,7 +308,7 @@ class RelationTable:
     relations: tuple[Relation, ...]
 
 
-def _rel(left: str, right: str, coeff, result: Optional[str]) -> Relation:
+def _rel(left: str, right: str, coeff, result: str | None) -> Relation:
     if isinstance(coeff, int):
         coeff = GaussianRational(coeff)
     return Relation(left=left, right=right, coeff=coeff, result=result)

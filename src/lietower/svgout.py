@@ -17,7 +17,6 @@ homolog connections as vertical lines.
 
 from __future__ import annotations
 
-from .cartan import RootTable
 from .periodic import TowerSlice, homolog_lines
 
 COS30 = 0.8660254037844387
@@ -84,9 +83,11 @@ class _Canvas:
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def svg_root_squares(table: RootTable) -> str:
-    """One panel per coordinate plane; each square's vertices are the four
-    ladder roots living in that plane, labelled by operator name."""
+def svg_root_squares(table) -> str:
+    """One panel per coordinate plane of a ``cartan.RootTable``; each
+    square's vertices are the four ladder roots living in that plane,
+    labelled by operator name.  ``table`` is left unannotated: naming its
+    type would make ``tower --format svg`` import the algebra."""
     axes = table.cartan
     # group roots by their (two-axis) support
     panels: dict[tuple[int, int], list[tuple[str, tuple]]] = {}

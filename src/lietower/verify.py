@@ -11,10 +11,10 @@ so both a regression and a silently "fixed" table flip the run to red.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations
-from typing import Any, Callable
 
 from . import cartan as cw
 from .exact import ExactMatrix, commutes, rank
@@ -68,7 +68,7 @@ class SuiteResult:
     name: str
     passed: bool
     summary: str
-    details: Any = field(default_factory=dict)
+    details: object = field(default_factory=dict)
 
 
 @dataclass

@@ -194,6 +194,12 @@ MUTANTS = (
         "extraction_ok = all(",
         "rank-4 judge passes a table with a missing root",
     ),
+    Mutant(
+        "src/lietower/cli.py",
+        "from io import TextIOBase\n",
+        "from io import TextIOBase\n\nfrom .verify import run_verification\n",
+        "importing the CLI loads the whole algebra stack",
+    ),
 )
 
 EQUIVALENT = (

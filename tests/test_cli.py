@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 
+import lietower.periodic
 import lietower.verify
 from lietower import cli
 from lietower.cli import main
@@ -475,7 +476,7 @@ def test_shared_state_survives_a_command_sequence(capsys, cold_caches):
 
 def test_parser_and_element_table_built_once(capsys, monkeypatch, cold_caches):
     builds = Counter()
-    real_parser, real_assign = cli._Parser, cli.assign_elements
+    real_parser, real_assign = cli._Parser, lietower.periodic.assign_elements
 
     def counted_parser(*args, **kwargs):
         builds["parser"] += 1  # build_parser's body makes exactly one _Parser
@@ -486,7 +487,7 @@ def test_parser_and_element_table_built_once(capsys, monkeypatch, cold_caches):
         return real_assign(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_Parser", counted_parser)
-    monkeypatch.setattr(cli, "assign_elements", counted_assign)
+    monkeypatch.setattr(lietower.periodic, "assign_elements", counted_assign)
     for argv in (
         ("elements", "--z", "57", "--node", "1/2,1,3/2"),
         ("tower", "--spin=+1/2"),
