@@ -24,10 +24,7 @@ _MODULE_OF = {
             "ladder_operators", "root_system", "subalgebra_basis", "weyl_generators",
             "yao_basis",
         ),
-        "labels": (
-            "CARTAN_QUANTUM_NUMBERS", "MadelungKet", "WeightKet", "apply_ladder",
-            "mass_sl2c", "mass_so42", "multiplet_states",
-        ),
+        "labels": ("MadelungKet", "mass_sl2c", "mass_so42"),
         "periodic": (
             "Element", "TowerSlice", "antimatter_mirror", "assign_elements",
             "haenzel_stats", "madelung_sequence", "period_lengths", "projection_slice",

@@ -173,36 +173,6 @@ class GaussianRational:
 
     __repr__ = __str__
 
-    @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        """Inverse of ``str``; accepts any "a", "bi", or "a+bi" spelling."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty scalar")
-        if not s.endswith("i"):
-            return GaussianRational(Fraction(s))
-        body = s[:-1]
-        # split off a real part, if any, at the last +/- that is not a
-        # fraction sign or the leading sign
-        split = -1
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                split = k
-                break
-        if split == -1:
-            coeff = body
-            real = Fraction(0)
-        else:
-            real = Fraction(body[:split])
-            coeff = body[split:]
-        if coeff in ("", "+"):
-            imag = Fraction(1)
-        elif coeff == "-":
-            imag = Fraction(-1)
-        else:
-            imag = Fraction(coeff)
-        return GaussianRational(real, imag)
-
 
 # defined after the class: a runtime union needs the class, not its name
 ScalarLike = GaussianRational | int | Fraction

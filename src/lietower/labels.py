@@ -1,8 +1,8 @@
-"""Symbolic weight-diagram labels and the mass formulas attached to them.
+"""The mass formulas of the weight-diagram nodes, and the Madelung kets.
 
-Matrices never appear here: this layer manipulates the multiplet labels
-themselves (half-integer Cartan eigenvalues), the ladder shifts between
-them, and the two exact mass formulas.  Half-integers are stored as
+Matrices never appear here: a node (l, l., nu) of the weight diagram gets
+its exact mass from its half-integer labels, and a Madelung ket
+|n, l, m, s> labels one periodic-table slot.  Half-integers are stored as
 doubled integers so every label computation is integer arithmetic; the
 public accessors hand out ``Fraction`` values.
 """
@@ -13,11 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 HalfIntLike = int | Fraction
-
-# Which Cartan generator's eigenvalue each quantum number reads off: the
-# radial axis carries n, the two compact axes carry l and m, and the
-# fourth axis of the rank-4 algebra carries the spin projection s.
-CARTAN_QUANTUM_NUMBERS = {"L56": "n", "L12": "l", "L34": "m", "L78": "s"}
 
 
 class InconsistentLabelsError(ValueError):
@@ -38,94 +33,9 @@ def _require_integer_labels(*labels: int) -> None:
         raise InconsistentLabelsError("labels must be integers")
 
 
-def _half_str(two: int) -> str:
-    return str(Fraction(two, 2))
-
-
 def _signed_half_str(two: int) -> str:
-    text = _half_str(two)
+    text = str(Fraction(two, 2))
     return text if two < 0 else "+" + text
-
-
-@dataclass(frozen=True)
-class WeightKet:
-    """Multiplet state |l, l.; m, m.> of the rank-2 complex shell.
-
-    Stored as doubled integers; ``m`` runs over -l..l in integer steps and
-    shares the parity of ``l`` (likewise the dotted pair).
-    """
-
-    two_l: int
-    two_ldot: int
-    two_m: int
-    two_mdot: int
-
-    def __post_init__(self):
-        _require_integer_labels(self.two_l, self.two_ldot, self.two_m, self.two_mdot)
-        if self.two_l < 0 or self.two_ldot < 0:
-            raise InconsistentLabelsError("l and l-dot must be non-negative")
-        for two_j, two_mj, tag in (
-            (self.two_l, self.two_m, "m"),
-            (self.two_ldot, self.two_mdot, "m-dot"),
-        ):
-            if abs(two_mj) > two_j:
-                raise InconsistentLabelsError(f"{tag} outside its multiplet box")
-            if (two_j - two_mj) % 2:
-                raise InconsistentLabelsError(f"{tag} does not share parity with its spin")
-
-    @property
-    def l(self) -> Fraction:
-        return Fraction(self.two_l, 2)
-
-    @property
-    def l_dot(self) -> Fraction:
-        return Fraction(self.two_ldot, 2)
-
-    @property
-    def m(self) -> Fraction:
-        return Fraction(self.two_m, 2)
-
-    @property
-    def m_dot(self) -> Fraction:
-        return Fraction(self.two_mdot, 2)
-
-    def __str__(self) -> str:
-        return (
-            f"|{_half_str(self.two_l)},{_half_str(self.two_ldot)};"
-            f"{_half_str(self.two_m)},{_half_str(self.two_mdot)}⟩"
-        )
-
-
-LADDER_SHIFTS = {"X+": (2, 0), "X-": (-2, 0), "Y+": (0, 2), "Y-": (0, -2)}
-
-
-def apply_ladder(ket: WeightKet, op: str) -> WeightKet | None:
-    """Shift m (X ladders) or m-dot (Y ladders) by one unit.
-
-    Returns None when the shift leaves the multiplet box; the spins l,
-    l-dot never change.
-    """
-    if op not in LADDER_SHIFTS:
-        raise ValueError(f"unknown ladder operator {op!r}")
-    dm, dmdot = LADDER_SHIFTS[op]
-    two_m = ket.two_m + dm
-    two_mdot = ket.two_mdot + dmdot
-    if abs(two_m) > ket.two_l or abs(two_mdot) > ket.two_ldot:
-        return None
-    return WeightKet(ket.two_l, ket.two_ldot, two_m, two_mdot)
-
-
-def multiplet_states(l: HalfIntLike, l_dot: HalfIntLike) -> list[WeightKet]:
-    """All (2l+1)(2l.+1) states, ordered m-major then m-dot ascending."""
-    two_l = _doubled(l, "l")
-    two_ldot = _doubled(l_dot, "l-dot")
-    if two_l < 0 or two_ldot < 0:
-        raise ValueError("spins must be non-negative")
-    return [
-        WeightKet(two_l, two_ldot, two_m, two_mdot)
-        for two_m in range(-two_l, two_l + 1, 2)
-        for two_mdot in range(-two_ldot, two_ldot + 1, 2)
-    ]
 
 
 # -- mass formulas -----------------------------------------------------------

@@ -102,8 +102,8 @@ def subshell_order() -> Iterable[tuple[int, int]]:
 
 def madelung_sequence(max_z: int) -> list[MadelungKet]:
     """First ``max_z`` kets of the filling order described in the module docstring."""
-    if max_z < 1:
-        raise ValueError("max_z must be positive")
+    if type(max_z) is not int or max_z < 1:  # bool is an int subclass; reject it
+        raise ValueError("max_z must be an integer >= 1")
     kets: list[MadelungKet] = []
     for n, l in subshell_order():
         for two_s in (-1, 1):

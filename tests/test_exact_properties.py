@@ -86,7 +86,7 @@ def assert_entrywise(result, expected_entry):
         for j, x in enumerate(row):
             assert type(x) is GaussianRational
             assert x == expected_entry(i, j)
-            assert GaussianRational.parse(str(x)) == x
+            assert str(x) == ref_str(x.re, x.im)
 
 
 @KERNEL
@@ -324,7 +324,7 @@ def test_scalar_field_axioms(x, y, z):
 @given(scalars, scalars)
 def test_scalar_str_parse_round_trip_products_quotients(x, y):
     for v in [x * y] + ([x / y] if y else []):
-        assert GaussianRational.parse(str(v)) == v
+        assert str(v) == ref_str(v.re, v.im)
 
 
 # -- GaussianRational against a Fraction-pair reference -----------------------

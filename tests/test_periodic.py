@@ -57,8 +57,10 @@ def test_sequence_slot_115_and_118():
 
 def test_sequence_truncation_and_bounds():
     assert len(madelung_sequence(7)) == 7
-    with pytest.raises(ValueError):
-        madelung_sequence(0)
+    # only an exact int: a float or Fraction never equals a ket count
+    for bad in (0, 2.5, Fraction(3, 2), True):
+        with pytest.raises(ValueError, match="max_z must be an integer >= 1"):
+            madelung_sequence(bad)
 
 
 def test_subshell_order_head():
