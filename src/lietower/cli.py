@@ -33,8 +33,6 @@ import sys
 from fractions import Fraction
 from io import TextIOBase
 
-RANK3_AXIS_ALIASES = {"L12": "L3", "L34": "A3", "L56": "D3"}
-
 # Largest p+q that verify accepts.  It no longer guards a slow run: with the
 # certified Cartan search and the bracket table built in one sparse join,
 # run_verification takes 0.024-0.039 s for 8,8 and 0.05-0.10 s for 10,10 on
@@ -177,26 +175,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    from .sopq import Metric, build_generators
-    from .verify import SuiteContext
+    from .sopq import HYDROGEN_ALIAS_PAIRS, Metric, build_generators, pair_name
+    from .verify import BATTERIES, SuiteContext
 
     metric = _parse_signature(args.signature)
-    if metric not in (Metric(4, 2), Metric(4, 4)):
+    if metric not in BATTERIES:
         raise CliError("roots are published for signatures 4,2 and 4,4")
     table = SuiteContext(build_generators(metric)).roots
-    axes = RANK3_AXIS_ALIASES if metric == Metric(4, 2) else {}
-    table.cartan = [axes.get(n, n) for n in table.cartan]
+    if metric == Metric(4, 2):
+        # the rank-3 axes carry their hydrogen-alias names: L12 is L3
+        axes = {pair_name(*pair): name for name, pair in HYDROGEN_ALIAS_PAIRS.items()}
+        table.cartan = [axes.get(n, n) for n in table.cartan]
     if args.format == "json":
-        _emit(_to_json(table.to_json_dict()), _open_output(args.output))
+        text = _to_json(table.to_json_dict())
     elif args.format == "svg":
         from .svgout import svg_root_squares
 
-        _emit(svg_root_squares(table), _open_output(args.output))
+        text = svg_root_squares(table)
     else:
         lines = [f"cartan: {', '.join(table.cartan)}"]
         for name, root in table.roots.items():
             lines.append(f"{name:<4} ({','.join(map(str, root))})")
-        _emit("\n".join(lines) + "\n", _open_output(args.output))
+        text = "\n".join(lines) + "\n"
+    _emit(text, _open_output(args.output))
     return 0
 
 
@@ -208,18 +209,19 @@ def cmd_tower(args: argparse.Namespace) -> int:
         raise CliError("spin must be -1/2 or +1/2")
     tower = projection_slice(_element_table(), spin)
     if args.format == "json":
-        _emit(_to_json(tower.to_json_dict()), _open_output(args.output))
+        text = _to_json(tower.to_json_dict())
     elif args.format == "svg":
         from .svgout import svg_tower
 
-        _emit(svg_tower(tower), _open_output(args.output))
+        text = svg_tower(tower)
     else:
         lines = [f"spin projection s = {tower.s_text}"] + [
             f"n={n:>2} l={l}: " + " ".join(e.symbol if e else "-" for e in ring.values())
             for n, rings in tower.floors.items()
             for l, ring in rings.items()
         ]
-        _emit("\n".join(lines) + "\n", _open_output(args.output))
+        text = "\n".join(lines) + "\n"
+    _emit(text, _open_output(args.output))
     return 0
 
 

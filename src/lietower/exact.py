@@ -10,15 +10,18 @@ meaning (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1: every arithmetic
 result is brought to that form by one builder, which skips the gcd when
 d == 1 (generator entries are 0, +-1 and +-i, so that is the common case).
 Equal numbers therefore have equal triples; ``re`` and ``im`` read the parts
-as ``fractions.Fraction`` in lowest terms.  A matrix stores only its nonzero
-entries, in an immutable {(row, col): value} map that never holds a zero:
-an entry that cancels to zero is removed, so equal matrices have equal maps
-and equal hashes however they were built.  A rotation generator has two
-nonzero entries and a commutator of two has at most four, so arithmetic
-touches only those: a product walks the nonzeros of the left factor against
-the rows of the right one, multiplying stored integer triples inline into a
-map of unreduced (re, im, den) sums (equal denominators add numerators,
-others cross-multiply), and turns each nonzero sum into one canonical scalar.
+as ``fractions.Fraction`` in lowest terms.  A matrix, built from values by
+``from_entries`` only, stores its nonzero entries in an immutable
+{(row, col): value} map that never holds a zero: an entry that cancels to
+zero is removed, so equal matrices have equal maps and equal hashes however
+they were built.  A rotation generator has two nonzero entries and a
+commutator of two has at most four, so arithmetic touches only those: a
+product walks the stored entries of both factors in a plain double loop,
+multiplying each pair whose inner indices meet as stored integer triples
+inline into a map of unreduced (re, im, den) sums (equal denominators add
+numerators, others cross-multiply), and turns each nonzero sum into one
+canonical scalar.  Subtraction is addition of the negation, and every
+operation on several matrices has the one size check.
 ``commutator`` runs that walk for a@b and for b@a, its left integers negated,
 into one map, so it builds no intermediate matrix and no scalar per term.
 ``commutes`` and ``bracket_multiple`` judge a bracket on those unreduced
@@ -55,7 +58,8 @@ RationalLike = int | Fraction
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of an int or Fraction, in lowest terms."""
-    if isinstance(value, (int, Fraction)):
+    # an exact type test first: bool is an int subclass, and True would scale by 1
+    if type(value) is not bool and isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
@@ -104,14 +108,10 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        other = as_scalar(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        return self + -as_scalar(other)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        return as_scalar(other) - self
+        return -self + other
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         if isinstance(other, ExactMatrix):
@@ -220,11 +220,6 @@ _Entries = dict[tuple[int, int], GaussianRational]
 _Triples = dict[tuple[int, int], tuple[int, int, int]]
 
 
-def _nonzero(items: Iterable[tuple[tuple[int, int], ScalarLike]]) -> _Entries:
-    """The (key, value) pairs as a map of scalars, leaving out the zeros."""
-    return {key: v for key, x in items if (v := as_scalar(x))}
-
-
 def _accumulate(acc: dict, key, value: GaussianRational) -> None:
     """acc[key] += value, removing the entry if it cancels to zero."""
     old = acc.get(key)
@@ -247,22 +242,12 @@ class ExactMatrix:
 
     __slots__ = ("dim", "_entries")
 
-    def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
-        dim = len(rows)
-        if any(len(row) != dim for row in rows):
-            raise ValueError("matrix must be square")
-        cells = (((i, j), x) for i, row in enumerate(rows) for j, x in enumerate(row))
-        self._init(dim, _nonzero(cells))
-
-    def _init(self, dim: int, entries: _Entries) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_entries", entries)
-
     @staticmethod
     def _of(dim: int, entries: _Entries) -> "ExactMatrix":
         """Wrap a map that already holds no zero, without copying it."""
         mat = object.__new__(ExactMatrix)
-        mat._init(dim, entries)
+        object.__setattr__(mat, "dim", dim)
+        object.__setattr__(mat, "_entries", entries)
         return mat
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -285,7 +270,7 @@ class ExactMatrix:
         for i, j in entries:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise IndexError(f"entry ({i}, {j}) outside 0..{dim - 1}")
-        return ExactMatrix._of(dim, _nonzero(entries.items()))
+        return ExactMatrix._of(dim, {key: v for key, x in entries.items() if (v := as_scalar(x))})
 
     @property
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
@@ -309,18 +294,14 @@ class ExactMatrix:
         return hash((self.dim, frozenset(self._entries.items())))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_dim(other)
+        _check_dim(self.dim, other.dim)
         out = dict(self._entries)
         for key, b in other._entries.items():
             _accumulate(out, key, b)
         return ExactMatrix._of(self.dim, out)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_dim(other)
-        out = dict(self._entries)
-        for key, b in other._entries.items():
-            _accumulate(out, key, -b)
-        return ExactMatrix._of(self.dim, out)
+        return self + -other
 
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix._of(self.dim, {key: -a for key, a in self._entries.items()})
@@ -334,14 +315,10 @@ class ExactMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_dim(other)
+        _check_dim(self.dim, other.dim)
         acc: _Triples = {}
         _sum_products(acc, self._entries, other._entries, 1)
         return _from_triples(self.dim, acc)
-
-    def _check_dim(self, other: "ExactMatrix") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def is_zero(self) -> bool:
         return not self._entries
@@ -356,22 +333,30 @@ class ExactMatrix:
 
     def __str__(self) -> str:
         cells = [[str(v) for v in row] for row in self.rows]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join(
-            "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
-        )
+        width = max((len(c) for row in cells for c in row), default=0)
+        text = "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
+        return text or "[]"
 
     __repr__ = __str__
 
 
+def _check_dim(dim: int, other: int) -> None:
+    """The one size check of every operation on two or more matrices."""
+    if dim != other:
+        raise ValueError(f"dimension mismatch: {dim} vs {other}")
+
+
 def _sum_products(acc: _Triples, left: _Entries, right: _Entries, sign: int) -> None:
-    """acc += sign * (left @ right), in place, as unreduced integer triples."""
-    right_rows: dict[int, list[tuple[int, int, int, int]]] = {}
-    for (k, j), y in right.items():
-        right_rows.setdefault(k, []).append((j, y._a, y._b, y._d))
+    """acc += sign * (left @ right), in place, as unreduced integer triples.
+
+    Operands hold a handful of entries, so a plain double loop costs less
+    than indexing ``right`` by row."""
     for (i, k), x in left.items():
         a, b, d = sign * x._a, sign * x._b, x._d
-        for j, c, e, f in right_rows.get(k, ()):
+        for (r, j), y in right.items():
+            if r != k:
+                continue
+            c, e, f = y._a, y._b, y._d
             re, im, den = a * c - b * e, a * e + b * c, d * f
             key = i, j
             old = acc.get(key)
@@ -391,8 +376,7 @@ def _from_triples(dim: int, acc: _Triples) -> ExactMatrix:
 
 def _bracket_sums(a: ExactMatrix, b: ExactMatrix) -> _Triples:
     """The unreduced sums of a@b - b@a; raises on dimension mismatch."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_dim(a.dim, b.dim)
     acc: _Triples = {}
     _sum_products(acc, a._entries, b._entries, 1)
     _sum_products(acc, b._entries, a._entries, -1)
@@ -430,8 +414,8 @@ def pairwise_commutators(
     if not matrices:
         return {}
     dim = matrices[0].dim
-    if any(m.dim != dim for m in matrices):
-        raise ValueError("matrices must share a dimension")
+    for m in matrices:
+        _check_dim(dim, m.dim)
     by_row: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for t, m in enumerate(matrices):
         for (k, j), y in m._entries.items():
@@ -470,8 +454,7 @@ def linear_combination(
     into one sparse map."""
     out: _Entries = {}
     for c, mat in terms:
-        if mat.dim != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {mat.dim}")
+        _check_dim(dim, mat.dim)
         s = as_scalar(c)
         if s:
             _add_scaled(out, s, mat._entries)
@@ -518,8 +501,7 @@ def bracket_multiple(
     caller bug.  The bracket is judged on its unreduced sums, so no bracket
     matrix is built.
     """
-    if a.dim != c.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {c.dim}")
+    _check_dim(a.dim, c.dim)
     if c.is_zero():
         raise ValueError("reference matrix is zero")
     return _proportion(_bracket_sums(a, b), c._entries)
@@ -548,8 +530,7 @@ def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int
     rows: list[_Row] = []
     dependent: list[int] = []
     for k, mat in enumerate(matrices):
-        if mat.dim != matrices[0].dim:
-            raise ValueError("matrices must share a dimension")
+        _check_dim(matrices[0].dim, mat.dim)
         vec = dict(mat._entries)
         combo = {k: ONE}
         for pivot, pvec, pcombo in rows:
@@ -598,8 +579,7 @@ class SpanSolver:
 
     def expand(self, x: ExactMatrix) -> list[GaussianRational] | None:
         """Coefficients of x in the basis, or None if x is outside the span."""
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
+        _check_dim(self.dim, x.dim)
         vec = dict(x._entries)
         coeffs: dict[int, GaussianRational] = {}
         for pivot, pvec, pcombo in self._rows:
@@ -620,7 +600,11 @@ class SpanSolver:
             coeffs = self.expand(x)
             if coeffs is None:
                 return outside
-            parts = [f"({c})*{names[k]}" for k, c in enumerate(coeffs) if c]
-            return " + ".join(parts) if parts else "0"
+            return format_combination((c, names[k]) for k, c in enumerate(coeffs) if c)
 
         return describe
+
+
+def format_combination(terms: Iterable[tuple[GaussianRational, str]]) -> str:
+    """The (coefficient, name) terms as ``(c)*name + ...``; no terms as ``0``."""
+    return " + ".join(f"({c})*{name}" for c, name in terms) or "0"

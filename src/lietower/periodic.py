@@ -21,8 +21,9 @@ import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .labels import InconsistentLabelsError, MadelungKet
+from .labels import InconsistentLabelsError, MadelungKet, _signed_half_str
 
 MAX_Z = 120
 
@@ -65,7 +66,7 @@ class TowerSlice:
 
     @property
     def s_text(self) -> str:
-        return ("+" if self.s > 0 else "") + str(self.s)
+        return _signed_half_str(int(self.s * 2))
 
     def to_json_dict(self) -> dict:
         # an empty point carries only its m, so asdict cannot write this
@@ -100,18 +101,15 @@ def subshell_order() -> Iterable[tuple[int, int]]:
         total += 1
 
 
-def madelung_sequence(max_z: int) -> list[MadelungKet]:
-    """First ``max_z`` kets of the filling order described in the module docstring."""
-    if type(max_z) is not int or max_z < 1:  # bool is an int subclass; reject it
-        raise ValueError("max_z must be an integer >= 1")
-    kets: list[MadelungKet] = []
-    for n, l in subshell_order():
-        for two_s in (-1, 1):
-            for m in range(-l, l + 1):
-                kets.append(MadelungKet(n=n, l=l, m=m, two_s=two_s))
-                if len(kets) == max_z:
-                    return kets
-    raise AssertionError("unreachable")
+def madelung_sequence() -> list[MadelungKet]:
+    """The first ``MAX_Z`` kets of the filling order in the module docstring."""
+    kets = (
+        MadelungKet(n=n, l=l, m=m, two_s=two_s)
+        for n, l in subshell_order()
+        for two_s in (-1, 1)
+        for m in range(-l, l + 1)
+    )
+    return list(islice(kets, MAX_Z))
 
 
 def load_symbols() -> dict[int, str]:
@@ -121,16 +119,15 @@ def load_symbols() -> dict[int, str]:
         return {int(row["z"]): row["symbol"] for row in csv.DictReader(handle)}
 
 
-def assign_elements(symbols: dict[int, str] | None = None) -> list[Element]:
-    """Zip the 120-ket Madelung sequence with the symbol table."""
-    if symbols is None:
-        symbols = load_symbols()
+def assign_elements() -> list[Element]:
+    """Zip the 120-ket Madelung sequence with the packaged symbol table."""
+    symbols = load_symbols()
     missing = [z for z in range(1, MAX_Z + 1) if z not in symbols]
     if missing:
         raise KeyError(f"symbol table misses Z = {missing}")
     return [
         Element(z=z, symbol=symbols[z], ket=ket)
-        for z, ket in enumerate(madelung_sequence(MAX_Z), start=1)
+        for z, ket in enumerate(madelung_sequence(), start=1)
     ]
 
 

@@ -25,7 +25,7 @@ aliases pair by pair, independently of the join.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -39,6 +39,7 @@ from .exact import (
     bracket_multiple,
     commutator,
     commutes,
+    format_combination,
     linear_combination,
     pairwise_commutators,
 )
@@ -119,9 +120,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self) -> Iterator[tuple[IndexPair, ExactMatrix]]:
-        return ((pair, self._gens[pair]) for pair in self.pairs)
-
     def gen(self, a: int, b: int) -> ExactMatrix:
         if a == b:
             return self.zero
@@ -188,14 +186,6 @@ def materialize(
     )
 
 
-def format_terms(terms: Sequence[tuple[GaussianRational, IndexPair]]) -> str:
-    if not terms:
-        return "0"
-    return " + ".join(
-        f"({coeff})*{pair_name(a, b)}" for coeff, (a, b) in terms
-    )
-
-
 @dataclass(frozen=True)
 class PairFailure:
     lhs_pair: IndexPair
@@ -248,7 +238,9 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
                     lhs_pair=left,
                     rhs_pair=right,
                     got=describe(got),
-                    expected=format_terms(expected_terms),
+                    expected=format_combination(
+                        (coeff, pair_name(*pair)) for coeff, pair in expected_terms
+                    ),
                 )
             )
     return CommutationReport(
@@ -261,9 +253,7 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
 def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
     """Membership check g L^T g == -L for every generator."""
     g = gs.metric.matrix()
-    return all(
-        g @ mat.transpose() @ g == -mat for _, mat in gs
-    )
+    return all(g @ mat.transpose() @ g == -mat for mat in gs.matrices())
 
 
 # -- printed relation tables -------------------------------------------------
@@ -319,7 +309,7 @@ def _rel(left: str, right: str, coeff, result: str | None) -> Relation:
 # L1..L3: angular momentum; A1..A3: Laplace-Runge-Lenz vector; B, G (Gamma):
 # its conjugate partners; D1..D3 (Delta): the radial so(2,1) triple.
 
-_HYDROGEN_ALIAS_PAIRS: dict[str, IndexPair] = {
+HYDROGEN_ALIAS_PAIRS: dict[str, IndexPair] = {
     "L1": (2, 3),
     "L2": (3, 1),
     "L3": (1, 2),
@@ -342,7 +332,7 @@ def hydrogen_aliases(gs: GeneratorSet) -> dict[str, ExactMatrix]:
     """Name bindings of the physical operators onto signature-(4,2) generators."""
     if gs.metric != Metric(4, 2):
         raise ValueError("hydrogen aliases require signature (4,2)")
-    return {name: gs.gen(a, b) for name, (a, b) in _HYDROGEN_ALIAS_PAIRS.items()}
+    return {name: gs.gen(a, b) for name, (a, b) in HYDROGEN_ALIAS_PAIRS.items()}
 
 
 # The printed bracket table for the angular-momentum/boost pair (L, B).

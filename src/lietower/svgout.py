@@ -66,10 +66,10 @@ class _Canvas:
             f'fill="{fill}" stroke="{stroke}"/>'
         )
 
-    def text(self, x, y, content, size=10.0, anchor="middle", fill="#000000") -> None:
+    def text(self, x, y, content, size=10.0, anchor="middle") -> None:
         self.add(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-            f'font-size="{_fmt(size)}" text-anchor="{anchor}" fill="{fill}">'
+            f'font-size="{_fmt(size)}" text-anchor="{anchor}" fill="#000000">'
             f"{_esc(content)}</text>"
         )
 

@@ -93,6 +93,12 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/exact.py",
+        "if r != k:\n                continue",
+        "if False:\n                continue",
+        "the product walk multiplies entries whose inner indices differ",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
         "for k, (x, y, t) in sums.items():",
         "for k, (x, y, t) in ():",
         "proportionality returns lambda without checking a single sum",
@@ -148,8 +154,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "g @ mat.transpose() @ g == -mat for _, mat in gs",
-        "True for _, mat in gs",
+        "g @ mat.transpose() @ g == -mat for mat in gs.matrices()",
+        "True for mat in gs.matrices()",
         "pseudo_antisymmetry_holds always true",
     ),
     Mutant(

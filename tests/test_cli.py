@@ -12,7 +12,7 @@ import lietower.periodic
 import lietower.verify
 from lietower import cli
 from lietower.cli import main
-from lietower.periodic import assign_elements, load_symbols
+from lietower.periodic import assign_elements
 from lietower.sopq import Metric, build_generators
 from lietower.verify import SuiteResult, VerificationReport, run_verification
 from golden import GOLDEN_STDOUT_SHA256, tampered_build
@@ -503,6 +503,5 @@ def test_parser_and_element_table_built_once(capsys, monkeypatch, cold_caches):
     with pytest.raises(FrozenInstanceError):
         table[0].symbol = "X"
 
-    symbols = load_symbols()
-    first, second = assign_elements(symbols), assign_elements(symbols)
+    first, second = assign_elements(), assign_elements()
     assert type(first) is list and first is not second and first == second

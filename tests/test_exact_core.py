@@ -36,10 +36,14 @@ def random_scalar(rng):
     )
 
 
+def dense_matrix(rows):
+    """The matrix of a square list of rows, built through ``from_entries``."""
+    cells = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+    return ExactMatrix.from_entries(len(rows), cells)
+
+
 def random_matrix(rng, dim=3):
-    return ExactMatrix(
-        [[random_scalar(rng) for _ in range(dim)] for _ in range(dim)]
-    )
+    return dense_matrix([[random_scalar(rng) for _ in range(dim)] for _ in range(dim)])
 
 
 # -- scalars -------------------------------------------------------------
@@ -95,15 +99,10 @@ def test_scalar_str_canonical():
 # -- matrices ------------------------------------------------------------
 
 
-def test_matrix_requires_square():
-    with pytest.raises(ValueError):
-        ExactMatrix([[g(1), g(2)]])
-
-
 def test_matrix_equality_is_exact():
-    a = ExactMatrix([[g(Fraction(1, 3))]])
-    b = ExactMatrix([[g(Fraction(1, 3))]])
-    c = ExactMatrix([[g(Fraction(1, 3) + Fraction(1, 10**12))]])
+    a = dense_matrix([[g(Fraction(1, 3))]])
+    b = dense_matrix([[g(Fraction(1, 3))]])
+    c = dense_matrix([[g(Fraction(1, 3) + Fraction(1, 10**12))]])
     assert a == b
     assert a != c
 
@@ -116,15 +115,20 @@ def test_from_entries_rejects_out_of_range_key(key):
 
 def test_from_entries_drops_explicit_zeros():
     a = ExactMatrix.from_entries(2, {(0, 0): 0, (1, 1): g(0), (0, 1): 3})
-    assert a == ExactMatrix([[g(0), g(3)], [g(0), g(0)]])
+    assert a == dense_matrix([[g(0), g(3)], [g(0), g(0)]])
     assert a.rows == ((g(0), g(3)), (g(0), g(0)))
 
 
 def test_matrix_indexing_as_dense_rows():
-    a = ExactMatrix([[g(1), g(2)], [g(0), I]])
+    a = dense_matrix([[g(1), g(2)], [g(0), I]])
     assert (a[0, 1], a[1, 0], a[-1, -1]) == (g(2), g(0), I)
     with pytest.raises(IndexError):
         a[2, 0]
+
+
+def test_empty_matrix_prints_as_brackets():
+    for empty in (ExactMatrix.zeros(0), ExactMatrix.from_entries(0, {})):
+        assert str(empty) == repr(empty) == "[]"
 
 
 def test_matrix_immutable():
@@ -152,9 +156,9 @@ def test_matrix_and_scalar_copy_pickle_round_trip(route):
 
 
 def test_matmul_small_known():
-    a = ExactMatrix([[g(1), g(2)], [g(0), g(1)]])
-    b = ExactMatrix([[g(0), g(1)], [g(1), g(0)]])
-    assert a @ b == ExactMatrix([[g(2), g(1)], [g(1), g(0)]])
+    a = dense_matrix([[g(1), g(2)], [g(0), g(1)]])
+    b = dense_matrix([[g(0), g(1)], [g(1), g(0)]])
+    assert a @ b == dense_matrix([[g(2), g(1)], [g(1), g(0)]])
 
 
 def assert_stored_canonical(m):
@@ -313,7 +317,7 @@ def test_commutator_of_rotation_generators(gs42):
 
 
 def test_rank_single_nonzero():
-    a = ExactMatrix([[g(2), g(0)], [g(0), g(0)]])
+    a = dense_matrix([[g(2), g(0)], [g(0), g(0)]])
     assert rank([a]) == 1
 
 

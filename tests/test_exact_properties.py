@@ -290,7 +290,6 @@ def test_equality_and_hash_agree_across_construction_routes(pair):
     n = a.dim
     routes = [
         a,
-        ExactMatrix(dense(a)),
         ExactMatrix.from_entries(n, {(i, j): a[i, j] for i in range(n) for j in range(n)}),
         (a + b) - b,
         b + a - b,
@@ -422,12 +421,15 @@ def test_scalar_str_prints_each_part_in_lowest_terms():
     assert str(GaussianRational(Fraction(5, 6), Fraction(1, 6)) * 3) == "5/2+1/2i"
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.5, "1", GaussianRational(1)])
+@pytest.mark.parametrize("bad", [1.0, 0.5, "1", GaussianRational(1), True, False])
 def test_scalar_constructor_rejects_non_rationals(bad):
     with pytest.raises(TypeError):
         GaussianRational(bad)
     with pytest.raises(TypeError):
         GaussianRational(0, bad)
+    if not isinstance(bad, GaussianRational):  # a GaussianRational scales a matrix
+        with pytest.raises(TypeError):
+            ExactMatrix.identity(2) * bad
 
 
 def test_scalar_is_immutable_and_never_equals_a_plain_number():

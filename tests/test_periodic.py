@@ -24,8 +24,9 @@ S_MINUS = Fraction(-1, 2)
 S_PLUS = Fraction(1, 2)
 
 
-def reference_sequence(max_z):
-    """Independent re-derivation of the filling order via explicit sort."""
+def reference_sequence():
+    """Independent re-derivation of the first MAX_Z kets of the filling
+    order via explicit sort."""
     shells = sorted(
         ((n, l) for n in range(1, 10) for l in range(0, n)),
         key=lambda nl: (nl[0] + nl[1], nl[0]),
@@ -35,32 +36,25 @@ def reference_sequence(max_z):
         for two_s in (-1, 1):
             for m in range(-l, l + 1):
                 kets.append((n, l, m, two_s))
-    return kets[:max_z]
+    return kets[:MAX_Z]
 
 
 def test_sequence_matches_reference():
-    got = [(k.n, k.l, k.m, k.two_s) for k in madelung_sequence(MAX_Z)]
-    assert got == reference_sequence(MAX_Z)
+    got = [(k.n, k.l, k.m, k.two_s) for k in madelung_sequence()]
+    assert got == reference_sequence()
 
 
 def test_sequence_first_two():
-    seq = madelung_sequence(2)
+    seq = madelung_sequence()[:2]
     assert str(seq[0]) == "|1,0,0,-1/2⟩"
     assert str(seq[1]) == "|1,0,0,+1/2⟩"
 
 
 def test_sequence_slot_115_and_118():
-    seq = madelung_sequence(120)
+    seq = madelung_sequence()
+    assert len(seq) == MAX_Z
     assert str(seq[114]) == "|7,1,1,-1/2⟩"
     assert str(seq[117]) == "|7,1,1,+1/2⟩"
-
-
-def test_sequence_truncation_and_bounds():
-    assert len(madelung_sequence(7)) == 7
-    # only an exact int: a float or Fraction never equals a ket count
-    for bad in (0, 2.5, Fraction(3, 2), True):
-        with pytest.raises(ValueError, match="max_z must be an integer >= 1"):
-            madelung_sequence(bad)
 
 
 def test_subshell_order_head():
@@ -97,11 +91,14 @@ def test_assignment_is_bijective(elements):
     assert len({e.ket for e in elements}) == MAX_Z
 
 
-def test_assignment_missing_symbol_rejected():
+def test_assignment_missing_symbol_rejected(monkeypatch):
+    import lietower.periodic
+
     table = load_symbols()
     del table[42]
-    with pytest.raises(KeyError):
-        assign_elements(table)
+    monkeypatch.setattr(lietower.periodic, "load_symbols", lambda: table)
+    with pytest.raises(KeyError, match=r"misses Z = \[42\]"):
+        assign_elements()
 
 
 def test_actinide_run_sits_on_floor5_f_ring(elements):
