@@ -46,6 +46,7 @@ from .exact import (
     bracket_multiple,
     commutator,
     commutes,
+    product_sum,
 )
 from .sopq import (
     GeneratorSet,
@@ -348,18 +349,19 @@ def _epsilon_sum(upper: Mapping[IndexPair, ExactMatrix], rest: tuple[int, ...]) 
     """Sum of U_ab @ U_cd @ ... over the pairs a < b, c < d, ... that cover
     the sorted ``rest``, signed by the permutation (a, b, c, d, ...) of it,
     expanded along the first pair: moving positions i < j of ``rest`` to
-    the front takes i + j - 1 transpositions."""
+    the front takes i + j - 1 transpositions.  Each level is one fused
+    ``product_sum``."""
     if len(rest) == 2:
         return upper[rest]
-    acc = None
-    for i, j in combinations(range(len(rest)), 2):
-        term = upper[rest[i], rest[j]] @ _epsilon_sum(
-            upper, rest[:i] + rest[i + 1 : j] + rest[j + 1 :]
+    terms = [
+        (
+            -1 if (i + j) % 2 == 0 else 1,
+            upper[rest[i], rest[j]],
+            _epsilon_sum(upper, rest[:i] + rest[i + 1 : j] + rest[j + 1 :]),
         )
-        if (i + j) % 2 == 0:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+        for i, j in combinations(range(len(rest)), 2)
+    ]
+    return product_sum(terms[0][1].dim, terms)
 
 
 def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
@@ -379,26 +381,28 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
     the permutation, so C3 is 8/48 = 1/6 of ``_epsilon_sum`` over {1..6},
     which expands each of its 15 four-index remainders once.  C4 is the
     sum over a, c of chain(a, c) @ chain(c, a), where chain(a, c) = sum
-    over b != a, c of L_ab L^bc (a = c included).
+    over b != a, c of L_ab L^bc (a = c included).  C2, each chain, C4
+    and each level of the C3 recursion are one fused ``product_sum``, so
+    no intermediate product or partial sum is built.
     """
     if gs.metric != Metric(4, 2):
         raise ValueError("Casimir construction requires signature (4,2)")
     if degree not in (2, 3, 4):
         raise ValueError(f"unsupported Casimir degree {degree}")
-    g = gs.metric.g
-    idx = tuple(range(1, gs.metric.dim + 1))
+    g, n = gs.metric.g, gs.metric.dim
+    idx = tuple(range(1, n + 1))
     lower = {(a, b): gs.gen(a, b) for a in idx for b in idx if a != b}
     upper = {(a, b): mat * (g(a) * g(b)) for (a, b), mat in lower.items()}
     if degree == 2:
-        return sum((lower[ab] @ upper[ab] for ab in combinations(idx, 2)), gs.zero)
+        return product_sum(n, ((1, lower[ab], upper[ab]) for ab in combinations(idx, 2)))
     if degree == 3:
         return _epsilon_sum(upper, idx) * Fraction(1, 6)
     chain = {
-        (a, c): sum((lower[a, b] @ upper[b, c] for b in idx if b not in (a, c)), gs.zero)
+        (a, c): product_sum(n, ((1, lower[a, b], upper[b, c]) for b in idx if b not in (a, c)))
         for a in idx
         for c in idx
     }
-    return sum((chain[a, c] @ chain[c, a] for a in idx for c in idx), gs.zero)
+    return product_sum(n, ((1, chain[a, c], chain[c, a]) for a in idx for c in idx))
 
 
 def casimir_invariance(gs: GeneratorSet, cas: ExactMatrix) -> bool:

@@ -5,46 +5,53 @@ invariants) is built from these two types, so every identity the toolkit
 checks is decided with zero tolerance: two matrices are equal iff every
 entry is equal as a pair of reduced fractions.
 
-Scalars are Gaussian rationals stored as one integer triple (a, b, d)
-meaning (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1: every arithmetic
-result is brought to that form by one builder, which skips the gcd when
-d == 1 (generator entries are 0, +-1 and +-i, so that is the common case).
-Equal numbers therefore have equal triples; ``re`` and ``im`` read the parts
-as ``fractions.Fraction`` in lowest terms.  A matrix, built from values by
-``from_entries`` only, stores its nonzero entries in an immutable
-{(row, col): value} map that never holds a zero: an entry that cancels to
-zero is removed, so equal matrices have equal maps and equal hashes however
-they were built.  A rotation generator has two nonzero entries and a
-commutator of two has at most four, so arithmetic touches only those: a
-product walks the stored entries of both factors in a plain double loop,
-multiplying each pair whose inner indices meet as stored integer triples
-inline into a map of unreduced (re, im, den) sums (equal denominators add
-numerators, others cross-multiply), and turns each nonzero sum into one
-canonical scalar.  Subtraction is addition of the negation, and every
-operation on several matrices has the one size check.
-``commutator`` runs that walk for a@b and for b@a, its left integers negated,
-into one map, so it builds no intermediate matrix and no scalar per term.
-``commutes`` and ``bracket_multiple`` judge a bracket on those unreduced
-sums without building it: [a, b] = 0 when every sum is 0 + 0i, and
-[a, b] = lambda*c when lambda, read at c's first stored key, matches every
-other nonzero sum against c's entry there by cross-multiplied integers, no
-nonzero sum lies outside c's support and, for a nonzero lambda, none of c's
-entries is missing; only lambda is reduced.
+A Gaussian rational is one integer triple (a, b, d) meaning (a + b*i)/d,
+with d > 0 and gcd(a, b, d) = 1: every result, of scalar and of matrix
+arithmetic alike, is brought to that form by one canonicaliser, which skips
+the gcd when d == 1 (generator entries are 0, +-1 and +-i, so that is the
+common case).  Equal numbers therefore have equal triples.  A
+``GaussianRational`` wraps one triple; ``re`` and ``im`` read its parts as
+``fractions.Fraction`` in lowest terms.  A matrix, built from values by
+``from_entries`` only, stores its nonzero entries as bare triples in an
+immutable {(row, col): (a, b, d)} map that never holds a zero: an entry
+that cancels to zero is removed, so equal matrices have equal maps and
+equal hashes however they were built, and matrix equality is one
+comparison of plain dicts of int tuples.  Arithmetic inside the kernel
+unpacks and builds triples only; a ``GaussianRational`` is made where the
+public API returns a scalar: indexing, ``rows``, ``str``,
+``scaled_identity``, ``bracket_multiple`` and ``SpanSolver.expand``.
+
+A rotation generator has two nonzero entries and a commutator of two has at
+most four, so arithmetic touches only those.  ``product_sum`` sums any
+signed sum of products, sum of +-(a @ b), into one map of unreduced
+(re, im, den) sums: each product walks the stored entries of both factors
+in a plain double loop, multiplying each pair whose inner indices meet
+inline into its slot (equal denominators add numerators, others
+cross-multiply), and each nonzero sum is reduced once at the end, so no
+product or partial sum is built.  ``@`` is its one-term case and
+``commutator`` its two-term case a@b - b@a.  Subtraction is addition of
+the negation, and every operation on several matrices has the one size
+check.  ``commutes`` and ``bracket_multiple`` judge a bracket on those
+unreduced sums without building it: [a, b] = 0 when every sum is 0 + 0i,
+and [a, b] = lambda*c when lambda, read at c's first stored key, matches
+every other nonzero sum against c's entry there by cross-multiplied
+integers, no nonzero sum lies outside c's support and, for a nonzero
+lambda, none of c's entries is missing; only lambda is reduced.
 ``pairwise_commutators`` brackets every pair of a family in one sparse join:
 it indexes the stored entries of all members by row, meets each entry
 (i, k) only with the entries in row k, and sums each product into the
 triple of its (pair, entry) slot, so a pair whose entries never meet costs
 nothing; a generic ``verify`` builds its whole bracket table this way.
-``linear_combination`` sums scaled matrices into one map of scalars.
-Indexing, ``rows`` and ``str`` read the matrix as if it were dense.  A
-scalar multiplies a matrix from either side, a ``GaussianRational``
-included.  Rank and basis expansion share one Gauss-Jordan elimination over
-Q(i) whose rows are the matrices' own {(row, col): value} maps, pivoting in
-row-major order: ``rank`` counts its reduced rows and ``SpanSolver`` keeps
-them, with the combination of inputs behind each, to answer repeated
-expansion queries.  Identities are decided by exact equality, of matrices
-or of integer sums; expansion is for rendering a matrix in a basis and for
-testing that a basis is independent.
+``linear_combination`` sums scaled matrices into one map, reducing each
+sum as it goes.  Indexing, ``rows`` and ``str`` read the matrix as if it
+were dense.  A scalar multiplies a matrix from either side, a
+``GaussianRational`` included.  Rank and basis expansion share one
+Gauss-Jordan elimination over Q(i) whose rows are the matrices' own
+{(row, col): (a, b, d)} maps, pivoting in row-major order: ``rank`` counts
+its reduced rows and ``SpanSolver`` keeps them, with the combination of
+inputs behind each, to answer repeated expansion queries.  Identities are
+decided by exact equality, of matrices or of integer sums; expansion is for
+rendering a matrix in a basis and for testing that a basis is independent.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 RationalLike = int | Fraction
+# (a, b, d) meaning (a + b*i)/d
+Triple = tuple[int, int, int]
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
@@ -62,6 +71,18 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
     if type(value) is not bool and isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _canonical(a: int, b: int, d: int) -> Triple:
+    """The triple of (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, for any
+    nonzero d: the one canonicaliser of scalar and matrix arithmetic."""
+    if d != 1:
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return a, b, d
 
 
 class GaussianRational:
@@ -192,14 +213,8 @@ def _triple(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b*i)/d in canonical form, for any nonzero d."""
-    if d != 1:
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-    return _triple(a, b, d)
+    """(a + b*i)/d as a canonical scalar, for any nonzero d."""
+    return _triple(*_canonical(a, b, d))
 
 
 ZERO = GaussianRational(0)
@@ -214,33 +229,46 @@ def as_scalar(value: ScalarLike) -> GaussianRational:
     return GaussianRational(value)
 
 
-# A sparse map from an index to a nonzero entry; no map ever holds a zero.
-_Entries = dict[tuple[int, int], GaussianRational]
-# A product's running sums (re, im, den), unreduced; a sum may be zero.
-_Triples = dict[tuple[int, int], tuple[int, int, int]]
+def _parts(x: GaussianRational) -> Triple:
+    return x._a, x._b, x._d
 
 
-def _accumulate(acc: dict, key, value: GaussianRational) -> None:
-    """acc[key] += value, removing the entry if it cancels to zero."""
-    old = acc.get(key)
-    if old is None:
-        acc[key] = value
-        return
-    total = old + value
-    if total:
-        acc[key] = total
-    else:
-        del acc[key]
+def _scalar(t: Triple | None) -> GaussianRational:
+    """The scalar of a stored triple, an absent one being zero."""
+    return ZERO if t is None else _triple(*t)
+
+
+def _neg(t: Triple) -> Triple:
+    a, b, d = t
+    return -a, -b, d
+
+
+def _times(x: Triple, y: Triple) -> Triple:
+    a, b, d = x
+    c, e, f = y
+    return _canonical(a * c - b * e, a * e + b * c, d * f)
+
+
+# A sparse map from an index to the canonical triple of a nonzero entry; no
+# map ever holds a zero.
+_Entries = dict[tuple[int, int], Triple]
+# The running sums (re, im, den) of a fused sum, unreduced; a sum may be zero.
+_Sums = dict[tuple[int, int], Triple]
+# The signed products +-(a @ b) of a fused sum, as (sign, a, b).
+_Terms = Iterable[tuple[int, "ExactMatrix", "ExactMatrix"]]
 
 
 class ExactMatrix:
     """Immutable square matrix over the Gaussian rationals.
 
     Equality is entrywise exact equality; there is no tolerance anywhere.
-    Only the nonzero entries are stored, in a {(row, col): value} map.
+    Only the nonzero entries are stored, in a {(row, col): (a, b, d)} map.
     """
 
     __slots__ = ("dim", "_entries")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an ExactMatrix with ExactMatrix.from_entries(dim, entries)")
 
     @staticmethod
     def _of(dim: int, entries: _Entries) -> "ExactMatrix":
@@ -254,7 +282,8 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
-        return ExactMatrix.from_entries, (self.dim, dict(self._entries))
+        values = {key: _triple(*t) for key, t in self._entries.items()}
+        return ExactMatrix.from_entries, (self.dim, values)
 
     @staticmethod
     def zeros(dim: int) -> "ExactMatrix":
@@ -262,7 +291,7 @@ class ExactMatrix:
 
     @staticmethod
     def identity(dim: int) -> "ExactMatrix":
-        return ExactMatrix._of(dim, {(i, i): ONE for i in range(dim)})
+        return ExactMatrix._of(dim, {(i, i): (1, 0, 1) for i in range(dim)})
 
     @staticmethod
     def from_entries(dim: int, entries: dict[tuple[int, int], ScalarLike]) -> "ExactMatrix":
@@ -270,20 +299,22 @@ class ExactMatrix:
         for i, j in entries:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise IndexError(f"entry ({i}, {j}) outside 0..{dim - 1}")
-        return ExactMatrix._of(dim, {key: v for key, x in entries.items() if (v := as_scalar(x))})
+        return ExactMatrix._of(
+            dim, {key: _parts(v) for key, x in entries.items() if (v := as_scalar(x))}
+        )
 
     @property
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
         """The dense entries, row by row, as a read-only tuple of tuples."""
         get, n = self._entries.get, self.dim
-        return tuple(tuple(get((i, j), ZERO) for j in range(n)) for i in range(n))
+        return tuple(tuple(_scalar(get((i, j))) for j in range(n)) for i in range(n))
 
     def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
         i, j = ij
         n = self.dim
         if not (-n <= i < n and -n <= j < n):
             raise IndexError(f"index ({i}, {j}) outside a {n}x{n} matrix")
-        return self._entries.get((i % n, j % n), ZERO)
+        return _scalar(self._entries.get((i % n, j % n)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -296,40 +327,34 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         _check_dim(self.dim, other.dim)
         out = dict(self._entries)
-        for key, b in other._entries.items():
-            _accumulate(out, key, b)
+        _add_scaled(out, (1, 0, 1), other._entries)
         return ExactMatrix._of(self.dim, out)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + -other
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.dim, {key: -a for key, a in self._entries.items()})
+        return ExactMatrix._of(self.dim, {key: _neg(t) for key, t in self._entries.items()})
 
     def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
-        s = as_scalar(scalar)
-        if not s:
-            return ExactMatrix.zeros(self.dim)
-        return ExactMatrix._of(self.dim, {key: a * s for key, a in self._entries.items()})
+        return linear_combination(self.dim, ((scalar, self),))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        _check_dim(self.dim, other.dim)
-        acc: _Triples = {}
-        _sum_products(acc, self._entries, other._entries, 1)
-        return _from_triples(self.dim, acc)
+        return product_sum(self.dim, ((1, self, other),))
 
     def is_zero(self) -> bool:
         return not self._entries
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.dim, {(j, i): v for (i, j), v in self._entries.items()})
+        return ExactMatrix._of(self.dim, {(j, i): t for (i, j), t in self._entries.items()})
 
     def scaled_identity(self) -> GaussianRational | None:
         """Return lambda with self == lambda * I, or None."""
-        lam = self._entries.get((0, 0), ZERO)
-        return lam if self == ExactMatrix.identity(self.dim) * lam else None
+        lam = self._entries.get((0, 0))
+        want = {} if lam is None else {(i, i): lam for i in range(self.dim)}
+        return _scalar(lam) if self._entries == want else None
 
     def __str__(self) -> str:
         cells = [[str(v) for v in row] for row in self.rows]
@@ -346,41 +371,50 @@ def _check_dim(dim: int, other: int) -> None:
         raise ValueError(f"dimension mismatch: {dim} vs {other}")
 
 
-def _sum_products(acc: _Triples, left: _Entries, right: _Entries, sign: int) -> None:
-    """acc += sign * (left @ right), in place, as unreduced integer triples.
+def _product_sums(dim: int, terms: _Terms) -> _Sums:
+    """The unreduced sums of sign * (a @ b) over the (sign, a, b) terms.
 
     Operands hold a handful of entries, so a plain double loop costs less
-    than indexing ``right`` by row."""
-    for (i, k), x in left.items():
-        a, b, d = sign * x._a, sign * x._b, x._d
-        for (r, j), y in right.items():
-            if r != k:
-                continue
-            c, e, f = y._a, y._b, y._d
-            re, im, den = a * c - b * e, a * e + b * c, d * f
-            key = i, j
-            old = acc.get(key)
-            if old is not None:
-                p, q, r = old
-                if r == den:
-                    re, im = p + re, q + im
-                else:
-                    re, im, den = p * den + re * r, q * den + im * r, r * den
-            acc[key] = (re, im, den)
-
-
-def _from_triples(dim: int, acc: _Triples) -> ExactMatrix:
-    """The matrix of the nonzero sums in ``acc``, each reduced once."""
-    return ExactMatrix._of(dim, {k: _reduced(*t) for k, t in acc.items() if t[0] or t[1]})
-
-
-def _bracket_sums(a: ExactMatrix, b: ExactMatrix) -> _Triples:
-    """The unreduced sums of a@b - b@a; raises on dimension mismatch."""
-    _check_dim(a.dim, b.dim)
-    acc: _Triples = {}
-    _sum_products(acc, a._entries, b._entries, 1)
-    _sum_products(acc, b._entries, a._entries, -1)
+    than indexing each right factor by row."""
+    acc: _Sums = {}
+    for sign, left, right in terms:
+        if left.dim != dim or right.dim != dim:
+            _check_dim(dim, left.dim)
+            _check_dim(dim, right.dim)
+        pairs = right._entries.items()
+        for (i, k), (a, b, d) in left._entries.items():
+            a, b = sign * a, sign * b
+            for (r, j), y in pairs:
+                if r != k:
+                    continue
+                c, e, f = y
+                re, im, den = a * c - b * e, a * e + b * c, d * f
+                key = i, j
+                old = acc.get(key)
+                if old is not None:
+                    p, q, r = old
+                    if r == den:
+                        re, im = p + re, q + im
+                    else:
+                        re, im, den = p * den + re * r, q * den + im * r, r * den
+                acc[key] = (re, im, den)
     return acc
+
+
+def product_sum(dim: int, terms: _Terms) -> ExactMatrix:
+    """The sum of sign * (a @ b) over the (sign, a, b) terms, sign +1 or -1,
+    every matrix of size ``dim``; no terms give the zero matrix.
+
+    Every product is summed into one map of unreduced integer triples and
+    each nonzero sum is reduced once, so no product or partial sum is built.
+    """
+    acc = _product_sums(dim, terms)
+    return ExactMatrix._of(dim, {k: _canonical(*t) for k, t in acc.items() if t[0] or t[1]})
+
+
+def _bracket(a: ExactMatrix, b: ExactMatrix) -> _Terms:
+    """The two signed products of [a, b] = a@b - b@a."""
+    return (1, a, b), (-1, b, a)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -389,12 +423,12 @@ def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     Both products are summed into one map of integer triples, so no
     intermediate matrix or scalar is built.
     """
-    return _from_triples(a.dim, _bracket_sums(a, b))
+    return product_sum(a.dim, _bracket(a, b))
 
 
 def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
     """Whether a@b == b@a, decided on the unreduced sums of the bracket."""
-    return not any(re or im for re, im, _ in _bracket_sums(a, b).values())
+    return not any(re or im for re, im, _ in _product_sums(a.dim, _bracket(a, b)).values())
 
 
 def pairwise_commutators(
@@ -418,12 +452,11 @@ def pairwise_commutators(
         _check_dim(dim, m.dim)
     by_row: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for t, m in enumerate(matrices):
-        for (k, j), y in m._entries.items():
-            by_row.setdefault(k, []).append((t, j, y._a, y._b, y._d))
-    acc: dict[tuple[int, int, int, int], tuple[int, int, int]] = {}
+        for (k, j), (c, e, f) in m._entries.items():
+            by_row.setdefault(k, []).append((t, j, c, e, f))
+    acc: dict[tuple[int, int, int, int], Triple] = {}
     for s, m in enumerate(matrices):
-        for (i, k), x in m._entries.items():
-            a, b, d = x._a, x._b, x._d
+        for (i, k), (a, b, d) in m._entries.items():
             for t, j, c, e, f in by_row.get(k, ()):
                 if t == s:
                     continue
@@ -443,7 +476,7 @@ def pairwise_commutators(
     brackets: dict[tuple[int, int], _Entries] = {}
     for (s, t, i, j), (re, im, den) in acc.items():
         if re or im:
-            brackets.setdefault((s, t), {})[i, j] = _reduced(re, im, den)
+            brackets.setdefault((s, t), {})[i, j] = _canonical(re, im, den)
     return {pair: ExactMatrix._of(dim, brackets[pair]) for pair in sorted(brackets)}
 
 
@@ -457,11 +490,11 @@ def linear_combination(
         _check_dim(dim, mat.dim)
         s = as_scalar(c)
         if s:
-            _add_scaled(out, s, mat._entries)
+            _add_scaled(out, _parts(s), mat._entries)
     return ExactMatrix._of(dim, out)
 
 
-def _proportion(sums: _Triples, ref: _Entries) -> GaussianRational | None:
+def _proportion(sums: _Sums, ref: _Entries) -> GaussianRational | None:
     """The lambda with sums == lambda * ref, or None.
 
     ``sums`` holds unreduced (re, im, den) triples, zeros allowed, and
@@ -470,9 +503,9 @@ def _proportion(sums: _Triples, ref: _Entries) -> GaussianRational | None:
     integer identity x*v*m == u*w*t, so only lambda is reduced.
     """
     key = next(iter(ref))
-    r = ref[key]
+    r_a, r_b, r_d = ref[key]
     p, q, s = sums.get(key, (0, 0, 1))
-    u_re, u_im, v_re, v_im = p * r._d, q * r._d, r._a * s, r._b * s
+    u_re, u_im, v_re, v_im = p * r_d, q * r_d, r_a * s, r_b * s
     met = 0
     for k, (x, y, t) in sums.items():
         if not (x or y):
@@ -481,7 +514,7 @@ def _proportion(sums: _Triples, ref: _Entries) -> GaussianRational | None:
         if w is None:  # a nonzero sum outside ref's support
             return None
         met += 1
-        m, c, e = w._d, w._a, w._b
+        c, e, m = w
         lhs = (x * v_re - y * v_im) * m, (x * v_im + y * v_re) * m
         if lhs != ((u_re * c - u_im * e) * t, (u_re * e + u_im * c) * t):
             return None
@@ -504,20 +537,33 @@ def bracket_multiple(
     _check_dim(a.dim, c.dim)
     if c.is_zero():
         raise ValueError("reference matrix is zero")
-    return _proportion(_bracket_sums(a, b), c._entries)
+    return _proportion(_product_sums(a.dim, _bracket(a, b)), c._entries)
 
 
 # -- exact elimination --------------------------------------------------------
 
-# A reduced row: (pivot, the row as a matrix's own {(row, col): entry} map,
-# the row as a combination {input index: coefficient} of the inputs).
-_Row = tuple[tuple[int, int], _Entries, dict[int, GaussianRational]]
+# A reduced row: (pivot, the row as a matrix's own {(row, col): triple} map,
+# the row as a combination {input index: coefficient triple} of the inputs).
+_Row = tuple[tuple[int, int], _Entries, dict[int, Triple]]
 
 
-def _add_scaled(target: dict, c: GaussianRational, source: dict) -> None:
-    """target += c * source, in place."""
-    for idx, v in source.items():
-        _accumulate(target, idx, c * v)
+def _add_scaled(target: dict, c: Triple, source: dict) -> None:
+    """target += c * source, in place, each sum canonical; a sum that
+    cancels to zero is removed."""
+    p, q, s = c
+    for idx, (a, b, d) in source.items():
+        re, im, den = p * a - q * b, p * b + q * a, s * d
+        old = target.get(idx)
+        if old is not None:
+            x, y, t = old
+            if t == den:
+                re, im = x + re, y + im
+            else:
+                re, im, den = x * den + re * t, y * den + im * t, t * den
+            if not (re or im):
+                del target[idx]
+                continue
+        target[idx] = _canonical(re, im, den)
 
 
 def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int]]:
@@ -532,24 +578,27 @@ def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int
     for k, mat in enumerate(matrices):
         _check_dim(matrices[0].dim, mat.dim)
         vec = dict(mat._entries)
-        combo = {k: ONE}
+        combo = {k: (1, 0, 1)}
         for pivot, pvec, pcombo in rows:
             c = vec.get(pivot)
             if c is not None:
-                _add_scaled(vec, -c, pvec)
-                _add_scaled(combo, -c, pcombo)
+                c = _neg(c)
+                _add_scaled(vec, c, pvec)
+                _add_scaled(combo, c, pcombo)
         if not vec:
             dependent.append(k)
             continue
         pivot = min(vec)
-        inv = ONE / vec[pivot]
-        vec = {idx: v * inv for idx, v in vec.items()}
-        combo = {idx: v * inv for idx, v in combo.items()}
+        a, b, d = vec[pivot]
+        inv = _canonical(a * d, -b * d, a * a + b * b)
+        vec = {idx: _times(v, inv) for idx, v in vec.items()}
+        combo = {idx: _times(v, inv) for idx, v in combo.items()}
         for _, pvec, pcombo in rows:
             c = pvec.get(pivot)
             if c is not None:
-                _add_scaled(pvec, -c, vec)
-                _add_scaled(pcombo, -c, combo)
+                c = _neg(c)
+                _add_scaled(pvec, c, vec)
+                _add_scaled(pcombo, c, combo)
         rows.append((pivot, vec, combo))
     rows.sort(key=lambda item: item[0])
     return rows, dependent
@@ -581,15 +630,15 @@ class SpanSolver:
         """Coefficients of x in the basis, or None if x is outside the span."""
         _check_dim(self.dim, x.dim)
         vec = dict(x._entries)
-        coeffs: dict[int, GaussianRational] = {}
+        coeffs: dict[int, Triple] = {}
         for pivot, pvec, pcombo in self._rows:
             c = vec.get(pivot)
             if c is not None:
-                _add_scaled(vec, -c, pvec)
+                _add_scaled(vec, _neg(c), pvec)
                 _add_scaled(coeffs, c, pcombo)
         if vec:
             return None
-        return [coeffs.get(idx, ZERO) for idx in range(self.size)]
+        return [_scalar(coeffs.get(idx)) for idx in range(self.size)]
 
     def describer(self, names: Sequence[str], outside: str) -> Callable[[ExactMatrix], str]:
         """Render a matrix as an exact combination of the factored basis,

@@ -81,21 +81,33 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/cartan.py",
-        "if (i + j) % 2 == 0:",
-        "if j % 2 == 0:",
+        "-1 if (i + j) % 2 == 0 else 1,",
+        "-1 if j % 2 == 0 else 1,",
         "epsilon recursion signs by the second position only",
     ),
     Mutant(
         "src/lietower/exact.py",
-        "{k: _reduced(*t) for k, t in acc.items() if t[0] or t[1]}",
-        "{k: _reduced(*t) for k, t in acc.items()}",
+        "{k: _canonical(*t) for k, t in acc.items() if t[0] or t[1]}",
+        "{k: _canonical(*t) for k, t in acc.items()}",
         "product sums keep their zero entries",
     ),
     Mutant(
         "src/lietower/exact.py",
-        "if r != k:\n                continue",
-        "if False:\n                continue",
+        "if r != k:\n                    continue",
+        "if False:\n                    continue",
         "the product walk multiplies entries whose inner indices differ",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "a, b = sign * a, sign * b",
+        "a, b = a, b",
+        "the fused product sum drops each term's sign",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "return self.dim == other.dim and self._entries == other._entries",
+        "return self.dim == other.dim and self._entries.keys() == other._entries.keys()",
+        "matrix equality compares the stored keys only",
     ),
     Mutant(
         "src/lietower/exact.py",
@@ -124,7 +136,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/exact.py",
-        "return not any(re or im for re, im, _ in _bracket_sums(a, b).values())",
+        "return not any(re or im for re, im, _ in _product_sums(a.dim, _bracket(a, b)).values())",
         "return True",
         "commutes always true",
     ),
@@ -148,8 +160,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/exact.py",
-        "return lam if self == ExactMatrix.identity(self.dim) * lam else None",
-        "return lam",
+        "return _scalar(lam) if self._entries == want else None",
+        "return _scalar(lam)",
         "scaled_identity reads the (0, 0) entry only",
     ),
     Mutant(
@@ -211,8 +223,8 @@ MUTANTS = (
 EQUIVALENT = (
     Mutant(
         "src/lietower/cartan.py",
-        "if (i + j) % 2 == 0:",
-        "if (i + j) % 2:",
+        "-1 if (i + j) % 2 == 0 else 1,",
+        "-1 if (i + j) % 2 else 1,",
         "flips every sign of the epsilon recursion; each term takes one sign "
         "per level and the recursion over {1..6} is two levels deep",
     ),

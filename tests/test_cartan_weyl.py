@@ -797,17 +797,19 @@ def test_casimir_matches_textbook_sums(gs42, corrupt):
 @pytest.mark.parametrize("degree, matmuls", [(2, 15), (3, 105), (4, 186)])
 def test_casimir_matmul_count(gs42, monkeypatch, degree, matmuls):
     # an op count instead of a wall-clock bound: the recursive epsilon C3 and the
-    # factored C4 chain, not the 720-permutation and four-index sums
-    calls = []
-    real = ExactMatrix.__matmul__
+    # factored C4 chain, not the 720-permutation and four-index sums; every
+    # product, fused or not, is one term of the kernel's one product accumulator
+    terms = []
+    real = lietower.exact._product_sums
 
-    def counting(self, other):
-        calls.append(1)
-        return real(self, other)
+    def counting(dim, products):
+        products = list(products)
+        terms.extend(products)
+        return real(dim, products)
 
-    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    monkeypatch.setattr(lietower.exact, "_product_sums", counting)
     casimir(gs42, degree)
-    assert len(calls) == matmuls
+    assert len(terms) == matmuls
 
 
 def test_casimir_unsupported_degree(gs42):

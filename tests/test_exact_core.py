@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,7 @@ from lietower.exact import (
     commutator,
     commutes,
     pairwise_commutators,
+    product_sum,
     rank,
 )
 from lietower.sopq import Metric, build_generators
@@ -137,6 +139,14 @@ def test_matrix_immutable():
         a.dim = 3
 
 
+@pytest.mark.parametrize("args", [(), ([[1]],), (2, {})])
+def test_bare_constructor_refuses_and_names_from_entries(args):
+    with pytest.raises(TypeError, match=r"ExactMatrix\.from_entries\(dim, entries\)"):
+        ExactMatrix(*args)
+    # the internal wrapper builds past the refusal
+    assert ExactMatrix._of(2, {(0, 1): (1, 0, 1)}) == ExactMatrix.from_entries(2, {(0, 1): 1})
+
+
 ROUND_TRIPS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -162,11 +172,15 @@ def test_matmul_small_known():
 
 
 def assert_stored_canonical(m):
-    """Every stored entry is nonzero and is the one canonical triple of its value."""
-    for value in m._entries.values():
-        assert value
-        rebuilt = GaussianRational(value.re, value.im)
-        assert value == rebuilt and hash(value) == hash(rebuilt)
+    """Every stored entry is a bare int triple (a, b, d), nonzero, with d > 0
+    and gcd(a, b, d) = 1, the one canonical triple of its value, and reads
+    back as that value."""
+    for key, t in m._entries.items():
+        assert type(t) is tuple and [type(x) for x in t] == [int, int, int]
+        a, b, d = t
+        assert (a, b) != (0, 0)
+        assert d > 0 and gcd(a, b, d) == 1
+        assert m[key] == GaussianRational(Fraction(a, d), Fraction(b, d))
 
 
 def test_product_terms_cancel_then_leave_the_rest():
@@ -190,8 +204,7 @@ def test_mixed_denominators_reduce_to_the_canonical_triple():
     # 1/2 * 1/3 + 1/3 * 1/1 = 9/18 before reduction, stored as (1, 0, 2)
     a = ExactMatrix.from_entries(2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
     b = ExactMatrix.from_entries(2, {(0, 0): Fraction(1, 3), (1, 0): 1})
-    value = (a @ b)._entries[0, 0]
-    assert (value._a, value._b, value._d) == (1, 0, 2)
+    assert (a @ b)._entries[0, 0] == (1, 0, 2)
     assert_stored_canonical(a @ b)
     assert_stored_canonical(commutator(a, b))
 
@@ -212,6 +225,77 @@ def test_random_products_store_canonical_nonzero_entries():
         a, b = random_matrix(rng), random_matrix(rng)
         assert_stored_canonical(a @ b)
         assert_stored_canonical(commutator(a, b))
+
+
+def random_sparse(rng, dim):
+    """A dim x dim matrix with up to dim entries, each a unit or a scalar
+    with denominators up to 3."""
+    units = (g(1), g(-1), I, -I)
+    cells = rng.sample(range(dim * dim), rng.randint(0, dim))
+    return ExactMatrix.from_entries(
+        dim,
+        {
+            divmod(k, dim): rng.choice(units) if rng.random() < 0.5 else random_scalar(rng)
+            for k in cells
+        },
+    )
+
+
+def test_product_sum_matches_chained_products_and_sums():
+    # a derandomized property: signed sums of products of a small pool, so
+    # that terms repeat and cancel, summed once by the fused accumulator
+    # and once as chained @ and +
+    rng = random.Random(29)
+    seen = {"negative": 0, "cancelled": 0, "nonzero": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        pool = [random_sparse(rng, dim) for _ in range(3)]
+        terms = [
+            (rng.choice((1, -1)), rng.choice(pool), rng.choice(pool))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if terms and rng.random() < 0.3:  # a term and its negated twin
+            sign, a, b = rng.choice(terms)
+            terms.insert(rng.randint(0, len(terms)), (-sign, a, b))
+        want = ExactMatrix.zeros(dim)
+        for sign, a, b in terms:
+            want = want + (a @ b if sign > 0 else -(a @ b))
+        got = product_sum(dim, terms)
+        assert got == want and got._entries == want._entries
+        assert hash(got) == hash(want)
+        assert_stored_canonical(got)
+        # equality reads values, not only the stored keys
+        assert (got == -got) == got.is_zero()
+        seen["negative"] += any(sign < 0 and not (a @ b).is_zero() for sign, a, b in terms)
+        seen["cancelled"] += got.is_zero() and any(not (a @ b).is_zero() for _, a, b in terms)
+        seen["nonzero"] += not got.is_zero()
+    assert min(seen.values()) >= 15, seen
+
+
+def test_product_sum_cancels_to_an_empty_map_and_checks_sizes():
+    # a term and its negation cancel to an empty map, across two different
+    # products too (a@a and its transpose's square agree), and an empty sum
+    # is the zero matrix
+    a = ExactMatrix.from_entries(2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 3)})
+    t = a.transpose()
+    assert product_sum(2, [(1, a, t), (-1, a, t)])._entries == {}
+    assert product_sum(2, [(1, a, a), (-1, t, t)])._entries == {}
+    assert product_sum(3, [])._entries == {} and product_sum(3, []).dim == 3
+    # equal denominators add numerators: 1/6 + 1/6 = 1/3
+    assert product_sum(2, [(1, a, a), (1, t, t)])._entries == {
+        (0, 0): (1, 0, 3),
+        (1, 1): (1, 0, 3),
+    }
+    # others cross-multiply: 1/6 - 1/4 = -1/12 at (0, 0)
+    b = ExactMatrix.from_entries(2, {(0, 0): Fraction(1, 2)})
+    assert product_sum(2, [(1, a, a), (-1, b, b)])._entries == {
+        (0, 0): (-1, 0, 12),
+        (1, 1): (1, 0, 6),
+    }
+    two, three = ExactMatrix.identity(2), ExactMatrix.identity(3)
+    for terms in ([(1, two, three)], [(1, three, two)], [(1, two, two), (-1, three, three)]):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            product_sum(2, terms)
 
 
 # -- commutator ----------------------------------------------------------
