@@ -70,8 +70,9 @@ MAX_HALF_TEXT = 40
 
 def _parse_half(text: str, what: str) -> Fraction:
     bad = CliError(f"bad {what} {text!r}; expected a half-integer like 3/2")
-    # exponent notation such as 1e100000000 would build a 10**10**8 integer
-    if len(text) > MAX_HALF_TEXT or "e" in text.lower():
+    # exponent notation such as 1e100000000 would build a 10**10**8 integer;
+    # Fraction reads PEP 515 underscores (1_0) only from Python 3.11 on
+    if len(text) > MAX_HALF_TEXT or "e" in text.lower() or "_" in text:
         raise bad
     try:
         value = Fraction(text)
@@ -117,20 +118,22 @@ def _emit(text: str, handle: TextIOBase) -> None:
     """Write ``text`` to a handle from ``_open_output``, closing a file.
 
     Stdout gets UTF-8 with LF whatever the locale, through its byte buffer
-    when it has one.
+    when it has one, flushed here.  A failed write, to stdout or to a file,
+    is a one-line error.
     """
-    if handle is sys.stdout:
-        if hasattr(handle, "buffer"):
+    try:
+        if handle is not sys.stdout:
+            with handle:
+                handle.write(text)
+        elif hasattr(handle, "buffer"):
             handle.flush()
             handle.buffer.write(text.encode("utf-8"))
+            handle.buffer.flush()
         else:
             handle.write(text)
-        return
-    try:
-        with handle:
-            handle.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {handle.name}: {exc.strerror or exc}") from exc
+        name = "<stdout>" if handle is sys.stdout else handle.name
+        raise CliError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def _to_json(obj: dict) -> str:

@@ -9,17 +9,22 @@ A Gaussian rational is one integer triple (a, b, d) meaning (a + b*i)/d,
 with d > 0 and gcd(a, b, d) = 1: every result, of scalar and of matrix
 arithmetic alike, is brought to that form by one canonicaliser, which skips
 the gcd when d == 1 (generator entries are 0, +-1 and +-i, so that is the
-common case).  Equal numbers therefore have equal triples.  A
-``GaussianRational`` wraps one triple; ``re`` and ``im`` read its parts as
+common case).  Equal numbers therefore have equal triples.  The triple is
+the one representation: a ``GaussianRational`` holds it in its one slot,
+compares and hashes as it, and reads ``re`` and ``im`` from it as
 ``fractions.Fraction`` in lowest terms.  A matrix, built from values by
-``from_entries`` only, stores its nonzero entries as bare triples in an
-immutable {(row, col): (a, b, d)} map that never holds a zero: an entry
+``from_entries`` only, stores its nonzero entries as those same triples in
+an immutable {(row, col): (a, b, d)} map that never holds a zero: an entry
 that cancels to zero is removed, so equal matrices have equal maps and
 equal hashes however they were built, and matrix equality is one
 comparison of plain dicts of int tuples.  Arithmetic inside the kernel
-unpacks and builds triples only; a ``GaussianRational`` is made where the
-public API returns a scalar: indexing, ``rows``, ``str``,
-``scaled_identity``, ``bracket_multiple`` and ``SpanSolver.expand``.
+unpacks and builds triples only; where the public API returns a scalar
+(indexing, ``rows``, ``str``, ``scaled_identity``, ``bracket_multiple``
+and ``SpanSolver.expand``) it wraps the triple itself, not a copy.  Each
+arithmetic rule is written once, on triples: scalar ``*``, unary ``-`` and
+``/`` run the kernel's ``_times``, ``_neg`` and ``_inverse``, and
+``_inverse`` is also the Gauss-Jordan pivot's inverse and the division
+that reads lambda in ``bracket_multiple``.
 
 A rotation generator has two nonzero entries and a commutator of two has at
 most four, so arithmetic touches only those.  ``product_sum`` sums any
@@ -88,20 +93,18 @@ def _canonical(a: int, b: int, d: int) -> Triple:
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
-    Stored as integers (a, b, d) meaning (a + b*i)/d, with d > 0 and
-    gcd(a, b, d) = 1, so equal numbers have equal triples.
+    Holds one canonical triple (a, b, d) meaning (a + b*i)/d, with d > 0
+    and gcd(a, b, d) = 1, so equal numbers have equal triples.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_t",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         p, q = _ratio(re)
         r, s = _ratio(im)
         d = lcm(q, s)
         # p/q and r/s are in lowest terms, so gcd(a, b, d) = 1 already
-        _set_a(self, p * (d // q))
-        _set_b(self, r * (d // s))
-        _set_d(self, d)
+        _set_t(self, (p * (d // q), r * (d // s), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -111,20 +114,22 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        a, _, d = self._t
+        return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        _, b, d = self._t
+        return Fraction(b, d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        other = as_scalar(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a + other._a, self._b + other._b, d)
-        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        a, b, d = self._t
+        c, e, f = as_scalar(other)._t
+        if d == f:
+            return _wrap(_canonical(a + c, b + e, d))
+        return _wrap(_canonical(a * f + c * d, b * f + e * d, d * f))
 
     __radd__ = __add__
 
@@ -137,42 +142,33 @@ class GaussianRational:
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         if isinstance(other, ExactMatrix):
             return NotImplemented  # so Python tries ExactMatrix.__rmul__
-        other = as_scalar(other)
-        a, b, c, e = self._a, self._b, other._a, other._b
-        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
+        return _wrap(_times(self._t, as_scalar(other)._t))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        other = as_scalar(other)
-        c, e = other._a, other._b
-        norm = c * c + e * e
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei)f / (d(c^2+e^2))
-        a, b, f = self._a, self._b, other._d
-        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
+        return _wrap(_times(self._t, _inverse(as_scalar(other)._t)))
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return as_scalar(other) / self
 
     def __neg__(self) -> "GaussianRational":
-        return _triple(-self._a, -self._b, self._d)
+        return _wrap(_neg(self._t))
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return self._t != (0, 0, 1)  # the canonical triple of zero
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return self._t == other._t
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+        return hash(self._t)
 
     @property
     def is_real(self) -> bool:
-        return self._b == 0
+        return self._t[1] == 0
 
     # -- canonical text form --------------------------------------------------
 
@@ -198,23 +194,14 @@ class GaussianRational:
 # defined after the class: a runtime union needs the class, not its name
 ScalarLike = GaussianRational | int | Fraction
 
-_set_a = GaussianRational._a.__set__
-_set_b = GaussianRational._b.__set__
-_set_d = GaussianRational._d.__set__
+_set_t = GaussianRational._t.__set__
 
 
-def _triple(a: int, b: int, d: int) -> GaussianRational:
-    """Wrap a triple that is already canonical."""
+def _wrap(t: Triple) -> GaussianRational:
+    """The scalar holding a canonical triple, the triple itself, not a copy."""
     x = object.__new__(GaussianRational)
-    _set_a(x, a)
-    _set_b(x, b)
-    _set_d(x, d)
+    _set_t(x, t)
     return x
-
-
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b*i)/d as a canonical scalar, for any nonzero d."""
-    return _triple(*_canonical(a, b, d))
 
 
 ZERO = GaussianRational(0)
@@ -229,13 +216,9 @@ def as_scalar(value: ScalarLike) -> GaussianRational:
     return GaussianRational(value)
 
 
-def _parts(x: GaussianRational) -> Triple:
-    return x._a, x._b, x._d
-
-
 def _scalar(t: Triple | None) -> GaussianRational:
     """The scalar of a stored triple, an absent one being zero."""
-    return ZERO if t is None else _triple(*t)
+    return ZERO if t is None else _wrap(t)
 
 
 def _neg(t: Triple) -> Triple:
@@ -247,6 +230,15 @@ def _times(x: Triple, y: Triple) -> Triple:
     a, b, d = x
     c, e, f = y
     return _canonical(a * c - b * e, a * e + b * c, d * f)
+
+
+def _inverse(t: Triple) -> Triple:
+    """1 / ((a + b*i)/d) = (a - b*i)*d / (a^2 + b^2); raises on zero."""
+    a, b, d = t
+    norm = a * a + b * b
+    if not norm:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _canonical(a * d, -b * d, norm)
 
 
 # A sparse map from an index to the canonical triple of a nonzero entry; no
@@ -282,7 +274,7 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
-        values = {key: _triple(*t) for key, t in self._entries.items()}
+        values = {key: _wrap(t) for key, t in self._entries.items()}
         return ExactMatrix.from_entries, (self.dim, values)
 
     @staticmethod
@@ -300,7 +292,7 @@ class ExactMatrix:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise IndexError(f"entry ({i}, {j}) outside 0..{dim - 1}")
         return ExactMatrix._of(
-            dim, {key: _parts(v) for key, x in entries.items() if (v := as_scalar(x))}
+            dim, {key: v._t for key, x in entries.items() if (v := as_scalar(x))}
         )
 
     @property
@@ -490,7 +482,7 @@ def linear_combination(
         _check_dim(dim, mat.dim)
         s = as_scalar(c)
         if s:
-            _add_scaled(out, _parts(s), mat._entries)
+            _add_scaled(out, s._t, mat._entries)
     return ExactMatrix._of(dim, out)
 
 
@@ -520,8 +512,7 @@ def _proportion(sums: _Sums, ref: _Entries) -> GaussianRational | None:
             return None
     if 0 < met < len(ref):  # a nonzero lambda misses an entry of ref
         return None
-    norm = v_re * v_re + v_im * v_im
-    return _reduced(u_re * v_re + u_im * v_im, u_im * v_re - u_re * v_im, norm)
+    return _wrap(_times((u_re, u_im, 1), _inverse((v_re, v_im, 1))))
 
 
 def bracket_multiple(
@@ -589,8 +580,7 @@ def _gauss_jordan(matrices: Sequence[ExactMatrix]) -> tuple[list[_Row], list[int
             dependent.append(k)
             continue
         pivot = min(vec)
-        a, b, d = vec[pivot]
-        inv = _canonical(a * d, -b * d, a * a + b * b)
+        inv = _inverse(vec[pivot])
         vec = {idx: _times(v, inv) for idx, v in vec.items()}
         combo = {idx: _times(v, inv) for idx, v in combo.items()}
         for _, pvec, pcombo in rows:

@@ -160,6 +160,12 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/exact.py",
+        "return _canonical(a * d, -b * d, norm)",
+        "return _canonical(a * d, b * d, norm)",
+        "the one scalar inverse drops the conjugate",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
         "return _scalar(lam) if self._entries == want else None",
         "return _scalar(lam)",
         "scaled_identity reads the (0, 0) entry only",

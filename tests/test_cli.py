@@ -1,7 +1,10 @@
 """Command-line surface: formats, determinism, exit codes, fault injection."""
 
+import errno
 import hashlib
+import io
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict
@@ -270,10 +273,14 @@ def test_negative_node_label_rejected(capsys, argv, message):
         (("tower", "--spin=1/0"), "spin '1/0'"),
         (("tower", "--spin=1e5000"), "spin '1e5000'"),
         (("tower", "--spin=" + "1" * 41), "spin '" + "1" * 41 + "'"),
+        (("mass", "1_0", "0"), "l '1_0'"),
+        (("elements", "--z", "1", "--node", "1_0,0,0"), "l '1_0'"),
+        (("tower", "--spin=+1_0/2_0"), "spin '+1_0/2_0'"),
     ],
     ids=[
         "mass-exponent", "mass-upper-exponent", "elements-node-exponent", "overlong",
         "tower-zero-denominator", "tower-exponent", "tower-overlong",
+        "mass-underscore", "elements-node-underscore", "tower-underscore",
     ],
 )
 def test_huge_half_integer_rejected(capsys, argv, bad):
@@ -396,6 +403,40 @@ def test_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}")
     assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class _FullBuffer(io.BufferedIOBase):
+    """The byte buffer of a stdout on a full device: ``write`` fails at
+    once, or, when ``held``, the bytes wait and ``flush`` fails, dropping them."""
+
+    def __init__(self, held):
+        self.held, self.pending = held, b""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if not self.held:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.pending += bytes(data)
+        return len(data)
+
+    def flush(self):
+        if self.pending:
+            self.pending = b""
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["write-fails", "flush-fails"])
+@pytest.mark.parametrize(
+    "argv", [("mass", "1/2", "0"), ("verify", "--signature", "4,2")], ids=" ".join
+)
+def test_failed_stdout_write_exits_2(capsys, monkeypatch, argv, held):
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(_FullBuffer(held), encoding="utf-8"))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == "error: cannot write <stdout>: No space left on device\n"
     assert "Traceback" not in err
 
 

@@ -183,6 +183,21 @@ def assert_stored_canonical(m):
         assert m[key] == GaussianRational(Fraction(a, d), Fraction(b, d))
 
 
+def test_a_read_entry_wraps_the_stored_triple(gs42, gs44):
+    """Indexing hands out the matrix's own stored triple, no copy and no
+    conversion, and the scalar hashes as that triple."""
+    from lietower.cartan import adapted_basis, casimir, ladder_operators
+
+    matrices = [*gs42.matrices()[:3], *gs44.matrices()[-3:]]
+    matrices += list(ladder_operators(adapted_basis(gs42)).values())[:4]
+    matrices += [casimir(gs42, 2), commutator(gs42.matrices()[0], gs42.matrices()[1])]
+    for m in matrices:
+        assert m._entries
+        for (i, j), t in m._entries.items():
+            assert m[i, j]._t is t
+            assert hash(m[i, j]) == hash(t)
+
+
 def test_product_terms_cancel_then_leave_the_rest():
     # (a @ b)[0, 0] sums x, -x, y: the first two cancel on one denominator
     # and y joins the zero by cross-multiplying

@@ -408,11 +408,11 @@ def test_scalar_canonical_form_across_routes(x, y, k):
 
 
 def test_scalar_builder_normalises_negative_denominator():
-    from lietower.exact import _reduced
+    from lietower.exact import _canonical, _wrap
 
     third = GaussianRational(Fraction(1, 3), Fraction(-2, 3))
-    assert_same_value([_reduced(-3, 6, -9), _reduced(1, -2, 3), third])
-    assert_same_value([_reduced(0, 0, -4), ZERO])
+    assert_same_value([_wrap(_canonical(-3, 6, -9)), _wrap(_canonical(1, -2, 3)), third])
+    assert_same_value([_wrap(_canonical(0, 0, -4)), ZERO])
 
 
 def test_scalar_str_prints_each_part_in_lowest_terms():
