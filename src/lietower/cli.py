@@ -119,7 +119,10 @@ def _emit(text: str, handle: TextIOBase) -> None:
 
     Stdout gets UTF-8 with LF whatever the locale, through its byte buffer
     when it has one, flushed here.  A failed write, to stdout or to a file,
-    is a one-line error.
+    is a one-line error.  After a failed stdout write its descriptor is
+    pointed at the null device: the buffer keeps the unwritten bytes, and
+    the flush Python runs at exit would otherwise fail on them again and
+    turn exit 2 into 120.
     """
     try:
         if handle is not sys.stdout:
@@ -132,8 +135,13 @@ def _emit(text: str, handle: TextIOBase) -> None:
         else:
             handle.write(text)
     except OSError as exc:
-        name = "<stdout>" if handle is sys.stdout else handle.name
-        raise CliError(f"cannot write {name}: {exc.strerror or exc}") from exc
+        reason = exc.strerror or exc
+        if handle is not sys.stdout:
+            raise CliError(f"cannot write {handle.name}: {reason}") from exc
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, handle.fileno())
+        os.close(null)
+        raise CliError(f"cannot write <stdout>: {reason}") from exc
 
 
 def _to_json(obj: dict) -> str:

@@ -20,11 +20,13 @@ equal hashes however they were built, and matrix equality is one
 comparison of plain dicts of int tuples.  Arithmetic inside the kernel
 unpacks and builds triples only; where the public API returns a scalar
 (indexing, ``rows``, ``str``, ``scaled_identity``, ``bracket_multiple``
-and ``SpanSolver.expand``) it wraps the triple itself, not a copy.  Each
-arithmetic rule is written once, on triples: scalar ``*``, unary ``-`` and
-``/`` run the kernel's ``_times``, ``_neg`` and ``_inverse``, and
-``_inverse`` is also the Gauss-Jordan pivot's inverse and the division
-that reads lambda in ``bracket_multiple``.
+and ``SpanSolver.expand``) it wraps the triple itself, not a copy.  Scalar
+``*``, unary ``-`` and ``/`` run the kernel's triple rules ``_times``,
+``_neg`` and ``_inverse``, and ``_inverse`` is also the Gauss-Jordan
+pivot's inverse and the division that reads lambda in
+``bracket_multiple``.  Scalar ``+`` keeps its own rule: the kernel's sums
+(``_product_sums``, ``pairwise_commutators``, ``_add_scaled``) add inline,
+unreduced, because a call per term is slower.
 
 A rotation generator has two nonzero entries and a commutator of two has at
 most four, so arithmetic touches only those.  ``product_sum`` sums any

@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict
+from pathlib import Path
 
 import pytest
 
@@ -408,13 +410,17 @@ def test_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, argv):
 
 class _FullBuffer(io.BufferedIOBase):
     """The byte buffer of a stdout on a full device: ``write`` fails at
-    once, or, when ``held``, the bytes wait and ``flush`` fails, dropping them."""
+    once, or, when ``held``, the bytes wait and ``flush`` fails, keeping
+    them as ``io.BufferedWriter`` does.  ``fileno`` is the descriptor ``fd``."""
 
-    def __init__(self, held):
-        self.held, self.pending = held, b""
+    def __init__(self, held, fd):
+        self.held, self.fd, self.pending = held, fd, b""
 
     def writable(self):
         return True
+
+    def fileno(self):
+        return self.fd
 
     def write(self, data):
         if not self.held:
@@ -424,7 +430,6 @@ class _FullBuffer(io.BufferedIOBase):
 
     def flush(self):
         if self.pending:
-            self.pending = b""
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
@@ -432,12 +437,43 @@ class _FullBuffer(io.BufferedIOBase):
 @pytest.mark.parametrize(
     "argv", [("mass", "1/2", "0"), ("verify", "--signature", "4,2")], ids=" ".join
 )
-def test_failed_stdout_write_exits_2(capsys, monkeypatch, argv, held):
-    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(_FullBuffer(held), encoding="utf-8"))
-    code, _, err = run_cli(capsys, *argv)
+def test_failed_stdout_write_exits_2(capsys, monkeypatch, tmp_path, argv, held):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    full = _FullBuffer(held, fd)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(full, encoding="utf-8"))
+    try:
+        code, _, err = run_cli(capsys, *argv)
+        # the descriptor now takes the exit-time flush of the kept bytes
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        full.pending = b""
+        os.close(fd)
     assert code == 2
     assert err == "error: cannot write <stdout>: No space left on device\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv", [("mass", "1/2", "0"), ("verify", "--signature", "4,2")], ids=" ".join
+)
+def test_stdout_on_a_full_device_exits_2(tmp_path, argv):
+    # a buffered stdout, as a shell gives one, keeps the bytes a failed
+    # flush could not write and flushes them again as the process exits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "lietower", *argv],
+            cwd=tmp_path,
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            check=False,
+        )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == b"error: cannot write <stdout>: No space left on device\n"
 
 
 @pytest.mark.parametrize(
