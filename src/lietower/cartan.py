@@ -373,7 +373,7 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
     D2^2.  Degree 3 contracts three raised generators with the rank-6
     epsilon tensor (eps_123456 = +1) and a 1/48 normalisation; degree 4 is
     the closed chain L_ab L^bc L_cd L^da.  Indices are raised with the
-    diagonal metric.
+    diagonal metric; the sums are built at the size of the generators.
 
     Both higher sums are regrouped by distributivity alone, without
     assuming the brackets.  Swapping the two indices of one generator flips
@@ -389,20 +389,20 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
         raise ValueError("Casimir construction requires signature (4,2)")
     if degree not in (2, 3, 4):
         raise ValueError(f"unsupported Casimir degree {degree}")
-    g, n = gs.metric.g, gs.metric.dim
+    g, n, size = gs.metric.g, gs.metric.dim, gs.zero.dim
     idx = tuple(range(1, n + 1))
     lower = {(a, b): gs.gen(a, b) for a in idx for b in idx if a != b}
     upper = {(a, b): mat * (g(a) * g(b)) for (a, b), mat in lower.items()}
     if degree == 2:
-        return product_sum(n, ((1, lower[ab], upper[ab]) for ab in combinations(idx, 2)))
+        return product_sum(size, ((1, lower[ab], upper[ab]) for ab in combinations(idx, 2)))
     if degree == 3:
         return _epsilon_sum(upper, idx) * Fraction(1, 6)
     chain = {
-        (a, c): product_sum(n, ((1, lower[a, b], upper[b, c]) for b in idx if b not in (a, c)))
+        (a, c): product_sum(size, ((1, lower[a, b], upper[b, c]) for b in idx if b not in (a, c)))
         for a in idx
         for c in idx
     }
-    return product_sum(n, ((1, chain[a, c], chain[c, a]) for a in idx for c in idx))
+    return product_sum(size, ((1, chain[a, c], chain[c, a]) for a in idx for c in idx))
 
 
 def casimir_invariance(gs: GeneratorSet, cas: ExactMatrix) -> bool:

@@ -1,7 +1,6 @@
-"""Defining matrix representation of the pseudo-orthogonal algebras so(p,q).
-
-The rotation generators of a flat space with metric signature (p, q) are
-realised as (p+q)x(p+q) matrices
+"""The pseudo-orthogonal algebras so(p,q): a ``GeneratorSet`` holds any
+one-size (a, b) -> matrix family, and ``build_generators`` is the one builder
+of the defining representation, the (p+q)x(p+q) matrices of signature (p, q)
 
     (L_ab)_{mn} = i * (delta_{ma} g_{bn} - delta_{mb} g_{an}),
 
@@ -10,7 +9,7 @@ the index convention of the printed commutation table this module validates:
 
     [L_ab, L_cd] = i (g_ad L_bc + g_bc L_ad - g_ac L_bd - g_bd L_ac).
 
-The realisation is *validated*, never assumed: ``verify_commutation`` checks
+A realisation is *validated*, never assumed: ``verify_commutation`` checks
 every unordered generator pair against the symbolic right-hand side, exactly.
 Each generator set computes those brackets once, in one sparse join
 (``exact.pairwise_commutators``) that fills its lazily built ``brackets``
@@ -89,38 +88,30 @@ def pair_name(a: int, b: int) -> str:
 
 
 class GeneratorSet:
-    """Ordered family of rotation generators L_ab (a < b) for one signature.
+    """Ordered family of generators L_ab (a < b) for one signature: any
+    (a, b) -> matrix map whose matrices share one size, in the map's order.
 
     Lookup resolves the antisymmetry convention: ``gen(b, a)`` is
     ``-gen(a, b)`` and ``gen(a, a)`` is the zero matrix.  The bracket table
-    ``brackets``, keyed by pairs a < b in ``pairs`` order, and the span
-    solver ``solver`` are built from the current matrices on first read,
-    never in the constructor, so a generator overwritten before then is
-    what they see.
+    ``brackets``, keyed by positions s < t in ``pairs``, and the span solver
+    ``solver`` are built from the current matrices on first read, never in
+    the constructor, so a generator overwritten before then is what they see.
     """
 
-    def __init__(self, metric: Metric):
+    def __init__(self, metric: Metric, gens: Mapping[IndexPair, ExactMatrix]):
         self.metric = metric
-        n = metric.dim
-        self.pairs: list[IndexPair] = [
-            (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-        ]
-        self._gens: dict[IndexPair, ExactMatrix] = {}
-        for a, b in self.pairs:
-            self._gens[(a, b)] = ExactMatrix.from_entries(
-                n,
-                {
-                    (a - 1, b - 1): I * metric.g(b),
-                    (b - 1, a - 1): -I * metric.g(a),
-                },
-            )
+        self._gens: dict[IndexPair, ExactMatrix] = dict(gens)
+        self.pairs: list[IndexPair] = list(self._gens)
         self.names = [pair_name(a, b) for a, b in self.pairs]
-        self.zero = ExactMatrix.zeros(n)
+        self.zero = ExactMatrix.zeros(self._gens[self.pairs[0]].dim)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def gen(self, a: int, b: int) -> ExactMatrix:
+        n = self.metric.dim
+        if not (0 < a <= n and 0 < b <= n):
+            raise IndexError(f"index {b if 0 < a <= n else a} outside 1..{n}")
         if a == b:
             return self.zero
         if a < b:
@@ -142,8 +133,14 @@ class GeneratorSet:
 
 
 def build_generators(metric: Metric) -> GeneratorSet:
-    """Construct the n(n-1)/2 defining-representation generators."""
-    return GeneratorSet(metric)
+    """The n(n-1)/2 defining-representation generators; their one builder."""
+    n, g = metric.dim, metric.g
+    gens = {
+        (a, b): ExactMatrix.from_entries(n, {(a - 1, b - 1): I * g(b), (b - 1, a - 1): -I * g(a)})
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+    }
+    return GeneratorSet(metric, gens)
 
 
 def expected_bracket(
@@ -181,9 +178,7 @@ def materialize(
     gs: GeneratorSet, terms: Sequence[tuple[GaussianRational, IndexPair]]
 ) -> ExactMatrix:
     """Turn a symbolic (coefficient, pair) sum into a matrix."""
-    return linear_combination(
-        gs.metric.dim, ((coeff, gs.gen(a, b)) for coeff, (a, b) in terms)
-    )
+    return linear_combination(gs.zero.dim, ((coeff, gs.gen(a, b)) for coeff, (a, b) in terms))
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,30 @@ MUTANTS = (
         "rank-4 judge passes a table with a missing root",
     ),
     Mutant(
+        "src/lietower/sopq.py",
+        "linear_combination(gs.zero.dim,",
+        "linear_combination(gs.metric.dim,",
+        "materialize sizes the right-hand side by the signature, not the generators",
+    ),
+    Mutant(
+        "src/lietower/cartan.py",
+        "product_sum(size, ((1, lower[ab], upper[ab])",
+        "product_sum(gs.metric.dim, ((1, lower[ab], upper[ab])",
+        "C2 is summed at the size of the signature, not of the generators",
+    ),
+    Mutant(
+        "src/lietower/cartan.py",
+        "product_sum(size, ((1, lower[a, b], upper[b, c])",
+        "product_sum(gs.metric.dim, ((1, lower[a, b], upper[b, c])",
+        "each C4 chain is summed at the size of the signature, not of the generators",
+    ),
+    Mutant(
+        "src/lietower/cartan.py",
+        "product_sum(size, ((1, chain[a, c], chain[c, a])",
+        "product_sum(gs.metric.dim, ((1, chain[a, c], chain[c, a])",
+        "C4 is summed at the size of the signature, not of the generators",
+    ),
+    Mutant(
         "src/lietower/cli.py",
         "from io import TextIOBase\n",
         "from io import TextIOBase\n\nfrom .verify import run_verification\n",

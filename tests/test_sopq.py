@@ -73,6 +73,13 @@ def test_antisymmetry_lookup(gs42):
     assert gs42.gen(3, 3).is_zero()
 
 
+@pytest.mark.parametrize("a, b, bad", [(9, 9, 9), (0, 1, 0), (1, 7, 7), (7, 1, 7), (2, -1, -1)])
+def test_generator_lookup_rejects_indices_outside_the_signature(gs42, a, b, bad):
+    # the same refusal as Metric.g and expected_bracket
+    with pytest.raises(IndexError, match=rf"^index {bad} outside 1\.\.6$"):
+        gs42.gen(a, b)
+
+
 def test_expected_bracket_disjoint_pairs():
     assert expected_bracket(Metric(4, 2), (1, 2), (3, 4)) == []
 
