@@ -32,8 +32,8 @@ chosen (both recorded in the reports):
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -315,10 +315,10 @@ def weyl_generators(
     return out
 
 
-@dataclass
-class RootTable:
-    cartan: list[str]
-    roots: dict[str, RootVector]
+class RootTable(namedtuple("RootTable", "cartan roots")):
+    """Cartan member names, and name -> root of each Weyl generator."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -601,33 +601,17 @@ SUBALGEBRA_TABLES: dict[str, RelationTable] = {
 }
 
 
-@dataclass
-class Deviation:
-    """A printed relation that the matrices break, and the bracket they give."""
-
-    relation: str
-    got: str
-
-
-@dataclass
-class TableReport:
-    table: str
-    relation_count: int
-    deviations: list[Deviation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.deviations
-
-
 def check_relation_table(
     ops: Mapping[str, ExactMatrix],
     table: RelationTable,
     describe: Callable[[ExactMatrix], str] | None = None,
-) -> TableReport:
+) -> dict:
     """Evaluate every printed relation as an exact matrix identity and
-    record the ones that fail, in table order; ``describe`` renders the
-    bracket they give, "<differs>" without it.
+    record the ones that fail, in table order, as the report
+    ``{"table", "relation_count", "deviations"}``.  Each deviation
+    ``{"relation", "got"}`` is a printed relation that the matrices break,
+    and the bracket they give: ``describe`` renders it, "<differs>" without
+    it.  The table holds exactly when ``deviations`` is empty.
 
     Each relation is decided by ``Relation.holds``; the bracket matrix is
     built only to describe a failure."""
@@ -635,8 +619,8 @@ def check_relation_table(
     for rel in table.relations:
         if not rel.holds(ops):
             got = describe(commutator(ops[rel.left], ops[rel.right])) if describe else "<differs>"
-            deviations.append(Deviation(rel.text, got))
-    return TableReport(table.name, len(table.relations), deviations)
+            deviations.append({"relation": rel.text, "got": got})
+    return {"table": table.name, "relation_count": len(table.relations), "deviations": deviations}
 
 
 # Emulation chains: each chain asserts that all listed +/- combinations of
@@ -666,46 +650,21 @@ def _eval_signed_sum(expr: str, ops: Mapping[str, ExactMatrix]) -> ExactMatrix:
     return sum(terms[1:], terms[0])
 
 
-@dataclass
-class Link:
-    identity: str  # "J3+K3 = L12"
-    passed: bool
-
-
-@dataclass
-class ChainCheck:
-    name: str
-    links: list[Link]
-
-    @property
-    def ok(self) -> bool:
-        return all(link.passed for link in self.links)
-
-
-@dataclass
-class EmulationReport:
-    chains: list[ChainCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.chains)
-
-    @property
-    def passed_count(self) -> int:
-        return sum(1 for c in self.chains if c.ok)
-
-
 def emulation_check(
     ops: Mapping[str, ExactMatrix], chains: Sequence[tuple[str, list[str]]]
-) -> EmulationReport:
-    """Check each chain of linear identities as exact matrix equalities."""
+) -> dict:
+    """Check each chain of linear identities as exact matrix equalities.
+
+    The report is ``{"chains": [{"name", "links"}, ...]}``, one link
+    ``{"identity": "J3+K3 = L12", "passed"}`` per expression after a
+    chain's first; a chain holds when every link passed."""
     checks = []
     for name, exprs in chains:
         first = _eval_signed_sum(exprs[0], ops)
         links = [
-            Link(f"{exprs[0]} = {expr}", _eval_signed_sum(expr, ops) == first)
+            {"identity": f"{exprs[0]} = {expr}", "passed": _eval_signed_sum(expr, ops) == first}
             for expr in exprs[1:]
         ]
-        checks.append(ChainCheck(name, links))
-    return EmulationReport(checks)
+        checks.append({"name": name, "links": links})
+    return {"chains": checks}
 

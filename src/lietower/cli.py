@@ -166,9 +166,7 @@ def _element_table() -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
-    from .verify import run_verification
+    from .verify import render_text, run_verification
 
     metric = _parse_signature(args.signature)
     if metric.dim > MAX_VERIFY_DIM:
@@ -179,10 +177,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     handle = _open_output(args.output)
     report = run_verification(metric)
     if args.format == "json":
-        _emit(_to_json(asdict(report)), handle)
+        _emit(_to_json(report), handle)
     else:
-        _emit(report.render_text(color=args.output is None and _use_color()), handle)
-    return 0 if report.passed else 1
+        _emit(render_text(report, color=args.output is None and _use_color()), handle)
+    return 0 if report["passed"] else 1
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -196,7 +194,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     if metric == Metric(4, 2):
         # the rank-3 axes carry their hydrogen-alias names: L12 is L3
         axes = {pair_name(*pair): name for name, pair in HYDROGEN_ALIAS_PAIRS.items()}
-        table.cartan = [axes.get(n, n) for n in table.cartan]
+        table = table._replace(cartan=[axes.get(n, n) for n in table.cartan])
     if args.format == "json":
         text = _to_json(table.to_json_dict())
     elif args.format == "svg":

@@ -9,7 +9,7 @@ public accessors hand out ``Fraction`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 HalfIntLike = int | Fraction
@@ -20,10 +20,16 @@ class InconsistentLabelsError(ValueError):
 
 
 def _doubled(value: HalfIntLike, what: str) -> int:
-    # an exact type test first: Fraction(True) == 1, so bool would pass
-    if type(value) is bool or (two := Fraction(value) * 2).denominator != 1:
+    # int (not bool) or Fraction only, the type test of exact._ratio:
+    # Fraction() would parse a str ("1e1000000000" without end) and convert
+    # a float
+    if (
+        type(value) is bool
+        or not isinstance(value, (int, Fraction))
+        or (value * 2).denominator != 1
+    ):
         raise ValueError(f"{what} must be a half-integer, got {value}")
-    return int(two)
+    return int(value * 2)
 
 
 def _require_integer_labels(*labels: int) -> None:
@@ -65,29 +71,30 @@ def mass_so42(l: HalfIntLike, l_dot: HalfIntLike, nu: HalfIntLike) -> Fraction:
 # -- Madelung kets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MadelungKet:
+class MadelungKet(namedtuple("MadelungKet", "n l m two_s")):
     """State |n, l, m, s> labelling one periodic-table slot.
 
     Negative n marks the mirrored (antimatter) copy; s is +/-1/2 stored
     doubled.
     """
 
-    n: int
-    l: int
-    m: int
-    two_s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_integer_labels(self.n, self.l, self.m, self.two_s)
-        if self.n == 0:
+    def __new__(cls, n: int, l: int, m: int, two_s: int):
+        _require_integer_labels(n, l, m, two_s)
+        if n == 0:
             raise InconsistentLabelsError("there is no n = 0 shell")
-        if not 0 <= self.l <= abs(self.n) - 1:
-            raise InconsistentLabelsError(f"l={self.l} outside 0..|n|-1 for n={self.n}")
-        if abs(self.m) > self.l:
-            raise InconsistentLabelsError(f"m={self.m} outside -l..l for l={self.l}")
-        if self.two_s not in (-1, 1):
+        if not 0 <= l <= abs(n) - 1:
+            raise InconsistentLabelsError(f"l={l} outside 0..|n|-1 for n={n}")
+        if abs(m) > l:
+            raise InconsistentLabelsError(f"m={m} outside -l..l for l={l}")
+        if two_s not in (-1, 1):
             raise InconsistentLabelsError("s must be -1/2 or +1/2")
+        return super().__new__(cls, n, l, m, two_s)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: validate it too
+        return cls(*fields)
 
     @property
     def s(self) -> Fraction:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -28,11 +28,10 @@ from .labels import InconsistentLabelsError, MadelungKet, _signed_half_str
 MAX_Z = 120
 
 
-@dataclass(frozen=True)
-class Element:
-    z: int
-    symbol: str
-    ket: MadelungKet
+class Element(namedtuple("Element", "z symbol ket")):
+    """Atomic number, symbol and ``MadelungKet`` of one slot."""
+
+    __slots__ = ()
 
     @property
     def anti(self) -> bool:
@@ -51,9 +50,9 @@ class Element:
         }
 
 
-@dataclass(frozen=True)
-class TowerSlice:
-    """One spin projection of the weight tower.
+class TowerSlice(namedtuple("TowerSlice", "s floors")):
+    """One spin projection of the weight tower: the ``Fraction`` s, and
+    ``floors``.
 
     ``floors`` maps n -> l -> m -> element, None marking an empty slot:
     matter floors n = 1..8 first, then their mirrored antimatter copies
@@ -61,15 +60,14 @@ class TowerSlice:
     filled or not.
     """
 
-    s: Fraction
-    floors: dict[int, dict[int, dict[int, Element | None]]]
+    __slots__ = ()
 
     @property
     def s_text(self) -> str:
         return _signed_half_str(int(self.s * 2))
 
     def to_json_dict(self) -> dict:
-        # an empty point carries only its m, so asdict cannot write this
+        # an empty point carries only its m
         return {
             "s": self.s_text,
             "floors": [
@@ -144,8 +142,10 @@ def projection_slice(elements: Sequence[Element], s: Fraction) -> TowerSlice:
     Floors run n = 1..8 (every ring present, filled or not), then the
     antimatter floors n = -1..-8 holding the mirrored copies.
     """
-    two_s = Fraction(s) * 2
-    if two_s not in (-1, 1):
+    # int or Fraction only, the type test of exact._ratio: Fraction() would
+    # parse a str ("1e1000000000" without end) and convert a float; an int,
+    # bool included, doubles to no spin
+    if not isinstance(s, (int, Fraction)) or (two_s := s * 2) not in (-1, 1):
         raise ValueError("spin must be -1/2 or +1/2")
     by_slot: dict[tuple[int, int, int], Element] = {}
     max_n = 0

@@ -24,8 +24,8 @@ aliases pair by pair, independently of the join.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -50,19 +50,22 @@ IndexPair = tuple[int, int]
 _MINUS_I = -I
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(namedtuple("Metric", "p q")):
     """Diagonal metric with p entries +1 followed by q entries -1."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, p: int, q: int):
         # an exact type test: bool is an int subclass, and (True,1) would print
-        if type(self.p) is not int or type(self.q) is not int:
-            raise ValueError(f"p and q must be integers, got {self.p!r}, {self.q!r}")
-        if self.p < 0 or self.q < 0 or self.p + self.q < 2:
+        if type(p) is not int or type(q) is not int:
+            raise ValueError(f"p and q must be integers, got {p!r}, {q!r}")
+        if p < 0 or q < 0 or p + q < 2:
             raise ValueError("need p, q >= 0 with p + q >= 2")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: validate it too
+        return cls(*fields)
 
     @property
     def dim(self) -> int:
@@ -181,29 +184,10 @@ def materialize(
     return linear_combination(gs.zero.dim, ((coeff, gs.gen(a, b)) for coeff, (a, b) in terms))
 
 
-@dataclass(frozen=True)
-class PairFailure:
-    lhs_pair: IndexPair
-    rhs_pair: IndexPair
-    got: str
-    expected: str
-
-
-@dataclass
-class CommutationReport:
-    """Outcome of the exhaustive pairwise bracket check for one signature."""
-
-    signature: tuple[int, int]
-    pair_count: int
-    failures: list[PairFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_commutation(gs: GeneratorSet) -> CommutationReport:
-    """Check every unordered generator pair against the symbolic bracket.
+def verify_commutation(gs: GeneratorSet) -> dict:
+    """Check every unordered generator pair against the symbolic bracket;
+    the report is ``{"signature", "pair_count", "failures"}``, and the
+    signature passes when ``failures`` is empty.
 
     Each pair is decided by exact matrix equality between its entry in
     ``gs.brackets`` (zero when absent), keyed by the two generator indices,
@@ -219,7 +203,7 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
     brackets = gs.brackets
     # each distinct right-hand side is materialized once per sweep
     expected: dict[tuple, ExactMatrix] = {}
-    failures: list[PairFailure] = []
+    failures = []
     for (s, left), (t, right) in combinations(enumerate(gs.pairs), 2):
         got = brackets.get((s, t), gs.zero)
         expected_terms = expected_bracket(metric, left, right)
@@ -228,21 +212,19 @@ def verify_commutation(gs: GeneratorSet) -> CommutationReport:
         if want is None:
             want = expected[key] = materialize(gs, expected_terms)
         if got != want:
-            failures.append(
-                PairFailure(
-                    lhs_pair=left,
-                    rhs_pair=right,
-                    got=describe(got),
-                    expected=format_combination(
-                        (coeff, pair_name(*pair)) for coeff, pair in expected_terms
-                    ),
-                )
-            )
-    return CommutationReport(
-        signature=(metric.p, metric.q),
-        pair_count=len(gs) * (len(gs) - 1) // 2,
-        failures=failures,
-    )
+            failures.append({
+                "lhs_pair": left,
+                "rhs_pair": right,
+                "got": describe(got),
+                "expected": format_combination(
+                    (coeff, pair_name(*pair)) for coeff, pair in expected_terms
+                ),
+            })
+    return {
+        "signature": (metric.p, metric.q),
+        "pair_count": len(gs) * (len(gs) - 1) // 2,
+        "failures": failures,
+    }
 
 
 def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
@@ -254,14 +236,10 @@ def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
 # -- printed relation tables -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "left right coeff result")):
     """[left, right] = coeff * result, with result None meaning zero."""
 
-    left: str
-    right: str
-    coeff: GaussianRational
-    result: str | None
+    __slots__ = ()
 
     @property
     def text(self) -> str:
@@ -287,10 +265,8 @@ class Relation:
         return bracket_multiple(left, right, result) == self.coeff
 
 
-@dataclass(frozen=True)
-class RelationTable:
-    name: str
-    relations: tuple[Relation, ...]
+class RelationTable(namedtuple("RelationTable", "name relations")):
+    __slots__ = ()
 
 
 def _rel(left: str, right: str, coeff, result: str | None) -> Relation:
@@ -358,33 +334,6 @@ _EPS = {
 }
 
 
-@dataclass
-class AliasCheck:
-    relation: str
-    passed: bool
-    got: str
-
-
-@dataclass
-class HydrogenAliasReport:
-    """Printed (L, B) bracket table versus the matrix realisation, plus the
-    record of which epsilon sign convention each alias family obeys.
-
-    ``epsilon_convention`` is the handedness of the angular-momentum triple
-    ([L_i, L_j] against +/- i eps_ijk L_k); ``family_conventions`` carries
-    the same record for the [L,A] and [A,A] families, so a reader can see
-    that the +i eps variant printed in prose fails across the board.
-    """
-
-    checks: list[AliasCheck]
-    epsilon_convention: str  # "-i eps_ijk" or "+i eps_ijk" or "mixed"
-    family_conventions: dict[str, str]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _epsilon_handedness(alias: Mapping[str, ExactMatrix], x: str, y: str, z: str) -> str:
     """Which of [x_i, y_j] = +/- i eps_ijk z_k the matrices satisfy, read
     from the coefficient that ``bracket_multiple`` gives each bracket."""
@@ -400,20 +349,28 @@ def _epsilon_handedness(alias: Mapping[str, ExactMatrix], x: str, y: str, z: str
     return found.pop() if len(found) == 1 else "mixed"
 
 
-def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
-    """Check the printed alias table, and the handedness of three alias
-    families, on the alias matrices of ``gs``.
+def hydrogen_alias_check(gs: GeneratorSet) -> dict:
+    """Printed (L, B) bracket table versus the alias matrices of ``gs``, plus
+    the record of which epsilon sign convention each alias family obeys.
 
-    Every row is decided by ``Relation.holds``, and its ``got`` is the bracket
-    rendered in the alias basis.  The aliases are bracketed pair by pair,
-    independently of the ``gs.brackets`` join.
+    The report is ``{"checks", "epsilon_convention", "family_conventions"}``.
+    Each check ``{"relation", "passed", "got"}`` is one row, decided by
+    ``Relation.holds``; its ``got`` is the bracket rendered in the alias
+    basis.  ``epsilon_convention`` ("-i eps_ijk", "+i eps_ijk" or "mixed")
+    is the handedness of the angular-momentum triple ([L_i, L_j] against
+    +/- i eps_ijk L_k); ``family_conventions`` carries the same record for
+    the [L,A] and [A,A] families, so a reader can see that the +i eps variant
+    printed in prose fails across the board.  The aliases are bracketed pair
+    by pair, independently of the ``gs.brackets`` join.
     """
     alias = hydrogen_aliases(gs)
     describe = SpanSolver(list(alias.values())).describer(list(alias), "<outside alias span>")
     checks = [
-        AliasCheck(
-            rel.text, rel.holds(alias), describe(commutator(alias[rel.left], alias[rel.right]))
-        )
+        {
+            "relation": rel.text,
+            "passed": rel.holds(alias),
+            "got": describe(commutator(alias[rel.left], alias[rel.right])),
+        }
         for rel in HYDROGEN_LB_TABLE.relations
     ]
     families = {
@@ -421,8 +378,8 @@ def hydrogen_alias_check(gs: GeneratorSet) -> HydrogenAliasReport:
         "[L,A]": _epsilon_handedness(alias, "L", "A", "A"),
         "[A,A]": _epsilon_handedness(alias, "A", "A", "L"),
     }
-    return HydrogenAliasReport(
-        checks=checks,
-        epsilon_convention=families["[L,L]"],
-        family_conventions=families,
-    )
+    return {
+        "checks": checks,
+        "epsilon_convention": families["[L,L]"],
+        "family_conventions": families,
+    }

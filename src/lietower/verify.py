@@ -4,6 +4,11 @@ Each suite is a named exact check with a one-line summary; a run passes
 only if every suite passes, and that decides the process exit status.
 A builder makes one suite from the shared objects of a verdict; every
 signature gets the common suites, a published one also its ``BATTERIES`` row.
+A verdict is the dict that ``verify --format json`` prints, keys in order:
+``{"signature", "passed", "suites", "notes"}``, each suite
+``{"name", "passed", "summary", "details"}``; ``details`` holds the report
+dicts of the checks that suite read, and each builder decides ``passed``
+from them.
 Checks against published tables that carry known misprints pass exactly
 when the freshly computed deviation list matches the recorded baseline,
 so both a regression and a silently "fixed" table flip the run to red.
@@ -12,7 +17,6 @@ so both a regression and a silently "fixed" table flip the run to red.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations
 
@@ -60,48 +64,37 @@ NOTES_RANK4 = (
 )
 
 
-@dataclass
-class SuiteResult:
-    """One suite.  ``details`` is its report, a dict of reports, or data
+def _suite(name: str, passed: bool, summary: str, details: object = None) -> dict:
+    """One suite; ``details`` is a report, a dict of reports, or data
     already in JSON form (the Cartan members, a formatted root table)."""
-
-    name: str
-    passed: bool
-    summary: str
-    details: object = field(default_factory=dict)
-
-
-@dataclass
-class VerificationReport:
-    """One verdict.  Its JSON form is ``dataclasses.asdict`` of it: every
-    record it holds is a dataclass whose fields, in order, are its keys."""
-
-    signature: tuple[int, int]
-    passed: bool = field(init=False)  # every suite passed
-    suites: list[SuiteResult]
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        self.passed = all(s.passed for s in self.suites)
-
-    def render_text(self, color: bool = False) -> str:
-        def mark(passed: bool) -> str:
-            word = "ok" if passed else "FAIL"
-            if not color:
-                return word
-            code = "32" if passed else "31"
-            return f"\x1b[{code}m{word}\x1b[0m"
-
-        lines = [f"signature ({self.signature[0]},{self.signature[1]})"]
-        for s in self.suites:
-            lines.append(f"  {s.name}: {s.summary} [{mark(s.passed)}]")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        lines.append(f"result: {mark(self.passed)}")
-        return "\n".join(lines) + "\n"
+    return {
+        "name": name,
+        "passed": passed,
+        "summary": summary,
+        "details": {} if details is None else details,
+    }
 
 
-@dataclass
+def render_text(report: dict, color: bool = False) -> str:
+    """The text form of a verdict from ``run_verification``."""
+
+    def mark(passed: bool) -> str:
+        word = "ok" if passed else "FAIL"
+        if not color:
+            return word
+        code = "32" if passed else "31"
+        return f"\x1b[{code}m{word}\x1b[0m"
+
+    p, q = report["signature"]
+    lines = [f"signature ({p},{q})"]
+    for s in report["suites"]:
+        lines.append(f"  {s['name']}: {s['summary']} [{mark(s['passed'])}]")
+    for note in report["notes"]:
+        lines.append(f"  note: {note}")
+    lines.append(f"result: {mark(report['passed'])}")
+    return "\n".join(lines) + "\n"
+
+
 class SuiteContext:
     """The Cartan-Weyl chain of one generator set, each object built on
     first use: Cartan set -> adapted basis -> ladders -> roots.  The bracket
@@ -109,7 +102,8 @@ class SuiteContext:
     reads the chain through its suites and ``roots`` reads ``roots`` alone,
     so only what a command reads is built."""
 
-    gs: GeneratorSet
+    def __init__(self, gs: GeneratorSet):
+        self.gs = gs
 
     @cached_property
     def cartan(self) -> dict[str, ExactMatrix]:
@@ -132,22 +126,22 @@ class SuiteContext:
         return cw.root_system(self.cartan, cw.weyl_generators(self.cartan, self.ladders))
 
 
-def _commutators(ctx: SuiteContext) -> SuiteResult:
+def _commutators(ctx: SuiteContext) -> dict:
     rep = verify_commutation(ctx.gs)
-    done = rep.pair_count - len(rep.failures)
-    return SuiteResult("commutators", rep.ok, f"{done}/{rep.pair_count}", rep)
+    total, failed = rep["pair_count"], len(rep["failures"])
+    return _suite("commutators", not failed, f"{total - failed}/{total}", rep)
 
 
-def _membership(ctx: SuiteContext) -> SuiteResult:
-    return SuiteResult(
+def _membership(ctx: SuiteContext) -> dict:
+    return _suite(
         "membership",
         pseudo_antisymmetry_holds(ctx.gs),
         f"g*L^T*g = -L for {len(ctx.gs)} generators",
     )
 
 
-def _cartan(ctx: SuiteContext) -> SuiteResult:
-    return SuiteResult(
+def _cartan(ctx: SuiteContext) -> dict:
+    return _suite(
         "cartan",
         cw.cartan_is_maximal(ctx.gs, ctx.cartan),
         f"rank {len(ctx.cartan)}: {', '.join(ctx.cartan)}",
@@ -155,51 +149,49 @@ def _cartan(ctx: SuiteContext) -> SuiteResult:
     )
 
 
-def _hydrogen_aliases(ctx: SuiteContext) -> SuiteResult:
+def _hydrogen_aliases(ctx: SuiteContext) -> dict:
     rep = hydrogen_alias_check(ctx.gs)
-    return SuiteResult(
+    checks, convention = rep["checks"], rep["epsilon_convention"]
+    held = sum(c["passed"] for c in checks)
+    return _suite(
         "hydrogen-aliases",
-        rep.ok and rep.epsilon_convention == "-i eps_ijk",
-        f"{sum(c.passed for c in rep.checks)}/{len(rep.checks)}"
-        f", convention {rep.epsilon_convention}",
+        held == len(checks) and convention == "-i eps_ijk",
+        f"{held}/{len(checks)}, convention {convention}",
         rep,
     )
 
 
-def _basis_rank(ctx: SuiteContext, name: str) -> SuiteResult:
+def _basis_rank(ctx: SuiteContext, name: str) -> dict:
     """The adapted basis spans the algebra: its rank is the generator count."""
     got, size = rank(list(ctx.basis.values())), len(ctx.basis)
-    return SuiteResult(
+    return _suite(
         name, got == len(ctx.gs), f"{got} ({size} generators, {size - got} dependencies)"
     )
 
 
-def _emulation(ctx: SuiteContext, chains: list[tuple[str, list[str]]]) -> SuiteResult:
+def _emulation(ctx: SuiteContext, chains: list[tuple[str, list[str]]]) -> dict:
     emu = cw.emulation_check(ctx.ops, chains)
-    return SuiteResult(
-        "emulation", emu.ok, f"{emu.passed_count}/{len(emu.chains)}", emu
-    )
+    held = sum(all(link["passed"] for link in c["links"]) for c in emu["chains"])
+    return _suite("emulation", held == len(chains), f"{held}/{len(chains)}", emu)
 
 
-def _subalgebra_tables(ctx: SuiteContext) -> SuiteResult:
+def _subalgebra_tables(ctx: SuiteContext) -> dict:
     reports = {
         which: cw.check_relation_table(basket, cw.SUBALGEBRA_TABLES[which])
         for which, basket in cw.subalgebra_basis(ctx.gs, ctx.basis).items()
     }
-    return SuiteResult(
+    return _suite(
         "subalgebra-tables",
-        all(rep.ok for rep in reports.values()),
+        not any(rep["deviations"] for rep in reports.values()),
         "; ".join(
-            f"{which} {rep.relation_count - len(rep.deviations)}/{rep.relation_count}"
+            f"{which} {rep['relation_count'] - len(rep['deviations'])}/{rep['relation_count']}"
             for which, rep in reports.items()
         ),
         reports,
     )
 
 
-def _printed_tables(
-    ctx: SuiteContext, name: str, tables: tuple[cw.RelationTable, ...]
-) -> SuiteResult:
+def _printed_tables(ctx: SuiteContext, name: str, tables: tuple[cw.RelationTable, ...]) -> dict:
     """Printed tables checked as printed; each passes when its deviations
     are exactly its recorded misprints."""
     describe = ctx.gs.solver.describer(ctx.gs.names, "<outside algebra>")
@@ -209,14 +201,14 @@ def _printed_tables(
     for table in tables:
         rep = cw.check_relation_table(ctx.ops, table, describe=describe)
         baseline = cw.KNOWN_TABLE_DEVIATIONS[table.name]
-        passed = passed and tuple(d.relation for d in rep.deviations) == baseline
+        deviations, total = rep["deviations"], rep["relation_count"]
+        passed = passed and tuple(d["relation"] for d in deviations) == baseline
         parts.append(
-            f"{table.name} {rep.relation_count - len(rep.deviations)}"
-            f"/{rep.relation_count} as printed"
+            f"{table.name} {total - len(deviations)}/{total} as printed"
             + (f" ({len(baseline)} known misprints confirmed)" if baseline else "")
         )
         details[table.name] = rep
-    return SuiteResult(name, passed, "; ".join(parts), details)
+    return _suite(name, passed, "; ".join(parts), details)
 
 
 def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
@@ -251,16 +243,16 @@ def _roots(
     ctx: SuiteContext,
     name: str,
     judge: Callable[[SuiteContext, cw.RootTable], tuple[bool, str]],
-) -> SuiteResult:
+) -> dict:
     try:
         table = ctx.roots
     except cw.NotARootVectorError as exc:
-        return SuiteResult(name, False, str(exc))
+        return _suite(name, False, str(exc))
     passed, summary = judge(ctx, table)
-    return SuiteResult(name, passed, summary, table.to_json_dict())
+    return _suite(name, passed, summary, table.to_json_dict())
 
 
-def _casimirs(ctx: SuiteContext) -> SuiteResult:
+def _casimirs(ctx: SuiteContext) -> dict:
     invariant_count = 0
     parts = []
     for degree in (2, 3, 4):
@@ -270,14 +262,14 @@ def _casimirs(ctx: SuiteContext) -> SuiteResult:
         parts.append(
             f"C{degree}={scalar}*1" if scalar is not None else f"C{degree} not scalar"
         )
-    return SuiteResult(
+    return _suite(
         "casimir",
         invariant_count == 3,
         f"{invariant_count}/3 invariant ({', '.join(parts)})",
     )
 
 
-SuiteBuilder = Callable[[SuiteContext], SuiteResult]
+SuiteBuilder = Callable[[SuiteContext], dict]
 
 # Published signature -> (its battery, run after the common suites; notes).
 BATTERIES: dict[Metric, tuple[tuple[SuiteBuilder, ...], tuple[str, ...]]] = {
@@ -313,12 +305,15 @@ BATTERIES: dict[Metric, tuple[tuple[SuiteBuilder, ...], tuple[str, ...]]] = {
 }
 
 
-def run_verification(metric: Metric) -> VerificationReport:
-    """The suites every signature gets, then the battery of a published one."""
+def run_verification(metric: Metric) -> dict:
+    """The suites every signature gets, then the battery of a published one;
+    the verdict passes when every suite does."""
     ctx = SuiteContext(build_generators(metric))
     battery, notes = BATTERIES.get(metric, ((), ()))
-    return VerificationReport(
-        signature=(metric.p, metric.q),
-        suites=[build(ctx) for build in (_commutators, _membership, _cartan, *battery)],
-        notes=notes,
-    )
+    suites = [build(ctx) for build in (_commutators, _membership, _cartan, *battery)]
+    return {
+        "signature": (metric.p, metric.q),
+        "passed": all(s["passed"] for s in suites),
+        "suites": suites,
+        "notes": notes,
+    }

@@ -69,8 +69,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/verify.py",
-        "tuple(d.relation for d in rep.deviations) == baseline",
-        "{d.relation for d in rep.deviations} == set(baseline)",
+        'tuple(d["relation"] for d in deviations) == baseline',
+        '{d["relation"] for d in deviations} == set(baseline)',
         "printed-table judge compares deviation sets, not the printed order",
     ),
     Mutant(
@@ -178,9 +178,33 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/cartan.py",
-        "_eval_signed_sum(expr, ops) == first)",
-        "True)",
+        "_eval_signed_sum(expr, ops) == first}",
+        "True}",
         "every emulation link passes",
+    ),
+    Mutant(
+        "src/lietower/verify.py",
+        '"commutators", not failed,',
+        '"commutators", True,',
+        "the commutators suite passes whatever pairs fail",
+    ),
+    Mutant(
+        "src/lietower/verify.py",
+        'held == len(checks) and convention == "-i eps_ijk",',
+        "True,",
+        "the hydrogen-aliases suite passes whatever rows fail",
+    ),
+    Mutant(
+        "src/lietower/verify.py",
+        '"emulation", held == len(chains),',
+        '"emulation", True,',
+        "the emulation suite passes whatever chains break",
+    ),
+    Mutant(
+        "src/lietower/verify.py",
+        'not any(rep["deviations"] for rep in reports.values()),',
+        "True,",
+        "the subalgebra-tables suite passes whatever rows deviate",
     ),
     Mutant(
         "src/lietower/cartan.py",
@@ -260,11 +284,11 @@ EQUIVALENT = (
     ),
     Mutant(
         "src/lietower/verify.py",
-        'rep.ok and rep.epsilon_convention == "-i eps_ijk"',
-        "rep.ok",
+        'held == len(checks) and convention == "-i eps_ijk"',
+        "held == len(checks)",
         "a commutator is antisymmetric by construction, so the three -i rows of "
-        "HYDROGEN_LB_TABLE that rep.ok requires force the -i eps_ijk handedness, "
-        "and a zero alias is refused by the alias SpanSolver",
+        "HYDROGEN_LB_TABLE that every check must pass force the -i eps_ijk "
+        "handedness, and a zero alias is refused by the alias SpanSolver",
     ),
 )
 

@@ -77,8 +77,8 @@ def test_criterion_01_commutation_suite_rank3(gs42):
         start = time.monotonic()
         report = verify_commutation(gs42)
         elapsed = time.monotonic() - start
-        assert report.pair_count == 105
-        assert report.failures == []
+        assert report["pair_count"] == 105
+        assert report["failures"] == []
         assert elapsed < 5.0, f"suite took {elapsed:.2f}s"
 
 
@@ -87,18 +87,18 @@ def test_criterion_02_commutation_suite_rank4(gs44):
         start = time.monotonic()
         report = verify_commutation(gs44)
         elapsed = time.monotonic() - start
-        assert report.pair_count == 378
-        assert report.failures == []
+        assert report["pair_count"] == 378
+        assert report["failures"] == []
         assert elapsed < 30.0, f"suite took {elapsed:.2f}s"
 
 
 def test_criterion_03_hydrogen_alias_table(gs42):
     with criterion(3, "hydrogen alias table holds; eps-convention mismatch reported"):
         report = hydrogen_alias_check(gs42)
-        assert report.ok
-        assert len(report.checks) == 15
+        assert all(c["passed"] for c in report["checks"])
+        assert len(report["checks"]) == 15
         # the mismatch with the +i*eps convention is reported, not hidden
-        assert report.epsilon_convention == "-i eps_ijk"
+        assert report["epsilon_convention"] == "-i eps_ijk"
         alias = hydrogen_aliases(gs42)
         assert commutator(alias["L1"], alias["L2"]) == alias["L3"] * (-I)
         assert commutator(alias["L1"], alias["L2"]) != alias["L3"] * I
@@ -109,7 +109,7 @@ def test_criterion_04_yao_redundancy(gs42):
         yao = yao_basis(gs42)
         assert rank(list(yao.values())) == 15
         report = emulation_check(SuiteContext(gs42).ops, EMULATION_CHAINS_SO42)
-        assert report.ok and report.passed_count == 3
+        assert [all(link["passed"] for link in c["links"]) for c in report["chains"]] == [True] * 3
 
 
 def test_criterion_05_split_redundancy_and_printed_tables(gs44):
@@ -118,12 +118,12 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
         assert rank(list({**first, **second}.values())) == 28
         ops = SuiteContext(gs44).ops
         emu = emulation_check(ops, EMULATION_CHAINS_SO44)
-        assert emu.ok and emu.passed_count == 4
+        assert [all(link["passed"] for link in c["links"]) for c in emu["chains"]] == [True] * 4
         for table in (LADDER_TABLE_FIRST, LADDER_TABLE_SECOND):
             report = check_relation_table(ops, table)
             # deviations from the printed form are listed verbatim and must
             # match the recorded baseline exactly
-            got = tuple(d.relation for d in report.deviations)
+            got = tuple(d["relation"] for d in report["deviations"])
             assert got == KNOWN_TABLE_DEVIATIONS[table.name]
         assert KNOWN_TABLE_DEVIATIONS["ladders-2"] == ()
         assert len(KNOWN_TABLE_DEVIATIONS["ladders-1"]) == 11
@@ -153,8 +153,8 @@ def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
             assert roots["1" + name][3] == 0
         # the unresolved second-half axis labelling is flagged in the report
         report = run_verification(Metric(4, 4))
-        assert any("do not name its axes" in n or "do not name" in n for n in report.notes)
-        assert report.notes == NOTES_RANK4
+        assert any("do not name its axes" in n or "do not name" in n for n in report["notes"])
+        assert report["notes"] == NOTES_RANK4
 
 
 def test_criterion_08_casimir_invariance(gs42):
@@ -174,7 +174,7 @@ def test_criterion_09_subalgebra_tables(gs42):
         for which in ("sl2c", "so4", "so22_LD", "so22_AD"):
             basket = subalgebra_basis(gs42, yao_basis(gs42))[which]
             report = check_relation_table(basket, SUBALGEBRA_TABLES[which])
-            assert report.ok, (which, report.deviations)
+            assert not report["deviations"], (which, report["deviations"])
         basket = subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]
         assert commutator(basket["X3"], basket["X+"]) == -basket["X+"]
         basket = subalgebra_basis(gs42, yao_basis(gs42))["so4"]

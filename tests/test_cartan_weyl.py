@@ -20,8 +20,6 @@ from lietower.cartan import (
     KNOWN_TABLE_DEVIATIONS,
     LADDER_TABLE_FIRST,
     LADDER_TABLE_SECOND,
-    Deviation,
-    Link,
     NotARootVectorError,
     RelationTable,
     RootTable,
@@ -61,9 +59,11 @@ from lietower.verify import (
     PUBLISHED_ROOTS_RANK3,
     SuiteContext,
     _basis_rank,
+    _emulation,
     _judge_rank3,
     _judge_rank4,
     _printed_tables,
+    _subalgebra_tables,
 )
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -287,8 +287,7 @@ def test_first_half_matches_rank3_basis(gs42, gs44):
 def test_emulation_42_chains(gs42):
     ops = SuiteContext(gs42).ops
     report = emulation_check(ops, EMULATION_CHAINS_SO42)
-    assert report.ok
-    assert report.passed_count == 3
+    assert [all(link["passed"] for link in c["links"]) for c in report["chains"]] == [True] * 3
 
 
 def test_emulation_42_specific_identities(gs42):
@@ -301,8 +300,7 @@ def test_emulation_42_specific_identities(gs42):
 def test_emulation_44_chains(gs44):
     ops = SuiteContext(gs44).ops
     report = emulation_check(ops, EMULATION_CHAINS_SO44)
-    assert report.ok
-    assert report.passed_count == 4
+    assert [all(link["passed"] for link in c["links"]) for c in report["chains"]] == [True] * 4
 
 
 def test_emulation_44_fourth_chain(gs44):
@@ -315,11 +313,20 @@ def test_emulation_44_fourth_chain(gs44):
 def test_emulation_report_records_each_link(gs42):
     ops = SuiteContext(gs42).ops
     report = emulation_check(ops, [("mixed", ["J3+K3", "L12", "L34"])])
-    assert report.chains[0].links == [
-        Link("J3+K3 = L12", True),
-        Link("J3+K3 = L34", False),
-    ]
-    assert not report.ok and report.passed_count == 0
+    assert report == {
+        "chains": [
+            {
+                "name": "mixed",
+                "links": [
+                    {"identity": "J3+K3 = L12", "passed": True},
+                    {"identity": "J3+K3 = L34", "passed": False},
+                ],
+            }
+        ]
+    }
+    result = _emulation(SuiteContext(gs42), [("mixed", ["J3+K3", "L12", "L34"])])
+    assert (result["passed"], result["summary"]) == (False, "0/1")
+    assert result["details"] == report
 
 
 def test_emulation_unknown_name(gs42):
@@ -829,7 +836,18 @@ def test_casimir_requires_signature(gs44):
 def test_subalgebra_tables_hold(gs42, which):
     basket = subalgebra_basis(gs42, yao_basis(gs42))[which]
     report = check_relation_table(basket, SUBALGEBRA_TABLES[which])
-    assert report.ok, report.deviations
+    assert not report["deviations"], report["deviations"]
+
+
+def test_subalgebra_tables_suite_fails_on_a_deviating_table(gs42):
+    ctx = SuiteContext(gs42)
+    assert _subalgebra_tables(ctx)["passed"]
+    # negating K2 swaps K+ and K-, which breaks the three K-triple rows of so4
+    ctx.basis = {**ctx.basis, "K2": -ctx.basis["K2"]}
+    result = _subalgebra_tables(ctx)
+    assert not result["passed"]
+    assert result["summary"] == "sl2c 15/15; so4 12/15; so22_LD 15/15; so22_AD 15/15"
+    assert [len(rep["deviations"]) for rep in result["details"].values()] == [0, 3, 0, 0]
 
 
 def test_relation_table_without_describe_marks_deviations(gs42):
@@ -838,11 +856,11 @@ def test_relation_table_without_describe_marks_deviations(gs42):
     basket["K+"], basket["K-"] = basket["K-"], basket["K+"]
     table = SUBALGEBRA_TABLES["so4"]
     report = check_relation_table(basket, table)
-    assert report.table == "so4"
-    assert report.relation_count == len(table.relations)
-    assert not report.ok
-    assert report.deviations == [
-        Deviation(rel.text, "<differs>") for rel in table.relations[:3]
+    assert report["table"] == "so4"
+    assert report["relation_count"] == len(table.relations)
+    assert report["deviations"]
+    assert report["deviations"] == [
+        {"relation": rel.text, "got": "<differs>"} for rel in table.relations[:3]
     ]
 
 
@@ -938,7 +956,7 @@ def test_printed_table_content_digest():
 def test_printed_tables_match_known_deviations(gs44, table):
     describe = gs44.solver.describer(gs44.names, "<outside algebra>")
     report = check_relation_table(_ops44(gs44), table, describe=describe)
-    got = tuple(d.relation for d in report.deviations)
+    got = tuple(d["relation"] for d in report["deviations"])
     assert got == KNOWN_TABLE_DEVIATIONS[table.name]
 
 
@@ -947,20 +965,20 @@ def test_printed_tables_judge_pins_the_printed_order(gs44):
     table = COMPONENT_TABLE_FIRST
     reversed_table = RelationTable(table.name, table.relations[::-1])
     ctx = SuiteContext(gs44)
-    assert _printed_tables(ctx, "component-tables", (table,)).passed
+    assert _printed_tables(ctx, "component-tables", (table,))["passed"]
     result = _printed_tables(ctx, "component-tables", (reversed_table,))
-    assert not result.passed
-    assert result.details[table.name].deviations
+    assert not result["passed"]
+    assert result["details"][table.name]["deviations"]
 
 
 def test_basis_rank_fails_on_a_dependent_member(gs44):
     ctx = SuiteContext(gs44)
-    assert _basis_rank(ctx, "split-rank").passed
+    assert _basis_rank(ctx, "split-rank")["passed"]
     ctx.basis = {**ctx.basis, "1K2": ctx.basis["1K1"]}
     assert rank(list(ctx.basis.values())) == 27
     result = _basis_rank(ctx, "split-rank")
-    assert not result.passed
-    assert result.summary == "27 (36 generators, 9 dependencies)"
+    assert not result["passed"]
+    assert result["summary"] == "27 (36 generators, 9 dependencies)"
 
 
 def test_component_table_deviations_are_single_symbol_slips(gs44):

@@ -537,7 +537,7 @@ def test_relation_on_a_zero_result_operator_asks_for_a_vanishing_bracket():
         (Relation("A", "A", g(1), "Z"), Relation("A", "B", g(1), "Z")),
     )
     report = check_relation_table(ops, table)
-    assert [(d.relation, d.got) for d in report.deviations] == [
+    assert [(d["relation"], d["got"]) for d in report["deviations"]] == [
         ("[A,B] = Z", "<differs>")
     ]
 

@@ -55,9 +55,19 @@ def fresh_modules(argv: list[str]) -> set[str]:
         (["mass", "1/2", "0"], {"cli", "labels"}),
         (["verify", "--signature", "4,2"], {"cli", "exact", "sopq", "cartan", "verify"}),
         (["tower", "--spin=+1/2", "--format", "svg"], {"cli", "labels", "periodic", "svgout"}),
+        (["elements", "--z", "26", "--format", "json"], {"cli", "labels", "periodic"}),
+        (
+            ["roots", "--signature", "4,4", "--format", "json"],
+            {"cli", "exact", "sopq", "cartan", "verify"},
+        ),
+        (
+            ["verify", "--signature", "4,2", "--format", "json"],
+            {"cli", "exact", "sopq", "cartan", "verify"},
+        ),
     ],
 )
 def test_command_imports_only_its_modules(argv, package):
     loaded = fresh_modules(argv)
     assert {m for m in loaded if m.startswith("lietower.")} == {f"lietower.{m}" for m in package}
-    assert not {"typing", "importlib.resources"} & loaded
+    # no record is a dataclass: importing dataclasses also loads inspect
+    assert not {"typing", "importlib.resources", "dataclasses", "inspect"} & loaded

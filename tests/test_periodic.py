@@ -137,9 +137,11 @@ def test_period_doubling_pattern(elements):
 # -- spin slices -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("s", [Fraction(3, 4), 0.75, -0.9, 0, 1])
+@pytest.mark.parametrize("s", [Fraction(3, 4), 0.75, -0.9, 0, 1, 0.5, "1/2", "1e5"])
 def test_projection_slice_rejects_inexact_spins(elements, s):
-    # 3/4 and -0.9 double to 3/2 and -1.8, which must not count as +/-1
+    # 3/4 and -0.9 double to 3/2 and -1.8, which must not count as +/-1;
+    # only an int or a Fraction is a spin: Fraction() would parse a str,
+    # and "1e1000000000" would build a 10**10**9 integer, or convert 0.5
     with pytest.raises(ValueError, match="spin must be"):
         projection_slice(elements, s)
 

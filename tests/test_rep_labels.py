@@ -1,5 +1,6 @@
 """Label layer: mass formulas and Madelung kets."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,19 @@ def test_half_integer_labels_reject_bool(call, what):
         call()
 
 
+# only an int or a Fraction is a label: Fraction() would parse a str, and
+# "1e1000000000" would build a 10**10**9 integer, or convert a float
+@pytest.mark.parametrize("value", ["1/2", "1e5", 0.5], ids=["str", "str-exponent", "float"])
+def test_half_integer_labels_reject_str_and_float(value):
+    for call, what in (
+        (lambda: mass_sl2c(value, 0), "l"),
+        (lambda: mass_sl2c(0, value), "l-dot"),
+        (lambda: mass_so42(0, 0, value), "nu"),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} must be a half-integer, got {value}$"):
+            call()
+
+
 # -- Madelung kets ---------------------------------------------------------------
 
 
@@ -89,6 +103,17 @@ def test_madelung_invariants():
         MadelungKet(n=2, l=2, m=0, two_s=1)
     with pytest.raises(InconsistentLabelsError):
         MadelungKet(n=3, l=1, m=2, two_s=1)
+
+
+def test_madelung_ket_is_a_validated_immutable_record():
+    ket = MadelungKet(n=2, l=1, m=0, two_s=1)
+    assert ket == (2, 1, 0, 1) and hash(ket) == hash((2, 1, 0, 1))
+    assert pickle.loads(pickle.dumps(ket)) == ket
+    assert ket._replace(two_s=-1) == MadelungKet(2, 1, 0, -1)
+    with pytest.raises(InconsistentLabelsError, match="m=2 outside"):
+        ket._replace(m=2)
+    with pytest.raises(AttributeError):
+        ket.n = 3
 
 
 @pytest.mark.parametrize(
