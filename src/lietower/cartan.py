@@ -392,7 +392,7 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
     g, n, size = gs.metric.g, gs.metric.dim, gs.zero.dim
     idx = tuple(range(1, n + 1))
     lower = {(a, b): gs.gen(a, b) for a in idx for b in idx if a != b}
-    upper = {(a, b): mat * (g(a) * g(b)) for (a, b), mat in lower.items()}
+    upper = {(a, b): mat if g(a) == g(b) else -mat for (a, b), mat in lower.items()}
     if degree == 2:
         return product_sum(size, ((1, lower[ab], upper[ab]) for ab in combinations(idx, 2)))
     if degree == 3:

@@ -7,6 +7,16 @@ fixed element order and fixed-precision coordinates, and nothing records
 time or environment.  ANSI colour appears only on a TTY and never when
 NO_COLOR is set.
 
+JSON byte contract: ``_to_json(doc)`` is exactly
+``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, and the tests
+keep the stdlib as the reference.  With ``indent`` the stdlib runs its
+pure-Python encoder, so ``_to_json`` is its own small writer that quotes
+every string and key with ``json.encoder.encode_basestring``, the C
+escaper.  It takes dicts with ``str`` keys, lists, tuples (printed as
+arrays), ``str``, ``int``, ``bool`` and ``None``, and raises ``TypeError``
+on anything else, floats included: the algebra is exact, and floats
+appear only in SVG coordinates.
+
 Each ``cmd_*`` imports the package modules it runs when it is called, so
 importing this module loads none of them: ``mass`` loads only ``labels``,
 and ``tower`` and ``elements`` never load the algebra.  A name imported
@@ -145,9 +155,43 @@ def _emit(text: str, handle: TextIOBase) -> None:
 
 
 def _to_json(obj: dict) -> str:
-    import json
+    """``obj`` as indented JSON, under the module docstring's byte contract."""
+    from json.encoder import encode_basestring as quote
 
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    parts = []
+    put = parts.append
+
+    def write(value, pad: str) -> None:
+        if isinstance(value, str):
+            put(quote(value))
+        elif value is None or value is True or value is False:
+            put("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, dict) and value:
+            inner, sep = pad + "  ", "{"
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put(f"{sep}{inner}{quote(key)}: ")
+                write(item, inner)
+                sep = ","
+            put(pad + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            inner, sep = pad + "  ", "["
+            for item in value:
+                put(sep + inner)
+                write(item, inner)
+                sep = ","
+            put(pad + "]")
+        elif isinstance(value, (dict, list, tuple)):
+            put("{}" if isinstance(value, dict) else "[]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(obj, "\n")
+    put("\n")
+    return "".join(parts)
 
 
 def _use_color() -> bool:

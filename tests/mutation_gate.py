@@ -272,6 +272,18 @@ MUTANTS = (
         "from io import TextIOBase\n\nfrom .verify import run_verification\n",
         "importing the CLI loads the whole algebra stack",
     ),
+    Mutant(
+        "src/lietower/cli.py",
+        "from json.encoder import encode_basestring as quote",
+        "from json.encoder import encode_basestring_ascii as quote",
+        "the JSON writer escapes every non-ASCII character",
+    ),
+    Mutant(
+        "src/lietower/cartan.py",
+        "mat if g(a) == g(b) else -mat",
+        "mat if g(a) != g(b) else -mat",
+        "the Casimir builds raise an index with the opposite sign",
+    ),
 )
 
 EQUIVALENT = (
