@@ -7,6 +7,14 @@ fixed element order and fixed-precision coordinates, and nothing records
 time or environment.  ANSI colour appears only on a TTY and never when
 NO_COLOR is set.
 
+Input contract: the CLI reads text and the library owns every value rule.
+``_parse_signature``, ``_parse_half`` and argparse turn the command line
+into numbers; ``mass``, ``elements`` and ``tower`` hand them to the
+library through ``_checked``, which reports its ``ValueError`` (or the
+``KeyError`` of ``find_element``) as one ``error:`` line and exit 2, in the
+library's own words.  ``verify`` and ``roots`` convert no ``ValueError``:
+there one means a failed algebra step, not bad input.
+
 JSON byte contract: ``_to_json(doc)`` is exactly
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, and the tests
 keep the stdlib as the reference.  With ``indent`` the stdlib runs its
@@ -43,11 +51,7 @@ import sys
 from fractions import Fraction
 from io import TextIOBase
 
-# Largest p+q that verify accepts.  It no longer guards a slow run: with the
-# certified Cartan search and the bracket table built in one sparse join,
-# run_verification takes 0.024-0.039 s for 8,8 and 0.05-0.10 s for 10,10 on
-# one core of a shared 2-vCPU Xeon (Python 3.11).  It stays at 16 because
-# raising it changes which signatures exit 2.
+# Largest p+q that verify accepts; raising it changes which signatures exit 2.
 MAX_VERIFY_DIM = 16
 
 
@@ -93,21 +97,13 @@ def _parse_half(text: str, what: str) -> Fraction:
     return value
 
 
-def _parse_node(
-    l_text: str, ldot_text: str, nu_text: str | None
-) -> tuple[Fraction, Fraction, Fraction | None]:
-    """Labels (l, l-dot, nu) of a mass node, each a non-negative
-    half-integer; nu is None when ``nu_text`` is."""
-    l = _parse_half(l_text, "l")
-    ldot = _parse_half(ldot_text, "l-dot")
-    if l < 0 or ldot < 0:
-        raise CliError("spins must be non-negative")
-    if nu_text is None:
-        return l, ldot, None
-    nu = _parse_half(nu_text, "nu")
-    if nu < 0:
-        raise CliError("nu must be non-negative")
-    return l, ldot, nu
+def _checked(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, its ``ValueError`` or ``KeyError`` raised
+    again as a ``CliError`` with the library's message."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, KeyError) as exc:
+        raise CliError(exc.args[0]) from exc
 
 
 def _open_output(output: str | None) -> TextIOBase:
@@ -258,9 +254,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     from .periodic import projection_slice
 
     spin = _parse_half(args.spin, "spin")
-    if spin * 2 not in (-1, 1):
-        raise CliError("spin must be -1/2 or +1/2")
-    tower = projection_slice(_element_table(), spin)
+    tower = _checked(projection_slice, _element_table(), spin)
     if args.format == "json":
         text = _to_json(tower.to_json_dict())
     elif args.format == "svg":
@@ -282,31 +276,18 @@ def cmd_elements(args: argparse.Namespace) -> int:
     from .labels import mass_so42
     from .periodic import find_element
 
-    elements = _element_table()
-    if args.z is not None and args.symbol is not None:
-        raise CliError("give only one of --z and --symbol")
-    try:
-        if args.z is not None:
-            element = find_element(elements, z=args.z)
-        elif args.symbol is not None:
-            element = find_element(elements, symbol=args.symbol)
-        else:
-            raise CliError("give --z or --symbol")
-    except KeyError as exc:
-        raise CliError(exc.args[0]) from exc
-    node = None
+    element = _checked(find_element, _element_table(), z=args.z, symbol=args.symbol)
+    mass = None
     if args.node is not None:
         parts = args.node.split(",")
         if len(parts) != 3:
             raise CliError("--node expects l,ldot,nu")
-        node = _parse_node(*parts)
+        node = [_parse_half(text, what) for text, what in zip(parts, ("l", "l-dot", "nu"))]
+        mass = _checked(mass_so42, *node)
     if args.format == "json":
         doc = element.to_json_dict()
-        if node is not None:
-            doc["mass"] = {
-                "node": [str(v) for v in node],
-                "value": f"{mass_so42(*node)} * m_H",
-            }
+        if mass is not None:
+            doc["mass"] = {"node": [str(v) for v in node], "value": f"{mass} * m_H"}
         _emit(_to_json(doc), _open_output(args.output))
         return 0
     ket = element.ket
@@ -314,9 +295,9 @@ def cmd_elements(args: argparse.Namespace) -> int:
         f"Z={element.z} {element.symbol}  ket {ket}  "
         f"(floor n={ket.n}, subshell l={ket.l}, m={ket.m}, spin {ket.s_text})"
     )
-    if node is not None:
+    if mass is not None:
         l, ldot, nu = node
-        line += f"\nmass({l},{ldot},{nu}) = {mass_so42(l, ldot, nu)} * m_H"
+        line += f"\nmass({l},{ldot},{nu}) = {mass} * m_H"
     _emit(line + "\n", _open_output(args.output))
     return 0
 
@@ -324,13 +305,11 @@ def cmd_elements(args: argparse.Namespace) -> int:
 def cmd_mass(args: argparse.Namespace) -> int:
     from .labels import mass_sl2c, mass_so42
 
-    l, ldot, nu = _parse_node(args.l, args.l_dot, args.nu)
-    if nu is None:
-        value = mass_sl2c(l, ldot)
-        unit = "m_e"
+    l, ldot = _parse_half(args.l, "l"), _parse_half(args.l_dot, "l-dot")
+    if args.nu is None:
+        value, unit = _checked(mass_sl2c, l, ldot), "m_e"
     else:
-        value = mass_so42(l, ldot, nu)
-        unit = "m_H"
+        value, unit = _checked(mass_so42, l, ldot, _parse_half(args.nu, "nu")), "m_H"
     _emit(f"{value} * {unit}\n", _open_output(args.output))
     return 0
 
@@ -359,14 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(func=cmd_roots)
 
     p_tower = sub.add_parser("tower", help="weight-tower projection for one spin")
-    p_tower.add_argument("--spin", required=True, help="-1/2 or +1/2")
+    p_tower.add_argument("--spin", required=True, help="spin projection s, one of -1/2 and +1/2")
     p_tower.add_argument("--format", choices=("text", "json", "svg"), default="text")
     p_tower.add_argument("--output", default=None)
     p_tower.set_defaults(func=cmd_tower)
 
     p_el = sub.add_parser("elements", help="look up one element slot")
-    p_el.add_argument("--z", type=int, default=None)
-    p_el.add_argument("--symbol", default=None)
+    which = p_el.add_mutually_exclusive_group(required=True)
+    which.add_argument("--z", type=int)
+    which.add_argument("--symbol")
     p_el.add_argument(
         "--node",
         default=None,

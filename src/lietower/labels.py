@@ -60,12 +60,13 @@ def mass_so42(l: HalfIntLike, l_dot: HalfIntLike, nu: HalfIntLike) -> Fraction:
     """Tower-node mass 2*(l+1/2)*(l.+1/2)*(nu+1/2), exact in units of m_H.
 
     At nu = 0 it is half of ``mass_sl2c``: 2 * mass_so42(l, l., 0) equals
-    mass_sl2c(l, l.), each in its own unit.
+    mass_sl2c(l, l.), each in its own unit.  The spins are checked before nu.
     """
+    shell = mass_sl2c(l, l_dot)
     two_nu = _doubled(nu, "nu")
     if two_nu < 0:
         raise ValueError("nu must be non-negative")
-    return mass_sl2c(l, l_dot) * Fraction(two_nu + 1, 2)
+    return shell * Fraction(two_nu + 1, 2)
 
 
 # -- Madelung kets ------------------------------------------------------------

@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
 
-from .labels import InconsistentLabelsError, MadelungKet, _signed_half_str
+from .labels import InconsistentLabelsError, MadelungKet, _doubled, _signed_half_str
 
 MAX_Z = 120
 
@@ -139,13 +139,13 @@ def antimatter_mirror(e: Element) -> Element:
 def projection_slice(elements: Sequence[Element], s: Fraction) -> TowerSlice:
     """All elements with spin projection s, placed on their tower floors.
 
-    Floors run n = 1..8 (every ring present, filled or not), then the
-    antimatter floors n = -1..-8 holding the mirrored copies.
+    s is -1/2 or +1/2, an ``int`` or ``Fraction`` as ``labels._doubled``
+    takes it; anything else raises ``ValueError``.  Floors run n = 1..8
+    (every ring present, filled or not), then the antimatter floors
+    n = -1..-8 holding the mirrored copies.
     """
-    # int or Fraction only, the type test of exact._ratio: Fraction() would
-    # parse a str ("1e1000000000" without end) and convert a float; an int,
-    # bool included, doubles to no spin
-    if not isinstance(s, (int, Fraction)) or (two_s := s * 2) not in (-1, 1):
+    two_s = _doubled(s, "spin")
+    if two_s not in (-1, 1):
         raise ValueError("spin must be -1/2 or +1/2")
     by_slot: dict[tuple[int, int, int], Element] = {}
     max_n = 0

@@ -284,6 +284,18 @@ MUTANTS = (
         "mat if g(a) != g(b) else -mat",
         "the Casimir builds raise an index with the opposite sign",
     ),
+    Mutant(
+        "src/lietower/periodic.py",
+        "if two_s not in (-1, 1):",
+        "if two_s not in (-1, 1, 3):",
+        "projection_slice accepts the spin 3/2 and returns an empty tower",
+    ),
+    Mutant(
+        "src/lietower/labels.py",
+        "if two_l < 0 or two_ldot < 0:",
+        "if two_l < 0:",
+        "the mass formulas accept a negative l-dot",
+    ),
 )
 
 EQUIVALENT = (

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ import lietower.periodic
 import lietower.verify
 from lietower import cli
 from lietower.cli import main
-from lietower.periodic import assign_elements
+from lietower.labels import mass_sl2c, mass_so42
+from lietower.periodic import assign_elements, find_element, projection_slice
 from lietower.sopq import Metric, build_generators
 from lietower.verify import run_verification
 from golden import GOLDEN_STDOUT_SHA256, tampered_build
@@ -167,6 +169,13 @@ def test_tower_bad_spin(capsys):
     assert "spin" in err
 
 
+@pytest.mark.parametrize("spin", ["3/2", "-3/2"])
+def test_tower_rejects_other_half_integer_spins(capsys, spin):
+    code, out, err = run_cli(capsys, "tower", f"--spin={spin}")
+    assert (code, out) == (2, "")
+    assert err == "error: spin must be -1/2 or +1/2\n"
+
+
 def test_elements_by_z(capsys):
     code, out, _ = run_cli(capsys, "elements", "--z", "1")
     assert code == 0
@@ -271,6 +280,51 @@ def test_negative_node_label_rejected(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, call",
+    [
+        (("mass", "0", "0", "-1"), lambda: mass_so42(0, 0, -1)),
+        (("mass", "--", "-1/2", "0"), lambda: mass_sl2c(Fraction(-1, 2), 0)),
+        (("elements", "--z", "1", "--node=0,-1,0"), lambda: mass_so42(0, -1, 0)),
+        (("tower", "--spin=3/2"), lambda: projection_slice(assign_elements(), Fraction(3, 2))),
+        (("elements", "--z", "200"), lambda: find_element(assign_elements(), z=200)),
+    ],
+    ids=["mass-nu", "mass-l", "elements-node-ldot", "tower-spin", "elements-z"],
+)
+def test_range_errors_are_the_librarys(capsys, argv, call):
+    # the CLI parses the text; the library's own message is the error line
+    with pytest.raises((ValueError, KeyError)) as raised:
+        call()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {raised.value.args[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("mass", "--", "-1/2", "0", "x"), ("elements", "--z", "1", "--node=-1/2,0,x")],
+    ids=["mass", "elements-node"],
+)
+def test_syntax_error_reported_before_range_error(capsys, argv):
+    # l = -1/2 breaks a range rule, but nu = x is not a number at all
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: bad nu 'x'; expected a half-integer like 3/2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("elements",), ("elements", "--z", "1", "--symbol", "H"), ("elements", "--node=0,0,0")],
+    ids=["neither", "both", "node-only"],
+)
+def test_elements_takes_exactly_one_of_z_and_symbol(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lietower elements: ") and err.count("\n") == 1
+    assert "--z" in err and "--symbol" in err
+    assert "usage" not in err
+
+
+@pytest.mark.parametrize(
     "argv, bad",
     [
         (("mass", "1e5000", "1/2", "1/2"), "l '1e5000'"),
@@ -343,8 +397,6 @@ def test_output_file_utf8_lf(tmp_path, capsys):
 
 def test_json_round_trip(capsys, oriented_ladders):
     from lietower.cartan import find_cartan, root_system
-    from lietower.periodic import projection_slice
-    from fractions import Fraction
 
     _, out, _ = run_cli(capsys, "roots", "--signature", "4,4", "--format", "json")
     gs = build_generators(Metric(4, 4))

@@ -137,9 +137,12 @@ def test_period_doubling_pattern(elements):
 # -- spin slices -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("s", [Fraction(3, 4), 0.75, -0.9, 0, 1, 0.5, "1/2", "1e5"])
+@pytest.mark.parametrize(
+    "s", [Fraction(3, 4), 0.75, -0.9, 0, 1, 0.5, "1/2", "1e5", Fraction(3, 2), Fraction(-3, 2)]
+)
 def test_projection_slice_rejects_inexact_spins(elements, s):
     # 3/4 and -0.9 double to 3/2 and -1.8, which must not count as +/-1;
+    # +/-3/2 are half-integers but no spin projection of the tower;
     # only an int or a Fraction is a spin: Fraction() would parse a str,
     # and "1e1000000000" would build a 10**10**9 integer, or convert 0.5
     with pytest.raises(ValueError, match="spin must be"):
@@ -314,6 +317,12 @@ def test_find_by_z_matches_the_element_not_its_position(elements):
         find_element(elements, z=Fraction(26))
     with pytest.raises(KeyError, match=r"z=1 out of range 1\.\.120"):
         find_element(elements, z="1")
+
+
+@pytest.mark.parametrize("keys", [{}, {"z": 1, "symbol": "H"}], ids=["neither", "both"])
+def test_find_needs_exactly_one_key(elements, keys):
+    with pytest.raises(ValueError, match="give exactly one of z or symbol"):
+        find_element(elements, **keys)
 
 
 def test_unknown_symbol_gets_hint(elements):

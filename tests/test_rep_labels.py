@@ -48,6 +48,11 @@ def test_multiplet_dimension_rejects_negative_spins(l, ldot):
         mass_so42(l, ldot, 0)
 
 
+def test_tower_mass_checks_spins_before_nu():
+    with pytest.raises(ValueError, match="spins must be non-negative"):
+        mass_so42(Fraction(-1, 2), 0, -1)
+
+
 def test_mass_rejects_bad_labels():
     with pytest.raises(ValueError):
         mass_sl2c(Fraction(1, 3), 0)
