@@ -9,7 +9,7 @@ and each submodule, is imported on first access, so a command pays only
 for the modules it runs.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -38,11 +38,11 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    if name in _MODULE_OF:
-        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{_MODULE_OF.get(name, name)}"
+    __import__(module)  # importlib.import_module would load importlib and warnings
+    return getattr(sys.modules[module], name) if name in _MODULE_OF else sys.modules[module]
 
 
 def __dir__() -> list[str]:

@@ -8,12 +8,13 @@ time or environment.  ANSI colour appears only on a TTY and never when
 NO_COLOR is set.
 
 Input contract: the CLI reads text and the library owns every value rule.
-``_parse_signature``, ``_parse_half`` and argparse turn the command line
-into numbers; ``mass``, ``elements`` and ``tower`` hand them to the
-library through ``_checked``, which reports its ``ValueError`` (or the
-``KeyError`` of ``find_element``) as one ``error:`` line and exit 2, in the
-library's own words.  ``verify`` and ``roots`` convert no ``ValueError``:
-there one means a failed algebra step, not bad input.
+``_parse`` reads the command line by one table, ``_COMMANDS``, which
+``--help`` prints, and ``_parse_signature`` and ``_parse_half`` turn its
+texts into numbers.  ``mass``, ``elements`` and ``tower`` hand these to the
+library through ``_checked``.  A syntax error, or the library's
+``ValueError`` (or ``KeyError`` of ``find_element``) in its own words, is
+one ``error:`` line and exit 2.  ``verify`` and ``roots`` convert no
+``ValueError``: there one means a failed algebra step, not bad input.
 
 JSON byte contract: ``_to_json(doc)`` is exactly
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, and the tests
@@ -31,25 +32,16 @@ and ``tower`` and ``elements`` never load the algebra.  A name imported
 inside a command is read from its module at call time, so patching
 ``lietower.verify.build_generators`` or ``lietower.periodic.assign_elements``
 reaches the next command.
-
-The argparse parser and the 120-element table are each built on first use
-and then shared read-only for the life of the process; the table is a
-tuple of frozen ``Element``s.  A shell invocation runs one command in a
-fresh process and builds both exactly once either way; only a caller that
-runs ``main`` many times in one process, such as the test suite, skips
-the rebuilds.  The parser binds the ``cmd_*`` functions when it is first
-built: a test that patches ``cli.cmd_*`` must call
-``build_parser.cache_clear()`` first.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from fractions import Fraction
 from io import TextIOBase
+from types import SimpleNamespace
 
 # Largest p+q that verify accepts; raising it changes which signatures exit 2.
 MAX_VERIFY_DIM = 16
@@ -57,13 +49,6 @@ MAX_VERIFY_DIM = 16
 
 class CliError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one CliError line instead of usage."""
-
-    def error(self, message: str):
-        raise CliError(f"{self.prog}: {message}")
 
 
 def _parse_signature(text: str):
@@ -89,12 +74,9 @@ def _parse_half(text: str, what: str) -> Fraction:
     if len(text) > MAX_HALF_TEXT or "e" in text.lower() or "_" in text:
         raise bad
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise bad from exc
-    if (value * 2).denominator != 1:
-        raise bad
-    return value
 
 
 def _checked(call, *args, **kwargs):
@@ -205,7 +187,7 @@ def _element_table() -> tuple:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .verify import render_text, run_verification
 
     metric = _parse_signature(args.signature)
@@ -223,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_roots(args: argparse.Namespace) -> int:
+def cmd_roots(args: SimpleNamespace) -> int:
     from .sopq import HYDROGEN_ALIAS_PAIRS, Metric, build_generators, pair_name
     from .verify import BATTERIES, SuiteContext
 
@@ -250,7 +232,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tower(args: argparse.Namespace) -> int:
+def cmd_tower(args: SimpleNamespace) -> int:
     from .periodic import projection_slice
 
     spin = _parse_half(args.spin, "spin")
@@ -272,7 +254,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_elements(args: argparse.Namespace) -> int:
+def cmd_elements(args: SimpleNamespace) -> int:
     from .labels import mass_so42
     from .periodic import find_element
 
@@ -302,7 +284,7 @@ def cmd_elements(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mass(args: argparse.Namespace) -> int:
+def cmd_mass(args: SimpleNamespace) -> int:
     from .labels import mass_sl2c, mass_so42
 
     l, ldot = _parse_half(args.l, "l"), _parse_half(args.l_dot, "l-dot")
@@ -314,62 +296,125 @@ def cmd_mass(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lietower",
-        description=(
-            "Exact checks and diagrams for the rotation algebras so(4,2) / "
-            "so(4,4) and the weight-tower periodic system built on them."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command line -------------------------------------------------------------
 
-    p_verify = sub.add_parser("verify", help="run the exact verification suites")
-    p_verify.add_argument("--signature", required=True, help="P,Q e.g. 4,2")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(func=cmd_verify)
+_ABOUT = (
+    "Exact checks and diagrams for the rotation algebras so(4,2) / so(4,4) "
+    "and the weight-tower periodic system built on them."
+)
+_SIGNATURE = ("--signature", "required", "P,Q e.g. 4,2")
+_TEXT_JSON = ("--format", ("text", "json"), "output format")
+_TEXT_JSON_SVG = ("--format", ("text", "json", "svg"), "output format")
+_OUTPUT = ("--output", None, "write to this file instead of stdout")
 
-    p_roots = sub.add_parser("roots", help="root system of the oriented ladder set")
-    p_roots.add_argument("--signature", required=True, help="4,2 or 4,4")
-    p_roots.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    p_roots.add_argument("--output", default=None)
-    p_roots.set_defaults(func=cmd_roots)
+# The command line, read by _parse and printed by --help: per command its
+# help line, then its entries (name, kind, help), where a name without
+# dashes is a positional.  Kind "required" is a text that must be given,
+# None an optional text, int an integer read by int(), and a tuple the
+# choices, the first of them the default.  cmd_<command> runs the command.
+_COMMANDS = {
+    "verify": ("run the exact verification suites", _SIGNATURE, _TEXT_JSON, _OUTPUT),
+    "roots": ("root system of the oriented ladder set", _SIGNATURE, _TEXT_JSON_SVG, _OUTPUT),
+    "tower": (
+        "weight-tower projection for one spin",
+        ("--spin", "required", "-1/2 or +1/2"), _TEXT_JSON_SVG, _OUTPUT,
+    ),
+    "elements": (
+        "look up one element slot",
+        ("--z", int, "atomic number 1..120"),
+        ("--symbol", None, "element symbol, e.g. Fe"),
+        ("--node", None, "l,ldot,nu half-integers; adds the tower-node mass in m_H"),
+        _TEXT_JSON, _OUTPUT,
+    ),
+    "mass": (
+        "exact node mass",
+        ("l", "required", "half-integer, e.g. 1/2"),
+        ("l_dot", "required", "half-integer, e.g. 0"),
+        ("nu", None, "optional radial label"),
+        _OUTPUT,
+    ),
+}
+# The options of which a command takes exactly one.
+_ONE_OF = {"elements": ("--z", "--symbol")}
 
-    p_tower = sub.add_parser("tower", help="weight-tower projection for one spin")
-    p_tower.add_argument("--spin", required=True, help="spin projection s, one of -1/2 and +1/2")
-    p_tower.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    p_tower.add_argument("--output", default=None)
-    p_tower.set_defaults(func=cmd_tower)
 
-    p_el = sub.add_parser("elements", help="look up one element slot")
-    which = p_el.add_mutually_exclusive_group(required=True)
-    which.add_argument("--z", type=int)
-    which.add_argument("--symbol")
-    p_el.add_argument(
-        "--node",
-        default=None,
-        help="l,ldot,nu half-integers; adds the tower-node mass in units of m_H",
-    )
-    p_el.add_argument("--format", choices=("text", "json"), default="text")
-    p_el.add_argument("--output", default=None)
-    p_el.set_defaults(func=cmd_elements)
+def _help(command: str | None) -> None:
+    """Print the help of ``command``, or of the whole CLI, and exit 0."""
+    if command is None:
+        usage, about = "{" + ",".join(_COMMANDS) + "} ...", _ABOUT
+        rows = {name: entry[0] for name, entry in _COMMANDS.items()}
+    else:
+        about, *entries = _COMMANDS[command]
+        usage, rows = command, {}
+        for name, kind, text in entries:
+            meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper()
+            shown = f"{name} {meta}" if name[0] == "-" else name
+            usage += f" {shown}" if kind == "required" else f" [{shown}]"
+            rows[shown] = text
+        if command in _ONE_OF:
+            about += f"; give exactly one of {' and '.join(_ONE_OF[command])}"
+    width = max(map(len, rows))
+    lines = [f"usage: lietower {usage}", "", about, ""]
+    lines += [f"  {name:<{width}}  {text}" for name, text in rows.items()]
+    _emit("\n".join(lines) + "\n", sys.stdout)
+    raise SystemExit(0)
 
-    p_mass = sub.add_parser("mass", help="exact node mass")
-    p_mass.add_argument("l", help="half-integer, e.g. 1/2")
-    p_mass.add_argument("l_dot", help="half-integer, e.g. 0")
-    p_mass.add_argument("nu", nargs="?", default=None, help="optional radial label")
-    p_mass.add_argument("--output", default=None)
-    p_mass.set_defaults(func=cmd_mass)
 
-    return parser
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The command that ``argv`` names and its arguments, read by ``_COMMANDS``.
+    Options start with ``--``, ``-h`` aside, and ``--`` ends them; a value
+    follows ``=`` or is the next word, which must not start with ``--``."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        got = "" if command is None else f", not {command!r}"
+        raise CliError(f"lietower: give a command, one of {', '.join(_COMMANDS)}{got}")
+    at, entries, words = f"lietower {command}: ", _COMMANDS[command][1:], iter(argv[1:])
+    given, texts = {}, []
+    for word in words:
+        if word == "--":
+            texts += words
+        elif word in ("-h", "--help"):
+            _help(command)
+        elif not word.startswith("--"):
+            texts.append(word)
+        else:
+            flag, eq, value = word.partition("=")
+            if flag not in {name for name, _, _ in entries}:
+                raise CliError(f"{at}unknown option {flag}")
+            if not eq:
+                value = next(words, None)
+                if value is None or value.startswith("--"):
+                    raise CliError(f"{at}{flag} expects a value")
+            given[flag] = value  # a repeated option keeps its last value
+    positionals = [name for name, _, _ in entries if name[0] != "-"]
+    if len(texts) > len(positionals):
+        raise CliError(f"{at}unexpected argument {texts[len(positionals)]!r}")
+    given.update(zip(positionals, texts))
+    group = _ONE_OF.get(command, ())
+    if group and sum(name in given for name in group) != 1:
+        raise CliError(f"{at}give exactly one of {' and '.join(group)}")
+    args = SimpleNamespace()
+    for name, kind, _ in entries:
+        value = given.get(name, kind[0] if isinstance(kind, tuple) else None)
+        if value is None and kind == "required":
+            raise CliError(f"{at}{name} is required")
+        if isinstance(kind, tuple) and value not in kind:
+            raise CliError(f"{at}{name} must be one of {', '.join(kind)}, not {value!r}")
+        if kind is int and value is not None:
+            try:
+                value = int(value)
+            except ValueError:
+                raise CliError(f"{at}{name} must be an integer, not {value!r}") from None
+        setattr(args, name.lstrip("-"), value)
+    return command, args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        return globals()[f"cmd_{command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

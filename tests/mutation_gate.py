@@ -279,6 +279,30 @@ MUTANTS = (
         "the JSON writer escapes every non-ASCII character",
     ),
     Mutant(
+        "src/lietower/cli.py",
+        'if value is None and kind == "required":',
+        "if False:",
+        "the command line omits a required option or positional unchecked",
+    ),
+    Mutant(
+        "src/lietower/cli.py",
+        "if isinstance(kind, tuple) and value not in kind:",
+        "if False:",
+        "the command line takes a --format outside its choices",
+    ),
+    Mutant(
+        "src/lietower/cli.py",
+        "if group and sum(name in given for name in group) != 1:",
+        "if False:",
+        "elements takes neither or both of --z and --symbol",
+    ),
+    Mutant(
+        "src/lietower/cli.py",
+        'if value is None or value.startswith("--"):',
+        'if value is None or value.startswith("-"):',
+        "an option refuses a separate value that starts with one dash, such as --spin -1/2",
+    ),
+    Mutant(
         "src/lietower/cartan.py",
         "mat if g(a) == g(b) else -mat",
         "mat if g(a) != g(b) else -mat",

@@ -512,7 +512,9 @@ def test_failed_stdout_write_exits_2(capsys, monkeypatch, tmp_path, argv, held):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
-    "argv", [("mass", "1/2", "0"), ("verify", "--signature", "4,2")], ids=" ".join
+    "argv",
+    [("mass", "1/2", "0"), ("verify", "--signature", "4,2"), ("roots", "--help")],
+    ids=" ".join,
 )
 def test_stdout_on_a_full_device_exits_2(tmp_path, argv):
     # a buffered stdout, as a shell gives one, keeps the bytes a failed
@@ -562,6 +564,129 @@ def test_help_still_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: lietower")
 
 
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as done:
+        main(list(argv))
+    assert done.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("roots", "--help"), ("roots", "-h"), ("roots", "--signature", "4,2", "--help")],
+    ids=" ".join,
+)
+def test_roots_help_lists_its_options(capsys, argv):
+    out = help_text(capsys, *argv)
+    assert out.startswith(
+        "usage: lietower roots --signature SIGNATURE [--format {text,json,svg}] "
+        "[--output OUTPUT]\n"
+    )
+    for name in ("--signature SIGNATURE", "--format {text,json,svg}", "--output OUTPUT"):
+        assert f"\n  {name} " in out
+
+
+def test_help_is_printed_from_the_command_table(capsys):
+    out = help_text(capsys, "-h")
+    for command in ("verify", "roots", "tower", "elements", "mass"):
+        assert f"\n  {command} " in out
+    assert "give exactly one of --z and --symbol" in help_text(capsys, "elements", "--help")
+    assert help_text(capsys, "mass", "--help").startswith(
+        "usage: lietower mass l l_dot [nu] [--output OUTPUT]\n"
+    )
+
+
+COMMANDS = "verify, roots, tower, elements, mass"
+ONE_OF = "lietower elements: give exactly one of --z and --symbol"
+EXPECTS = "lietower verify: --signature expects a value"
+SYNTAX_ERRORS = [
+    ((), f"lietower: give a command, one of {COMMANDS}"),
+    (("frobnicate",), f"lietower: give a command, one of {COMMANDS}, not 'frobnicate'"),
+    (("verify",), "lietower verify: --signature is required"),
+    (("tower", "--format", "json"), "lietower tower: --spin is required"),
+    (("mass", "1/2"), "lietower mass: l_dot is required"),
+    (("mass", "1/2", "0", "0", "1"), "lietower mass: unexpected argument '1'"),
+    (("verify", "--signature", "4,2", "x"), "lietower verify: unexpected argument 'x'"),
+    (("mass", "1/2", "0", "--bogus"), "lietower mass: unknown option --bogus"),
+    (("verify", "--sig", "4,2"), "lietower verify: unknown option --sig"),
+    (("verify", "--signature"), EXPECTS),
+    (("verify", "--signature", "--format", "json"), EXPECTS),
+    (
+        ("roots", "--signature", "4,2", "--format", "pdf"),
+        "lietower roots: --format must be one of text, json, svg, not 'pdf'",
+    ),
+    (
+        ("verify", "--signature=4,2", "--format=svg"),
+        "lietower verify: --format must be one of text, json, not 'svg'",
+    ),
+    (("elements", "--z", "abc"), "lietower elements: --z must be an integer, not 'abc'"),
+    (("elements", "--z=1.0"), "lietower elements: --z must be an integer, not '1.0'"),
+    (("elements",), ONE_OF),
+    (("elements", "--symbol", "H", "--z=1"), ONE_OF),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", SYNTAX_ERRORS, ids=[" ".join(a) or "<none>" for a, _ in SYNTAX_ERRORS]
+)
+def test_syntax_error_wording(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (("tower", "--spin", "-1/2"), ("tower", "--spin=-1/2")),
+        (
+            ("tower", "--spin", "+1/2", "--format", "json"),
+            ("tower", "--format=json", "--spin=+1/2"),
+        ),
+        (("elements", "--z", "1", "--z", "26"), ("elements", "--z", "26")),
+        (
+            ("roots", "--signature", "4,2", "--format", "svg", "--format", "json"),
+            ("roots", "--signature", "4,2", "--format", "json"),
+        ),
+        (("elements", "--z", " +26 "), ("elements", "--z", "26")),
+        (
+            ("elements", "--node", "1/2,1,0", "--symbol", "Fe"),
+            ("elements", "--symbol=Fe", "--node=1/2,1,0"),
+        ),
+        (("mass", "1/2", "--", "0"), ("mass", "1/2", "0")),
+    ],
+    ids=[
+        "spin-space", "spin-space-json", "repeated-z", "repeated-format",
+        "z-int", "order", "dashes",
+    ],
+)
+def test_equivalent_command_lines(capsys, argv, same_as):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert (code, out, err) == run_cli(capsys, *same_as)
+
+
+def test_only_double_dash_words_are_options(capsys):
+    # -1/2 is a value, so the library's range rule answers, as after --
+    expected = (2, "", "error: spins must be non-negative\n")
+    assert run_cli(capsys, "mass", "-1/2", "0") == expected
+    assert run_cli(capsys, "mass", "--", "-1/2", "0") == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("mass", "1/3", "0"), "l must be a half-integer, got 1/3"),
+        (("mass", "0", "0.25"), "l-dot must be a half-integer, got 1/4"),
+        (("elements", "--z", "1", "--node", "0,0,1/3"), "nu must be a half-integer, got 1/3"),
+        (("tower", "--spin=1/4"), "spin must be a half-integer, got 1/4"),
+    ],
+    ids=["mass-l", "mass-ldot", "elements-node-nu", "tower-spin"],
+)
+def test_half_integer_rule_is_the_librarys(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_oversized_verify_signature_rejected(capsys, monkeypatch):
     def no_build(metric):
         raise AssertionError("generators built for a rejected signature")
@@ -580,11 +705,9 @@ def test_oversized_verify_signature_rejected(capsys, monkeypatch):
 
 @pytest.fixture
 def cold_caches():
-    """Clear the parser and element-table caches before and after a test."""
-    cli.build_parser.cache_clear()
+    """Clear the element-table cache before and after a test."""
     cli._element_table.cache_clear()
     yield
-    cli.build_parser.cache_clear()
     cli._element_table.cache_clear()
 
 
@@ -608,19 +731,14 @@ def test_shared_state_survives_a_command_sequence(capsys, cold_caches):
     golden("mass", "1/2", "0")
 
 
-def test_parser_and_element_table_built_once(capsys, monkeypatch, cold_caches):
+def test_element_table_built_once(capsys, monkeypatch, cold_caches):
     builds = Counter()
-    real_parser, real_assign = cli._Parser, lietower.periodic.assign_elements
-
-    def counted_parser(*args, **kwargs):
-        builds["parser"] += 1  # build_parser's body makes exactly one _Parser
-        return real_parser(*args, **kwargs)
+    real_assign = lietower.periodic.assign_elements
 
     def counted_assign(*args, **kwargs):
         builds["elements"] += 1
         return real_assign(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_Parser", counted_parser)
     monkeypatch.setattr(lietower.periodic, "assign_elements", counted_assign)
     for argv in (
         ("elements", "--z", "57", "--node", "1/2,1,3/2"),
@@ -630,7 +748,7 @@ def test_parser_and_element_table_built_once(capsys, monkeypatch, cold_caches):
         ("elements", "--z", "1"),
     ):
         assert run_cli(capsys, *argv)[0] == 0
-    assert builds == {"parser": 1, "elements": 1}
+    assert builds == {"elements": 1}
 
     table = cli._element_table()
     assert isinstance(table, tuple) and len(table) == 120

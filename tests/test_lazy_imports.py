@@ -71,3 +71,7 @@ def test_command_imports_only_its_modules(argv, package):
     assert {m for m in loaded if m.startswith("lietower.")} == {f"lietower.{m}" for m in package}
     # no record is a dataclass: importing dataclasses also loads inspect
     assert not {"typing", "importlib.resources", "dataclasses", "inspect"} & loaded
+    # the command line is read without argparse, which loads gettext and
+    # locale, and whose help formatter loads shutil; the package root
+    # imports its submodules without importlib
+    assert not {"argparse", "gettext", "locale", "shutil", "importlib"} & loaded
