@@ -39,6 +39,12 @@ def _require_integer_labels(*labels: int) -> None:
         raise InconsistentLabelsError("labels must be integers")
 
 
+def _spin(two_s: int, what: str) -> int:
+    if two_s not in (-1, 1):
+        raise InconsistentLabelsError(f"{what} must be -1/2 or +1/2")
+    return two_s
+
+
 def _signed_half_str(two: int) -> str:
     text = str(Fraction(two, 2))
     return text if two < 0 else "+" + text
@@ -89,9 +95,7 @@ class MadelungKet(namedtuple("MadelungKet", "n l m two_s")):
             raise InconsistentLabelsError(f"l={l} outside 0..|n|-1 for n={n}")
         if abs(m) > l:
             raise InconsistentLabelsError(f"m={m} outside -l..l for l={l}")
-        if two_s not in (-1, 1):
-            raise InconsistentLabelsError("s must be -1/2 or +1/2")
-        return super().__new__(cls, n, l, m, two_s)
+        return super().__new__(cls, n, l, m, _spin(two_s, "s"))
 
     @classmethod
     def _make(cls, fields):  # _replace builds through here: validate it too

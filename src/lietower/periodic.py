@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
 
-from .labels import InconsistentLabelsError, MadelungKet, _doubled, _signed_half_str
+from .labels import InconsistentLabelsError, MadelungKet, _doubled, _signed_half_str, _spin
 
 MAX_Z = 120
 
@@ -144,9 +144,7 @@ def projection_slice(elements: Sequence[Element], s: Fraction) -> TowerSlice:
     (every ring present, filled or not), then the antimatter floors
     n = -1..-8 holding the mirrored copies.
     """
-    two_s = _doubled(s, "spin")
-    if two_s not in (-1, 1):
-        raise ValueError("spin must be -1/2 or +1/2")
+    two_s = _spin(_doubled(s, "spin"), "spin")
     by_slot: dict[tuple[int, int, int], Element] = {}
     max_n = 0
     for e in elements:

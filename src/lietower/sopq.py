@@ -9,8 +9,9 @@ the index convention of the printed commutation table this module validates:
 
     [L_ab, L_cd] = i (g_ad L_bc + g_bc L_ad - g_ac L_bd - g_bd L_ac).
 
-A realisation is *validated*, never assumed: ``verify_commutation`` checks
-every unordered generator pair against the symbolic right-hand side, exactly.
+A realisation is *validated*, never assumed: ``verify_commutation`` decides
+every unordered generator pair against the symbolic right-hand side exactly,
+comparing matrices wherever either side can be nonzero.
 Each generator set computes those brackets once, in one sparse join
 (``exact.pairwise_commutators``) that fills its lazily built ``brackets``
 table, keyed by generator indices as the join makes them; the commutation
@@ -45,9 +46,9 @@ from .exact import (
 
 IndexPair = tuple[int, int]
 
-# The two coefficients a bracket of generators can carry, shared so that
-# ``expected_bracket`` builds no scalar per call.
-_MINUS_I = -I
+# i times a sign: the coefficients of the defining matrices' entries and of a
+# bracket of two generators, shared so that no call builds a scalar.
+_I_TIMES = {1: I, -1: -I}
 
 
 class Metric(namedtuple("Metric", "p q")):
@@ -91,8 +92,8 @@ def pair_name(a: int, b: int) -> str:
 
 
 class GeneratorSet:
-    """Ordered family of generators L_ab (a < b) for one signature: any
-    (a, b) -> matrix map whose matrices share one size, in the map's order.
+    """Ordered family of generators L_ab, 1 <= a < b <= p+q, of one signature:
+    any such (a, b) -> matrix map whose matrices share one size, in its order.
 
     Lookup resolves the antisymmetry convention: ``gen(b, a)`` is
     ``-gen(a, b)`` and ``gen(a, a)`` is the zero matrix.  The bracket table
@@ -104,6 +105,8 @@ class GeneratorSet:
     def __init__(self, metric: Metric, gens: Mapping[IndexPair, ExactMatrix]):
         self.metric = metric
         self._gens: dict[IndexPair, ExactMatrix] = dict(gens)
+        if not all(0 < a < b <= metric.dim for a, b in self._gens):
+            raise ValueError(f"generator keys must be pairs 1 <= a < b <= {metric.dim}")
         self.pairs: list[IndexPair] = list(self._gens)
         self.names = [pair_name(a, b) for a, b in self.pairs]
         self.zero = ExactMatrix.zeros(self._gens[self.pairs[0]].dim)
@@ -139,7 +142,9 @@ def build_generators(metric: Metric) -> GeneratorSet:
     """The n(n-1)/2 defining-representation generators; their one builder."""
     n, g = metric.dim, metric.g
     gens = {
-        (a, b): ExactMatrix.from_entries(n, {(a - 1, b - 1): I * g(b), (b - 1, a - 1): -I * g(a)})
+        (a, b): ExactMatrix.from_entries(
+            n, {(a - 1, b - 1): _I_TIMES[g(b)], (b - 1, a - 1): _I_TIMES[-g(a)]}
+        )
         for a in range(1, n + 1)
         for b in range(a + 1, n + 1)
     }
@@ -173,7 +178,7 @@ def expected_bracket(
             sign *= metric.g(x)
             if u > v:
                 u, v, sign = v, u, -sign
-            return [(I if sign > 0 else _MINUS_I, (u, v))]
+            return [(_I_TIMES[sign], (u, v))]
     return []
 
 
@@ -187,11 +192,14 @@ def materialize(
 def verify_commutation(gs: GeneratorSet) -> dict:
     """Check every unordered generator pair against the symbolic bracket;
     the report is ``{"signature", "pair_count", "failures"}``, and the
-    signature passes when ``failures`` is empty.
+    signature passes when ``failures`` is empty; ``pair_count`` counts all.
 
-    Each pair is decided by exact matrix equality between its entry in
+    A pair is decided by exact matrix equality between its entry in
     ``gs.brackets`` (zero when absent), keyed by the two generator indices,
-    and the materialized right-hand side.
+    and the materialized right-hand side.  Only pairs in the table or whose
+    index pairs share an index are compared; the rest are 0 = 0, as the join
+    stores every nonzero bracket and ``expected_bracket`` gives two index
+    pairs with no shared index an empty side.
     ``gs.solver`` is read first: its factoring raises ``ValueError`` on a
     dependent set, and only for independent generators does equality of the
     matrices mean equality of the coefficients.  A mismatch is a failure
@@ -205,6 +213,8 @@ def verify_commutation(gs: GeneratorSet) -> dict:
     expected: dict[tuple, ExactMatrix] = {}
     failures = []
     for (s, left), (t, right) in combinations(enumerate(gs.pairs), 2):
+        if (s, t) not in brackets and left[0] not in right and left[1] not in right:
+            continue
         got = brackets.get((s, t), gs.zero)
         expected_terms = expected_bracket(metric, left, right)
         key = tuple(expected_terms)
@@ -228,9 +238,10 @@ def verify_commutation(gs: GeneratorSet) -> dict:
 
 
 def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
-    """Membership check g L^T g == -L for every generator."""
+    """Membership check g L^T g == -L for every generator, by one product:
+    (L g)^T == -L g is that check times g on the right, as g^2 = 1."""
     g = gs.metric.matrix()
-    return all(g @ mat.transpose() @ g == -mat for mat in gs.matrices())
+    return all(lg.transpose() == -lg for lg in (mat @ g for mat in gs.matrices()))
 
 
 # -- printed relation tables -------------------------------------------------
@@ -340,9 +351,9 @@ def _epsilon_handedness(alias: Mapping[str, ExactMatrix], x: str, y: str, z: str
     found = set()
     for (i, j, k), eps in _EPS.items():
         lam = bracket_multiple(alias[f"{x}{i}"], alias[f"{y}{j}"], alias[f"{z}{k}"])
-        if lam == I * eps:
+        if lam == _I_TIMES[eps]:
             found.add("+i eps_ijk")
-        elif lam == _MINUS_I * eps:
+        elif lam == _I_TIMES[-eps]:
             found.add("-i eps_ijk")
         else:
             found.add("neither")

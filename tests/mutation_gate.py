@@ -172,8 +172,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "g @ mat.transpose() @ g == -mat for mat in gs.matrices()",
-        "True for mat in gs.matrices()",
+        "lg.transpose() == -lg for lg in (mat @ g for mat in gs.matrices())",
+        "True for lg in (mat @ g for mat in gs.matrices())",
         "pseudo_antisymmetry_holds always true",
     ),
     Mutant(
@@ -229,6 +229,25 @@ MUTANTS = (
         "if got != want:",
         "if got != want and not want.is_zero():",
         "the commutation sweep ignores a pair that should commute but does not",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "0 < a < b <= metric.dim for a, b in self._gens",
+        "0 < a < b for a, b in self._gens",
+        "a generator set takes a key outside its signature, which the sweep never compares",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "if (s, t) not in brackets and left[0] not in right",
+        "if left[0] not in right",
+        "the commutation sweep skips a pair with no shared index even when it brackets nonzero",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        " and left[0] not in right and left[1] not in right:",
+        ":",
+        "the commutation sweep skips every pair that brackets to zero, "
+        "even one that shares an index",
     ),
     Mutant(
         "src/lietower/verify.py",
@@ -309,10 +328,10 @@ MUTANTS = (
         "the Casimir builds raise an index with the opposite sign",
     ),
     Mutant(
-        "src/lietower/periodic.py",
+        "src/lietower/labels.py",
         "if two_s not in (-1, 1):",
         "if two_s not in (-1, 1, 3):",
-        "projection_slice accepts the spin 3/2 and returns an empty tower",
+        "the spin rule admits 3/2: projection_slice returns an empty tower",
     ),
     Mutant(
         "src/lietower/labels.py",

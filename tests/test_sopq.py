@@ -18,21 +18,25 @@ from lietower.exact import (
     bracket_multiple,
     commutator,
     commutes,
+    format_combination,
     pairwise_commutators,
 )
 from lietower.sopq import (
+    GeneratorSet,
     Metric,
     build_generators,
     expected_bracket,
     hydrogen_alias_check,
     hydrogen_aliases,
     materialize,
+    pair_name,
     pseudo_antisymmetry_holds,
     verify_commutation,
 )
 from lietower.verify import run_verification
 
 from golden import tampered_build
+from test_realisations import conjugator, realise
 
 
 def test_metric_diagonal():
@@ -92,6 +96,15 @@ def test_generator_lookup_rejects_indices_outside_the_signature(gs42, a, b, bad)
     # the same refusal as Metric.g and expected_bracket
     with pytest.raises(IndexError, match=rf"^index {bad} outside 1\.\.6$"):
         gs42.gen(a, b)
+
+
+@pytest.mark.parametrize("extra", [(4, 5), (3, 3), (2, 1), (0, 1)])
+def test_generator_set_rejects_keys_outside_the_signature(extra):
+    # the sweep compares no pair whose bracket and right-hand side are both
+    # zero, so it would never read such a key against expected_bracket
+    gens = dict.fromkeys([(1, 2), (1, 3), (2, 3), extra], ExactMatrix.zeros(3))
+    with pytest.raises(ValueError, match=r"^generator keys must be pairs 1 <= a < b <= 3$"):
+        GeneratorSet(Metric(3, 0), gens)
 
 
 def test_expected_bracket_disjoint_pairs():
@@ -250,6 +263,77 @@ def test_verify_commutation_reports_a_pair_that_should_commute():
     hit = [f for f in failures if (f["lhs_pair"], f["rhs_pair"]) == ((1, 2), (3, 4))]
     assert len(hit) == 1
     assert (hit[0]["got"], hit[0]["expected"]) == ("(-i)*L23", "0")
+
+
+def all_pairs_failures(gs):
+    """The failures of a sweep that brackets every pair by ``commutator`` and
+    compares it with ``==`` against its materialized right-hand side, in
+    pair order: the oracle for ``verify_commutation``, which skips pairs."""
+    describe = gs.solver.describer(gs.names, "<outside generator span>")
+    failures = []
+    for left, right in combinations(gs.pairs, 2):
+        got = commutator(gs.gen(*left), gs.gen(*right))
+        terms = expected_bracket(gs.metric, left, right)
+        if got != materialize(gs, terms):
+            failures.append({
+                "lhs_pair": left,
+                "rhs_pair": right,
+                "got": describe(got),
+                "expected": format_combination(
+                    (coeff, pair_name(*pair)) for coeff, pair in terms
+                ),
+            })
+    return failures
+
+
+def l12_plus_l34(metric):
+    # brackets nonzero with L35, which shares no index with L12
+    gs = build_generators(metric)
+    gs._gens[(1, 2)] = gs.gen(1, 2) + gs.gen(3, 4)
+    return gs
+
+
+def conjugated_fault(metric):
+    s, s_inv = conjugator(metric.dim)
+    return realise(tampered_build(metric), lambda m: s @ m @ s_inv)
+
+
+@pytest.mark.parametrize(
+    "build, p, q",
+    [
+        (build_generators, 3, 0),
+        (build_generators, 4, 2),
+        (build_generators, 4, 4),
+        (build_generators, 5, 5),
+        (build_generators, 2, 8),
+        (tampered_build, 4, 2),
+        (tampered_build, 5, 5),
+        (l12_plus_l34, 4, 2),
+        (conjugated_fault, 4, 2),
+    ],
+    ids=["3,0", "4,2", "4,4", "5,5", "2,8", "L12-fault-4,2", "L12-fault-5,5",
+         "L12+L34-4,2", "conjugated-L12-fault-4,2"],
+)
+def test_sweep_matches_the_all_pairs_oracle(build, p, q):
+    gs = build(Metric(p, q))
+    report = verify_commutation(gs)
+    assert report["pair_count"] == len(gs) * (len(gs) - 1) // 2
+    assert report["failures"] == all_pairs_failures(gs)
+
+
+def test_sweep_reports_every_shared_index_pair_of_a_central_generator():
+    # the identity is central and independent of the other generators, so
+    # the set passes the solver and every bracket with it is zero: each pair
+    # that shares an index with L12 expects a nonzero side and must fail
+    gs = build_generators(Metric(4, 2))
+    gs._gens[(1, 2)] = ExactMatrix.identity(6)
+    failures = verify_commutation(gs)["failures"]
+    with_l12 = [f for f in failures if (1, 2) in (f["lhs_pair"], f["rhs_pair"])]
+    assert [f["rhs_pair"] for f in with_l12] == [
+        (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6)
+    ]
+    assert all(f["got"] == "0" and f["expected"] != "0" for f in with_l12)
+    assert failures == all_pairs_failures(gs)
 
 
 def test_verify_commutation_so3():
