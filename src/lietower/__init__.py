@@ -32,7 +32,9 @@ _MODULE_OF = {
     }.items()
     for name in names
 }
-_SUBMODULES = ("cartan", "cli", "exact", "labels", "periodic", "sopq", "svgout", "verify")
+_SUBMODULES = (
+    "cartan", "cli", "exact", "labels", "paper", "periodic", "sopq", "svgout", "verify"
+)
 
 __all__ = sorted(_MODULE_OF)
 

@@ -11,23 +11,8 @@ The module has three layers:
   most one generator per index pair), and is exhaustive when the
   certificate fails;
 * extraction: exact root vectors of ladder operators against a Cartan set;
-* validation: the published commutation tables (component tables, ladder
-  tables, subalgebra tables, emulation chains) encoded verbatim and checked
-  relation by relation against the matrix realisation.
-
-Sign conventions.  The matrix realisation fixes every bracket, and the
-published tables are not all mutually consistent with it.  Checks are run
-against the tables *as printed* and mismatches are reported, never patched.
-Two deliberate conventions are applied where an orientation has to be
-chosen (both recorded in the reports):
-
-* a ladder pair is published with "+" on whichever of E1 +/- i*E2 has a
-  root whose last nonzero component is positive; this reproduces the
-  published rank-3 root table exactly (for the K family it selects
-  K1 - i*K2);
-* the su(1,1)-type subalgebra baskets carry an extra factor i on their
-  ladder members so that the published normalisation [E+, E-] = -2*E0
-  holds together with [E0, E+/-] = -/+ E+/-.
+* validation: the printed relation tables and emulation chains of
+  ``paper``, checked relation by relation against the matrix realisation.
 """
 
 from __future__ import annotations
@@ -37,29 +22,9 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import (
-    HALF,
-    ExactMatrix,
-    GaussianRational,
-    I,
-    ONE,
-    bracket_multiple,
-    commutator,
-    commutes,
-    product_sum,
-)
-from .sopq import (
-    GeneratorSet,
-    IndexPair,
-    Metric,
-    Relation,
-    RelationTable,
-    _rel,
-    hydrogen_aliases,
-    materialize,
-)
-
-MINUS_HALF = -HALF
+from .exact import HALF, ExactMatrix, I, bracket_multiple, commutator, commutes, product_sum
+from .paper import SECOND_HALF_DEFS, SUBALGEBRAS, YAO_DEFS, Relation
+from .sopq import GeneratorSet, IndexPair, Metric, hydrogen_aliases, materialize
 
 
 class NotARootVectorError(ValueError):
@@ -152,52 +117,6 @@ def cartan_is_maximal(gs: GeneratorSet, cartan: Mapping[str, ExactMatrix]) -> bo
 # Adapted bases
 # ---------------------------------------------------------------------------
 
-# Compact-subgroup-adapted basis for signature (4,2): each entry is
-# (name, [(coefficient, index pair), ...]) over the rotation generators.
-_YAO_DEFS: list[tuple[str, list[tuple[GaussianRational, IndexPair]]]] = [
-    ("K1", [(HALF, (2, 3)), (HALF, (1, 4))]),
-    ("K2", [(MINUS_HALF, (1, 3)), (HALF, (2, 4))]),
-    ("K3", [(HALF, (1, 2)), (HALF, (3, 4))]),
-    ("J1", [(HALF, (2, 3)), (MINUS_HALF, (1, 4))]),
-    ("J2", [(MINUS_HALF, (1, 3)), (MINUS_HALF, (2, 4))]),
-    ("J3", [(HALF, (1, 2)), (MINUS_HALF, (3, 4))]),
-    ("T1", [(MINUS_HALF, (1, 5)), (MINUS_HALF, (2, 6))]),
-    ("T2", [(HALF, (2, 5)), (MINUS_HALF, (1, 6))]),
-    ("T0", [(MINUS_HALF, (1, 2)), (MINUS_HALF, (5, 6))]),
-    ("S1", [(MINUS_HALF, (1, 5)), (HALF, (2, 6))]),
-    ("S2", [(MINUS_HALF, (2, 5)), (MINUS_HALF, (1, 6))]),
-    ("S0", [(HALF, (1, 2)), (MINUS_HALF, (5, 6))]),
-    ("P1", [(MINUS_HALF, (3, 5)), (MINUS_HALF, (4, 6))]),
-    ("P2", [(HALF, (4, 5)), (MINUS_HALF, (3, 6))]),
-    ("P0", [(MINUS_HALF, (3, 4)), (MINUS_HALF, (5, 6))]),
-    ("Q1", [(HALF, (3, 5)), (MINUS_HALF, (4, 6))]),
-    ("Q2", [(HALF, (4, 5)), (HALF, (3, 6))]),
-    ("Q0", [(HALF, (3, 4)), (MINUS_HALF, (5, 6))]),
-]
-
-# Second half of the split basis for signature (4,4), on indices 5..8.
-_SECOND_HALF_DEFS: list[tuple[str, list[tuple[GaussianRational, IndexPair]]]] = [
-    ("K1", [(HALF, (6, 7)), (HALF, (5, 8))]),
-    ("K2", [(MINUS_HALF, (5, 7)), (HALF, (6, 8))]),
-    ("K3", [(HALF, (5, 6)), (HALF, (7, 8))]),
-    ("J1", [(HALF, (6, 7)), (MINUS_HALF, (5, 8))]),
-    ("J2", [(MINUS_HALF, (5, 7)), (MINUS_HALF, (6, 8))]),
-    ("J3", [(HALF, (5, 6)), (MINUS_HALF, (7, 8))]),
-    ("T1", [(HALF, (1, 7)), (HALF, (2, 8))]),
-    ("T2", [(MINUS_HALF, (2, 7)), (HALF, (1, 8))]),
-    ("T0", [(HALF, (1, 2)), (HALF, (7, 8))]),
-    ("S1", [(HALF, (1, 7)), (MINUS_HALF, (2, 8))]),
-    ("S2", [(HALF, (2, 7)), (HALF, (1, 8))]),
-    ("S0", [(MINUS_HALF, (1, 2)), (HALF, (7, 8))]),
-    ("P1", [(HALF, (3, 7)), (HALF, (4, 8))]),
-    ("P2", [(MINUS_HALF, (4, 7)), (HALF, (3, 8))]),
-    ("P0", [(HALF, (3, 4)), (HALF, (7, 8))]),
-    ("Q1", [(HALF, (3, 7)), (MINUS_HALF, (4, 8))]),
-    ("Q2", [(HALF, (4, 7)), (HALF, (3, 8))]),
-    ("Q0", [(MINUS_HALF, (3, 4)), (HALF, (7, 8))]),
-]
-
-
 def yao_basis(gs: GeneratorSet) -> dict[str, ExactMatrix]:
     """The 18 compact-subgroup-adapted combinations for signature (4,2),
     name -> matrix in family order K, J, T, S, P, Q.
@@ -207,7 +126,7 @@ def yao_basis(gs: GeneratorSet) -> dict[str, ExactMatrix]:
     """
     if gs.metric != Metric(4, 2):
         raise ValueError("adapted basis requires signature (4,2)")
-    return {name: materialize(gs, terms) for name, terms in _YAO_DEFS}
+    return {name: materialize(gs, terms) for name, terms in YAO_DEFS}
 
 
 def split_basis_so44(
@@ -220,8 +139,8 @@ def split_basis_so44(
     """
     if gs.metric != Metric(4, 4):
         raise ValueError("split basis requires signature (4,4)")
-    first = {"1" + name: materialize(gs, terms) for name, terms in _YAO_DEFS}
-    second = {"2" + name: materialize(gs, terms) for name, terms in _SECOND_HALF_DEFS}
+    first = {"1" + name: materialize(gs, terms) for name, terms in YAO_DEFS}
+    second = {"2" + name: materialize(gs, terms) for name, terms in SECOND_HALF_DEFS}
     return first, second
 
 
@@ -419,19 +338,11 @@ def subalgebra_basis(
 ) -> dict[str, dict[str, ExactMatrix]]:
     """Cartan-Weyl bases of the four rank-2 subalgebras of the (4,2) algebra.
 
-    ``yao`` is ``yao_basis(gs)``.  Returns the baskets by selector, in the
-    order "sl2c" (complex shell X/Y of the angular-momentum/boost pair,
-    built from the hydrogen aliases of ``gs``), "so4" (K/J), "so22_LD"
-    (T/S), "so22_AD" (P/Q), the last three built from ``yao``.  Each
-    basket maps H1, H2, E1+, E1-, E2+, E2- to matrices, in that order,
-    with ladder members normalised so the published table of that
-    subalgebra holds exactly:
-
-    * sl2c: literal X1 +/- i*X2 (and Y);
-    * so4: the conjugated combinations K1 -/+ i*K2 (and J), which are the
-      raising/lowering operators of K3, J3 in this realisation;
-    * so22_*: i*(T1 +/- i*T2) etc.; the extra factor i realises the
-      published [E+, E-] = -2*E0 normalisation.
+    ``yao`` is ``yao_basis(gs)``.  Returns one basket per row of
+    ``paper.SUBALGEBRAS``, in its order: "sl2c" from the complex shell
+    X/Y = (L +/- i*B)/2 of the hydrogen aliases of ``gs``, the others from
+    ``yao``.  Each basket maps H1, H2, E1+, E1-, E2+, E2- to matrices, in
+    that order, with the row's ladder members.
     """
     alias = hydrogen_aliases(gs)
     ops = dict(yao)
@@ -439,18 +350,13 @@ def subalgebra_basis(
         ops[f"X{i}"] = (alias[f"L{i}"] + alias[f"B{i}"] * I) * HALF
         ops[f"Y{i}"] = (alias[f"L{i}"] + alias[f"B{i}"] * (-I)) * HALF
     baskets = {}
-    for which, fams, h, sign, factor in (
-        ("sl2c", "XY", "3", ONE, ONE),
-        ("so4", "KJ", "3", -ONE, ONE),
-        ("so22_LD", "TS", "0", ONE, I),
-        ("so22_AD", "PQ", "0", ONE, I),
-    ):
-        out = {fam + h: ops[fam + h] for fam in fams}
-        for fam in fams:
+    for row in SUBALGEBRAS:
+        out = {fam + row.h: ops[fam + row.h] for fam in row.families}
+        for fam in row.families:
             one, two = ops[f"{fam}1"], ops[f"{fam}2"]
-            out[f"{fam}+"] = (one + two * (I * sign)) * factor
-            out[f"{fam}-"] = (one - two * (I * sign)) * factor
-        baskets[which] = out
+            out[f"{fam}+"] = (one + two * (I * row.sign)) * row.factor
+            out[f"{fam}-"] = (one - two * (I * row.sign)) * row.factor
+        baskets[row.name] = out
     return baskets
 
 
@@ -459,155 +365,15 @@ def subalgebra_basis(
 # ---------------------------------------------------------------------------
 
 
-def _zero_cross(fam_a: str, fam_b: str, suffixes: str, prefix: str = "") -> list[Relation]:
-    return [
-        _rel(f"{prefix}{fam_a}{i}", f"{prefix}{fam_b}{j}", 0, None)
-        for i in suffixes
-        for j in suffixes
-    ]
-
-
-def _component_table(prefix: str, compact_sign: int, radial_sign: int) -> tuple[Relation, ...]:
-    """Shared shape of both printed component tables.
-
-    compact_sign/radial_sign carry the printed +/-i orientation of the
-    su(2)-type (K, J) and su(1,1)-type (T, S, P, Q) triples; the first row
-    of each triple is encoded exactly as printed, including its misprinted
-    right-hand symbol.
-    """
-    rows: list[Relation] = []
-    ci = I * compact_sign
-    ri = I * radial_sign
-    for fam in ("K", "J"):
-        rows += [
-            # printed with ·2 on the right-hand side (the realisation gives ·3)
-            _rel(f"{prefix}{fam}1", f"{prefix}{fam}2", ci, f"{prefix}{fam}2"),
-            _rel(f"{prefix}{fam}2", f"{prefix}{fam}3", ci, f"{prefix}{fam}1"),
-            _rel(f"{prefix}{fam}3", f"{prefix}{fam}1", ci, f"{prefix}{fam}2"),
-        ]
-    rows += _zero_cross("K", "J", "123", prefix)
-    for fam in ("T", "S", "P", "Q"):
-        rows += [
-            # printed with ·2 on the right-hand side (the realisation gives ·0)
-            _rel(f"{prefix}{fam}1", f"{prefix}{fam}2", -ri, f"{prefix}{fam}2"),
-            _rel(f"{prefix}{fam}2", f"{prefix}{fam}0", ri, f"{prefix}{fam}1"),
-            _rel(f"{prefix}{fam}0", f"{prefix}{fam}1", ri, f"{prefix}{fam}2"),
-        ]
-        if fam == "S":
-            rows += _zero_cross("T", "S", "120", prefix)
-        if fam == "Q":
-            rows += _zero_cross("P", "Q", "120", prefix)
-    return tuple(rows)
-
-
-# Printed component tables of the split basis (first and second halves).
-COMPONENT_TABLE_FIRST = RelationTable("components-1", _component_table("1", -1, -1))
-COMPONENT_TABLE_SECOND = RelationTable("components-2", _component_table("2", +1, +1))
-
-def _ladder_rows(prefix: str, fam: str, h: str, shift: int, norm: int) -> list[Relation]:
-    """One printed sl2-triple: [H,E+] = shift*E+, [H,E-] = -shift*E-,
-    [E+,E-] = norm*H, with H the family member suffixed ``h``."""
-    e = prefix + fam
-    h = e + h
-    return [
-        _rel(h, e + "+", shift, e + "+"),
-        _rel(h, e + "-", -shift, e + "-"),
-        _rel(e + "+", e + "-", norm, h),
-    ]
-
-
-def _ladder_pair(prefix: str, a: str, b: str, h: str, shift: int, norm: int) -> list[Relation]:
-    """Two commuting sl2-triples of the same shape, then their zero cross brackets."""
-    return (
-        _ladder_rows(prefix, a, h, shift, norm)
-        + _ladder_rows(prefix, b, h, shift, norm)
-        + _zero_cross(a, b, "+-" + h, prefix)
-    )
-
-
-# Printed ladder tables for the two halves.
-LADDER_TABLE_FIRST = RelationTable(
-    "ladders-1",
-    tuple(
-        _ladder_pair("1", "K", "J", "3", 1, 2)
-        + _ladder_rows("1", "T", "0", -1, -2)
-        # the 1S triple breaks the sl2 shape as printed, so it is kept literal
-        + [
-            _rel("1S0", "1S+", -1, "1S+"),
-            # printed exactly so, left side repeated from the row below
-            _rel("1S+", "1S-", 1, "1S-"),
-            _rel("1S+", "1S-", -2, "1S0"),
-        ]
-        + _zero_cross("T", "S", "+-0", "1")
-        + _ladder_pair("1", "P", "Q", "0", -1, -2)
-    ),
-)
-LADDER_TABLE_SECOND = RelationTable(
-    "ladders-2",
-    tuple(
-        _ladder_pair("2", "K", "J", "3", 1, 2)
-        + _ladder_pair("2", "T", "S", "0", 1, -2)
-        + _ladder_pair("2", "P", "Q", "0", 1, -2)
-    ),
-)
-
-# Relations whose printed form disagrees with the matrix realisation.  Each
-# is a one-symbol slip (a ·2 where the bracket closes on ·3/·0) or a sign
-# flipped relative to the realisation; the checker re-derives this list on
-# every run and the verification suite requires an exact match.
-KNOWN_TABLE_DEVIATIONS: dict[str, tuple[str, ...]] = {
-    "components-1": (
-        "[1K1,1K2] = (-i)*1K2",
-        "[1J1,1J2] = (-i)*1J2",
-        "[1T1,1T2] = (i)*1T2",
-        "[1S1,1S2] = (i)*1S2",
-        "[1P1,1P2] = (i)*1P2",
-        "[1Q1,1Q2] = (i)*1Q2",
-    ),
-    "components-2": (
-        "[2K1,2K2] = (i)*2K2",
-        "[2J1,2J2] = (i)*2J2",
-        "[2T1,2T2] = (-i)*2T2",
-        "[2S1,2S2] = (-i)*2S2",
-        "[2P1,2P2] = (-i)*2P2",
-        "[2Q1,2Q2] = (-i)*2Q2",
-    ),
-    "ladders-1": (
-        "[1K3,1K+] = 1K+",
-        "[1K3,1K-] = -1K-",
-        "[1K+,1K-] = (2)*1K3",
-        "[1J3,1J+] = 1J+",
-        "[1J3,1J-] = -1J-",
-        "[1J+,1J-] = (2)*1J3",
-        "[1T+,1T-] = (-2)*1T0",
-        "[1S+,1S-] = 1S-",
-        "[1S+,1S-] = (-2)*1S0",
-        "[1P+,1P-] = (-2)*1P0",
-        "[1Q+,1Q-] = (-2)*1Q0",
-    ),
-    "ladders-2": (),
-}
-
-# Subalgebra tables for signature (4,2), checked against the baskets from
-# subalgebra_basis (which pin the normalisations; see the docstring there).
-SUBALGEBRA_TABLES: dict[str, RelationTable] = {
-    name: RelationTable(name, tuple(_ladder_pair("", a, b, h, shift, norm)))
-    for name, a, b, h, shift, norm in (
-        ("sl2c", "X", "Y", "3", -1, -2),
-        ("so4", "K", "J", "3", 1, 2),
-        ("so22_LD", "T", "S", "0", -1, -2),
-        ("so22_AD", "P", "Q", "0", -1, -2),
-    )
-}
-
-
 def check_relation_table(
     ops: Mapping[str, ExactMatrix],
-    table: RelationTable,
+    name: str,
+    relations: Sequence[Relation],
     describe: Callable[[ExactMatrix], str] | None = None,
 ) -> dict:
-    """Evaluate every printed relation as an exact matrix identity and
-    record the ones that fail, in table order, as the report
+    """Evaluate every printed relation of the table ``name`` as an exact
+    matrix identity and record the ones that fail, in table order, as the
+    report
     ``{"table", "relation_count", "deviations"}``.  Each deviation
     ``{"relation", "got"}`` is a printed relation that the matrices break,
     and the bracket they give: ``describe`` renders it, "<differs>" without
@@ -616,27 +382,11 @@ def check_relation_table(
     Each relation is decided by ``Relation.holds``; the bracket matrix is
     built only to describe a failure."""
     deviations = []
-    for rel in table.relations:
+    for rel in relations:
         if not rel.holds(ops):
             got = describe(commutator(ops[rel.left], ops[rel.right])) if describe else "<differs>"
             deviations.append({"relation": rel.text, "got": got})
-    return {"table": table.name, "relation_count": len(table.relations), "deviations": deviations}
-
-
-# Emulation chains: each chain asserts that all listed +/- combinations of
-# named operators are one and the same matrix.
-EMULATION_CHAINS_SO42: list[tuple[str, list[str]]] = [
-    ("chain-L12", ["J3+K3", "S0-T0", "L12"]),
-    ("chain-L34", ["J3-K3", "P0-Q0", "-L34"]),
-    ("chain-L56", ["P0+Q0", "S0+T0", "-L56"]),
-]
-
-EMULATION_CHAINS_SO44: list[tuple[str, list[str]]] = [
-    ("chain-L12", ["1J3+1K3", "1S0-1T0", "2T0-2S0", "L12"]),
-    ("chain-L34", ["1J3-1K3", "1P0-1Q0", "2Q0-2P0", "-L34"]),
-    ("chain-L56", ["1P0+1Q0", "1S0+1T0", "-2K3-2J3", "-L56"]),
-    ("chain-L78", ["2K3-2J3", "2T0+2S0", "2P0+2Q0", "L78"]),
-]
+    return {"table": name, "relation_count": len(relations), "deviations": deviations}
 
 
 def _eval_signed_sum(expr: str, ops: Mapping[str, ExactMatrix]) -> ExactMatrix:

@@ -206,7 +206,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_roots(args: SimpleNamespace) -> int:
-    from .sopq import HYDROGEN_ALIAS_PAIRS, Metric, build_generators, pair_name
+    from .paper import HYDROGEN_ALIAS_PAIRS
+    from .sopq import Metric, build_generators, pair_name
     from .verify import BATTERIES, SuiteContext
 
     metric = _parse_signature(args.signature)

@@ -16,11 +16,6 @@ Each generator set computes those brackets once, in one sparse join
 (``exact.pairwise_commutators``) that fills its lazily built ``brackets``
 table, keyed by generator indices as the join makes them; the commutation
 sweep and the Cartan search read that table.
-
-A printed bracket table is a ``RelationTable`` of ``Relation`` rows, each
-decided by ``Relation.holds`` on the unreduced sums of its bracket.  The
-hydrogen-alias table of signature (4,2) is one; its check brackets the
-aliases pair by pair, independently of the join.
 """
 
 from __future__ import annotations
@@ -34,15 +29,14 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     I,
-    ONE,
     SpanSolver,
     bracket_multiple,
     commutator,
-    commutes,
     format_combination,
     linear_combination,
     pairwise_commutators,
 )
+from .paper import HYDROGEN_ALIAS_PAIRS, HYDROGEN_LB_TABLE
 
 IndexPair = tuple[int, int]
 
@@ -105,6 +99,8 @@ class GeneratorSet:
     def __init__(self, metric: Metric, gens: Mapping[IndexPair, ExactMatrix]):
         self.metric = metric
         self._gens: dict[IndexPair, ExactMatrix] = dict(gens)
+        if not self._gens:
+            raise ValueError("a generator set needs at least one generator")
         if not all(0 < a < b <= metric.dim for a, b in self._gens):
             raise ValueError(f"generator keys must be pairs 1 <= a < b <= {metric.dim}")
         self.pairs: list[IndexPair] = list(self._gens)
@@ -244,70 +240,7 @@ def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
     return all(lg.transpose() == -lg for lg in (mat @ g for mat in gs.matrices()))
 
 
-# -- printed relation tables -------------------------------------------------
-
-
-class Relation(namedtuple("Relation", "left right coeff result")):
-    """[left, right] = coeff * result, with result None meaning zero."""
-
-    __slots__ = ()
-
-    @property
-    def text(self) -> str:
-        if self.result is None or not self.coeff:
-            return f"[{self.left},{self.right}] = 0"
-        if self.coeff == ONE:
-            rhs = self.result
-        elif self.coeff == -ONE:
-            rhs = f"-{self.result}"
-        else:
-            rhs = f"({self.coeff})*{self.result}"
-        return f"[{self.left},{self.right}] = {rhs}"
-
-    def holds(self, ops: Mapping[str, ExactMatrix]) -> bool:
-        """Whether the named matrices satisfy the relation, decided on the
-        unreduced sums of their bracket: by ``commutes`` when the right-hand
-        side is zero, a zero result operator included, and by
-        ``bracket_multiple`` otherwise."""
-        left, right = ops[self.left], ops[self.right]
-        result = None if self.result is None or not self.coeff else ops[self.result]
-        if result is None or result.is_zero():
-            return commutes(left, right)
-        return bracket_multiple(left, right, result) == self.coeff
-
-
-class RelationTable(namedtuple("RelationTable", "name relations")):
-    __slots__ = ()
-
-
-def _rel(left: str, right: str, coeff, result: str | None) -> Relation:
-    if isinstance(coeff, int):
-        coeff = GaussianRational(coeff)
-    return Relation(left=left, right=right, coeff=coeff, result=result)
-
-
 # -- hydrogen aliases for signature (4,2) -----------------------------------
-#
-# L1..L3: angular momentum; A1..A3: Laplace-Runge-Lenz vector; B, G (Gamma):
-# its conjugate partners; D1..D3 (Delta): the radial so(2,1) triple.
-
-HYDROGEN_ALIAS_PAIRS: dict[str, IndexPair] = {
-    "L1": (2, 3),
-    "L2": (3, 1),
-    "L3": (1, 2),
-    "A1": (1, 4),
-    "A2": (2, 4),
-    "A3": (3, 4),
-    "B1": (1, 5),
-    "B2": (2, 5),
-    "B3": (3, 5),
-    "G1": (1, 6),
-    "G2": (2, 6),
-    "G3": (3, 6),
-    "D1": (4, 6),
-    "D2": (4, 5),
-    "D3": (5, 6),
-}
 
 
 def hydrogen_aliases(gs: GeneratorSet) -> dict[str, ExactMatrix]:
@@ -316,28 +249,6 @@ def hydrogen_aliases(gs: GeneratorSet) -> dict[str, ExactMatrix]:
         raise ValueError("hydrogen aliases require signature (4,2)")
     return {name: gs.gen(a, b) for name, (a, b) in HYDROGEN_ALIAS_PAIRS.items()}
 
-
-# The printed bracket table for the angular-momentum/boost pair (L, B).
-HYDROGEN_LB_TABLE = RelationTable(
-    "hydrogen-LB",
-    (
-        _rel("L1", "L2", -I, "L3"),
-        _rel("L2", "L3", -I, "L1"),
-        _rel("L3", "L1", -I, "L2"),
-        _rel("B1", "B2", I, "L3"),
-        _rel("B2", "B3", I, "L1"),
-        _rel("B3", "B1", I, "L2"),
-        _rel("L1", "B1", 0, None),
-        _rel("L2", "B2", 0, None),
-        _rel("L3", "B3", 0, None),
-        _rel("L1", "B2", -I, "B3"),
-        _rel("L1", "B3", I, "B2"),
-        _rel("L2", "B3", -I, "B1"),
-        _rel("L2", "B1", I, "B3"),
-        _rel("L3", "B1", -I, "B2"),
-        _rel("L3", "B2", I, "B1"),
-    ),
-)
 
 _EPS = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -382,7 +293,7 @@ def hydrogen_alias_check(gs: GeneratorSet) -> dict:
             "passed": rel.holds(alias),
             "got": describe(commutator(alias[rel.left], alias[rel.right])),
         }
-        for rel in HYDROGEN_LB_TABLE.relations
+        for rel in HYDROGEN_LB_TABLE
     ]
     families = {
         "[L,L]": _epsilon_handedness(alias, "L", "L", "L"),

@@ -21,6 +21,7 @@ from functools import cached_property, partial
 from itertools import combinations
 
 from . import cartan as cw
+from . import paper
 from .exact import ExactMatrix, commutes, rank
 from .sopq import (
     GeneratorSet,
@@ -30,23 +31,6 @@ from .sopq import (
     pseudo_antisymmetry_holds,
     verify_commutation,
 )
-
-# Published rank-3 root table (axes L3, A3, D3) that the oriented ladder
-# set must reproduce exactly, zero rows of the Cartan members included.
-PUBLISHED_ROOTS_RANK3: dict[str, tuple[int, int, int]] = {
-    "K+": (1, 1, 0),
-    "K-": (-1, -1, 0),
-    "J+": (-1, 1, 0),
-    "J-": (1, -1, 0),
-    "T+": (1, 0, 1),
-    "T-": (-1, 0, -1),
-    "S+": (-1, 0, 1),
-    "S-": (1, 0, -1),
-    "P+": (0, 1, 1),
-    "P-": (0, -1, -1),
-    "Q+": (0, -1, 1),
-    "Q-": (0, 1, -1),
-}
 
 NOTES_RANK3 = (
     "alias brackets close left-handed ([L1,L2] = -i*L3); the +i*eps_ijk "
@@ -177,7 +161,7 @@ def _emulation(ctx: SuiteContext, chains: list[tuple[str, list[str]]]) -> dict:
 
 def _subalgebra_tables(ctx: SuiteContext) -> dict:
     reports = {
-        which: cw.check_relation_table(basket, cw.SUBALGEBRA_TABLES[which])
+        which: cw.check_relation_table(basket, which, paper.SUBALGEBRA_TABLES[which])
         for which, basket in cw.subalgebra_basis(ctx.gs, ctx.basis).items()
     }
     return _suite(
@@ -191,46 +175,56 @@ def _subalgebra_tables(ctx: SuiteContext) -> dict:
     )
 
 
-def _printed_tables(ctx: SuiteContext, name: str, tables: tuple[cw.RelationTable, ...]) -> dict:
-    """Printed tables checked as printed; each passes when its deviations
-    are exactly its recorded misprints."""
+def _printed_tables(ctx: SuiteContext, name: str, tables: tuple[str, ...]) -> dict:
+    """The named ``PRINTED_TABLES`` checked as printed; each passes when its
+    deviations are exactly its recorded misprints."""
     describe = ctx.gs.solver.describer(ctx.gs.names, "<outside algebra>")
     parts = []
     passed = True
     details = {}
     for table in tables:
-        rep = cw.check_relation_table(ctx.ops, table, describe=describe)
-        baseline = cw.KNOWN_TABLE_DEVIATIONS[table.name]
+        rep = cw.check_relation_table(
+            ctx.ops, table, paper.PRINTED_TABLES[table], describe=describe
+        )
+        baseline = paper.KNOWN_TABLE_DEVIATIONS[table]
         deviations, total = rep["deviations"], rep["relation_count"]
         passed = passed and tuple(d["relation"] for d in deviations) == baseline
         parts.append(
-            f"{table.name} {total - len(deviations)}/{total} as printed"
+            f"{table} {total - len(deviations)}/{total} as printed"
             + (f" ({len(baseline)} known misprints confirmed)" if baseline else "")
         )
-        details[table.name] = rep
+        details[table] = rep
     return _suite(name, passed, "; ".join(parts), details)
 
 
 def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
-    matched = sum(table.roots[k] == want for k, want in PUBLISHED_ROOTS_RANK3.items())
+    matched = sum(table.roots[k] == want for k, want in paper.PUBLISHED_ROOTS_RANK3.items())
     # each member has the zero root iff no two members bracket; decided by
     # the per-pair kernel, not by the table that find_cartan searched
     members = ctx.cartan.values()
     zero_ok = all(commutes(x, y) for x, y in combinations(members, 2))
     return (
-        table.roots == PUBLISHED_ROOTS_RANK3 and zero_ok,
+        table.roots == paper.PUBLISHED_ROOTS_RANK3 and zero_ok,
         f"{matched}/12 published rows, cartan zero-roots {'ok' if zero_ok else 'FAIL'}",
     )
 
 
+# The 24 roots +/-e_i +/-e_j (i < j) of D4, sorted, in Cartan order.
+_D4_ROOTS = sorted(
+    tuple(s if k == i else t if k == j else 0 for k in range(4))
+    for i, j in combinations(range(4), 2)
+    for s in (1, -1)
+    for t in (1, -1)
+)
+
+
 def _judge_rank4(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
+    # the roots are the 24 distinct D4 roots, so each first-half root that
+    # matches its two nonzero published components is zero on the fourth axis
     roots = table.roots
-    extraction_ok = len(roots) == 24 and all(
-        all(abs(c) <= 1 for c in r) for r in roots.values()
-    )
+    extraction_ok = sorted(roots.values()) == _D4_ROOTS
     first_half_match = all(
-        roots["1" + name][:3] == comps and not roots["1" + name][3]
-        for name, comps in PUBLISHED_ROOTS_RANK3.items()
+        roots["1" + name][:3] == comps for name, comps in paper.PUBLISHED_ROOTS_RANK3.items()
     )
     return (
         extraction_ok and first_half_match,
@@ -277,7 +271,7 @@ BATTERIES: dict[Metric, tuple[tuple[SuiteBuilder, ...], tuple[str, ...]]] = {
         (
             _hydrogen_aliases,
             partial(_basis_rank, name="yao-rank"),
-            partial(_emulation, chains=cw.EMULATION_CHAINS_SO42),
+            partial(_emulation, chains=paper.EMULATION_CHAINS_SO42),
             _subalgebra_tables,
             partial(_roots, name="root-table", judge=_judge_rank3),
             _casimirs,
@@ -287,16 +281,16 @@ BATTERIES: dict[Metric, tuple[tuple[SuiteBuilder, ...], tuple[str, ...]]] = {
     Metric(4, 4): (
         (
             partial(_basis_rank, name="split-rank"),
-            partial(_emulation, chains=cw.EMULATION_CHAINS_SO44),
+            partial(_emulation, chains=paper.EMULATION_CHAINS_SO44),
             partial(
                 _printed_tables,
                 name="component-tables",
-                tables=(cw.COMPONENT_TABLE_FIRST, cw.COMPONENT_TABLE_SECOND),
+                tables=("components-1", "components-2"),
             ),
             partial(
                 _printed_tables,
                 name="ladder-tables",
-                tables=(cw.LADDER_TABLE_FIRST, cw.LADDER_TABLE_SECOND),
+                tables=("ladders-1", "ladders-2"),
             ),
             partial(_roots, name="root-extraction", judge=_judge_rank4),
         ),

@@ -45,15 +45,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "src/lietower/verify.py",
-        "all(abs(c) <= 1 for c in r)",
-        "all(abs(c) <= 2 for c in r)",
-        "rank-4 judge admits a root component 2",
+        "extraction_ok = sorted(roots.values()) == _D4_ROOTS",
+        "extraction_ok = set(roots.values()) <= set(_D4_ROOTS)",
+        "rank-4 judge admits a repeated or a missing D4 root",
     ),
     Mutant(
         "src/lietower/verify.py",
-        'roots["1" + name][:3] == comps and not roots["1" + name][3]',
-        'roots["1" + name][:3] == comps',
-        "rank-4 judge ignores the fourth component of the first half",
+        "for s in (1, -1)",
+        "for s in (1,)",
+        "rank-4 judge's D4 set drops the roots -e_i +/- e_j",
     ),
     Mutant(
         "src/lietower/verify.py",
@@ -219,7 +219,7 @@ MUTANTS = (
         "an alias family of +i eps_ijk handedness is reported as -i eps_ijk",
     ),
     Mutant(
-        "src/lietower/sopq.py",
+        "src/lietower/paper.py",
         "return bracket_multiple(left, right, result) == self.coeff",
         "return bracket_multiple(left, right, result) is not None",
         "a printed relation holds for any multiple of its result",
@@ -251,15 +251,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/verify.py",
-        "table.roots == PUBLISHED_ROOTS_RANK3 and zero_ok,",
+        "table.roots == paper.PUBLISHED_ROOTS_RANK3 and zero_ok,",
         "zero_ok,",
         "rank-3 judge passes a root table off the published one",
     ),
     Mutant(
-        "src/lietower/verify.py",
-        "extraction_ok = len(roots) == 24 and all(",
-        "extraction_ok = all(",
-        "rank-4 judge passes a table with a missing root",
+        "src/lietower/paper.py",
+        '("K1", [(HALF, (2, 3)), (HALF, (1, 4))]),',
+        '("K1", [(HALF, (2, 3)), (MINUS_HALF, (1, 4))]),',
+        "the published K1 of the (4,2) adapted basis takes the wrong sign on L14",
     ),
     Mutant(
         "src/lietower/sopq.py",

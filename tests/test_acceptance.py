@@ -20,12 +20,6 @@ import pytest
 import lietower.cartan
 import lietower.verify
 from lietower.cartan import (
-    EMULATION_CHAINS_SO42,
-    EMULATION_CHAINS_SO44,
-    KNOWN_TABLE_DEVIATIONS,
-    LADDER_TABLE_FIRST,
-    LADDER_TABLE_SECOND,
-    SUBALGEBRA_TABLES,
     casimir,
     casimir_invariance,
     check_relation_table,
@@ -40,6 +34,14 @@ from lietower.cartan import (
 from lietower.cli import main
 from lietower.exact import I, commutator, rank
 from lietower.labels import mass_sl2c, mass_so42
+from lietower.paper import (
+    EMULATION_CHAINS_SO42,
+    EMULATION_CHAINS_SO44,
+    KNOWN_TABLE_DEVIATIONS,
+    PRINTED_TABLES,
+    PUBLISHED_ROOTS_RANK3,
+    SUBALGEBRA_TABLES,
+)
 from lietower.periodic import (
     assign_elements,
     haenzel_stats,
@@ -54,7 +56,6 @@ from lietower.sopq import (
 )
 from lietower.verify import (
     NOTES_RANK4,
-    PUBLISHED_ROOTS_RANK3,
     SuiteContext,
     run_verification,
 )
@@ -119,12 +120,12 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
         ops = SuiteContext(gs44).ops
         emu = emulation_check(ops, EMULATION_CHAINS_SO44)
         assert [all(link["passed"] for link in c["links"]) for c in emu["chains"]] == [True] * 4
-        for table in (LADDER_TABLE_FIRST, LADDER_TABLE_SECOND):
-            report = check_relation_table(ops, table)
+        for table in ("ladders-1", "ladders-2"):
+            report = check_relation_table(ops, table, PRINTED_TABLES[table])
             # deviations from the printed form are listed verbatim and must
             # match the recorded baseline exactly
             got = tuple(d["relation"] for d in report["deviations"])
-            assert got == KNOWN_TABLE_DEVIATIONS[table.name]
+            assert got == KNOWN_TABLE_DEVIATIONS[table]
         assert KNOWN_TABLE_DEVIATIONS["ladders-2"] == ()
         assert len(KNOWN_TABLE_DEVIATIONS["ladders-1"]) == 11
 
@@ -173,7 +174,7 @@ def test_criterion_09_subalgebra_tables(gs42):
     with criterion(9, "rank-2 subalgebra tables hold exactly, cross-families vanish"):
         for which in ("sl2c", "so4", "so22_LD", "so22_AD"):
             basket = subalgebra_basis(gs42, yao_basis(gs42))[which]
-            report = check_relation_table(basket, SUBALGEBRA_TABLES[which])
+            report = check_relation_table(basket, which, SUBALGEBRA_TABLES[which])
             assert not report["deviations"], (which, report["deviations"])
         basket = subalgebra_basis(gs42, yao_basis(gs42))["sl2c"]
         assert commutator(basket["X3"], basket["X+"]) == -basket["X+"]

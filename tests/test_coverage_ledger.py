@@ -13,9 +13,9 @@ suite decides fails the test.
 
 import pytest
 
-import lietower.cartan as cw
+import lietower.paper as paper
 import lietower.verify as verify
-from lietower.sopq import HYDROGEN_LB_TABLE, Metric, Relation
+from lietower.sopq import Metric
 
 SIGNATURES = [Metric(4, 2), Metric(4, 4)]
 
@@ -27,17 +27,17 @@ def battery_rows(metric):
     for build in verify.BATTERIES[metric][0]:
         func = getattr(build, "func", build)
         bound = getattr(build, "keywords", {})
-        tables = bound.get("tables", ())
+        tables = [paper.PRINTED_TABLES[name] for name in bound.get("tables", ())]
         if func is verify._hydrogen_aliases:
-            tables = (HYDROGEN_LB_TABLE,)
+            tables = [paper.HYDROGEN_LB_TABLE]
         elif func is verify._subalgebra_tables:
-            tables = tuple(cw.SUBALGEBRA_TABLES.values())
-        relations += [rel for table in tables for rel in table.relations]
+            tables = list(paper.SUBALGEBRA_TABLES.values())
+        relations += [rel for table in tables for rel in table]
         links += [
             f"{exprs[0]} = {expr}" for _, exprs in bound.get("chains", ()) for expr in exprs[1:]
         ]
         if func is verify._roots:
-            roots += list(verify.PUBLISHED_ROOTS_RANK3)
+            roots += list(paper.PUBLISHED_ROOTS_RANK3)
     return relations, links, roots
 
 
@@ -46,7 +46,7 @@ def ledger(monkeypatch):
     """Run a verdict with every decision recorded; returns the report and
     the recorded relations, link identities and root-row names."""
     seen = {"relations": [], "links": [], "roots": []}
-    holds = Relation.holds
+    holds = paper.Relation.holds
 
     def recording_holds(self, ops):
         seen["relations"].append(self)
@@ -63,12 +63,12 @@ def ledger(monkeypatch):
             return tuple.__eq__(self, other)
 
     rows = {}
-    for name, comps in verify.PUBLISHED_ROOTS_RANK3.items():
+    for name, comps in paper.PUBLISHED_ROOTS_RANK3.items():
         rows[name] = Row(comps)
         rows[name].name = name
 
-    monkeypatch.setattr(Relation, "holds", recording_holds)
-    monkeypatch.setattr(verify, "PUBLISHED_ROOTS_RANK3", rows)
+    monkeypatch.setattr(paper.Relation, "holds", recording_holds)
+    monkeypatch.setattr(paper, "PUBLISHED_ROOTS_RANK3", rows)
 
     def run(metric):
         report = verify.run_verification(metric)
@@ -102,14 +102,11 @@ def test_battery_rows_name_every_published_table():
     relations42, links42, roots42 = battery_rows(Metric(4, 2))
     relations44, links44, roots44 = battery_rows(Metric(4, 4))
     tables = (
-        HYDROGEN_LB_TABLE,
-        *cw.SUBALGEBRA_TABLES.values(),
-        cw.COMPONENT_TABLE_FIRST,
-        cw.COMPONENT_TABLE_SECOND,
-        cw.LADDER_TABLE_FIRST,
-        cw.LADDER_TABLE_SECOND,
+        paper.HYDROGEN_LB_TABLE,
+        *paper.SUBALGEBRA_TABLES.values(),
+        *paper.PRINTED_TABLES.values(),
     )
-    assert [rel for table in tables for rel in table.relations] == relations42 + relations44
-    chains = cw.EMULATION_CHAINS_SO42 + cw.EMULATION_CHAINS_SO44
+    assert [rel for table in tables for rel in table] == relations42 + relations44
+    chains = paper.EMULATION_CHAINS_SO42 + paper.EMULATION_CHAINS_SO44
     assert len(links42 + links44) == sum(len(exprs) - 1 for _, exprs in chains)
-    assert roots42 == roots44 == list(verify.PUBLISHED_ROOTS_RANK3)
+    assert roots42 == roots44 == list(paper.PUBLISHED_ROOTS_RANK3)

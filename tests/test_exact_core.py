@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from lietower.cartan import Relation, RelationTable, check_relation_table, yao_basis
+from lietower.cartan import check_relation_table, yao_basis
 from lietower.exact import (
     ExactMatrix,
     GaussianRational,
@@ -22,6 +22,7 @@ from lietower.exact import (
     product_sum,
     rank,
 )
+from lietower.paper import Relation
 from lietower.sopq import Metric, build_generators
 
 from golden import tampered_build
@@ -532,11 +533,8 @@ def test_bracket_multiple_rejects_a_zero_reference_and_a_size_mismatch():
 def test_relation_on_a_zero_result_operator_asks_for_a_vanishing_bracket():
     rng = random.Random(17)
     ops = {"A": random_matrix(rng), "B": random_matrix(rng), "Z": ExactMatrix.zeros(3)}
-    table = RelationTable(
-        "zero-result",
-        (Relation("A", "A", g(1), "Z"), Relation("A", "B", g(1), "Z")),
-    )
-    report = check_relation_table(ops, table)
+    relations = (Relation("A", "A", g(1), "Z"), Relation("A", "B", g(1), "Z"))
+    report = check_relation_table(ops, "zero-result", relations)
     assert [(d["relation"], d["got"]) for d in report["deviations"]] == [
         ("[A,B] = Z", "<differs>")
     ]

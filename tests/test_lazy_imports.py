@@ -53,16 +53,16 @@ def fresh_modules(argv: list[str]) -> set[str]:
     [
         ([], {"cli"}),
         (["mass", "1/2", "0"], {"cli", "labels"}),
-        (["verify", "--signature", "4,2"], {"cli", "exact", "sopq", "cartan", "verify"}),
+        (["verify", "--signature", "4,2"], {"cli", "exact", "paper", "sopq", "cartan", "verify"}),
         (["tower", "--spin=+1/2", "--format", "svg"], {"cli", "labels", "periodic", "svgout"}),
         (["elements", "--z", "26", "--format", "json"], {"cli", "labels", "periodic"}),
         (
             ["roots", "--signature", "4,4", "--format", "json"],
-            {"cli", "exact", "sopq", "cartan", "verify"},
+            {"cli", "exact", "paper", "sopq", "cartan", "verify"},
         ),
         (
             ["verify", "--signature", "4,2", "--format", "json"],
-            {"cli", "exact", "sopq", "cartan", "verify"},
+            {"cli", "exact", "paper", "sopq", "cartan", "verify"},
         ),
     ],
 )
@@ -75,3 +75,17 @@ def test_command_imports_only_its_modules(argv, package):
     # locale, and whose help formatter loads shutil; the package root
     # imports its submodules without importlib
     assert not {"argparse", "gettext", "locale", "shutil", "importlib"} & loaded
+
+
+def test_paper_loads_only_exact():
+    # the published values sit below every algorithm module
+    child = f"import sys; sys.path.insert(0, {SRC!r}); import lietower.paper; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", child],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = {m for m in done.stdout.split() if m.startswith("lietower")}
+    assert loaded == {"lietower", "lietower.exact", "lietower.paper"}

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import lietower.cartan
+import lietower.paper
 import lietower.sopq
 import lietower.verify
 from lietower.cartan import cartan_is_maximal, find_cartan
@@ -107,6 +108,11 @@ def test_generator_set_rejects_keys_outside_the_signature(extra):
         GeneratorSet(Metric(3, 0), gens)
 
 
+def test_generator_set_rejects_an_empty_family():
+    with pytest.raises(ValueError, match=r"^a generator set needs at least one generator$"):
+        GeneratorSet(Metric(2, 0), {})
+
+
 def test_expected_bracket_disjoint_pairs():
     assert expected_bracket(Metric(4, 2), (1, 2), (3, 4)) == []
 
@@ -203,7 +209,7 @@ def test_verdict_commutator_count(monkeypatch, p, q, calls):
         ("commutes", commutes),
         ("bracket_multiple", bracket_multiple),
     ):
-        for module in (lietower.sopq, lietower.cartan, lietower.verify):
+        for module in (lietower.paper, lietower.sopq, lietower.cartan, lietower.verify):
             monkeypatch.setattr(module, name, counting(name, fn), raising=False)
     monkeypatch.setattr(
         lietower.sopq, "pairwise_commutators", counting("pairwise", pairwise_commutators)
