@@ -52,7 +52,10 @@ nothing; a generic ``verify`` builds its whole bracket table this way.
 ``linear_combination`` sums scaled matrices into one map, reducing each
 sum as it goes.  Indexing, ``rows`` and ``str`` read the matrix as if it
 were dense.  A scalar multiplies a matrix from either side, a
-``GaussianRational`` included.  Rank and basis expansion share one
+``GaussianRational`` included, by ``_times`` on each stored triple.
+``is_pseudo_antisymmetric`` decides g M^T g == -M for a diagonal g of
++-1s by holding each stored entry against its transpose partner, with no
+product.  Rank and basis expansion share one
 Gauss-Jordan elimination over Q(i) whose rows are the matrices' own
 {(row, col): (a, b, d)} maps, pivoting in row-major order: ``rank`` counts
 its reduced rows and ``SpanSolver`` keeps them, with the combination of
@@ -331,7 +334,11 @@ class ExactMatrix:
         return ExactMatrix._of(self.dim, {key: _neg(t) for key, t in self._entries.items()})
 
     def __mul__(self, scalar: ScalarLike) -> "ExactMatrix":
-        return linear_combination(self.dim, ((scalar, self),))
+        # a product of two nonzero Gaussian rationals is nonzero
+        c = as_scalar(scalar)._t
+        if c == (0, 0, 1):
+            return ExactMatrix.zeros(self.dim)
+        return ExactMatrix._of(self.dim, {key: _times(c, t) for key, t in self._entries.items()})
 
     __rmul__ = __mul__
 
@@ -343,6 +350,21 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(self.dim, {(j, i): t for (i, j), t in self._entries.items()})
+
+    def is_pseudo_antisymmetric(self, signs: Sequence[int]) -> bool:
+        """Whether g M^T g == -M for the diagonal g = diag(signs) of +-1s.
+
+        Entry by entry that is M_ji == -g_i g_j M_ij, so each stored entry is
+        held against its stored transpose partner, with no product: a nonzero
+        diagonal entry or an entry without its partner fails.
+        """
+        _check_dim(self.dim, len(signs))
+        get = self._entries.get
+        for (i, j), (a, b, d) in self._entries.items():
+            want = (a, b, d) if signs[i] != signs[j] else (-a, -b, d)
+            if get((j, i)) != want:
+                return False
+        return True
 
     def scaled_identity(self) -> GaussianRational | None:
         """Return lambda with self == lambda * I, or None."""

@@ -9,13 +9,21 @@ the index convention of the printed commutation table this module validates:
 
     [L_ab, L_cd] = i (g_ad L_bc + g_bc L_ad - g_ac L_bd - g_bd L_ac).
 
+Two index pairs that share exactly one index x bracket to one term, the one
+whose g is g_xx, and any other two commute; ``_star_term`` states that term
+once, and ``expected_bracket`` validates its arguments and reads it.
+
 A realisation is *validated*, never assumed: ``verify_commutation`` decides
 every unordered generator pair against the symbolic right-hand side exactly,
-comparing matrices wherever either side can be nonzero.
-Each generator set computes those brackets once, in one sparse join
+comparing matrices wherever either side can be nonzero: the pairs inside
+each star (the generators whose index pair carries one index x) and the
+bracket-table entries of two pairs that share no index.  Each generator set
+computes those brackets once, in one sparse join
 (``exact.pairwise_commutators``) that fills its lazily built ``brackets``
 table, keyed by generator indices as the join makes them; the commutation
-sweep and the Cartan search read that table.
+sweep and the Cartan search read that table.  Membership,
+``pseudo_antisymmetry_holds``, holds each stored entry against its
+transpose partner, with no matrix product.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import combinations
 
 from .exact import (
     ExactMatrix,
@@ -71,11 +78,6 @@ class Metric(namedtuple("Metric", "p q")):
         if not 1 <= a <= self.dim:
             raise IndexError(f"index {a} outside 1..{self.dim}")
         return 1 if a <= self.p else -1
-
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix.from_entries(
-            self.dim, {(k, k): self.g(k + 1) for k in range(self.dim)}
-        )
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
@@ -147,6 +149,27 @@ def build_generators(metric: Metric) -> GeneratorSet:
     return GeneratorSet(metric, gens)
 
 
+def _star_term(g_x: int, x: int, left: IndexPair, right: IndexPair) -> tuple[int, IndexPair]:
+    """The bracket [L_left, L_right] of two index pairs that share only the
+    index x, as (sign, (u, v)) with u < v, meaning sign * i * L_uv: the one
+    term of the bracket rule whose g is g_xx, [L_xy, L_xz] = -i g_xx L_yz,
+    with L_yx = -L_xy for a pair that carries x second."""
+    a, b = left
+    c, d = right
+    sign = -g_x
+    if a == x:
+        y = b
+    else:
+        y, sign = a, -sign
+    if c == x:
+        z = d
+    else:
+        z, sign = c, -sign
+    if y > z:
+        y, z, sign = z, y, -sign
+    return sign, (y, z)
+
+
 def expected_bracket(
     metric: Metric, left: IndexPair, right: IndexPair
 ) -> list[tuple[GaussianRational, IndexPair]]:
@@ -154,7 +177,8 @@ def expected_bracket(
 
     Returns at most one (coefficient, pair) term, its pair normalised to
     a < b: two index pairs of distinct members that share exactly one index
-    bracket to one generator, and any other two commute.
+    bracket to one generator, and any other two commute.  The arguments are
+    validated here, once; the term is the private rule the sweep reads.
     """
     a, b = left
     c, d = right
@@ -164,18 +188,13 @@ def expected_bracket(
             raise IndexError(f"index {idx} outside 1..{n}")
     if a == b or c == d:
         raise ValueError("index pairs must have distinct members")
-    # i*(g_ad L_bc + g_bc L_ad - g_ac L_bd - g_bd L_ac); the metric is
-    # diagonal, so a term lives only where its g carries a shared index.
-    # Pairs sharing both indices leave only L_uu terms, which vanish.
-    for sign, x, y, u, v in (
-        (+1, a, d, b, c), (+1, b, c, a, d), (-1, a, c, b, d), (-1, b, d, a, c)
-    ):
-        if x == y and u != v:
-            sign *= metric.g(x)
-            if u > v:
-                u, v, sign = v, u, -sign
-            return [(_I_TIMES[sign], (u, v))]
-    return []
+    # pairs sharing both indices leave only L_uu terms, which vanish
+    shared = {a, b} & {c, d}
+    if len(shared) != 1:
+        return []
+    (x,) = shared
+    sign, pair = _star_term(metric.g(x), x, left, right)
+    return [(_I_TIMES[sign], pair)]
 
 
 def materialize(
@@ -192,52 +211,72 @@ def verify_commutation(gs: GeneratorSet) -> dict:
 
     A pair is decided by exact matrix equality between its entry in
     ``gs.brackets`` (zero when absent), keyed by the two generator indices,
-    and the materialized right-hand side.  Only pairs in the table or whose
-    index pairs share an index are compared; the rest are 0 = 0, as the join
-    stores every nonzero bracket and ``expected_bracket`` gives two index
-    pairs with no shared index an empty side.
+    and its right-hand side.  The sweep walks the stars: the star S_x holds
+    the generators whose index pair carries x, and two distinct index pairs
+    share at most one index, so each pair with a nonzero right-hand side,
+    the one term +-i L_uv of ``_star_term``, lies in exactly one star.  Each
+    pair inside a star is compared, and so is each table entry whose two
+    index pairs share no index, against zero.  Every other pair is 0 = 0,
+    as the join stores every nonzero bracket.  Each distinct right-hand side
+    is built once per sweep, as its generator times +-i.
     ``gs.solver`` is read first: its factoring raises ``ValueError`` on a
     dependent set, and only for independent generators does equality of the
     matrices mean equality of the coefficients.  A mismatch is a failure
     entry, never an exception, and its ``got`` side is expanded in the
-    generator basis.
+    generator basis; failures come in the order of the pairs (s, t), s < t.
     """
     metric = gs.metric
     describe = gs.solver.describer(gs.names, "<outside generator span>")
-    brackets = gs.brackets
-    # each distinct right-hand side is materialized once per sweep
-    expected: dict[tuple, ExactMatrix] = {}
-    failures = []
-    for (s, left), (t, right) in combinations(enumerate(gs.pairs), 2):
-        if (s, t) not in brackets and left[0] not in right and left[1] not in right:
-            continue
-        got = brackets.get((s, t), gs.zero)
-        expected_terms = expected_bracket(metric, left, right)
-        key = tuple(expected_terms)
-        want = expected.get(key)
-        if want is None:
-            want = expected[key] = materialize(gs, expected_terms)
-        if got != want:
-            failures.append({
-                "lhs_pair": left,
-                "rhs_pair": right,
-                "got": describe(got),
-                "expected": format_combination(
-                    (coeff, pair_name(*pair)) for coeff, pair in expected_terms
-                ),
-            })
+    brackets, pairs, zero = gs.brackets, gs.pairs, gs.zero
+    stars: list[list[int]] = [[] for _ in range(metric.dim + 1)]
+    for s, (a, b) in enumerate(pairs):
+        stars[a].append(s)
+        stars[b].append(s)
+    sides: dict[tuple[int, IndexPair], ExactMatrix] = {}
+    # (s, t, got, term), the term None for a pair whose right-hand side is 0
+    mismatches = []
+    for x in range(1, metric.dim + 1):
+        star, g_x = stars[x], metric.g(x)
+        for k, s in enumerate(star):
+            left = pairs[s]
+            for t in star[k + 1:]:
+                term = _star_term(g_x, x, left, pairs[t])
+                want = sides.get(term)
+                if want is None:
+                    sign, (u, v) = term
+                    want = sides[term] = gs.gen(u, v) * _I_TIMES[sign]
+                got = brackets.get((s, t), zero)
+                if got != want:
+                    mismatches.append((s, t, got, term))
+    # a table entry outside every star brackets two pairs that share no
+    # index, which should commute; the join stores no zero, so each fails
+    for (s, t), got in brackets.items():
+        a, b = pairs[s]
+        if a not in pairs[t] and b not in pairs[t]:
+            mismatches.append((s, t, got, None))
+    mismatches.sort(key=lambda m: m[:2])
     return {
         "signature": (metric.p, metric.q),
         "pair_count": len(gs) * (len(gs) - 1) // 2,
-        "failures": failures,
+        "failures": [
+            {
+                "lhs_pair": pairs[s],
+                "rhs_pair": pairs[t],
+                "got": describe(got),
+                "expected": format_combination(
+                    () if term is None else ((_I_TIMES[term[0]], pair_name(*term[1])),)
+                ),
+            }
+            for s, t, got, term in mismatches
+        ],
     }
 
 
 def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
-    """Membership check g L^T g == -L for every generator, by one product:
-    (L g)^T == -L g is that check times g on the right, as g^2 = 1."""
-    g = gs.metric.matrix()
-    return all(lg.transpose() == -lg for lg in (mat @ g for mat in gs.matrices()))
+    """Membership check g L^T g == -L for every generator, entry by entry:
+    each entry L_ij has the partner L_ji = -g_i g_j L_ij, and no product."""
+    signs = (1,) * gs.metric.p + (-1,) * gs.metric.q
+    return all(mat.is_pseudo_antisymmetric(signs) for mat in gs.matrices())
 
 
 # -- hydrogen aliases for signature (4,2) -----------------------------------

@@ -220,11 +220,13 @@ _D4_ROOTS = sorted(
 
 def _judge_rank4(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
     # the roots are the 24 distinct D4 roots, so each first-half root that
-    # matches its two nonzero published components is zero on the fourth axis
+    # matches its two nonzero published components is zero on the fourth axis;
+    # a missing first-half row matches nothing
     roots = table.roots
     extraction_ok = sorted(roots.values()) == _D4_ROOTS
     first_half_match = all(
-        roots["1" + name][:3] == comps for name, comps in paper.PUBLISHED_ROOTS_RANK3.items()
+        roots.get("1" + name, ())[:3] == comps
+        for name, comps in paper.PUBLISHED_ROOTS_RANK3.items()
     )
     return (
         extraction_ok and first_half_match,

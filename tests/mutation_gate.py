@@ -172,9 +172,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "lg.transpose() == -lg for lg in (mat @ g for mat in gs.matrices())",
-        "True for lg in (mat @ g for mat in gs.matrices())",
+        "mat.is_pseudo_antisymmetric(signs) for mat in gs.matrices()",
+        "True for mat in gs.matrices()",
         "pseudo_antisymmetry_holds always true",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "if get((j, i)) != want:",
+        "if get((j, i), want) != want:",
+        "membership ignores a missing transpose partner",
     ),
     Mutant(
         "src/lietower/cartan.py",
@@ -226,8 +232,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "if got != want:",
-        "if got != want and not want.is_zero():",
+        "mismatches.append((s, t, got, None))",
+        "pass",
         "the commutation sweep ignores a pair that should commute but does not",
     ),
     Mutant(
@@ -238,16 +244,28 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "if (s, t) not in brackets and left[0] not in right",
-        "if left[0] not in right",
+        "if a not in pairs[t] and b not in pairs[t]:",
+        "if False:",
         "the commutation sweep skips a pair with no shared index even when it brackets nonzero",
     ),
     Mutant(
         "src/lietower/sopq.py",
-        " and left[0] not in right and left[1] not in right:",
-        ":",
+        "got = brackets.get((s, t), zero)",
+        "got = brackets.get((s, t), want)",
         "the commutation sweep skips every pair that brackets to zero, "
         "even one that shares an index",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "for (s, t), got in brackets.items():",
+        "for (s, t), got in ():",
+        "the commutation sweep drops the join entries that lie outside every star",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "sign = -g_x\n",
+        "sign = -1\n",
+        "the one-term bracket rule loses the metric sign",
     ),
     Mutant(
         "src/lietower/verify.py",

@@ -575,15 +575,16 @@ def test_complex_root_component_rejected():
 # One minimal corruption of the so(4,4) root table per condition of the
 # judge: a component 2 in a second-half row, where no published row is
 # compared, a nonzero fourth component in a first-half row, a missing
-# second-half row (root None), a second-half row off the D4 roots with
-# every component in {-1, 0, 1}, and a second-half row copied over another
-# (root a row name).
+# second-half or first-half row (root None), a second-half row off the D4
+# roots with every component in {-1, 0, 1}, and a second-half row copied
+# over another (root a row name).  Each fails with the usual summary.
 @pytest.mark.parametrize(
     "name, root",
     [
         ("2K+", (0, 0, 2, 1)),
         ("1K+", (1, 1, 0, 1)),
         ("2K+", None),
+        ("1K+", None),
         ("2K+", (0, 1, 1, 1)),
         ("2K+", "2J+"),
     ],
@@ -591,6 +592,7 @@ def test_complex_root_component_rejected():
         "component-2",
         "first-half-fourth-axis",
         "second-half-row-missing",
+        "first-half-row-missing",
         "second-half-off-d4",
         "second-half-row-repeated",
     ],
@@ -606,7 +608,11 @@ def test_judge_rank4_fails_on_a_corrupted_row(gs44, name, root):
         roots[name] = roots[root]
     else:
         roots[name] = tuple(map(Fraction, root))
-    assert not _judge_rank4(ctx, RootTable(table.cartan, roots))[0]
+    assert _judge_rank4(ctx, RootTable(table.cartan, roots)) == (
+        False,
+        f"{len(roots)}/24 extracted; first half matches the published "
+        "rank-3 table on its first three axes",
+    )
 
 
 def test_root_negation_symmetry(gs42, oriented_ladders):

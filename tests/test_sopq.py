@@ -304,6 +304,27 @@ def conjugated_fault(metric):
     return realise(tampered_build(metric), lambda m: s @ m @ s_inv)
 
 
+def conjugated(metric):
+    # every matrix dense, so every generator lies in every row of the join
+    s, s_inv = conjugator(metric.dim)
+    return realise(build_generators(metric), lambda m: s @ m @ s_inv)
+
+
+def reversed_fault(metric):
+    # the stars list their generators in the family's order, not in index order
+    gs = tampered_build(metric)
+    return GeneratorSet(metric, {pair: gs.gen(*pair) for pair in reversed(gs.pairs)})
+
+
+def omitted_fault(metric):
+    # the pairs on the indices 1, 2, 4, 5 only, a closed family whose stars
+    # 3 and 6 are empty, with the L12 fault
+    gs = tampered_build(metric)
+    return GeneratorSet(
+        metric, {pair: gs.gen(*pair) for pair in gs.pairs if set(pair) <= {1, 2, 4, 5}}
+    )
+
+
 @pytest.mark.parametrize(
     "build, p, q",
     [
@@ -312,13 +333,18 @@ def conjugated_fault(metric):
         (build_generators, 4, 4),
         (build_generators, 5, 5),
         (build_generators, 2, 8),
+        (build_generators, 8, 2),
         (tampered_build, 4, 2),
         (tampered_build, 5, 5),
         (l12_plus_l34, 4, 2),
         (conjugated_fault, 4, 2),
+        (conjugated, 4, 4),
+        (reversed_fault, 4, 2),
+        (omitted_fault, 4, 2),
     ],
-    ids=["3,0", "4,2", "4,4", "5,5", "2,8", "L12-fault-4,2", "L12-fault-5,5",
-         "L12+L34-4,2", "conjugated-L12-fault-4,2"],
+    ids=["3,0", "4,2", "4,4", "5,5", "2,8", "8,2", "L12-fault-4,2", "L12-fault-5,5",
+         "L12+L34-4,2", "conjugated-L12-fault-4,2", "conjugated-4,4",
+         "reversed-L12-fault-4,2", "omitted-L12-fault-4,2"],
 )
 def test_sweep_matches_the_all_pairs_oracle(build, p, q):
     gs = build(Metric(p, q))
@@ -388,6 +414,48 @@ def test_dependent_generators_rejected():
 def test_pseudo_antisymmetry(gs42, gs44):
     assert pseudo_antisymmetry_holds(gs42)
     assert pseudo_antisymmetry_holds(gs44)
+
+
+def dense_pseudo_antisymmetry(gs):
+    """g L^T g == -L for every generator, entry by entry from the dense rows:
+    the oracle for ``pseudo_antisymmetry_holds``, which reads stored entries."""
+    g = [gs.metric.g(k) for k in range(1, gs.metric.dim + 1)]
+    n = len(g)
+    return all(
+        g[i] * rows[j][i] * g[j] == -rows[i][j]
+        for rows in (mat.rows for mat in gs.matrices())
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, q", [(p, n - p) for n in range(2, 7) for p in range(n + 1)]
+)
+def test_pseudo_antisymmetry_holds_on_every_small_signature(p, q):
+    gs = build_generators(Metric(p, q))
+    assert dense_pseudo_antisymmetry(gs)
+    assert pseudo_antisymmetry_holds(gs)
+
+
+# One broken generator of 4,2 per way an entry can miss its partner: a
+# nonzero diagonal entry (its own partner, of the wrong sign), an entry
+# whose transpose partner is absent, and L15 of the mixed compact/boost
+# block made antisymmetric, where g_1 g_5 = -1 asks for a symmetric pair.
+@pytest.mark.parametrize(
+    "pair, entries",
+    [
+        ((1, 2), {(0, 1): I, (1, 0): -I, (2, 2): 1}),
+        ((1, 2), {(0, 1): I, (1, 0): -I, (0, 2): 1}),
+        ((1, 5), {(0, 4): -I, (4, 0): I}),
+    ],
+    ids=["diagonal-entry", "missing-partner", "mixed-block-sign"],
+)
+def test_pseudo_antisymmetry_fails_on_a_broken_generator(pair, entries):
+    gs = build_generators(Metric(4, 2))
+    gs._gens[pair] = ExactMatrix.from_entries(6, entries)
+    assert not dense_pseudo_antisymmetry(gs)
+    assert not pseudo_antisymmetry_holds(gs)
 
 
 def test_disjoint_index_pairs_commute(gs44):
