@@ -43,19 +43,17 @@ def star_certificate(gs: GeneratorSet) -> bool:
     """Whether every star of ``gs`` is pairwise non-commuting, which bounds
     the size of a commuting set of its generators by floor(n/2).
 
-    The star S_a is the set of generators that carry index a; its members
-    pairwise fail to commute when every pair of their generator indices
-    has an entry in ``gs.brackets``.  Every generator lies in exactly two
-    stars and a commuting set meets each star at most once, so then
-    2 * size <= n.
+    The star S_a is the set of generators that carry index a, read from
+    ``gs.stars``, which the set builds once and the commutation sweep reads
+    too; its members pairwise fail to commute when every pair of their
+    generator indices has an entry in ``gs.brackets``.  Every generator lies
+    in exactly two stars and a commuting set meets each star at most once,
+    so then 2 * size <= n.
     This is the clique number bounded by the fractional chromatic number
     (Lovasz 1978); it assumes no symmetry of the matrices.
     """
-    return all(
-        (x, y) in gs.brackets
-        for a in range(1, gs.metric.dim + 1)
-        for x, y in combinations([k for k, pair in enumerate(gs.pairs) if a in pair], 2)
-    )
+    brackets = gs.brackets
+    return all((x, y) in brackets for star in gs.stars for x, y in combinations(star, 2))
 
 
 def find_cartan(gs: GeneratorSet) -> dict[str, ExactMatrix]:

@@ -21,7 +21,8 @@ bracket-table entries of two pairs that share no index.  Each generator set
 computes those brackets once, in one sparse join
 (``exact.pairwise_commutators``) that fills its lazily built ``brackets``
 table, keyed by generator indices as the join makes them; the commutation
-sweep and the Cartan search read that table.  Membership,
+sweep and the Cartan search read that table, and the set's one star index
+``stars``, also built on first read.  Membership,
 ``pseudo_antisymmetry_holds``, holds each stored entry against its
 transpose partner, with no matrix product.
 """
@@ -96,6 +97,9 @@ class GeneratorSet:
     ``brackets``, keyed by positions s < t in ``pairs``, and the span solver
     ``solver`` are built from the current matrices on first read, never in
     the constructor, so a generator overwritten before then is what they see.
+    ``stars[x]`` lists, in ascending order, the positions of the generators
+    whose index pair carries x, for 1 <= x <= p+q; it too is built once, on
+    first read, and read by the commutation sweep and the Cartan search.
     """
 
     def __init__(self, metric: Metric, gens: Mapping[IndexPair, ExactMatrix]):
@@ -128,6 +132,14 @@ class GeneratorSet:
     @cached_property
     def brackets(self) -> dict[tuple[int, int], ExactMatrix]:
         return pairwise_commutators(self.matrices())
+
+    @cached_property
+    def stars(self) -> list[list[int]]:
+        stars: list[list[int]] = [[] for _ in range(self.metric.dim + 1)]
+        for s, (a, b) in enumerate(self.pairs):
+            stars[a].append(s)
+            stars[b].append(s)
+        return stars
 
     @cached_property
     def solver(self) -> SpanSolver:
@@ -211,14 +223,16 @@ def verify_commutation(gs: GeneratorSet) -> dict:
 
     A pair is decided by exact matrix equality between its entry in
     ``gs.brackets`` (zero when absent), keyed by the two generator indices,
-    and its right-hand side.  The sweep walks the stars: the star S_x holds
-    the generators whose index pair carries x, and two distinct index pairs
-    share at most one index, so each pair with a nonzero right-hand side,
-    the one term +-i L_uv of ``_star_term``, lies in exactly one star.  Each
-    pair inside a star is compared, and so is each table entry whose two
-    index pairs share no index, against zero.  Every other pair is 0 = 0,
-    as the join stores every nonzero bracket.  Each distinct right-hand side
-    is built once per sweep, as its generator times +-i.
+    and its right-hand side.  The sweep walks the stars ``gs.stars``: the
+    star S_x holds the generators whose index pair carries x, and two
+    distinct index pairs share at most one index, so each pair with a
+    nonzero right-hand side, the one term +-i L_uv of ``_star_term``, lies
+    in exactly one star.  Each pair inside a star is compared, and so is
+    each table entry whose two index pairs share no index, against zero.
+    Every other pair is 0 = 0, as the join stores every nonzero bracket.
+    Each distinct right-hand side is built once per sweep, as its generator
+    times +-i; a side whose generator the family omits matches no bracket,
+    so its pair fails with that generator named in ``expected``.
     ``gs.solver`` is read first: its factoring raises ``ValueError`` on a
     dependent set, and only for independent generators does equality of the
     matrices mean equality of the coefficients.  A mismatch is a failure
@@ -227,12 +241,10 @@ def verify_commutation(gs: GeneratorSet) -> dict:
     """
     metric = gs.metric
     describe = gs.solver.describer(gs.names, "<outside generator span>")
-    brackets, pairs, zero = gs.brackets, gs.pairs, gs.zero
-    stars: list[list[int]] = [[] for _ in range(metric.dim + 1)]
-    for s, (a, b) in enumerate(pairs):
-        stars[a].append(s)
-        stars[b].append(s)
-    sides: dict[tuple[int, IndexPair], ExactMatrix] = {}
+    brackets, pairs, zero, stars, gens = gs.brackets, gs.pairs, gs.zero, gs.stars, gs._gens
+    # the side of a term whose generator the family omits, equal to no bracket
+    absent = object()
+    sides: dict[tuple[int, IndexPair], object] = {}
     # (s, t, got, term), the term None for a pair whose right-hand side is 0
     mismatches = []
     for x in range(1, metric.dim + 1):
@@ -243,8 +255,9 @@ def verify_commutation(gs: GeneratorSet) -> dict:
                 term = _star_term(g_x, x, left, pairs[t])
                 want = sides.get(term)
                 if want is None:
-                    sign, (u, v) = term
-                    want = sides[term] = gs.gen(u, v) * _I_TIMES[sign]
+                    sign, pair = term
+                    mat = gens.get(pair)
+                    want = sides[term] = absent if mat is None else mat * _I_TIMES[sign]
                 got = brackets.get((s, t), zero)
                 if got != want:
                     mismatches.append((s, t, got, term))

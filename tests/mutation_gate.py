@@ -148,8 +148,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/cartan.py",
-        "(x, y) in gs.brackets\n",
-        "True\n",
+        "(x, y) in brackets for star in gs.stars",
+        "True for star in gs.stars",
         "star_certificate always true",
     ),
     Mutant(
@@ -157,6 +157,18 @@ MUTANTS = (
         "return all(commutes(cas, mat) for mat in gs.matrices())",
         "return True",
         "casimir_invariance always true",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "heappush(heap, k)",
+        "pass",
+        "elimination skips a key that a subtraction fills in",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "key = heappop(heap)",
+        "key = heap.pop()",
+        "elimination ignores pivot order: it pops the vector's keys in heap-array order",
     ),
     Mutant(
         "src/lietower/exact.py",

@@ -4,12 +4,14 @@
 every operation against plain ``GaussianRational`` arithmetic on a dense
 reference read through ``m[i, j]``, on matrices that are mostly zero, as the
 generators are, and check that equal matrices compare and hash equal however
-they were built.  The Gauss-Jordan elimination behind ``rank`` and
+they were built.  The echelon elimination behind ``rank`` and
 ``SpanSolver`` runs on sparse rows too; its properties are checked on sparse
-combinations with known coefficients.  The scalars themselves are checked
-against the field axioms and, operation by operation, against a reference
-pair of ``Fraction``s computed here; values reached by different routes must
-agree in ``==``, ``hash`` and ``str``.
+combinations with known coefficients, and against the dense oracle of
+``test_elimination_oracle`` on small Gaussian-integer families with planted
+dependencies.  The scalars themselves are checked against the field axioms
+and, operation by operation, against a reference pair of ``Fraction``s
+computed here; values reached by different routes must agree in ``==``,
+``hash`` and ``str``.
 """
 
 from fractions import Fraction
@@ -35,6 +37,8 @@ from lietower.exact import (  # noqa: E402
     pairwise_commutators,
     rank,
 )
+
+from test_elimination_oracle import assert_agree  # noqa: E402
 
 KERNEL = settings(derandomize=True, database=None, deadline=None)
 
@@ -178,6 +182,34 @@ def test_span_solver_recovers_coefficients(family):
     basis, coeffs = family
     assert SpanSolver(basis).expand(combine(coeffs, basis)) == coeffs
     assert rank(basis) == len(basis)
+
+
+gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def planted_families(draw):
+    """Small sparse Gaussian-integer matrices of at most three entries, with
+    up to three members inserted as combinations of the members before
+    them, and a target: a free sparse matrix or a combination."""
+    dim = draw(st.integers(2, 3))
+    slot = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    sparse = st.dictionaries(slot, gaussian_integers, max_size=3).map(
+        lambda entries: ExactMatrix.from_entries(dim, entries)
+    )
+    mats = draw(st.lists(sparse, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, len(mats)))
+        mats.insert(k, combine(draw(st.lists(gaussian_integers, min_size=k, max_size=k)), mats[:k]))
+    target = draw(st.one_of(sparse, st.just(mats[-1] + mats[0] * I)))
+    return mats, target
+
+
+@KERNEL
+@given(planted_families())
+def test_elimination_matches_the_dense_oracle(family):
+    mats, target = family
+    assert_agree(mats, [target])
 
 
 # -- the sparse kernel against a dense reference ------------------------------

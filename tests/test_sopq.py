@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -221,8 +222,9 @@ def test_verdict_commutator_count(monkeypatch, p, q, calls):
 # The library calls share the set's own table and solver, not only a verdict.
 @pytest.mark.parametrize("p, q", [(4, 2), (5, 5)])
 def test_generator_set_builds_one_table_and_one_solver(monkeypatch, p, q):
-    counts = {"pairwise": 0, "commutator": 0, "solver": 0}
+    counts = {"pairwise": 0, "commutator": 0, "solver": 0, "stars": 0}
     real_init = SpanSolver.__init__
+    real_stars = GeneratorSet.stars.func
 
     def counted_commutator(x, y):
         counts["commutator"] += 1
@@ -236,15 +238,34 @@ def test_generator_set_builds_one_table_and_one_solver(monkeypatch, p, q):
         counts["solver"] += 1
         real_init(self, basis)
 
+    def counted_stars(self):
+        counts["stars"] += 1
+        return real_stars(self)
+
+    stars = cached_property(counted_stars)
+    stars.__set_name__(GeneratorSet, "stars")
+
     for module in (lietower.sopq, lietower.cartan):
         monkeypatch.setattr(module, "commutator", counted_commutator, raising=False)
     monkeypatch.setattr(lietower.sopq, "pairwise_commutators", counted_pairwise)
     monkeypatch.setattr(SpanSolver, "__init__", counted_init)
+    monkeypatch.setattr(GeneratorSet, "stars", stars)
     gs = build_generators(Metric(p, q))
     cartan = find_cartan(gs)
     assert cartan_is_maximal(gs, cartan)
     assert not verify_commutation(gs)["failures"]
-    assert counts == {"pairwise": 1, "commutator": 0, "solver": 1}
+    assert counts == {"pairwise": 1, "commutator": 0, "solver": 1, "stars": 1}
+
+
+def test_stars_list_the_generators_on_each_index(gs42):
+    reversed_set = GeneratorSet(
+        gs42.metric, {pair: gs42.gen(*pair) for pair in reversed(gs42.pairs)}
+    )
+    for gs in (gs42, reversed_set):
+        assert gs.stars[0] == []
+        assert gs.stars[1:] == [
+            [k for k, pair in enumerate(gs.pairs) if x in pair] for x in range(1, 7)
+        ]
 
 
 def test_verify_commutation_42(gs42):
@@ -366,6 +387,24 @@ def test_sweep_reports_every_shared_index_pair_of_a_central_generator():
     ]
     assert all(f["got"] == "0" and f["expected"] != "0" for f in with_l12)
     assert failures == all_pairs_failures(gs)
+
+
+def test_sweep_reports_a_generator_the_family_omits():
+    # without L13 the family is not closed: each pair whose bracket is +-i L13
+    # fails with L13 named on its expected side, and no lookup of L13 raises
+    defining = build_generators(Metric(4, 2))
+    gs = GeneratorSet(
+        defining.metric, {pair: defining.gen(*pair) for pair in defining.pairs if pair != (1, 3)}
+    )
+    report = verify_commutation(gs)
+    assert report["pair_count"] == 91
+    outside = "<outside generator span>"
+    assert [tuple(f.values()) for f in report["failures"]] == [
+        ((1, 2), (2, 3), outside, "(i)*L13"),
+        ((1, 4), (3, 4), outside, "(-i)*L13"),
+        ((1, 5), (3, 5), outside, "(i)*L13"),
+        ((1, 6), (3, 6), outside, "(i)*L13"),
+    ]
 
 
 def test_verify_commutation_so3():
