@@ -40,20 +40,18 @@ RootVector = tuple[Fraction, ...]
 
 
 def star_certificate(gs: GeneratorSet) -> bool:
-    """Whether every star of ``gs`` is pairwise non-commuting, which bounds
-    the size of a commuting set of its generators by floor(n/2).
+    """Whether every two generators of ``gs`` that share an index fail to
+    commute, which bounds the size of a commuting set of them by floor(n/2).
 
-    The star S_a is the set of generators that carry index a, read from
-    ``gs.stars``, which the set builds once and the commutation sweep reads
-    too; its members pairwise fail to commute when every pair of their
-    generator indices has an entry in ``gs.brackets``.  Every generator lies
-    in exactly two stars and a commuting set meets each star at most once,
-    so then 2 * size <= n.
+    The pairs of generators that share an index are the keys of
+    ``gs.overlaps``, the table the commutation sweep reads too; such a pair
+    fails to commute when it has an entry in ``gs.brackets``.  Then a
+    commuting set holds at most one generator carrying each index, and each
+    generator carries two, so 2 * size <= n.
     This is the clique number bounded by the fractional chromatic number
     (Lovasz 1978); it assumes no symmetry of the matrices.
     """
-    brackets = gs.brackets
-    return all((x, y) in brackets for star in gs.stars for x, y in combinations(star, 2))
+    return gs.overlaps.keys() <= gs.brackets.keys()
 
 
 def find_cartan(gs: GeneratorSet) -> dict[str, ExactMatrix]:

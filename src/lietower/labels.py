@@ -19,7 +19,8 @@ class InconsistentLabelsError(ValueError):
     """A label tuple violates its own range invariants."""
 
 
-def _doubled(value: HalfIntLike, what: str) -> int:
+def doubled(value: HalfIntLike, what: str) -> int:
+    """2 * value for the half-integer label ``what``, else ``ValueError``."""
     # int (not bool) or Fraction only, the type test of exact._ratio:
     # Fraction() would parse a str ("1e1000000000" without end) and convert
     # a float
@@ -39,13 +40,15 @@ def _require_integer_labels(*labels: int) -> None:
         raise InconsistentLabelsError("labels must be integers")
 
 
-def _spin(two_s: int, what: str) -> int:
+def check_spin(two_s: int, what: str) -> int:
+    """The doubled spin projection two_s if it is -1 or +1."""
     if two_s not in (-1, 1):
         raise InconsistentLabelsError(f"{what} must be -1/2 or +1/2")
     return two_s
 
 
-def _signed_half_str(two: int) -> str:
+def signed_half_str(two: int) -> str:
+    """The half-integer two / 2 as text with its sign, "+1/2" or "-3/2"."""
     text = str(Fraction(two, 2))
     return text if two < 0 else "+" + text
 
@@ -55,8 +58,8 @@ def _signed_half_str(two: int) -> str:
 
 def mass_sl2c(l: HalfIntLike, l_dot: HalfIntLike) -> Fraction:
     """Node mass 2*(l+1/2)*(l.+1/2), exact in units of m_e."""
-    two_l = _doubled(l, "l")
-    two_ldot = _doubled(l_dot, "l-dot")
+    two_l = doubled(l, "l")
+    two_ldot = doubled(l_dot, "l-dot")
     if two_l < 0 or two_ldot < 0:
         raise ValueError("spins must be non-negative")
     return Fraction((two_l + 1) * (two_ldot + 1), 2)
@@ -69,7 +72,7 @@ def mass_so42(l: HalfIntLike, l_dot: HalfIntLike, nu: HalfIntLike) -> Fraction:
     mass_sl2c(l, l.), each in its own unit.  The spins are checked before nu.
     """
     shell = mass_sl2c(l, l_dot)
-    two_nu = _doubled(nu, "nu")
+    two_nu = doubled(nu, "nu")
     if two_nu < 0:
         raise ValueError("nu must be non-negative")
     return shell * Fraction(two_nu + 1, 2)
@@ -95,7 +98,7 @@ class MadelungKet(namedtuple("MadelungKet", "n l m two_s")):
             raise InconsistentLabelsError(f"l={l} outside 0..|n|-1 for n={n}")
         if abs(m) > l:
             raise InconsistentLabelsError(f"m={m} outside -l..l for l={l}")
-        return super().__new__(cls, n, l, m, _spin(two_s, "s"))
+        return super().__new__(cls, n, l, m, check_spin(two_s, "s"))
 
     @classmethod
     def _make(cls, fields):  # _replace builds through here: validate it too
@@ -107,7 +110,7 @@ class MadelungKet(namedtuple("MadelungKet", "n l m two_s")):
 
     @property
     def s_text(self) -> str:
-        return _signed_half_str(self.two_s)
+        return signed_half_str(self.two_s)
 
     def __str__(self) -> str:
         return f"|{self.n},{self.l},{self.m},{self.s_text}⟩"

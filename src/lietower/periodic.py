@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice
 
-from .labels import InconsistentLabelsError, MadelungKet, _doubled, _signed_half_str, _spin
+from .labels import InconsistentLabelsError, MadelungKet, check_spin, doubled, signed_half_str
 
 MAX_Z = 120
 
@@ -64,7 +64,7 @@ class TowerSlice(namedtuple("TowerSlice", "s floors")):
 
     @property
     def s_text(self) -> str:
-        return _signed_half_str(int(self.s * 2))
+        return signed_half_str(int(self.s * 2))
 
     def to_json_dict(self) -> dict:
         # an empty point carries only its m
@@ -139,12 +139,12 @@ def antimatter_mirror(e: Element) -> Element:
 def projection_slice(elements: Sequence[Element], s: Fraction) -> TowerSlice:
     """All elements with spin projection s, placed on their tower floors.
 
-    s is -1/2 or +1/2, an ``int`` or ``Fraction`` as ``labels._doubled``
+    s is -1/2 or +1/2, an ``int`` or ``Fraction`` as ``labels.doubled``
     takes it; anything else raises ``ValueError``.  Floors run n = 1..8
     (every ring present, filled or not), then the antimatter floors
     n = -1..-8 holding the mirrored copies.
     """
-    two_s = _spin(_doubled(s, "spin"), "spin")
+    two_s = check_spin(doubled(s, "spin"), "spin")
     by_slot: dict[tuple[int, int, int], Element] = {}
     max_n = 0
     for e in elements:

@@ -15,16 +15,15 @@ once, and ``expected_bracket`` validates its arguments and reads it.
 
 A realisation is *validated*, never assumed: ``verify_commutation`` decides
 every unordered generator pair against the symbolic right-hand side exactly,
-comparing matrices wherever either side can be nonzero: the pairs inside
-each star (the generators whose index pair carries one index x) and the
-bracket-table entries of two pairs that share no index.  Each generator set
-computes those brackets once, in one sparse join
-(``exact.pairwise_commutators``) that fills its lazily built ``brackets``
-table, keyed by generator indices as the join makes them; the commutation
-sweep and the Cartan search read that table, and the set's one star index
-``stars``, also built on first read.  Membership,
-``pseudo_antisymmetry_holds``, holds each stored entry against its
-transpose partner, with no matrix product.
+comparing matrices wherever either side can be nonzero: the pairs whose
+index pairs share an index, and the bracket-table entries of two pairs that
+share none.  Each generator set computes those brackets once, in one sparse
+join (``exact.pairwise_commutators``) that fills its lazily built
+``brackets`` table, keyed by generator indices as the join makes them, and
+lists the pairs that share an index once, in its table ``overlaps``, also
+built on first read; the commutation sweep and the Cartan search read both.
+Membership, ``pseudo_antisymmetry_holds``, holds each stored entry against
+its transpose partner, with no matrix product.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from functools import cached_property
+from itertools import combinations
 
 from .exact import (
     ExactMatrix,
@@ -97,9 +97,9 @@ class GeneratorSet:
     ``brackets``, keyed by positions s < t in ``pairs``, and the span solver
     ``solver`` are built from the current matrices on first read, never in
     the constructor, so a generator overwritten before then is what they see.
-    ``stars[x]`` lists, in ascending order, the positions of the generators
-    whose index pair carries x, for 1 <= x <= p+q; it too is built once, on
-    first read, and read by the commutation sweep and the Cartan search.
+    ``overlaps`` maps each pair of positions s < t whose index pairs share
+    exactly one index x to x; it too is built once, on first read, and read
+    by the commutation sweep and the Cartan search.
     """
 
     def __init__(self, metric: Metric, gens: Mapping[IndexPair, ExactMatrix]):
@@ -134,12 +134,15 @@ class GeneratorSet:
         return pairwise_commutators(self.matrices())
 
     @cached_property
-    def stars(self) -> list[list[int]]:
+    def overlaps(self) -> dict[tuple[int, int], int]:
+        # the star of x lists, ascending, the positions whose pair carries x;
+        # two distinct index pairs share at most one index, so each pair of
+        # positions lies in at most one star
         stars: list[list[int]] = [[] for _ in range(self.metric.dim + 1)]
         for s, (a, b) in enumerate(self.pairs):
             stars[a].append(s)
             stars[b].append(s)
-        return stars
+        return {pair: x for x, star in enumerate(stars) for pair in combinations(star, 2)}
 
     @cached_property
     def solver(self) -> SpanSolver:
@@ -223,16 +226,14 @@ def verify_commutation(gs: GeneratorSet) -> dict:
 
     A pair is decided by exact matrix equality between its entry in
     ``gs.brackets`` (zero when absent), keyed by the two generator indices,
-    and its right-hand side.  The sweep walks the stars ``gs.stars``: the
-    star S_x holds the generators whose index pair carries x, and two
-    distinct index pairs share at most one index, so each pair with a
-    nonzero right-hand side, the one term +-i L_uv of ``_star_term``, lies
-    in exactly one star.  Each pair inside a star is compared, and so is
-    each table entry whose two index pairs share no index, against zero.
-    Every other pair is 0 = 0, as the join stores every nonzero bracket.
-    Each distinct right-hand side is built once per sweep, as its generator
-    times +-i; a side whose generator the family omits matches no bracket,
-    so its pair fails with that generator named in ``expected``.
+    and its right-hand side.  The sweep makes one pass over ``gs.overlaps``,
+    the pairs whose index pairs share one index x: each such pair's side is
+    the one term +-i L_uv of ``_star_term``.  The table entries outside
+    ``gs.overlaps`` bracket two pairs that share no index, so each is
+    compared against zero.  Every other pair is 0 = 0, as the join stores
+    every nonzero bracket.  The sides +-i L_uv of every generator are built
+    once per sweep; a generator the family omits has no side, so a pair
+    whose side it is fails with that generator named in ``expected``.
     ``gs.solver`` is read first: its factoring raises ``ValueError`` on a
     dependent set, and only for independent generators does equality of the
     matrices mean equality of the coefficients.  A mismatch is a failure
@@ -241,32 +242,22 @@ def verify_commutation(gs: GeneratorSet) -> dict:
     """
     metric = gs.metric
     describe = gs.solver.describer(gs.names, "<outside generator span>")
-    brackets, pairs, zero, stars, gens = gs.brackets, gs.pairs, gs.zero, gs.stars, gs._gens
-    # the side of a term whose generator the family omits, equal to no bracket
-    absent = object()
-    sides: dict[tuple[int, IndexPair], object] = {}
+    brackets, overlaps, pairs, zero = gs.brackets, gs.overlaps, gs.pairs, gs.zero
+    g = (0, *(metric.g(x) for x in range(1, metric.dim + 1)))  # g[x] is g_xx
+    # a generator the family omits has no side, and the None that stands
+    # for it equals no bracket
+    sides = {
+        (sign, pair): mat * i for pair, mat in gs._gens.items() for sign, i in _I_TIMES.items()
+    }
     # (s, t, got, term), the term None for a pair whose right-hand side is 0
     mismatches = []
-    for x in range(1, metric.dim + 1):
-        star, g_x = stars[x], metric.g(x)
-        for k, s in enumerate(star):
-            left = pairs[s]
-            for t in star[k + 1:]:
-                term = _star_term(g_x, x, left, pairs[t])
-                want = sides.get(term)
-                if want is None:
-                    sign, pair = term
-                    mat = gens.get(pair)
-                    want = sides[term] = absent if mat is None else mat * _I_TIMES[sign]
-                got = brackets.get((s, t), zero)
-                if got != want:
-                    mismatches.append((s, t, got, term))
-    # a table entry outside every star brackets two pairs that share no
-    # index, which should commute; the join stores no zero, so each fails
-    for (s, t), got in brackets.items():
-        a, b = pairs[s]
-        if a not in pairs[t] and b not in pairs[t]:
-            mismatches.append((s, t, got, None))
+    for (s, t), x in overlaps.items():
+        term = _star_term(g[x], x, pairs[s], pairs[t])
+        got = brackets.get((s, t), zero)
+        if got != sides.get(term):
+            mismatches.append((s, t, got, term))
+    # the join stores no zero, so each entry of two pairs that share no index fails
+    mismatches += [(s, t, brackets[s, t], None) for s, t in brackets.keys() - overlaps.keys()]
     mismatches.sort(key=lambda m: m[:2])
     return {
         "signature": (metric.p, metric.q),

@@ -9,9 +9,12 @@ by another.  For each one the gate copies ``src/``, ``tests/``,
 ``perfbench/`` and ``pyproject.toml`` into a temporary directory, applies
 the mutant there and runs the Tier-1 tests except the Hypothesis
 properties of ``tests/test_exact_properties.py``, stopping at the first
-failure.  A mutant that passes every test survived.  The gate exits 1 if
-the unmutated copy fails or any mutant survives, and 2 if a mutant's text
-does not occur exactly once.  pytest does not collect this file.
+failure.  A mutant that passes every test survived.  Each run is stopped
+after ``TIMEOUT_S`` seconds, and a mutant whose run is stopped counts as
+killed (timeout), since its tests did not pass: a mutant can make a loop
+run forever.  The gate exits 1 if the unmutated copy fails or times out
+or any mutant survives, and 2 if a mutant's text does not occur exactly
+once.  pytest does not collect this file.
 
 ``EQUIVALENT`` records mutants that no test can kill, with the reason;
 they are checked against the source but not run.  Mutation analysis:
@@ -33,6 +36,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 PYTEST = ("-q", "-x", "-p", "no:cacheprovider", "--ignore=tests/test_exact_properties.py")
+# seconds one test run may take; the unmutated copy needs well under a minute
+TIMEOUT_S = 300
+VERDICTS = {"passed": "SURVIVED", "failed": "killed  ", "timeout": "killed (timeout)"}
 
 
 class Mutant(NamedTuple):
@@ -148,8 +154,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/cartan.py",
-        "(x, y) in brackets for star in gs.stars",
-        "True for star in gs.stars",
+        "gs.overlaps.keys() <= gs.brackets.keys()",
+        "True",
         "star_certificate always true",
     ),
     Mutant(
@@ -244,34 +250,47 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "mismatches.append((s, t, got, None))",
-        "pass",
-        "the commutation sweep ignores a pair that should commute but does not",
-    ),
-    Mutant(
-        "src/lietower/sopq.py",
         "0 < a < b <= metric.dim for a, b in self._gens",
         "0 < a < b for a, b in self._gens",
         "a generator set takes a key outside its signature, which the sweep never compares",
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "if a not in pairs[t] and b not in pairs[t]:",
-        "if False:",
-        "the commutation sweep skips a pair with no shared index even when it brackets nonzero",
+        "for s, t in brackets.keys() - overlaps.keys()",
+        "for s, t in ()",
+        "the commutation sweep ignores a pair that shares no index but does not commute",
     ),
     Mutant(
         "src/lietower/sopq.py",
         "got = brackets.get((s, t), zero)",
-        "got = brackets.get((s, t), want)",
+        "got = brackets.get((s, t), sides.get(term))",
         "the commutation sweep skips every pair that brackets to zero, "
         "even one that shares an index",
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "for (s, t), got in brackets.items():",
-        "for (s, t), got in ():",
-        "the commutation sweep drops the join entries that lie outside every star",
+        "for pair in combinations(star, 2)",
+        "for pair in combinations(star[1:], 2)",
+        "the overlap table skips each star's first generator, so a correct set "
+        "fails the sweep",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "stars[b].append(s)",
+        "pass",
+        "the overlap table misses the pairs that share a generator's second index",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "(sign, pair): mat * i for pair",
+        "(sign, pair): mat * I for pair",
+        "the commutation sweep builds every right-hand side as +i L_uv, whatever its sign",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "mismatches.sort(key=lambda m: m[:2])",
+        "pass",
+        "the commutation sweep reports its failures in overlap-table order, not pair order",
     ),
     Mutant(
         "src/lietower/sopq.py",
@@ -409,7 +428,9 @@ def _check_texts(mutants: tuple[Mutant, ...]) -> list[str]:
     return errors
 
 
-def _tests_pass(mutant: Mutant | None) -> bool:
+def _run_tests(mutant: Mutant | None) -> str:
+    """The outcome, "passed", "failed" or "timeout", of the tests on a copy
+    with ``mutant`` applied, or on the unmutated copy for None."""
     with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
@@ -418,14 +439,18 @@ def _tests_pass(mutant: Mutant | None) -> bool:
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", *PYTEST, "tests"],
-            cwd=tree,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        return done.returncode == 0
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", *PYTEST, "tests"],
+                cwd=tree,
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:  # run kills the pytest process
+            return "timeout"
+        return "passed" if done.returncode == 0 else "failed"
 
 
 def main() -> int:
@@ -433,17 +458,17 @@ def main() -> int:
     if errors:
         print("\n".join(errors))
         return 2
-    if not _tests_pass(None):
-        print("the unmutated copy fails its tests")
+    outcome = _run_tests(None)
+    if outcome != "passed":
+        print(f"the unmutated copy {'fails' if outcome == 'failed' else 'times out in'} its tests")
         return 1
     survivors = 0
     for m in MUTANTS:
         start = time.perf_counter()
-        killed = not _tests_pass(m)
-        survivors += not killed
+        outcome = _run_tests(m)
+        survivors += outcome == "passed"
         elapsed = time.perf_counter() - start
-        verdict = "killed  " if killed else "SURVIVED"
-        print(f"{verdict} {m.path}: {m.reason} ({elapsed:.1f} s)", flush=True)
+        print(f"{VERDICTS[outcome]} {m.path}: {m.reason} ({elapsed:.1f} s)", flush=True)
     for m in EQUIVALENT:
         print(f"equivalent {m.path}: {m.new!r} for {m.old!r}: {m.reason}")
     print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed")

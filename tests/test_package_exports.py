@@ -1,6 +1,12 @@
-"""The package root exports exactly the names listed in ``lietower.__all__``."""
+"""The package root exports exactly the names listed in ``lietower.__all__``,
+and no module of the package imports another module's underscore names."""
+
+import ast
+from pathlib import Path
 
 import lietower
+
+PACKAGE = Path(lietower.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +19,16 @@ def test_star_import_binds_exactly_all():
     exec("from lietower import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(lietower.__all__)
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert len(list(PACKAGE.glob("*.py"))) > 1
+    assert private == []

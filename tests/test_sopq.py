@@ -12,7 +12,7 @@ import lietower.cartan
 import lietower.paper
 import lietower.sopq
 import lietower.verify
-from lietower.cartan import cartan_is_maximal, find_cartan
+from lietower.cartan import cartan_is_maximal, find_cartan, star_certificate
 from lietower.exact import (
     ExactMatrix,
     I,
@@ -222,9 +222,9 @@ def test_verdict_commutator_count(monkeypatch, p, q, calls):
 # The library calls share the set's own table and solver, not only a verdict.
 @pytest.mark.parametrize("p, q", [(4, 2), (5, 5)])
 def test_generator_set_builds_one_table_and_one_solver(monkeypatch, p, q):
-    counts = {"pairwise": 0, "commutator": 0, "solver": 0, "stars": 0}
+    counts = {"pairwise": 0, "commutator": 0, "solver": 0, "overlaps": 0}
     real_init = SpanSolver.__init__
-    real_stars = GeneratorSet.stars.func
+    real_overlaps = GeneratorSet.overlaps.func
 
     def counted_commutator(x, y):
         counts["commutator"] += 1
@@ -238,34 +238,23 @@ def test_generator_set_builds_one_table_and_one_solver(monkeypatch, p, q):
         counts["solver"] += 1
         real_init(self, basis)
 
-    def counted_stars(self):
-        counts["stars"] += 1
-        return real_stars(self)
+    def counted_overlaps(self):
+        counts["overlaps"] += 1
+        return real_overlaps(self)
 
-    stars = cached_property(counted_stars)
-    stars.__set_name__(GeneratorSet, "stars")
+    overlaps = cached_property(counted_overlaps)
+    overlaps.__set_name__(GeneratorSet, "overlaps")
 
     for module in (lietower.sopq, lietower.cartan):
         monkeypatch.setattr(module, "commutator", counted_commutator, raising=False)
     monkeypatch.setattr(lietower.sopq, "pairwise_commutators", counted_pairwise)
     monkeypatch.setattr(SpanSolver, "__init__", counted_init)
-    monkeypatch.setattr(GeneratorSet, "stars", stars)
+    monkeypatch.setattr(GeneratorSet, "overlaps", overlaps)
     gs = build_generators(Metric(p, q))
     cartan = find_cartan(gs)
     assert cartan_is_maximal(gs, cartan)
     assert not verify_commutation(gs)["failures"]
-    assert counts == {"pairwise": 1, "commutator": 0, "solver": 1, "stars": 1}
-
-
-def test_stars_list_the_generators_on_each_index(gs42):
-    reversed_set = GeneratorSet(
-        gs42.metric, {pair: gs42.gen(*pair) for pair in reversed(gs42.pairs)}
-    )
-    for gs in (gs42, reversed_set):
-        assert gs.stars[0] == []
-        assert gs.stars[1:] == [
-            [k for k, pair in enumerate(gs.pairs) if x in pair] for x in range(1, 7)
-        ]
+    assert counts == {"pairwise": 1, "commutator": 0, "solver": 1, "overlaps": 1}
 
 
 def test_verify_commutation_42(gs42):
@@ -344,6 +333,70 @@ def omitted_fault(metric):
     return GeneratorSet(
         metric, {pair: gs.gen(*pair) for pair in gs.pairs if set(pair) <= {1, 2, 4, 5}}
     )
+
+
+def l13_doubled_l12(metric):
+    # L12 and L13 share index 1 but commute, so the star certificate fails
+    gs = build_generators(metric)
+    gs._gens[(1, 3)] = gs.gen(1, 2) * 2
+    return gs
+
+
+SMALL_SIGNATURES = [(p, total - p) for total in range(2, 7) for p in range(total + 1)]
+
+
+@pytest.mark.parametrize(
+    "build, p, q",
+    [
+        *((build_generators, p, q) for p, q in SMALL_SIGNATURES),
+        (build_generators, 5, 5),
+        (build_generators, 2, 8),
+        (reversed_fault, 4, 2),
+        (omitted_fault, 4, 2),
+    ],
+    ids=[
+        *(f"{p},{q}" for p, q in SMALL_SIGNATURES), "5,5", "2,8",
+        "reversed-L12-fault-4,2", "omitted-L12-fault-4,2",
+    ],
+)
+def test_overlaps_hold_the_pairs_that_share_one_index(build, p, q):
+    gs = build(Metric(p, q))
+    want = {}
+    for s, t in combinations(range(len(gs)), 2):
+        shared = set(gs.pairs[s]) & set(gs.pairs[t])
+        if len(shared) == 1:
+            want[s, t] = shared.pop()
+    assert gs.overlaps == want
+
+
+def star_certificate_by_stars(gs):
+    """The certificate as first defined: every two generators of one star,
+    the positions whose index pair carries x, have a bracket-table entry."""
+    stars = [
+        [k for k, pair in enumerate(gs.pairs) if x in pair] for x in range(1, gs.metric.dim + 1)
+    ]
+    return all(pair in gs.brackets for star in stars for pair in combinations(star, 2))
+
+
+@pytest.mark.parametrize(
+    "build, p, q, holds",
+    [
+        *((build_generators, p, q, True) for p, q in SMALL_SIGNATURES),
+        (build_generators, 5, 5, True),
+        (build_generators, 2, 8, True),
+        (tampered_build, 4, 2, True),
+        (tampered_build, 5, 5, True),
+        (l12_plus_l34, 4, 2, True),
+        (l13_doubled_l12, 4, 2, False),
+    ],
+    ids=[
+        *(f"{p},{q}" for p, q in SMALL_SIGNATURES), "5,5", "2,8",
+        "L12-fault-4,2", "L12-fault-5,5", "L12+L34-4,2", "L13=2L12-4,2",
+    ],
+)
+def test_star_certificate_matches_the_star_definition(build, p, q, holds):
+    gs = build(Metric(p, q))
+    assert star_certificate(gs) == star_certificate_by_stars(gs) == holds
 
 
 @pytest.mark.parametrize(
