@@ -188,7 +188,7 @@ def _element_table() -> tuple:
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    from .verify import render_text, run_verification
+    from .verify import build_generators, render_text, run_verification
 
     metric = _parse_signature(args.signature)
     if metric.dim > MAX_VERIFY_DIM:
@@ -197,7 +197,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
             f"need P+Q <= {MAX_VERIFY_DIM}"
         )
     handle = _open_output(args.output)
-    report = run_verification(metric)
+    report = run_verification(build_generators(metric))
     if args.format == "json":
         _emit(_to_json(report), handle)
     else:

@@ -23,7 +23,8 @@ join (``exact.pairwise_commutators``) that fills its lazily built
 lists the pairs that share an index once, in its table ``overlaps``, also
 built on first read; the commutation sweep and the Cartan search read both.
 Membership, ``pseudo_antisymmetry_holds``, holds each stored entry against
-its transpose partner, with no matrix product.
+its transpose partner, with no matrix product; a set whose matrices are not
+(p+q)x(p+q), such as a direct sum, fails it instead of raising.
 """
 
 from __future__ import annotations
@@ -90,13 +91,16 @@ def pair_name(a: int, b: int) -> str:
 
 class GeneratorSet:
     """Ordered family of generators L_ab, 1 <= a < b <= p+q, of one signature:
-    any such (a, b) -> matrix map whose matrices share one size, in its order.
+    any such (a, b) -> matrix map whose matrices share one size, in its order;
+    the constructor refuses matrices of two sizes with a ``ValueError``.
 
     Lookup resolves the antisymmetry convention: ``gen(b, a)`` is
-    ``-gen(a, b)`` and ``gen(a, a)`` is the zero matrix.  The bracket table
-    ``brackets``, keyed by positions s < t in ``pairs``, and the span solver
-    ``solver`` are built from the current matrices on first read, never in
-    the constructor, so a generator overwritten before then is what they see.
+    ``-gen(a, b)`` and ``gen(a, a)`` is the zero matrix; a pair the family
+    omits is a ``KeyError`` that names its generator, in either order.  The
+    bracket table ``brackets``, keyed by positions s < t in ``pairs``, and
+    the span solver ``solver`` are built from the current matrices on first
+    read, never in the constructor, so a generator overwritten before then
+    is what they see.
     ``overlaps`` maps each pair of positions s < t whose index pairs share
     exactly one index x to x; it too is built once, on first read, and read
     by the commutation sweep and the Cartan search.
@@ -111,7 +115,10 @@ class GeneratorSet:
             raise ValueError(f"generator keys must be pairs 1 <= a < b <= {metric.dim}")
         self.pairs: list[IndexPair] = list(self._gens)
         self.names = [pair_name(a, b) for a, b in self.pairs]
-        self.zero = ExactMatrix.zeros(self._gens[self.pairs[0]].dim)
+        sizes = {mat.dim for mat in self._gens.values()}
+        if len(sizes) > 1:
+            raise ValueError(f"generator matrices differ in size: {sorted(sizes)}")
+        self.zero = ExactMatrix.zeros(sizes.pop())
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -122,9 +129,10 @@ class GeneratorSet:
             raise IndexError(f"index {b if 0 < a <= n else a} outside 1..{n}")
         if a == b:
             return self.zero
-        if a < b:
-            return self._gens[(a, b)]
-        return -self._gens[(b, a)]
+        try:
+            return self._gens[a, b] if a < b else -self._gens[b, a]
+        except KeyError:
+            raise KeyError(f"the family omits {pair_name(min(a, b), max(a, b))}") from None
 
     def matrices(self) -> list[ExactMatrix]:
         return [self._gens[pair] for pair in self.pairs]
@@ -278,9 +286,11 @@ def verify_commutation(gs: GeneratorSet) -> dict:
 
 def pseudo_antisymmetry_holds(gs: GeneratorSet) -> bool:
     """Membership check g L^T g == -L for every generator, entry by entry:
-    each entry L_ij has the partner L_ji = -g_i g_j L_ij, and no product."""
+    each entry L_ij has the partner L_ji = -g_i g_j L_ij, and no product.
+    A set whose matrices are not (p+q)x(p+q) fails it."""
     signs = (1,) * gs.metric.p + (-1,) * gs.metric.q
-    return all(mat.is_pseudo_antisymmetric(signs) for mat in gs.matrices())
+    sized = gs.zero.dim == len(signs)
+    return sized and all(mat.is_pseudo_antisymmetric(signs) for mat in gs.matrices())
 
 
 # -- hydrogen aliases for signature (4,2) -----------------------------------

@@ -9,6 +9,11 @@ A verdict is the dict that ``verify --format json`` prints, keys in order:
 ``{"name", "passed", "summary", "details"}``; ``details`` holds the report
 dicts of the checks that suite read, and each builder decides ``passed``
 from them.
+``run_verification(gs)`` judges the generator set it is handed and builds
+nothing: every suite but membership reads the matrix size from the set, and
+membership fails on a set whose matrices are not (p+q)x(p+q).  The
+``verify`` command hands it the defining set of ``build_generators``, read
+from this module when the command runs.
 Checks against published tables that carry known misprints pass exactly
 when the freshly computed deviation list matches the recorded baseline,
 so both a regression and a silently "fixed" table flip the run to red.
@@ -26,7 +31,7 @@ from .exact import ExactMatrix, commutes, rank
 from .sopq import (
     GeneratorSet,
     Metric,
-    build_generators,
+    build_generators,  # cli.cmd_verify reads it here, at call time
     hydrogen_alias_check,
     pseudo_antisymmetry_holds,
     verify_commutation,
@@ -301,14 +306,14 @@ BATTERIES: dict[Metric, tuple[tuple[SuiteBuilder, ...], tuple[str, ...]]] = {
 }
 
 
-def run_verification(metric: Metric) -> dict:
-    """The suites every signature gets, then the battery of a published one;
-    the verdict passes when every suite does."""
-    ctx = SuiteContext(build_generators(metric))
-    battery, notes = BATTERIES.get(metric, ((), ()))
+def run_verification(gs: GeneratorSet) -> dict:
+    """The verdict on ``gs`` as handed: the suites every signature gets,
+    then the battery of a published one; it passes when every suite does."""
+    ctx = SuiteContext(gs)
+    battery, notes = BATTERIES.get(gs.metric, ((), ()))
     suites = [build(ctx) for build in (_commutators, _membership, _cartan, *battery)]
     return {
-        "signature": (metric.p, metric.q),
+        "signature": (gs.metric.p, gs.metric.q),
         "passed": all(s["passed"] for s in suites),
         "suites": suites,
         "notes": notes,

@@ -195,6 +195,18 @@ MUTANTS = (
         "pseudo_antisymmetry_holds always true",
     ),
     Mutant(
+        "src/lietower/sopq.py",
+        "sized = gs.zero.dim == len(signs)",
+        "sized = True",
+        "membership on a set of another size raises instead of failing",
+    ),
+    Mutant(
+        "src/lietower/sopq.py",
+        "if len(sizes) > 1:",
+        "if False:",
+        "a generator set takes matrices of two sizes",
+    ),
+    Mutant(
         "src/lietower/exact.py",
         "if get((j, i)) != want:",
         "if get((j, i), want) != want:",

@@ -50,6 +50,7 @@ from lietower.periodic import (
 )
 from lietower.sopq import (
     Metric,
+    build_generators,
     hydrogen_alias_check,
     hydrogen_aliases,
     verify_commutation,
@@ -153,7 +154,7 @@ def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
             assert roots["1" + name][:3] == tuple(Fraction(c) for c in comps)
             assert roots["1" + name][3] == 0
         # the unresolved second-half axis labelling is flagged in the report
-        report = run_verification(Metric(4, 4))
+        report = run_verification(build_generators(Metric(4, 4)))
         assert any("do not name its axes" in n or "do not name" in n for n in report["notes"])
         assert report["notes"] == NOTES_RANK4
 

@@ -55,21 +55,21 @@ def test_verify_json_is_the_report_fields(capsys):
     assert code == 0
     doc = json.loads(out)
     assert list(doc) == ["signature", "passed", "suites", "notes"]
-    assert out == cli._to_json(run_verification(Metric(4, 2)))
+    assert out == cli._to_json(run_verification(build_generators(Metric(4, 2))))
 
 
 def test_report_passed_is_derived_from_its_suites(monkeypatch):
-    assert run_verification(Metric(3, 0))["passed"]
+    assert run_verification(build_generators(Metric(3, 0)))["passed"]
 
     def bad(ctx):
         return lietower.verify._suite("b", False, "")
 
     monkeypatch.setitem(lietower.verify.BATTERIES, Metric(3, 0), ((bad,), ()))
-    report = run_verification(Metric(3, 0))
+    report = run_verification(build_generators(Metric(3, 0)))
     assert [s["passed"] for s in report["suites"]] == [True, True, True, False]
     assert not report["passed"]
     with pytest.raises(TypeError):
-        run_verification(Metric(3, 0), passed=True)
+        run_verification(build_generators(Metric(3, 0)), passed=True)
 
 
 def test_verify_smoke_signature(capsys):

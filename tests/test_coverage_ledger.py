@@ -15,7 +15,7 @@ import pytest
 
 import lietower.paper as paper
 import lietower.verify as verify
-from lietower.sopq import Metric
+from lietower.sopq import Metric, build_generators
 
 SIGNATURES = [Metric(4, 2), Metric(4, 4)]
 
@@ -71,7 +71,7 @@ def ledger(monkeypatch):
     monkeypatch.setattr(paper, "PUBLISHED_ROOTS_RANK3", rows)
 
     def run(metric):
-        report = verify.run_verification(metric)
+        report = verify.run_verification(build_generators(metric))
         seen["links"] += [
             link["identity"]
             for suite in report["suites"]

@@ -1,25 +1,18 @@
 """Generator sets built from realisations other than the defining matrices.
 
-``GeneratorSet`` takes any one-size (a, b) -> matrix map, and the sweep, the
-Cartan search, the root table and the Casimirs read the matrix size from the
-set.  Two realisations are checked against the defining set: the direct sum
-L (+) L, of twice the size, and the conjugate S L S^-1 by a fixed
-invertible S over Z[i], which is not pseudo-antisymmetric for the diagonal
-metric.
+``run_verification`` judges any ``GeneratorSet``, and every suite but
+membership reads the matrix size from the set.  Two realisations are
+judged against the defining set: the direct sum L (+) L, of twice the
+size, and the conjugate S L S^-1 by a fixed invertible S over Z[i].
+Neither is pseudo-antisymmetric for the diagonal metric, so membership
+fails on both, and every other suite must give the defining verdict.
 """
 
 import pytest
 
-from lietower.cartan import casimir, casimir_invariance, find_cartan
-from lietower.exact import I, ExactMatrix, GaussianRational
-from lietower.sopq import (
-    GeneratorSet,
-    Metric,
-    build_generators,
-    pseudo_antisymmetry_holds,
-    verify_commutation,
-)
-from lietower.verify import SuiteContext
+from lietower.exact import I, ExactMatrix
+from lietower.sopq import GeneratorSet, Metric, build_generators
+from lietower.verify import run_verification
 
 from golden import tampered_build
 
@@ -61,39 +54,35 @@ def conjugator(n):
     return s, s_inv
 
 
-@pytest.mark.parametrize("p, q", [(3, 1), (4, 2), (4, 4)])
+def assert_defining_verdict(p, q, rep):
+    """Under ``rep``, the verdicts on the defining set and on the L12 fault
+    that ``verify`` must fail keep every suite but membership, which fails
+    with the defining summary."""
+    for build in (build_generators, tampered_build):
+        want = run_verification(build(Metric(p, q)))
+        got = run_verification(realise(build(Metric(p, q)), rep))
+        assert got["notes"] == want["notes"]
+        assert [s["name"] for s in got["suites"]] == [s["name"] for s in want["suites"]]
+        for mine, theirs in zip(got["suites"], want["suites"]):
+            if mine["name"] == "membership":
+                assert not mine["passed"]
+                assert mine["summary"] == theirs["summary"]
+            else:
+                assert mine == theirs
+    # got is now the realised fault's verdict
+    commutators = next(s for s in got["suites"] if s["name"] == "commutators")
+    assert not commutators["passed"]
+
+
+SIGNATURES = [(3, 1), (4, 2), (4, 4), (5, 5)]
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES)
 def test_direct_sum_realisation(p, q):
-    defining = build_generators(Metric(p, q))
-    gs = realise(defining, doubled)
-    assert gs.zero.dim == 2 * (p + q)
-    assert not verify_commutation(gs)["failures"]
-    assert list(find_cartan(gs)) == list(find_cartan(defining))
-    if (p, q) != (3, 1):
-        assert SuiteContext(gs).roots == SuiteContext(defining).roots
+    assert_defining_verdict(p, q, doubled)
 
 
-def test_direct_sum_casimirs_42():
-    gs = realise(build_generators(Metric(4, 2)), doubled)
-    for degree, value in ((2, 5), (3, 0), (4, 110)):
-        cas = casimir(gs, degree)
-        assert cas.dim == 12
-        assert cas.scaled_identity() == GaussianRational(value)
-        assert casimir_invariance(gs, cas)
-
-
-@pytest.mark.parametrize("p, q", [(4, 2), (4, 4), (5, 5)])
+@pytest.mark.parametrize("p, q", SIGNATURES)
 def test_conjugated_realisation(p, q):
-    defining = build_generators(Metric(p, q))
     s, s_inv = conjugator(p + q)
-
-    def conjugate(m):
-        return s @ m @ s_inv
-
-    gs = realise(defining, conjugate)
-    assert gs.gen(1, 2) != defining.gen(1, 2)
-    assert not verify_commutation(gs)["failures"]
-    assert list(find_cartan(gs)) == list(find_cartan(defining))
-    # g L'^T g = -L' holds for L' = S L S^-1 only when S preserves g
-    assert not pseudo_antisymmetry_holds(gs)
-    # the L12 fault survives the change of basis
-    assert verify_commutation(realise(tampered_build(Metric(p, q)), conjugate))["failures"]
+    assert_defining_verdict(p, q, lambda m: s @ m @ s_inv)

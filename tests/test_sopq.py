@@ -114,6 +114,31 @@ def test_generator_set_rejects_an_empty_family():
         GeneratorSet(Metric(2, 0), {})
 
 
+def test_generator_set_rejects_matrices_of_two_sizes():
+    # refused by the constructor, not at the first read of gs.brackets
+    gens = {(1, 2): ExactMatrix.zeros(3), (1, 3): ExactMatrix.zeros(4)}
+    with pytest.raises(ValueError, match=r"^generator matrices differ in size: \[3, 4\]$"):
+        GeneratorSet(Metric(3, 0), gens)
+
+
+def without_l13():
+    """The 4,2 defining family without L13, which is not closed."""
+    defining = build_generators(Metric(4, 2))
+    return GeneratorSet(
+        defining.metric, {pair: defining.gen(*pair) for pair in defining.pairs if pair != (1, 3)}
+    )
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (3, 1)])
+def test_generator_lookup_names_a_generator_the_family_omits(a, b):
+    gs = without_l13()
+    with pytest.raises(KeyError, match=r"^'the family omits L13'$"):
+        gs.gen(a, b)
+    # the 4,2 verdict reaches L13 through the hydrogen aliases
+    with pytest.raises(KeyError, match=r"^'the family omits L13'$"):
+        run_verification(gs)
+
+
 def test_expected_bracket_disjoint_pairs():
     assert expected_bracket(Metric(4, 2), (1, 2), (3, 4)) == []
 
@@ -215,7 +240,7 @@ def test_verdict_commutator_count(monkeypatch, p, q, calls):
     monkeypatch.setattr(
         lietower.sopq, "pairwise_commutators", counting("pairwise", pairwise_commutators)
     )
-    assert run_verification(Metric(p, q))["passed"]
+    assert run_verification(build_generators(Metric(p, q)))["passed"]
     assert counts == {"pairwise": 1, **calls}
 
 
@@ -445,11 +470,7 @@ def test_sweep_reports_every_shared_index_pair_of_a_central_generator():
 def test_sweep_reports_a_generator_the_family_omits():
     # without L13 the family is not closed: each pair whose bracket is +-i L13
     # fails with L13 named on its expected side, and no lookup of L13 raises
-    defining = build_generators(Metric(4, 2))
-    gs = GeneratorSet(
-        defining.metric, {pair: defining.gen(*pair) for pair in defining.pairs if pair != (1, 3)}
-    )
-    report = verify_commutation(gs)
+    report = verify_commutation(without_l13())
     assert report["pair_count"] == 91
     outside = "<outside generator span>"
     assert [tuple(f.values()) for f in report["failures"]] == [
