@@ -24,11 +24,7 @@ SIN30 = 0.5
 STEP = 26.0
 FLOOR_H = 46.0
 
-_AXIS_LABELS = {
-    "L3": "L₃", "A3": "A₃", "D3": "Δ₃",
-    "L12": "L₁₂", "L34": "L₃₄",
-    "L56": "L₅₆", "L78": "L₇₈",
-}
+_SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
 def _fmt(value: float) -> str:
@@ -37,7 +33,8 @@ def _fmt(value: float) -> str:
 
 
 def _axis_label(name: str) -> str:
-    return _AXIS_LABELS.get(name, name)
+    """Digits as subscripts and the alias D as Delta: L12 -> L₁₂, D3 -> Δ₃."""
+    return name.replace("D", "Δ").translate(_SUBSCRIPTS)
 
 
 def _esc(text: str) -> str:

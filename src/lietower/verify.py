@@ -2,8 +2,9 @@
 
 Each suite is a named exact check with a one-line summary; a run passes
 only if every suite passes, and that decides the process exit status.
-A builder makes one suite from the shared objects of a verdict; every
-signature gets the common suites, a published one also its ``BATTERIES`` row.
+A builder makes one suite from the ``SuiteContext`` of a verdict, the one
+Cartan-Weyl chain it builds; every signature gets the common suites, a
+published one also its ``BATTERIES`` row, whose root judges read the context.
 A verdict is the dict that ``verify --format json`` prints, keys in order:
 ``{"signature", "passed", "suites", "notes"}``, each suite
 ``{"name", "passed", "summary", "details"}``; ``details`` holds the report
@@ -86,10 +87,10 @@ def render_text(report: dict, color: bool = False) -> str:
 
 class SuiteContext:
     """The Cartan-Weyl chain of one generator set, each object built on
-    first use: Cartan set -> adapted basis -> ladders -> roots.  The bracket
-    table and the span solver live on the generator set itself.  ``verify``
-    reads the chain through its suites and ``roots`` reads ``roots`` alone,
-    so only what a command reads is built."""
+    first use: Cartan set -> adapted basis -> ladders -> Weyl generators
+    (name -> (matrix, root)) -> roots.  The bracket table and the span solver
+    live on the generator set.  The suites and their judges read the chain
+    here alone, and ``roots`` reads ``roots``, so only what is read is built."""
 
     def __init__(self, gs: GeneratorSet):
         self.gs = gs
@@ -111,8 +112,12 @@ class SuiteContext:
         return dict(zip(self.gs.names, self.gs.matrices())) | self.basis | self.ladders
 
     @cached_property
+    def weyl(self) -> dict[str, tuple[ExactMatrix, cw.RootVector]]:
+        return cw.weyl_generators(self.cartan, self.ladders)
+
+    @cached_property
     def roots(self) -> cw.RootTable:
-        return cw.root_system(self.cartan, cw.weyl_generators(self.cartan, self.ladders))
+        return cw.root_system(self.cartan, self.weyl)
 
 
 def _commutators(ctx: SuiteContext) -> dict:
@@ -202,14 +207,15 @@ def _printed_tables(ctx: SuiteContext, name: str, tables: tuple[str, ...]) -> di
     return _suite(name, passed, "; ".join(parts), details)
 
 
-def _judge_rank3(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
-    matched = sum(table.roots[k] == want for k, want in paper.PUBLISHED_ROOTS_RANK3.items())
+def _judge_rank3(ctx: SuiteContext) -> tuple[bool, str]:
+    roots = ctx.roots.roots
+    matched = sum(roots[k] == want for k, want in paper.PUBLISHED_ROOTS_RANK3.items())
     # each member has the zero root iff no two members bracket; decided by
     # the per-pair kernel, not by the table that find_cartan searched
     members = ctx.cartan.values()
     zero_ok = all(commutes(x, y) for x, y in combinations(members, 2))
     return (
-        table.roots == paper.PUBLISHED_ROOTS_RANK3 and zero_ok,
+        roots == paper.PUBLISHED_ROOTS_RANK3 and zero_ok,
         f"{matched}/12 published rows, cartan zero-roots {'ok' if zero_ok else 'FAIL'}",
     )
 
@@ -223,11 +229,11 @@ _D4_ROOTS = sorted(
 )
 
 
-def _judge_rank4(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
+def _judge_rank4(ctx: SuiteContext) -> tuple[bool, str]:
     # the roots are the 24 distinct D4 roots, so each first-half root that
     # matches its two nonzero published components is zero on the fourth axis;
     # a missing first-half row matches nothing
-    roots = table.roots
+    roots = ctx.roots.roots
     extraction_ok = sorted(roots.values()) == _D4_ROOTS
     first_half_match = all(
         roots.get("1" + name, ())[:3] == comps
@@ -243,13 +249,13 @@ def _judge_rank4(ctx: SuiteContext, table: cw.RootTable) -> tuple[bool, str]:
 def _roots(
     ctx: SuiteContext,
     name: str,
-    judge: Callable[[SuiteContext, cw.RootTable], tuple[bool, str]],
+    judge: Callable[[SuiteContext], tuple[bool, str]],
 ) -> dict:
     try:
         table = ctx.roots
     except cw.NotARootVectorError as exc:
         return _suite(name, False, str(exc))
-    passed, summary = judge(ctx, table)
+    passed, summary = judge(ctx)
     return _suite(name, passed, summary, table.to_json_dict())
 
 

@@ -1,6 +1,5 @@
 import pytest
 
-from lietower.cartan import adapted_basis, ladder_operators, weyl_generators
 from lietower.periodic import assign_elements
 from lietower.sopq import Metric, build_generators
 
@@ -18,18 +17,6 @@ def gs44():
 @pytest.fixture(scope="session")
 def elements():
     return assign_elements()
-
-
-@pytest.fixture(scope="session")
-def oriented_ladders():
-    """``oriented_ladders(gs, cartan)``: the Weyl generators of gs over cartan,
-    name -> (matrix, root), built from the adapted basis of signature (4,2)
-    or (4,4)."""
-
-    def build(gs, cartan):
-        return weyl_generators(cartan, ladder_operators(adapted_basis(gs)))
-
-    return build
 
 
 @pytest.fixture(scope="session")

@@ -312,7 +312,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/verify.py",
-        "table.roots == paper.PUBLISHED_ROOTS_RANK3 and zero_ok,",
+        "roots == paper.PUBLISHED_ROOTS_RANK3 and zero_ok,",
         "zero_ok,",
         "rank-3 judge passes a root table off the published one",
     ),

@@ -25,8 +25,6 @@ from lietower.cartan import (
     check_relation_table,
     emulation_check,
     extract_root,
-    find_cartan,
-    root_system,
     split_basis_so44,
     subalgebra_basis,
     yao_basis,
@@ -131,24 +129,21 @@ def test_criterion_05_split_redundancy_and_printed_tables(gs44):
         assert len(KNOWN_TABLE_DEVIATIONS["ladders-1"]) == 11
 
 
-def test_criterion_06_root_table_rank3(gs42, oriented_ladders):
+def test_criterion_06_root_table_rank3(gs42):
     with criterion(6, "12 extracted roots equal the published rank-3 table"):
-        cartan = find_cartan(gs42)
-        table = root_system(cartan, oriented_ladders(gs42, cartan))
+        ctx = SuiteContext(gs42)
         want = {
             name: tuple(Fraction(c) for c in comps)
             for name, comps in PUBLISHED_ROOTS_RANK3.items()
         }
-        assert table.roots == want
-        for name, member in cartan.items():
-            assert extract_root(cartan, name, member) == (0, 0, 0)
+        assert ctx.roots.roots == want
+        for name, member in ctx.cartan.items():
+            assert extract_root(ctx.cartan, name, member) == (0, 0, 0)
 
 
-def test_criterion_07_root_table_rank4(gs44, oriented_ladders):
+def test_criterion_07_root_table_rank4(gs44):
     with criterion(7, "24 roots extract over the rank-4 set; axis question flagged"):
-        cartan = find_cartan(gs44)
-        table = root_system(cartan, oriented_ladders(gs44, cartan))
-        roots = table.roots
+        roots = SuiteContext(gs44).roots.roots
         assert len(roots) == 24
         for name, comps in PUBLISHED_ROOTS_RANK3.items():
             assert roots["1" + name][:3] == tuple(Fraction(c) for c in comps)

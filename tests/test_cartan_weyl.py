@@ -14,7 +14,6 @@ import lietower.sopq
 import lietower.verify
 from lietower.cartan import (
     NotARootVectorError,
-    RootTable,
     adapted_basis,
     cartan_is_maximal,
     casimir,
@@ -375,14 +374,16 @@ def test_ladders_missing_component(gs42):
         ladder_operators(yao)
 
 
-def test_oriented_ladder_k_is_conjugated(gs42, oriented_ladders):
+def test_oriented_ladder_k_is_conjugated(gs42):
     # the published root table requires K+ = K1 - i*K2 in this realisation
-    yao = yao_basis(gs42)
-    weyl = oriented_ladders(gs42, find_cartan(gs42))
-    oriented = {name: op for name, (op, _) in weyl.items()}
+    ctx = SuiteContext(gs42)
+    yao = ctx.basis
+    oriented = {name: op for name, (op, _) in ctx.weyl.items()}
     assert oriented["K+"] == yao["K1"] + yao["K2"] * (-I)
     assert oriented["J+"] == yao["J1"] + yao["J2"] * I
     assert oriented["T+"] == yao["T1"] + yao["T2"] * I
+    # the root table lists the Weyl generators' own roots, in their order
+    assert list(ctx.roots.roots.items()) == [(n, root) for n, (_, root) in ctx.weyl.items()]
 
 
 def test_family_maps_keep_their_order(gs42, gs44):
@@ -443,8 +444,9 @@ def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
 
 
 # verify and roots read one Cartan-Weyl chain per command, so the bracket
-# table and the Cartan search run once each; every module binding is
-# counted, so a second chain assembled anywhere would show.
+# table, the Cartan search, the Weyl generators and the root table are built
+# once each, and a generic signature builds no Weyl family; every module
+# binding is counted, so a second chain assembled anywhere would show.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -457,24 +459,25 @@ def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
     ids=lambda a: " ".join(a),
 )
 def test_command_builds_one_chain(capsys, monkeypatch, argv):
-    counts = {"pairwise_commutators": 0, "find_cartan": 0}
+    weyl = int(argv[-1] != "5,5")
+    fns = (pairwise_commutators, find_cartan, weyl_generators, root_system)
+    counts = dict.fromkeys((fn.__name__ for fn in fns), 0)
 
-    def counted(name, fn):
+    def counted(fn):
         def wrapper(*args):
-            counts[name] += 1
+            counts[fn.__name__] += 1
             return fn(*args)
 
         return wrapper
 
-    for name, fn in (
-        ("pairwise_commutators", pairwise_commutators),
-        ("find_cartan", find_cartan),
-    ):
+    for fn in fns:
         for module in (lietower.sopq, lietower.cartan, lietower.verify, lietower.cli):
-            monkeypatch.setattr(module, name, counted(name, fn), raising=False)
+            monkeypatch.setattr(module, fn.__name__, counted(fn), raising=False)
     assert main(list(argv)) == 0
     capsys.readouterr()
-    assert counts == {"pairwise_commutators": 1, "find_cartan": 1}
+    assert counts == {
+        "pairwise_commutators": 1, "find_cartan": 1, "weyl_generators": weyl, "root_system": weyl
+    }
 
 
 @pytest.mark.parametrize("signature", ["4,2", "4,4"])
@@ -493,18 +496,16 @@ def test_roots_builds_no_span_solver(capsys, monkeypatch, signature):
 # -- root extraction ------------------------------------------------------------
 
 
-def test_root_of_raising_k(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
-    oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
-    root = extract_root(cartan, "K+", oriented["K+"])
+def test_root_of_raising_k(gs42):
+    ctx = SuiteContext(gs42)
+    root = extract_root(ctx.cartan, "K+", ctx.weyl["K+"][0])
     assert type(root) is tuple and all(type(c) is Fraction for c in root)
     assert root == (1, 1, 0)
 
 
-def test_root_of_lowering_q(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
-    oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
-    root = extract_root(cartan, "Q-", oriented["Q-"])
+def test_root_of_lowering_q(gs42):
+    ctx = SuiteContext(gs42)
+    root = extract_root(ctx.cartan, "Q-", ctx.weyl["Q-"][0])
     assert root == (0, 1, -1)
 
 
@@ -526,10 +527,8 @@ def test_zero_matrix_rejected(gs42):
         extract_root(cartan, "zero", ExactMatrix.zeros(6))
 
 
-def test_root_table_42_matches_published(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
-    table = root_system(cartan, oriented_ladders(gs42, cartan))
-    assert table.roots == {
+def test_root_table_42_matches_published(gs42):
+    assert SuiteContext(gs42).roots.roots == {
         name: tuple(Fraction(c) for c in comps)
         for name, comps in PUBLISHED_ROOTS_RANK3.items()
     }
@@ -544,13 +543,13 @@ def test_root_table_42_matches_published(gs42, oriented_ladders):
     ids=["non-commuting", "mislabelled"],
 )
 def test_judge_rank3_fails_on_a_non_commuting_cartan(gs42, members):
-    table = SuiteContext(gs42).roots
     ctx = SuiteContext(gs42)
+    ctx.roots = SuiteContext(gs42).roots
     ctx.cartan = {name: gs42.gen(*pair) for name, pair in members.items()}
-    passed, summary = _judge_rank3(ctx, table)
+    passed, summary = _judge_rank3(ctx)
     assert not passed
     assert summary.endswith("cartan zero-roots FAIL")
-    assert _judge_rank3(SuiteContext(gs42), table) == (
+    assert _judge_rank3(SuiteContext(gs42)) == (
         True, "12/12 published rows, cartan zero-roots ok"
     )
 
@@ -558,9 +557,9 @@ def test_judge_rank3_fails_on_a_non_commuting_cartan(gs42, members):
 def test_judge_rank3_fails_on_a_wrong_published_row(gs42):
     # commuting Cartan members do not make up for a root off the table
     ctx = SuiteContext(gs42)
-    table = ctx.roots
-    bad = RootTable(table.cartan, {**table.roots, "K+": tuple(map(Fraction, (1, 1, 1)))})
-    passed, summary = _judge_rank3(ctx, bad)
+    bad = {**ctx.roots.roots, "K+": tuple(map(Fraction, (1, 1, 1)))}
+    ctx.roots = ctx.roots._replace(roots=bad)
+    passed, summary = _judge_rank3(ctx)
     assert not passed
     assert summary.startswith("11/12 published rows")
 
@@ -599,74 +598,67 @@ def test_complex_root_component_rejected():
 )
 def test_judge_rank4_fails_on_a_corrupted_row(gs44, name, root):
     ctx = SuiteContext(gs44)
-    table = ctx.roots
-    assert _judge_rank4(ctx, table)[0]
-    roots = dict(table.roots)
+    assert _judge_rank4(ctx)[0]
+    roots = dict(ctx.roots.roots)
     if root is None:
         del roots[name]
     elif isinstance(root, str):
         roots[name] = roots[root]
     else:
         roots[name] = tuple(map(Fraction, root))
-    assert _judge_rank4(ctx, RootTable(table.cartan, roots)) == (
+    ctx.roots = ctx.roots._replace(roots=roots)
+    assert _judge_rank4(ctx) == (
         False,
         f"{len(roots)}/24 extracted; first half matches the published "
         "rank-3 table on its first three axes",
     )
 
 
-def test_root_negation_symmetry(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
-    table = root_system(cartan, oriented_ladders(gs42, cartan)).roots
+def test_root_negation_symmetry(gs42):
+    table = SuiteContext(gs42).roots.roots
     for fam in "KJTSPQ":
         assert table[f"{fam}-"] == tuple(-c for c in table[f"{fam}+"])
 
 
-def test_root_components_are_unit_range(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
-    table = root_system(cartan, oriented_ladders(gs44, cartan))
+def test_root_components_are_unit_range(gs44):
+    table = SuiteContext(gs44).roots
     assert len(table.roots) == 24
     for root in table.roots.values():
         assert all(c in (-1, 0, 1) for c in root)
 
 
-def test_root_table_44_first_half_restriction(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
-    table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
+def test_root_table_44_first_half_restriction(gs44):
+    table = SuiteContext(gs44).roots.roots
     for name, comps in PUBLISHED_ROOTS_RANK3.items():
         root = table["1" + name]
         assert root[:3] == tuple(Fraction(c) for c in comps)
         assert root[3] == 0
 
 
-def test_root_table_44_second_half_k(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
-    table = root_system(cartan, oriented_ladders(gs44, cartan)).roots
+def test_root_table_44_second_half_k(gs44):
+    table = SuiteContext(gs44).roots.roots
     assert table["2K+"] == (0, 0, 1, 1)
     assert table["2K-"] == (0, 0, -1, -1)
 
 
-def test_ladder_bracket_lands_in_cartan_span(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
-    solver = SpanSolver(list(cartan.values()))
-    oriented = {name: op for name, (op, _) in oriented_ladders(gs42, cartan).items()}
+def test_ladder_bracket_lands_in_cartan_span(gs42):
+    ctx = SuiteContext(gs42)
+    solver = SpanSolver(list(ctx.cartan.values()))
     for fam in "KJTSPQ":
-        bracket = commutator(oriented[f"{fam}+"], oriented[f"{fam}-"])
+        bracket = commutator(ctx.weyl[f"{fam}+"][0], ctx.weyl[f"{fam}-"][0])
         assert solver.expand(bracket) is not None
 
 
-def test_full_cartan_weyl_set_spans_algebra(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
-    weyl = oriented_ladders(gs44, cartan)
-    mats = list(cartan.values()) + [op for op, _ in weyl.values()]
+def test_full_cartan_weyl_set_spans_algebra(gs44):
+    ctx = SuiteContext(gs44)
+    mats = list(ctx.cartan.values()) + [op for op, _ in ctx.weyl.values()]
     assert len(mats) == 28
     assert rank(mats) == 28
     assert rank(mats + gs44.matrices()) == 28  # same space as the raw basis
 
 
-def test_root_table_json_schema(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
-    doc = root_system(cartan, oriented_ladders(gs42, cartan)).to_json_dict()
+def test_root_table_json_schema(gs42):
+    doc = SuiteContext(gs42).roots.to_json_dict()
     assert set(doc) == {"cartan", "roots"}
     assert doc["roots"][0] == {"name": "K+", "components": ["1", "1", "0"]}
 
@@ -695,14 +687,13 @@ def _inverse(rows):
 @pytest.mark.parametrize(
     "gs_fixture, weyl_order", [("gs42", 24), ("gs44", 192)], ids=["D3=A3", "D4"]
 )
-def test_root_system_axioms(request, oriented_ladders, gs_fixture, weyl_order):
+def test_root_system_axioms(request, gs_fixture, weyl_order):
     # Humphreys, Intro. to Lie Algebras, section 9: integral Cartan numbers,
     # closure under every reflection, and the Weyl group order of the type.
-    gs = request.getfixturevalue(gs_fixture)
-    cartan = find_cartan(gs)
-    n = gs.metric.dim
-    table = root_system(cartan, oriented_ladders(gs, cartan))
-    roots = list(table.roots.values())
+    ctx = SuiteContext(request.getfixturevalue(gs_fixture))
+    cartan = ctx.cartan
+    n = ctx.gs.metric.dim
+    roots = list(ctx.roots.roots.values())
     assert len(set(roots)) == len(roots)
     assert not any(all(c == 0 for c in root) for root in roots)
 

@@ -20,7 +20,7 @@ from lietower.cli import main
 from lietower.labels import mass_sl2c, mass_so42
 from lietower.periodic import assign_elements, find_element, projection_slice
 from lietower.sopq import Metric, build_generators
-from lietower.verify import run_verification
+from lietower.verify import SuiteContext, run_verification
 from golden import GOLDEN_STDOUT_SHA256, tampered_build
 
 
@@ -395,13 +395,9 @@ def test_output_file_utf8_lf(tmp_path, capsys):
     json.loads(raw.decode("utf-8"))
 
 
-def test_json_round_trip(capsys, oriented_ladders):
-    from lietower.cartan import find_cartan, root_system
-
+def test_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "roots", "--signature", "4,4", "--format", "json")
-    gs = build_generators(Metric(4, 4))
-    cartan = find_cartan(gs)
-    table = root_system(cartan, oriented_ladders(gs, cartan))
+    table = SuiteContext(build_generators(Metric(4, 4))).roots
     assert json.loads(out) == table.to_json_dict()
 
     _, out, _ = run_cli(capsys, "tower", "--spin=+1/2", "--format", "json")

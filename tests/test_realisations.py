@@ -1,11 +1,14 @@
 """Generator sets built from realisations other than the defining matrices.
 
 ``run_verification`` judges any ``GeneratorSet``, and every suite but
-membership reads the matrix size from the set.  Two realisations are
+membership reads the matrix size from the set.  Three realisations are
 judged against the defining set: the direct sum L (+) L, of twice the
-size, and the conjugate S L S^-1 by a fixed invertible S over Z[i].
-Neither is pseudo-antisymmetric for the diagonal metric, so membership
-fails on both, and every other suite must give the defining verdict.
+size, the conjugate S L S^-1 by a fixed invertible S over Z[i], and the
+relabelling P L P^-1 by a permutation within the + and - blocks.  The
+first two are not pseudo-antisymmetric for the diagonal metric, so
+membership fails on both, and every other suite must give the defining
+verdict.  P preserves the metric, so the relabelled verdict, membership
+included, must be the defining verdict.
 """
 
 import pytest
@@ -86,3 +89,21 @@ def test_direct_sum_realisation(p, q):
 def test_conjugated_realisation(p, q):
     s, s_inv = conjugator(p + q)
     assert_defining_verdict(p, q, lambda m: s @ m @ s_inv)
+
+
+def block_reversal(p, q):
+    """The permutation matrix that reverses indices 1..p and, separately,
+    p+1..p+q; it preserves g and is its own inverse."""
+    order = [*reversed(range(p)), *reversed(range(p, p + q))]
+    return ExactMatrix.from_entries(p + q, {(i, j): 1 for i, j in enumerate(order)})
+
+
+@pytest.mark.parametrize("p, q", SIGNATURES)
+def test_relabelled_realisation(p, q):
+    r = block_reversal(p, q)
+    assert r @ r == ExactMatrix.identity(p + q)
+    for build in (build_generators, tampered_build):
+        want = run_verification(build(Metric(p, q)))
+        assert run_verification(realise(build(Metric(p, q)), lambda m: r @ m @ r)) == want
+    # want is now the fault's verdict
+    assert not next(s for s in want["suites"] if s["name"] == "commutators")["passed"]

@@ -2,9 +2,9 @@
 
 from fractions import Fraction
 
-from lietower.cartan import find_cartan, root_system
 from lietower.periodic import projection_slice
 from lietower.svgout import FLOOR_H, _project, svg_root_squares, svg_tower
+from lietower.verify import SuiteContext
 
 
 def test_projection_same_lm_is_vertical():
@@ -21,19 +21,15 @@ def test_projection_mirror_plane():
     assert y_up == -y_dn
 
 
-def test_root_squares_panels(gs42, oriented_ladders):
-    cartan = find_cartan(gs42)
-    table = root_system(cartan, oriented_ladders(gs42, cartan))
-    svg = svg_root_squares(table)
+def test_root_squares_panels(gs42):
+    svg = svg_root_squares(SuiteContext(gs42).roots)
     assert svg.count("plane (") == 3  # three coordinate planes
     for name in ("K+", "K-", "J+", "J-", "T+", "S-", "P+", "Q-"):
         assert f">{name}<" in svg
 
 
-def test_root_squares_panels_rank4(gs44, oriented_ladders):
-    cartan = find_cartan(gs44)
-    table = root_system(cartan, oriented_ladders(gs44, cartan))
-    svg = svg_root_squares(table)
+def test_root_squares_panels_rank4(gs44):
+    svg = svg_root_squares(SuiteContext(gs44).roots)
     assert svg.count("plane (") == 6
     assert ">2K+<" in svg and ">1Q-<" in svg
 
