@@ -22,7 +22,7 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import HALF, ExactMatrix, I, bracket_multiple, commutator, commutes, product_sum
+from .exact import HALF, ExactMatrix, I, brackets, product_sum
 from .paper import SECOND_HALF_DEFS, SUBALGEBRAS, YAO_DEFS, Relation
 from .sopq import GeneratorSet, IndexPair, Metric, hydrogen_aliases, materialize
 
@@ -172,28 +172,43 @@ def ladder_operators(basis: Mapping[str, ExactMatrix]) -> dict[str, ExactMatrix]
     return out
 
 
+def extract_roots(
+    cartan: Mapping[str, ExactMatrix], operators: Mapping[str, ExactMatrix]
+) -> dict[str, RootVector]:
+    """The root of each name -> matrix of ``operators``, in order: its exact
+    eigenvalue tuple under each Cartan member.  Every bracket of a Cartan
+    member and an operator is judged in one ``brackets`` call.
+
+    Raises NotARootVectorError, naming the operator, for the first operator
+    in order that is zero, or whose bracket with some Cartan member fails
+    exact proportionality or has a proportionality constant that is not a
+    real rational, naming the first such member in Cartan order.
+    """
+    judged = brackets((h, m) for m in operators.values() for h in cartan.values())
+    roots = {}
+    for name, matrix in operators.items():
+        if matrix.is_zero():
+            raise NotARootVectorError(f"{name} is the zero matrix")
+        comps = []
+        for h in cartan:
+            lam = next(judged).multiple_of(matrix)
+            if lam is None:
+                raise NotARootVectorError(f"[{h},{name}] is not proportional to {name}")
+            if not lam.is_real:
+                raise NotARootVectorError(
+                    f"root component of {name} along {h} is complex: {lam}"
+                )
+            comps.append(lam.re)
+        roots[name] = tuple(comps)
+    return roots
+
+
 def extract_root(
     cartan: Mapping[str, ExactMatrix], name: str, matrix: ExactMatrix
 ) -> RootVector:
-    """Exact eigenvalue tuple of ``matrix``, called ``name`` in error
-    messages, under each Cartan member.
-
-    Raises NotARootVectorError if any bracket fails exact proportionality
-    or if a proportionality constant is not a real rational.
-    """
-    if matrix.is_zero():
-        raise NotARootVectorError(f"{name} is the zero matrix")
-    comps = []
-    for h, h_matrix in cartan.items():
-        lam = bracket_multiple(h_matrix, matrix, matrix)
-        if lam is None:
-            raise NotARootVectorError(f"[{h},{name}] is not proportional to {name}")
-        if not lam.is_real:
-            raise NotARootVectorError(
-                f"root component of {name} along {h} is complex: {lam}"
-            )
-        comps.append(lam.re)
-    return tuple(comps)
+    """The root of ``matrix``, called ``name`` in error messages: the
+    one-operator case of ``extract_roots``."""
+    return extract_roots(cartan, {name: matrix})[name]
 
 
 def weyl_generators(
@@ -202,27 +217,27 @@ def weyl_generators(
     """Orient the X+, X- pairs that ``ladder_operators`` returns against
     ``cartan``: name -> (matrix, root), in pair order.
 
-    The roots of the literal X+ and X- are extracted once each.  Within
-    each pair the "+" name goes to whichever of E1 +/- i*E2 has a root
-    whose last nonzero component (in Cartan order) is positive, so the
-    matrices and their roots are swapped together when the root of the
-    literal X+ ends negative.  This single rule reproduces the published
+    The roots of the literal X+ and X- are extracted once each, in one
+    ``extract_roots`` call.  Within each pair the "+" name goes to
+    whichever of E1 +/- i*E2 has a root whose last nonzero component (in
+    Cartan order) is positive, so the matrices and their roots are swapped
+    together when the root of the literal X+ ends negative.  This single rule reproduces the published
     rank-3 root table exactly; for the K family it selects K1 - i*K2, for
     every other rank-3 family the literal E1 + i*E2 form.  Pair order is
-    kept.  Raises ValueError if ``ladders`` does not list X+, X- pairs,
-    and NotARootVectorError for the first operator, X+ before X- in pair
-    order, that is not a root vector.
+    kept.  Raises NotARootVectorError for the first operator in ladder
+    order that is not a root vector, and ValueError if ``ladders`` does
+    not list X+, X- pairs.
     """
     items = list(ladders.items())
     if len(items) % 2:
         raise ValueError(f"unpaired ladder operator {items[-1][0]}")
+    roots = extract_roots(cartan, ladders)
     out = {}
     for (plus, e_up), (minus, e_down) in zip(items[::2], items[1::2]):
         stem = plus[:-1]
         if plus != stem + "+" or minus != stem + "-":
             raise ValueError(f"expected an X+, X- pair, got {plus}, {minus}")
-        up = extract_root(cartan, plus, e_up)
-        down = extract_root(cartan, minus, e_down)
+        up, down = roots[plus], roots[minus]
         if next((c for c in reversed(up) if c), 0) < 0:
             e_up, e_down, up, down = e_down, e_up, down, up
         out[plus] = (e_up, up)
@@ -321,7 +336,9 @@ def casimir(gs: GeneratorSet, degree: int) -> ExactMatrix:
 
 
 def casimir_invariance(gs: GeneratorSet, cas: ExactMatrix) -> bool:
-    return all(commutes(cas, mat) for mat in gs.matrices())
+    """Whether ``cas`` commutes with every generator, judged in one
+    ``brackets`` call."""
+    return all(b.vanishes() for b in brackets((cas, mat) for mat in gs.matrices()))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +392,14 @@ def check_relation_table(
     and the bracket they give: ``describe`` renders it, "<differs>" without
     it.  The table holds exactly when ``deviations`` is empty.
 
-    Each relation is decided by ``Relation.holds``; the bracket matrix is
-    built only to describe a failure."""
+    The table's brackets are judged in one ``brackets`` call and each
+    relation is decided on its own by ``Relation.holds``; a failure is
+    rendered from the matrix of the bracket it was judged on."""
     deviations = []
-    for rel in relations:
-        if not rel.holds(ops):
-            got = describe(commutator(ops[rel.left], ops[rel.right])) if describe else "<differs>"
+    judged = brackets((ops[rel.left], ops[rel.right]) for rel in relations)
+    for rel, bracket in zip(relations, judged):
+        if not rel.holds(ops, bracket):
+            got = describe(bracket.matrix()) if describe else "<differs>"
             deviations.append({"relation": rel.text, "got": got})
     return {"table": name, "relation_count": len(relations), "deviations": deviations}
 

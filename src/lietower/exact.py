@@ -11,22 +11,23 @@ arithmetic alike, is brought to that form by one canonicaliser, which skips
 the gcd when d == 1 (generator entries are 0, +-1 and +-i, so that is the
 common case).  Equal numbers therefore have equal triples.  The triple is
 the one representation: a ``GaussianRational`` holds it in its one slot,
-compares and hashes as it, and reads ``re`` and ``im`` from it as
-``fractions.Fraction`` in lowest terms.  A matrix, built from values by
-``from_entries`` only, stores its nonzero entries as those same triples in
-an immutable {(row, col): (a, b, d)} map that never holds a zero: an entry
-that cancels to zero is removed, so equal matrices have equal maps and
-equal hashes however they were built, and matrix equality is one
-comparison of plain dicts of int tuples.  Arithmetic inside the kernel
-unpacks and builds triples only; where the public API returns a scalar
-(indexing, ``rows``, ``str``, ``scaled_identity``, ``bracket_multiple``
+compares and hashes as it, reads ``re`` and ``im`` from it as
+``fractions.Fraction`` in lowest terms, and formats ``str`` straight from
+it, each part reduced by one gcd, with no ``Fraction``.  A matrix, built
+from values by ``from_entries`` only, stores its nonzero entries as those
+same triples in an immutable {(row, col): (a, b, d)} map that never holds a
+zero: an entry that cancels to zero is removed, so equal matrices have
+equal maps and equal hashes however they were built, and matrix equality
+is one comparison of plain dicts of int tuples.  Arithmetic inside the
+kernel unpacks and builds triples only; where the public API returns a
+scalar (indexing, ``rows``, ``scaled_identity``, ``Bracket.multiple_of``
 and ``SpanSolver.expand``) it wraps the triple itself, not a copy.  Scalar
 ``*``, unary ``-`` and ``/`` run the kernel's triple rules ``_times``,
 ``_neg`` and ``_inverse``, and ``_inverse`` is also the elimination
 pivot's inverse and the division that reads lambda in
-``bracket_multiple``.  Scalar ``+`` keeps its own rule: the kernel's sums
-(``_product_sums``, ``pairwise_commutators``, ``_add_scaled``) add inline,
-unreduced, because a call per term is slower.
+``Bracket.multiple_of``.  Scalar ``+`` keeps its own rule: the kernel's
+sums (``_product_sums``, ``brackets``, ``pairwise_commutators``,
+``_add_scaled``) add inline, unreduced, because a call per term is slower.
 
 A rotation generator has two nonzero entries and a commutator of two has at
 most four, so arithmetic touches only those.  ``product_sum`` sums any
@@ -38,17 +39,27 @@ cross-multiply), and each nonzero sum is reduced once at the end, so no
 product or partial sum is built.  ``@`` is its one-term case and
 ``commutator`` its two-term case a@b - b@a.  Subtraction is addition of
 the negation, and every operation on several matrices has the one size
-check.  ``commutes`` and ``bracket_multiple`` judge a bracket on those
-unreduced sums without building it: [a, b] = 0 when every sum is 0 + 0i,
-and [a, b] = lambda*c when lambda, read at c's first stored key, matches
-every other nonzero sum against c's entry there by cross-multiplied
-integers, no nonzero sum lies outside c's support and, for a nonzero
-lambda, none of c's entries is missing; only lambda is reduced.
-``pairwise_commutators`` brackets every pair of a family in one sparse join:
-it indexes the stored entries of all members by row, meets each entry
-(i, k) only with the entries in row k, and sums each product into the
-triple of its (pair, entry) slot, so a pair whose entries never meet costs
-nothing; a generic ``verify`` builds its whole bracket table this way.
+check.
+
+Every bracket that a verdict judges goes through ``brackets(pairs)``, one
+batched kernel: per call it indexes each distinct operand's entries by row
+once, and for each pair, as its ``Bracket`` is read, sums a@b - b@a into
+unreduced (re, im, den) sums, meeting each entry (i, k) of one factor only
+with the entries in row k of the other (the row-wise sparse product of
+Gustavson, ACM TOMS 4, 1978).  The brackets are yielded one at a time, so
+only those a caller holds stay alive.  Each ``Bracket`` answers from its
+sums: ``vanishes()`` when
+every sum is 0 + 0i; ``multiple_of(c)`` gives lambda with [a, b] =
+lambda*c when lambda, read at c's first stored key, matches every other
+nonzero sum against c's entry there by cross-multiplied integers, no
+nonzero sum lies outside c's support and, for a nonzero lambda, none of
+c's entries is missing, reducing only lambda; and ``matrix()`` reduces
+the sums into the bracket matrix, which renders a failed judgement without
+bracketing the pair again.  ``commutes`` and ``bracket_multiple`` are its
+one-pair case.  ``pairwise_commutators`` brackets every pair of a family in
+one sparse join of the same kind, keyed by (pair, entry), so a pair whose
+entries never meet costs nothing; a generic ``verify`` builds its whole
+bracket table this way.
 ``linear_combination`` sums scaled matrices into one map, reducing each
 sum as it goes.  Indexing, ``rows`` and ``str`` read the matrix as if it
 were dense.  A scalar multiplies a matrix from either side, a
@@ -68,7 +79,9 @@ proportional to the entries met, not to the number of rows (Gilbert &
 Peierls, SIAM J. Sci. Stat. Comput. 9, 1988).  The first key that is no
 pivot ends the reduction: it becomes the pivot of a new input, or puts an
 expanded matrix outside the span.  ``rank`` counts the rows and
-``SpanSolver`` keeps them, to answer repeated expansion queries.
+``SpanSolver`` keeps them, to answer repeated expansion queries; its
+describer renders a matrix from the sparse coefficient map that the
+reduction leaves, in basis order.
 Identities are decided by exact equality, of matrices or of integer sums;
 expansion is for rendering a matrix in a basis and for testing that a
 basis is independent.
@@ -76,7 +89,7 @@ basis is independent.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -189,20 +202,21 @@ class GaussianRational:
     # -- canonical text form --------------------------------------------------
 
     def __str__(self) -> str:
-        """Canonical form: "0", "3/4", "-i", "2i", "1/2-3/4i"."""
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if im == 1:
+        """Canonical form: "0", "3/4", "-i", "2i", "1/2-3/4i", each part
+        in lowest terms, read straight from the triple."""
+        a, b, d = self._t
+        if not b:
+            return _ratio_text(a, d)
+        if b == d:
             imag = "i"
-        elif im == -1:
+        elif b == -d:
             imag = "-i"
         else:
-            imag = f"{im}i"
-        if not re:
+            imag = _ratio_text(b, d) + "i"
+        if not a:
             return imag
-        sign = "+" if im > 0 else ""
-        return f"{re}{sign}{imag}"
+        sign = "+" if b > 0 else ""
+        return f"{_ratio_text(a, d)}{sign}{imag}"
 
     __repr__ = __str__
 
@@ -211,6 +225,13 @@ class GaussianRational:
 ScalarLike = GaussianRational | int | Fraction
 
 _set_t = GaussianRational._t.__set__
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms, as ``str`` of a ``Fraction`` prints it."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _wrap(t: Triple) -> GaussianRational:
@@ -407,6 +428,11 @@ def _check_dim(dim: int, other: int) -> None:
         raise ValueError(f"dimension mismatch: {dim} vs {other}")
 
 
+def _reduced(sums: _Sums) -> _Entries:
+    """The canonical map of the nonzero unreduced sums."""
+    return {k: _canonical(*t) for k, t in sums.items() if t[0] or t[1]}
+
+
 def _product_sums(dim: int, terms: _Terms) -> _Sums:
     """The unreduced sums of sign * (a @ b) over the (sign, a, b) terms.
 
@@ -444,13 +470,7 @@ def product_sum(dim: int, terms: _Terms) -> ExactMatrix:
     Every product is summed into one map of unreduced integer triples and
     each nonzero sum is reduced once, so no product or partial sum is built.
     """
-    acc = _product_sums(dim, terms)
-    return ExactMatrix._of(dim, {k: _canonical(*t) for k, t in acc.items() if t[0] or t[1]})
-
-
-def _bracket(a: ExactMatrix, b: ExactMatrix) -> _Terms:
-    """The two signed products of [a, b] = a@b - b@a."""
-    return (1, a, b), (-1, b, a)
+    return ExactMatrix._of(dim, _reduced(_product_sums(dim, terms)))
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -459,12 +479,89 @@ def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     Both products are summed into one map of integer triples, so no
     intermediate matrix or scalar is built.
     """
-    return product_sum(a.dim, _bracket(a, b))
+    return product_sum(a.dim, ((1, a, b), (-1, b, a)))
+
+
+class Bracket:
+    """One judged bracket [a, b] of ``brackets``: the unreduced (re, im, den)
+    sums of a@b - b@a, zeros allowed, from which every answer is read."""
+
+    __slots__ = ("dim", "_sums")
+
+    def __init__(self, dim: int, sums: _Sums):
+        self.dim = dim
+        self._sums = sums
+
+    def vanishes(self) -> bool:
+        """Whether [a, b] = 0: every sum is 0 + 0i."""
+        return not any(re or im for re, im, _ in self._sums.values())
+
+    def multiple_of(self, c: ExactMatrix) -> GaussianRational | None:
+        """Return lambda with [a, b] == lambda*c if one exists, else None.
+
+        c must be a nonzero matrix of the same size: the zero matrix has
+        every matrix as a multiple, so asking for a coefficient against it
+        signals a caller bug."""
+        _check_dim(self.dim, c.dim)
+        if not c._entries:
+            raise ValueError("reference matrix is zero")
+        return _proportion(self._sums, c._entries)
+
+    def matrix(self) -> ExactMatrix:
+        """The bracket matrix, equal to ``commutator(a, b)``."""
+        return ExactMatrix._of(self.dim, _reduced(self._sums))
+
+
+def brackets(pairs: Iterable[tuple[ExactMatrix, ExactMatrix]]) -> Iterator[Bracket]:
+    """Yield the judged bracket of each (a, b) pair, in order, each summed
+    when it is read; reading a pair whose two matrices differ in size
+    raises.
+
+    Each distinct operand's entries are indexed by row once per call, so an
+    entry (i, k) of one factor meets only the entries in row k of the other
+    (Gustavson, ACM TOMS 4, 1978), and each product of a@b and of -b@a is
+    summed into the unreduced triple of its slot.  No sum is reduced: a
+    ``Bracket`` answers from them.  Yielding one at a time keeps only the
+    sums of the brackets a caller holds alive, which spares the cyclic
+    garbage collector a heap of them.
+    """
+    pairs = list(pairs)  # holds every operand, so no id is reused in the call
+    by_row: dict[int, dict[int, list[tuple[int, int, int, int]]]] = {}
+    for pair in pairs:
+        for m in pair:
+            if id(m) not in by_row:
+                rows: dict[int, list[tuple[int, int, int, int]]] = {}
+                for (k, j), (c, e, f) in m._entries.items():
+                    rows.setdefault(k, []).append((j, c, e, f))
+                by_row[id(m)] = rows
+    for a, b in pairs:
+        if a.dim != b.dim:
+            _check_dim(a.dim, b.dim)
+        acc: _Sums = {}
+        for sign, left, right in ((1, a, b), (-1, b, a)):
+            rows = by_row[id(right)]
+            for (i, k), (p, q, d) in left._entries.items():
+                row = rows.get(k)
+                if row is None:
+                    continue
+                p, q = sign * p, sign * q
+                for j, c, e, f in row:
+                    re, im, den = p * c - q * e, p * e + q * c, d * f
+                    key = i, j
+                    old = acc.get(key)
+                    if old is not None:
+                        x, y, t = old
+                        if t == den:
+                            re, im = x + re, y + im
+                        else:
+                            re, im, den = x * den + re * t, y * den + im * t, t * den
+                    acc[key] = (re, im, den)
+        yield Bracket(a.dim, acc)
 
 
 def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """Whether a@b == b@a, decided on the unreduced sums of the bracket."""
-    return not any(re or im for re, im, _ in _product_sums(a.dim, _bracket(a, b)).values())
+    """Whether a@b == b@a: the one-pair case of ``brackets``."""
+    return next(brackets(((a, b),))).vanishes()
 
 
 def pairwise_commutators(
@@ -564,17 +661,9 @@ def _proportion(sums: _Sums, ref: _Entries) -> GaussianRational | None:
 def bracket_multiple(
     a: ExactMatrix, b: ExactMatrix, c: ExactMatrix
 ) -> GaussianRational | None:
-    """Return lambda with [a, b] == lambda*c if one exists, else None.
-
-    c must be a nonzero matrix of the same size: the zero matrix has every
-    matrix as a multiple, so asking for a coefficient against it signals a
-    caller bug.  The bracket is judged on its unreduced sums, so no bracket
-    matrix is built.
-    """
-    _check_dim(a.dim, c.dim)
-    if c.is_zero():
-        raise ValueError("reference matrix is zero")
-    return _proportion(_product_sums(a.dim, _bracket(a, b)), c._entries)
+    """Return lambda with [a, b] == lambda*c if one exists, else None: the
+    one-pair case of ``brackets`` and ``Bracket.multiple_of``."""
+    return next(brackets(((a, b),))).multiple_of(c)
 
 
 # -- exact elimination --------------------------------------------------------
@@ -674,7 +763,7 @@ class SpanSolver:
     Factors the basis once, each matrix read as one row of its (row, col)
     entries, into rows keyed by pivot; each expansion then meets only the
     rows at the pivots it carries or fills in, in ascending order.  A
-    passing verdict expands 15 times on (4,2), 23 on (4,4), 0 on (5,5).
+    passing verdict renders 15 matrices on (4,2), 23 on (4,4), 0 on (5,5).
     """
 
     def __init__(self, basis: Sequence[ExactMatrix]):
@@ -686,26 +775,34 @@ class SpanSolver:
         if dependent:
             raise ValueError(f"basis element {dependent[0]} is dependent on earlier ones")
 
-    def expand(self, x: ExactMatrix) -> list[GaussianRational] | None:
-        """Coefficients of x in the basis, or None if x is outside the span."""
+    def _combination(self, x: ExactMatrix) -> dict[int, Triple] | None:
+        """The sparse map {basis index: nonzero coefficient} of x, or None
+        if x is outside the span."""
         _check_dim(self.dim, x.dim)
         # reducing -x to zero leaves in coeffs the combination equal to x
         vec = {key: _neg(t) for key, t in x._entries.items()}
         coeffs: dict[int, Triple] = {}
         if _reduce(self._rows, vec, coeffs) is not None:
             return None
+        return coeffs
+
+    def expand(self, x: ExactMatrix) -> list[GaussianRational] | None:
+        """Coefficients of x in the basis, or None if x is outside the span."""
+        coeffs = self._combination(x)
+        if coeffs is None:
+            return None
         return [_scalar(coeffs.get(idx)) for idx in range(self.size)]
 
     def describer(self, names: Sequence[str], outside: str) -> Callable[[ExactMatrix], str]:
         """Render a matrix as an exact combination of the factored basis,
-        whose members are called ``names``; a matrix outside its span
-        renders as ``outside``."""
+        whose members are called ``names``, read from its sparse coefficient
+        map in basis order; a matrix outside its span renders as ``outside``."""
 
         def describe(x: ExactMatrix) -> str:
-            coeffs = self.expand(x)
+            coeffs = self._combination(x)
             if coeffs is None:
                 return outside
-            return format_combination((c, names[k]) for k, c in enumerate(coeffs) if c)
+            return format_combination((_wrap(coeffs[k]), names[k]) for k in sorted(coeffs))
 
         return describe
 

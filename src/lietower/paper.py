@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .exact import HALF, ExactMatrix, GaussianRational, I, ONE, bracket_multiple, commutes
+from .exact import HALF, Bracket, ExactMatrix, GaussianRational, I, ONE
 
 MINUS_HALF = -HALF
 
@@ -49,16 +49,16 @@ class Relation(namedtuple("Relation", "left right coeff result")):
             rhs = f"({self.coeff})*{self.result}"
         return f"[{self.left},{self.right}] = {rhs}"
 
-    def holds(self, ops: Mapping[str, ExactMatrix]) -> bool:
-        """Whether the named matrices satisfy the relation, decided on the
-        unreduced sums of their bracket: by ``commutes`` when the right-hand
-        side is zero, a zero result operator included, and by
-        ``bracket_multiple`` otherwise."""
-        left, right = ops[self.left], ops[self.right]
+    def holds(self, ops: Mapping[str, ExactMatrix], bracket: Bracket) -> bool:
+        """Whether the relation holds on ``bracket``, the judged bracket of
+        ``ops[left]`` and ``ops[right]`` from ``exact.brackets``: it vanishes
+        when the right-hand side is zero, a zero result operator included,
+        and is ``coeff`` times the result operator otherwise.  This is the
+        one method that decides a printed relation."""
         result = None if self.result is None or not self.coeff else ops[self.result]
         if result is None or result.is_zero():
-            return commutes(left, right)
-        return bracket_multiple(left, right, result) == self.coeff
+            return bracket.vanishes()
+        return bracket.multiple_of(result) == self.coeff
 
 
 def _rel(left: str, right: str, coeff, result: str | None) -> Relation:

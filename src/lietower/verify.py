@@ -28,7 +28,7 @@ from itertools import combinations
 
 from . import cartan as cw
 from . import paper
-from .exact import ExactMatrix, commutes, rank
+from .exact import ExactMatrix, brackets, rank
 from .sopq import (
     GeneratorSet,
     Metric,
@@ -208,12 +208,13 @@ def _printed_tables(ctx: SuiteContext, name: str, tables: tuple[str, ...]) -> di
 
 
 def _judge_rank3(ctx: SuiteContext) -> tuple[bool, str]:
+    # a missing published row matches nothing
     roots = ctx.roots.roots
-    matched = sum(roots[k] == want for k, want in paper.PUBLISHED_ROOTS_RANK3.items())
+    matched = sum(roots.get(k) == want for k, want in paper.PUBLISHED_ROOTS_RANK3.items())
     # each member has the zero root iff no two members bracket; decided by
-    # the per-pair kernel, not by the table that find_cartan searched
-    members = ctx.cartan.values()
-    zero_ok = all(commutes(x, y) for x, y in combinations(members, 2))
+    # the bracket kernel, not by the table that find_cartan searched
+    pairs = combinations(ctx.cartan.values(), 2)
+    zero_ok = all(b.vanishes() for b in brackets(pairs))
     return (
         roots == paper.PUBLISHED_ROOTS_RANK3 and zero_ok,
         f"{matched}/12 published rows, cartan zero-roots {'ok' if zero_ok else 'FAIL'}",

@@ -63,7 +63,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/verify.py",
-        "zero_ok = all(commutes(x, y) for x, y in combinations(members, 2))",
+        "zero_ok = all(b.vanishes() for b in brackets(pairs))",
         "zero_ok = True",
         "rank-3 judge never checks that the Cartan members commute",
     ),
@@ -93,9 +93,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/exact.py",
-        "{k: _canonical(*t) for k, t in acc.items() if t[0] or t[1]}",
-        "{k: _canonical(*t) for k, t in acc.items()}",
-        "product sums keep their zero entries",
+        "{k: _canonical(*t) for k, t in sums.items() if t[0] or t[1]}",
+        "{k: _canonical(*t) for k, t in sums.items()}",
+        "product sums and bracket matrices keep their zero entries",
     ),
     Mutant(
         "src/lietower/exact.py",
@@ -142,9 +142,45 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/exact.py",
-        "return not any(re or im for re, im, _ in _product_sums(a.dim, _bracket(a, b)).values())",
+        "return not any(re or im for re, im, _ in self._sums.values())",
         "return True",
         "commutes always true",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "for sign, left, right in ((1, a, b), (-1, b, a)):",
+        "for sign, left, right in ((1, a, b),):",
+        "the bracket kernel skips the -b@a side",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "rows = by_row[id(right)]",
+        "rows = by_row[id(b)]",
+        "the bracket kernel reuses b's row index for a, so -b@a is computed as -b@b",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "pairs = list(pairs)  #",
+        "pairs = pairs  #",
+        "the bracket kernel reads a generator of pairs twice and judges none of them",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        "names[k]) for k in sorted(coeffs))",
+        "names[k]) for k in coeffs)",
+        "the describer renders terms in elimination order, not basis order",
+    ),
+    Mutant(
+        "src/lietower/exact.py",
+        'if b == d:\n            imag = "i"',
+        'if b == 1:\n            imag = "i"',
+        "str reads the imaginary part's numerator as its value: 1/2+i prints as 1/2+1i, i/2 as i",
+    ),
+    Mutant(
+        "src/lietower/verify.py",
+        "sum(roots.get(k) == want for",
+        "sum(roots[k] == want for",
+        "rank-3 judge raises KeyError on a root table that lacks a published row",
     ),
     Mutant(
         "src/lietower/cartan.py",
@@ -160,7 +196,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/cartan.py",
-        "return all(commutes(cas, mat) for mat in gs.matrices())",
+        "return all(b.vanishes() for b in brackets((cas, mat) for mat in gs.matrices()))",
         "return True",
         "casimir_invariance always true",
     ),
@@ -256,8 +292,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/paper.py",
-        "return bracket_multiple(left, right, result) == self.coeff",
-        "return bracket_multiple(left, right, result) is not None",
+        "return bracket.multiple_of(result) == self.coeff",
+        "return bracket.multiple_of(result) is not None",
         "a printed relation holds for any multiple of its result",
     ),
     Mutant(
@@ -268,14 +304,14 @@ MUTANTS = (
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "for s, t in brackets.keys() - overlaps.keys()",
+        "for s, t in table.keys() - overlaps.keys()",
         "for s, t in ()",
         "the commutation sweep ignores a pair that shares no index but does not commute",
     ),
     Mutant(
         "src/lietower/sopq.py",
-        "got = brackets.get((s, t), zero)",
-        "got = brackets.get((s, t), sides.get(term))",
+        "got = table.get((s, t), zero)",
+        "got = table.get((s, t), sides.get(term))",
         "the commutation sweep skips every pair that brackets to zero, "
         "even one that shares an index",
     ),

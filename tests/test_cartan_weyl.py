@@ -21,6 +21,7 @@ from lietower.cartan import (
     check_relation_table,
     emulation_check,
     extract_root,
+    extract_roots,
     find_cartan,
     ladder_operators,
     root_system,
@@ -416,9 +417,9 @@ def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
         weyl_generators(cartan, dict([ladders[1], ladders[0]] + ladders[2:]))
 
 
-# Each command extracts the root of every ladder operator once, in
-# weyl_generators; the Cartan zero-root check of verify 4,2 reads the
-# bracket table instead.
+# Each command extracts the root of every ladder operator once, in the one
+# extract_roots call of weyl_generators; the Cartan zero-root check of
+# verify 4,2 brackets the members instead.
 @pytest.mark.parametrize(
     "argv, calls",
     [
@@ -430,17 +431,16 @@ def test_weyl_generators_rejects_unpaired_or_reversed(gs42):
     ids=["verify-4,2", "verify-4,4", "roots-4,2", "roots-4,4"],
 )
 def test_command_extract_root_count(capsys, monkeypatch, argv, calls):
-    count = 0
+    named = []
 
-    def counted(cartan, name, matrix):
-        nonlocal count
-        count += 1
-        return extract_root(cartan, name, matrix)
+    def counted(cartan, operators):
+        named.append(list(operators))
+        return extract_roots(cartan, operators)
 
-    monkeypatch.setattr(lietower.cartan, "extract_root", counted)
+    monkeypatch.setattr(lietower.cartan, "extract_roots", counted)
     assert main(list(argv)) == 0
     capsys.readouterr()
-    assert count == calls
+    assert len(named) == 1 and len(named[0]) == len(set(named[0])) == calls
 
 
 # verify and roots read one Cartan-Weyl chain per command, so the bracket
@@ -562,6 +562,18 @@ def test_judge_rank3_fails_on_a_wrong_published_row(gs42):
     passed, summary = _judge_rank3(ctx)
     assert not passed
     assert summary.startswith("11/12 published rows")
+
+
+def test_root_table_rank3_fails_on_a_missing_published_row(gs42):
+    # a table without a published row fails the suite, as on rank 4, and
+    # the judge does not raise KeyError
+    ctx = SuiteContext(gs42)
+    roots = dict(ctx.roots.roots)
+    del roots["K+"]
+    ctx.roots = ctx.roots._replace(roots=roots)
+    suite = lietower.verify._roots(ctx, "root-table", _judge_rank3)
+    assert not suite["passed"]
+    assert suite["summary"] == "11/12 published rows, cartan zero-roots ok"
 
 
 def test_complex_root_component_rejected():

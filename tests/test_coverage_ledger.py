@@ -2,7 +2,8 @@
 published row that its battery names.
 
 During one ``run_verification`` the ledger records each ``Relation`` that
-``Relation.holds`` decides, each emulation link that ``emulation_check``
+``Relation.holds``, the one method that decides a printed relation (on the
+bracket that ``exact.brackets`` judged for it), decides, each emulation link that ``emulation_check``
 builds (read off the verdict, whose emulation report lists every link it
 built), and each row of the published rank-3 root table that a root judge
 compares with a computed root.  The rows the battery should reach are read
@@ -48,9 +49,9 @@ def ledger(monkeypatch):
     seen = {"relations": [], "links": [], "roots": []}
     holds = paper.Relation.holds
 
-    def recording_holds(self, ops):
+    def recording_holds(self, ops, bracket):
         seen["relations"].append(self)
-        return holds(self, ops)
+        return holds(self, ops, bracket)
 
     class Row(tuple):
         """A published root row that records each comparison; as a tuple

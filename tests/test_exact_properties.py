@@ -33,6 +33,7 @@ from lietower.exact import (  # noqa: E402
     bracket_multiple,
     commutator,
     commutes,
+    format_combination,
     linear_combination,
     pairwise_commutators,
     rank,
@@ -182,6 +183,18 @@ def test_span_solver_recovers_coefficients(family):
     basis, coeffs = family
     assert SpanSolver(basis).expand(combine(coeffs, basis)) == coeffs
     assert rank(basis) == len(basis)
+
+
+@KERNEL
+@given(independent_bases())
+def test_describer_matches_the_dense_expansion(family):
+    # the describer reads the sparse coefficient map; the dense list of
+    # ``expand``, formatted with its zeros dropped, is the oracle
+    basis, coeffs = family
+    names = [f"E{k}" for k in range(len(basis))]
+    x = combine(coeffs, basis)
+    want = format_combination((c, n) for c, n in zip(SpanSolver(basis).expand(x), names) if c)
+    assert SpanSolver(basis).describer(names, "<outside>")(x) == want
 
 
 gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
@@ -376,6 +389,24 @@ def ref_str(re, im):
     if not re:
         return imag
     return f"{re}{'+' if im > 0 else ''}{imag}"
+
+
+@st.composite
+def scalar_triples(draw):
+    """(a, b, d) with d >= 1, b often one of 0, +-d, so that the parts
+    +-1 and +-i and a zero part come up as well as wide numerators."""
+    d = draw(st.integers(1, 10**4))
+    part = st.one_of(st.integers(-(10**6), 10**6), st.sampled_from([0, d, -d, 2 * d]))
+    return draw(part), draw(part), d
+
+
+@KERNEL
+@given(scalar_triples())
+def test_scalar_str_matches_the_fraction_formula(triple):
+    # str formats the stored triple; ref_str on Fractions is the oracle
+    a, b, d = triple
+    x = GaussianRational(Fraction(a, d), Fraction(b, d))
+    assert str(x) == ref_str(Fraction(a, d), Fraction(b, d))
 
 
 def assert_matches_pair(x, pair):

@@ -18,6 +18,7 @@ from lietower.exact import (
     I,
     SpanSolver,
     bracket_multiple,
+    brackets,
     commutator,
     commutes,
     format_combination,
@@ -198,30 +199,23 @@ def test_bracket_table_holds_only_nonzero_brackets(gs42):
 
 
 # Each generator pair is bracketed once per verdict, in ``gs.brackets``, by one
-# ``pairwise_commutators`` join, so a generic signature makes no per-pair
+# ``pairwise_commutators`` join, so a generic signature judges no other
 # bracket; ``cartan_is_maximal`` reads that table too.  4,2 and 4,4 add the
-# per-pair brackets of their table, root and Casimir suites.  4,2 also adds
-# the 3 of the Cartan zero-root check and the 15 + 18 of the alias suite (its
-# printed rows and its 3 x 6 handedness brackets), which bracket their
-# operands pair by pair to cross-check the join.  A judged bracket is decided
-# by ``commutes`` (zero right-hand side, Casimir invariance, zero roots) or
-# ``bracket_multiple`` (printed tables, handedness, root extraction) on its
-# unreduced sums: 177 brackets on 4,2 and 276 on 4,4.  ``commutator`` builds a
-# bracket matrix only to render a relation: the 15 alias rows of 4,2, each
-# rendered whether it holds or not, and on 4,4 the 6 + 6 + 11 known
-# misprints, once each.
+# brackets of their table, root and Casimir suites, each judged once, in
+# one ``brackets`` call per table, alias family, Casimir degree, Cartan
+# zero-root check and Weyl-generator extraction: 177 pairs on 4,2 (among
+# them the 3 of the zero-root check and the 15 + 18 of the alias suite,
+# which cross-check the join) and 276 on 4,4.  A deviation and an alias
+# row's ``got`` are rendered from the bracket they were judged on, so a
+# passing verdict builds no bracket with ``commutator`` and judges none
+# with the one-pair ``commutes`` or ``bracket_multiple``.
 @pytest.mark.parametrize(
-    "p, q, calls",
-    [
-        (4, 2, {"commutator": 15, "commutes": 87, "bracket_multiple": 90}),
-        (4, 4, {"commutator": 23, "commutes": 108, "bracket_multiple": 168}),
-        (5, 5, {"commutator": 0, "commutes": 0, "bracket_multiple": 0}),
-        (3, 0, {"commutator": 0, "commutes": 0, "bracket_multiple": 0}),
-    ],
+    "p, q, pairs",
+    [(4, 2, 177), (4, 4, 276), (5, 5, 0), (3, 0, 0)],
     ids=["4,2", "4,4", "5,5", "3,0"],
 )
-def test_verdict_commutator_count(monkeypatch, p, q, calls):
-    counts = {"pairwise": 0, "commutator": 0, "commutes": 0, "bracket_multiple": 0}
+def test_verdict_commutator_count(monkeypatch, p, q, pairs):
+    counts = {"pairwise": 0, "pairs": 0, "commutator": 0, "commutes": 0, "bracket_multiple": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -230,18 +224,26 @@ def test_verdict_commutator_count(monkeypatch, p, q, calls):
 
         return counted
 
-    for name, fn in (
-        ("commutator", commutator),
-        ("commutes", commutes),
-        ("bracket_multiple", bracket_multiple),
-    ):
-        for module in (lietower.paper, lietower.sopq, lietower.cartan, lietower.verify):
+    def counted_brackets(operands):
+        operands = list(operands)
+        counts["pairs"] += len(operands)
+        return brackets(operands)
+
+    for module in (lietower.paper, lietower.sopq, lietower.cartan, lietower.verify):
+        for name, fn in (
+            ("commutator", commutator),
+            ("commutes", commutes),
+            ("bracket_multiple", bracket_multiple),
+        ):
             monkeypatch.setattr(module, name, counting(name, fn), raising=False)
+        monkeypatch.setattr(module, "brackets", counted_brackets, raising=False)
     monkeypatch.setattr(
         lietower.sopq, "pairwise_commutators", counting("pairwise", pairwise_commutators)
     )
     assert run_verification(build_generators(Metric(p, q)))["passed"]
-    assert counts == {"pairwise": 1, **calls}
+    assert counts == {
+        "pairwise": 1, "pairs": pairs, "commutator": 0, "commutes": 0, "bracket_multiple": 0
+    }
 
 
 # The library calls share the set's own table and solver, not only a verdict.
